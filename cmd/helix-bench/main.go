@@ -12,7 +12,8 @@
 // Absolute numbers differ from the paper (its substrate was Spark on a
 // cluster; ours is an in-process engine on synthetic data) but the shape —
 // who wins, by roughly what factor, and which iteration types are cheap —
-// is the reproduction target.
+// is the reproduction target. Per-layer performance measurement lives in
+// the separate benchmark/ module (bash benchmark/run.sh).
 //
 // Usage:
 //
@@ -21,152 +22,54 @@
 //	helix-bench -fig all
 //	helix-bench -ablation optflag
 //	helix-bench -ablation matpolicy
-//	helix-bench -ablation scheduler
-//	helix-bench -ablation dispatch -json BENCH_3.json
-//	helix-bench -ablation dispatch -faults          # chaos smoke: seeded recoverable faults
-//	helix-bench -ablation reweight
-//	helix-bench -ablation spill
-//	helix-bench -ablation eviction
-//	helix-bench -ablation codec
 //	helix-bench -fig 2b -budget 65536 -spill -1 # tiered store on figure runs
-//	helix-bench -fig 2b -codec gob              # A/B the reflective gob codec
-//	helix-bench -fig 2b -spill -1 -mmap         # zero-copy mmap cold reads
-//	helix-bench -fig 2b -sched level-barrier    # A/B the old executor
-//	helix-bench -fig 2b -sched dataflow-minid   # A/B the old ready-queue order
-//	helix-bench -fig 2b -dispatch global-heap   # A/B the old dispatch loop
-//	helix-bench -fig 2b -reweight off           # A/B online re-prioritization
-//	helix-bench -fig 2b -release=false          # A/B memory-bounded execution
 //
-// Scheduler orderings and memory-bounded execution: -sched selects both
-// the strategy and, for dataflow, the ready-queue priority — "dataflow"
-// (cost-aware critical-path-first dispatch, the default), "dataflow-minid"
-// (the original smallest-ID dispatch) or "level-barrier" (the wave
-// executor). -dispatch selects the dataflow dispatch mode: "worksteal"
-// (per-worker deques, the default) or "global-heap" (the previous single
-// shared ready heap, kept as the contention baseline). -release (default
-// true) lets the engine drop a non-output intermediate from memory the
-// moment its last consumer has run; figure runs print the session's peak
-// live-byte estimate so the memory effect is visible next to the
-// wall-clock numbers. "-ablation scheduler" runs every stress shape under
-// all three schedulers, checks value equality, and reports the wall-time
-// reduction of each dataflow ordering over the level-barrier reference.
-// "-ablation dispatch" is the 2-way work-stealing vs global-heap
-// head-to-head over the same shapes (value-checked, with steal/handoff
-// counts and peak live bytes); -json writes its measurements as
-// machine-readable JSON (the committed BENCH_baseline.json and the per-CI-
-// run artifact the benchdiff gate compares against it). "-reweight"
-// (default adaptive) selects online re-prioritization of the remaining
-// DAG from measured durations; "-ablation reweight" measures it on the
-// deceptive-estimate LiarDAG shape — a lying history buries the true
-// long-pole chain behind claimed-expensive decoys — under both dispatch
-// modes, min-of-3, value-checked across all four configurations.
 // "-spill" attaches a cold second-tier store to figure runs (see
-// docs/store.md); "-ablation spill" drives the spill-pressure shape
-// through two iterations under an unbudgeted reference, a rejecting hot
-// tier, and a hot tier backed by spill, value-checked throughout.
-// "-ablation eviction" compares the cold tier's victim policies — pure
-// LRU, reward-aware saving-per-byte, and reward-aware with the min-cut
-// global evict-set planner — on the recompute-heavy shape under a cold
-// budget that forces eviction, reporting the second-iteration wall
-// reduction and whether each policy kept the expensive chain's crown.
-// "-codec" selects the value serialization format for figure runs:
-// "binary" (the reflection-free codec, the default) or "gob" (the
-// reflective A/B reference); "-mmap" serves cold-tier reads zero-copy via
-// memory mapping (requires -spill). "-ablation codec" measures raw
-// encode+decode throughput per codec (min-of-3, round-trip-verified) on
-// FeatureMap-heavy example sets, then drives the serialization-pressure
-// shape through the two-iteration tiered-store protocol under gob, binary,
-// and binary+mmap, value-checked across all three, asserting the binary
-// codec's >=2x combined throughput and that mmap serves every cold read.
+// docs/store.md): 0 leaves tiering off, >0 caps the spill tier, <0 leaves
+// it unbudgeted. Figure runs print each system's peak live-byte estimate
+// next to the wall-clock numbers.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/opt"
-	"repro/internal/store"
 	"repro/internal/systems"
 	"repro/internal/workload"
 )
 
 func main() {
 	fig := flag.String("fig", "", "figure to regenerate: 2a, 2b, or all")
-	ablation := flag.String("ablation", "", "ablation to run: optflag, matpolicy, scheduler, dispatch, reweight, spill, eviction, codec")
+	ablation := flag.String("ablation", "", "ablation to run: optflag or matpolicy")
 	rows := flag.Int("rows", 20000, "census training rows (fig 2b)")
 	docs := flag.Int("docs", 400, "news training documents (fig 2a)")
 	budget := flag.Int64("budget", 0, "storage budget in bytes (0 = unlimited)")
 	spill := flag.Int64("spill", 0, "cold spill-tier budget in bytes (0 = tiering off, <0 = unbudgeted spill tier)")
 	workers := flag.Int("workers", 4, "executor worker pool size")
-	schedName := flag.String("sched", "dataflow", "scheduling strategy for figure runs: dataflow (critical-path order), dataflow-minid, or level-barrier")
-	dispatchName := flag.String("dispatch", "worksteal", "dataflow dispatch mode for figure runs: worksteal or global-heap")
-	reweightName := flag.String("reweight", "adaptive", "online re-prioritization for figure runs: adaptive or off")
-	release := flag.Bool("release", true, "release consumed intermediates during execution (memory-bounded sessions)")
-	codecName := flag.String("codec", "binary", "value codec for figure runs: binary (reflection-free) or gob (reflective A/B reference)")
-	mmap := flag.Bool("mmap", false, "serve cold-tier reads zero-copy via mmap (figure runs; requires -spill)")
-	jsonPath := flag.String("json", "", "write dispatch-ablation measurements as JSON to this path (BENCH_3.json)")
-	faults := flag.Bool("faults", false, "inject seeded recoverable faults into the dispatch ablation (chaos mode); retry/recompute counters land in the report and -json")
 	seed := flag.Int64("seed", 2018, "dataset seed")
 	flag.Parse()
 
-	sched, order, err := parseSched(*schedName)
-	if err != nil {
-		fatal(err)
-	}
-	dispatch, err := parseDispatch(*dispatchName)
-	if err != nil {
-		fatal(err)
-	}
-	reweight, err := parseReweight(*reweightName)
-	if err != nil {
-		fatal(err)
-	}
-	codec, err := store.ParseCodec(*codecName)
-	if err != nil {
-		fatal(err)
-	}
-	if *mmap && *spill == 0 {
-		fatal(fmt.Errorf("-mmap requires a spill tier (-spill)"))
-	}
 	// tweak applies the shared CLI knobs onto every system's preset; the
 	// spill tier follows the conventional StoreDir+"-spill" layout for
 	// systems that persist.
-	spillBudget := *spill
 	tweak := func(o *core.Options) {
 		o.BudgetBytes = *budget
 		o.Workers = *workers
-		o.Sched = sched
-		o.Order = order
-		o.Dispatch = dispatch
-		o.Reweight = reweight
-		o.KeepIntermediates = !*release
-		o.Codec = codec
-		o.MmapCold = *mmap
-		if o.StoreDir != "" && spillBudget != 0 {
+		if o.StoreDir != "" && *spill != 0 {
 			o.SpillDir = o.StoreDir + "-spill"
-			if spillBudget > 0 {
-				o.SpillBudgetBytes = spillBudget
+			if *spill > 0 {
+				o.SpillBudgetBytes = *spill
 			}
 		}
 	}
 	if *fig == "" && *ablation == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *jsonPath != "" && *ablation != "dispatch" {
-		fatal(fmt.Errorf("-json is only written by -ablation dispatch (got -ablation %q)", *ablation))
-	}
-	if *faults && *ablation != "dispatch" {
-		fatal(fmt.Errorf("-faults applies to -ablation dispatch (got -ablation %q)", *ablation))
 	}
 	if *fig == "2a" || *fig == "all" {
 		if err := runFig2a(*docs, tweak, *seed); err != nil {
@@ -188,67 +91,8 @@ func main() {
 		if err := runMatPolicy(*rows, *workers, *seed); err != nil {
 			fatal(err)
 		}
-	case "scheduler":
-		if err := runScheduler(*workers); err != nil {
-			fatal(err)
-		}
-	case "dispatch":
-		if err := runDispatch(*workers, *jsonPath, *faults, *seed); err != nil {
-			fatal(err)
-		}
-	case "reweight":
-		if err := runReweight(*workers); err != nil {
-			fatal(err)
-		}
-	case "spill":
-		if err := runSpill(*workers); err != nil {
-			fatal(err)
-		}
-	case "eviction":
-		if err := runEviction(*workers); err != nil {
-			fatal(err)
-		}
-	case "codec":
-		if err := runCodec(*workers); err != nil {
-			fatal(err)
-		}
 	default:
-		fatal(fmt.Errorf("unknown ablation %q", *ablation))
-	}
-}
-
-func parseSched(name string) (exec.Strategy, exec.Ordering, error) {
-	switch name {
-	case "dataflow", "":
-		return exec.Dataflow, exec.CriticalPath, nil
-	case "dataflow-minid":
-		return exec.Dataflow, exec.MinID, nil
-	case "level-barrier":
-		return exec.LevelBarrier, exec.CriticalPath, nil
-	default:
-		return 0, 0, fmt.Errorf("unknown scheduler %q (want dataflow, dataflow-minid or level-barrier)", name)
-	}
-}
-
-func parseDispatch(name string) (exec.DispatchMode, error) {
-	switch name {
-	case "worksteal", "":
-		return exec.WorkSteal, nil
-	case "global-heap":
-		return exec.GlobalHeap, nil
-	default:
-		return 0, fmt.Errorf("unknown dispatch mode %q (want worksteal or global-heap)", name)
-	}
-}
-
-func parseReweight(name string) (exec.Reweight, error) {
-	switch name {
-	case "adaptive", "":
-		return exec.Adaptive, nil
-	case "off":
-		return exec.ReweightOff, nil
-	default:
-		return 0, fmt.Errorf("unknown reweight mode %q (want adaptive or off)", name)
+		fatal(fmt.Errorf("unknown ablation %q (want optflag or matpolicy)", *ablation))
 	}
 }
 
@@ -328,6 +172,7 @@ func runOptFlag(rows int, workers int, seed int64) error {
 	if err != nil {
 		return err
 	}
+	defer opt1.Close()
 	// Prime: run v1, then re-run the identical version optimized.
 	if _, err := opt1.Run(p.Build()); err != nil {
 		return err
@@ -345,6 +190,7 @@ func runOptFlag(rows int, workers int, seed int64) error {
 	if err != nil {
 		return err
 	}
+	defer unopt.Close()
 	if _, err := unopt.Run(p.Build()); err != nil {
 		return err
 	}
@@ -411,473 +257,4 @@ func runMatPolicy(rows int, workers int, seed int64) error {
 	}
 	fmt.Println()
 	return nil
-}
-
-// runScheduler is the scheduler head-to-head on the synthetic stress
-// shapes (the same ones BenchmarkScheduler* measure): each shape runs
-// under critical-path dataflow, min-ID dataflow and the level-barrier
-// reference at the same worker count, values are checked for equality
-// across all three, and the wall-time reduction of each dataflow ordering
-// over the barrier is reported.
-func runScheduler(workers int) error {
-	fmt.Printf("=== ablation: dataflow orderings vs level-barrier reference (%d workers) ===\n", workers)
-	fmt.Printf("%-16s %6s %12s %12s %14s %9s %9s\n",
-		"shape", "nodes", "crit-path", "min-id", "level-barrier", "cp-red", "minid-red")
-	for _, sd := range bench.DefaultShapes() {
-		cp, err := bench.RunSchedOrdered(sd, exec.Dataflow, exec.CriticalPath, workers, false)
-		if err != nil {
-			return err
-		}
-		mi, err := bench.RunSchedOrdered(sd, exec.Dataflow, exec.MinID, workers, false)
-		if err != nil {
-			return err
-		}
-		lb, err := bench.RunSched(sd, exec.LevelBarrier, workers)
-		if err != nil {
-			return err
-		}
-		for _, df := range []*exec.Result{cp, mi} {
-			if err := bench.SchedValuesEqual(df, lb); err != nil {
-				return fmt.Errorf("scheduler ablation: %s: %w", sd.Name, err)
-			}
-		}
-		fmt.Printf("%-16s %6d %10.2fms %10.2fms %12.2fms %8.0f%% %8.0f%%\n",
-			sd.Name, sd.G.Len(),
-			float64(cp.Wall.Microseconds())/1000,
-			float64(mi.Wall.Microseconds())/1000,
-			float64(lb.Wall.Microseconds())/1000,
-			(1-float64(cp.Wall)/float64(lb.Wall))*100,
-			(1-float64(mi.Wall)/float64(lb.Wall))*100)
-	}
-	fmt.Println()
-	return nil
-}
-
-// runReweight is the online re-prioritization ablation: the deceptive-
-// estimate LiarDAG shape (a lying history claims the decoys expensive and
-// the true long-pole chain cheap) executed under adaptive vs static
-// (off) re-weighting, for both dispatch modes, min-of-3 per configuration
-// with a fresh lying history per run. Values are checked byte-identical
-// across all four configurations. The headline number is the global-heap
-// reduction: a single strictly priority-ordered queue isolates the
-// re-weighting effect, while work-stealing's steal-half strands globally
-// cheap-looking nodes on deques whose owners run them early, accidentally
-// masking most of the damage a lying estimate can do (see
-// bench.MeasureReweight).
-func runReweight(workers int) error {
-	fmt.Printf("=== ablation: adaptive re-prioritization vs static critical-path (LiarDAG, %d workers) ===\n", workers)
-	fmt.Printf("%-12s %6s %12s %12s %8s %10s\n",
-		"dispatch", "nodes", "adaptive", "off", "red", "reweights")
-	const reps = 3
-	var ref *exec.Result
-	for _, dispatch := range []exec.DispatchMode{exec.GlobalHeap, exec.WorkSteal} {
-		walls := make(map[exec.Reweight]bench.ReweightMeasurement)
-		for _, mode := range []exec.Reweight{exec.Adaptive, exec.ReweightOff} {
-			var best bench.ReweightMeasurement
-			var bestRes *exec.Result
-			for i := 0; i < reps; i++ {
-				sd := bench.DefaultLiarDAG()
-				m, res, err := bench.MeasureReweight(sd, bench.DefaultLiarHistory(sd), mode, dispatch, workers)
-				if err != nil {
-					return err
-				}
-				if bestRes == nil || m.WallMS < best.WallMS {
-					best, bestRes = m, res
-				}
-			}
-			if ref == nil {
-				ref = bestRes
-			} else if err := bench.SchedValuesEqual(bestRes, ref); err != nil {
-				return fmt.Errorf("reweight ablation: %s/%s: %w", dispatch, mode, err)
-			}
-			walls[mode] = best
-		}
-		ad, off := walls[exec.Adaptive], walls[exec.ReweightOff]
-		red := 0.0
-		if off.WallMS > 0 {
-			red = (1 - ad.WallMS/off.WallMS) * 100
-		}
-		fmt.Printf("%-12s %6d %10.2fms %10.2fms %7.0f%% %10d\n",
-			dispatch, ad.Nodes, ad.WallMS, off.WallMS, red, ad.Reweights)
-	}
-	fmt.Println()
-	return nil
-}
-
-// runSpill is the tiered-store ablation: the spill-pressure shape driven
-// through two iterations (all-compute, then the optimizer's plan over the
-// learned per-tier cost model) under three store configurations — an
-// unbudgeted single tier (the reference), a hot tier sized to reject half
-// the materialized bytes with no spill tier (budget-rejected values are
-// simply dropped and recomputed), and the same hot budget backed by an
-// unbudgeted cold tier (rejections spill, cold loads promote). Values are
-// checked byte-identical across every configuration and iteration.
-func runSpill(workers int) error {
-	fmt.Printf("=== ablation: tiered store under hot-budget pressure (spill shape, %d workers) ===\n", workers)
-	sd := bench.DefaultSpillDAG()
-	base, cleanup, err := tempBase("spill")
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-
-	ref, refRes, err := bench.MeasureSpill(sd, filepath.Join(base, "ref"), 0, 0, false, workers)
-	if err != nil {
-		return err
-	}
-	ref.Config = "unbudgeted"
-	half := ref.HotUsed / 2
-	rows := []bench.SpillMeasurement{ref}
-	for _, cfg := range []struct {
-		name      string
-		withSpill bool
-	}{{"hot-only", false}, {"hot+spill", true}} {
-		m, res, err := bench.MeasureSpill(sd, filepath.Join(base, cfg.name), half, 0, cfg.withSpill, workers)
-		if err != nil {
-			return err
-		}
-		m.Config = cfg.name
-		// Iteration 1 runs the same all-compute plan everywhere: full value
-		// maps must agree. Iteration 2's plans legitimately differ (the
-		// optimizer prunes upstream of whatever each tier lets it load), so
-		// the check is on the graph outputs.
-		if err := bench.SchedValuesEqual(res[0], refRes[0]); err != nil {
-			return fmt.Errorf("spill ablation: %s iter 1: %w", cfg.name, err)
-		}
-		if err := bench.OutputValuesEqual(sd.G, res[1], refRes[1]); err != nil {
-			return fmt.Errorf("spill ablation: %s iter 2: %w", cfg.name, err)
-		}
-		if m.HotUsed > half {
-			return fmt.Errorf("spill ablation: %s hot tier used %d over its %d budget", cfg.name, m.HotUsed, half)
-		}
-		rows = append(rows, m)
-	}
-	fmt.Printf("%-12s %10s %10s %10s %7s %7s %7s %10s %10s %8s\n",
-		"config", "hot-budget", "iter1", "iter2", "spills", "promos", "evicts", "hot-used", "cold-used", "loads2")
-	for _, m := range rows {
-		budget := "unlimited"
-		if m.HotBudget > 0 {
-			budget = fmt.Sprintf("%dKB", m.HotBudget>>10)
-		}
-		fmt.Printf("%-12s %10s %8.2fms %8.2fms %7d %7d %7d %10d %10d %8d\n",
-			m.Config, budget, m.Iter1WallMS, m.Iter2WallMS, m.Spills, m.Promotions, m.Evictions,
-			m.HotUsed, m.ColdUsed, m.Loaded2)
-	}
-	fmt.Println()
-	return nil
-}
-
-// runEviction is the 3-way cold-tier eviction ablation on the
-// recompute-heavy shape: pure LRU, reward-aware (smallest
-// saving-per-byte), and reward-aware with the min-cut global evict-set
-// planner, each under the same cold budget, best of three. The second
-// iteration's wall is the policy's verdict — LRU deletes the serial chain
-// (oldest entries) and replays ~20ms of serial recompute; the reward
-// policies sacrifice cheap fillers instead, and the reduction printed at
-// the bottom is the tentpole's ≥20% acceptance number. Crown retention
-// (did the chain's expensive last link survive?) is checked per config,
-// and all outputs are value-checked against an unpressured reference run.
-func runEviction(workers int) error {
-	fmt.Printf("=== ablation: cold-tier eviction policy (recompute-heavy shape, %d workers) ===\n", workers)
-	base, cleanup, err := tempBase("eviction")
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-
-	ref, err := bench.RunSched(bench.DefaultRecomputeHeavyDAG(), exec.Dataflow, workers)
-	if err != nil {
-		return err
-	}
-	const reps = 3
-	configs := []struct {
-		policy    store.EvictionPolicy
-		maxflow   bool
-		wantCrown bool
-	}{
-		{store.EvictLRU, false, false},
-		{store.EvictReward, false, true},
-		{store.EvictReward, true, true},
-	}
-	rows := make([]bench.EvictionMeasurement, 0, len(configs))
-	for _, cfg := range configs {
-		name := bench.EvictionConfigName(cfg.policy, cfg.maxflow)
-		var best bench.EvictionMeasurement
-		for i := 0; i < reps; i++ {
-			sd := bench.DefaultRecomputeHeavyDAG()
-			dir := filepath.Join(base, fmt.Sprintf("%s-%d", name, i))
-			m, res, err := bench.MeasureEviction(sd, dir, bench.RecomputeHeavyColdBudget, cfg.policy, cfg.maxflow, workers)
-			if err != nil {
-				return fmt.Errorf("eviction ablation: %s: %w", name, err)
-			}
-			for it, r := range res {
-				if err := bench.OutputValuesEqual(sd.G, ref, r); err != nil {
-					return fmt.Errorf("eviction ablation: %s iter %d: %w", name, it+1, err)
-				}
-			}
-			if m.CrownRetained != cfg.wantCrown {
-				return fmt.Errorf("eviction ablation: %s: crown retained %v, want %v", name, m.CrownRetained, cfg.wantCrown)
-			}
-			if i == 0 || m.Iter2WallMS < best.Iter2WallMS {
-				best = m
-			}
-		}
-		rows = append(rows, best)
-	}
-	fmt.Printf("%-16s %12s %10s %10s %8s %10s %7s %9s\n",
-		"config", "cold-budget", "iter1", "iter2", "evicts", "cold-used", "loads2", "crown")
-	for _, m := range rows {
-		fmt.Printf("%-16s %10dKB %8.2fms %8.2fms %8d %10d %7d %9v\n",
-			m.Config, m.ColdBudget>>10, m.Iter1WallMS, m.Iter2WallMS, m.Evictions,
-			m.ColdUsed, m.Loaded2, m.CrownRetained)
-	}
-	lru, reward := rows[0], rows[1]
-	if lru.Iter2WallMS > 0 {
-		fmt.Printf("reward-aware eviction iter-2 wall reduction vs LRU: %.1f%%\n",
-			100*(1-reward.Iter2WallMS/lru.Iter2WallMS))
-	}
-	fmt.Println()
-	return nil
-}
-
-// runCodec is the serialization ablation. Part 1 measures raw encode+decode
-// throughput of the reflective gob reference vs the reflection-free binary
-// codec on FeatureMap-heavy example sets (min-of-3 per attempt, round-trips
-// verified deep-equal) and asserts the binary codec's >=2x combined
-// throughput — best of a few attempts, since sub-millisecond walls on a
-// shared box are noisy and any clean attempt demonstrates the achievable
-// rate. Part 2 drives the serialization-pressure shape through the
-// two-iteration tiered-store protocol under gob, binary, and binary+mmap,
-// value-checks the three configurations against each other, and asserts the
-// counters attribute every persist to the selected codec and (on platforms
-// with mmap) every cold read to the zero-copy path.
-func runCodec(workers int) error {
-	fmt.Printf("=== ablation: value codec (gob vs binary vs binary+mmap, %d workers) ===\n", workers)
-	payloads := bench.CodecPayloads(8, 64, 32)
-	const attempts = 4
-	var gobT, binT bench.CodecThroughput
-	best := 0.0
-	for i := 0; i < attempts && best < 2; i++ {
-		g, err := bench.MeasureCodecThroughput(store.CodecGob, payloads, 3)
-		if err != nil {
-			return err
-		}
-		b, err := bench.MeasureCodecThroughput(store.CodecBinary, payloads, 3)
-		if err != nil {
-			return err
-		}
-		if speedup := (g.EncodeMS + g.DecodeMS) / (b.EncodeMS + b.DecodeMS); speedup > best {
-			best, gobT, binT = speedup, g, b
-		}
-	}
-	fmt.Printf("%-8s %9s %10s %10s %10s %10s\n",
-		"codec", "bytes", "encode", "decode", "enc-MB/s", "dec-MB/s")
-	for _, m := range []bench.CodecThroughput{gobT, binT} {
-		fmt.Printf("%-8s %9d %8.2fms %8.2fms %10.1f %10.1f\n",
-			m.Codec, m.EncodedBytes, m.EncodeMS, m.DecodeMS, m.EncodeMBps, m.DecodeMBps)
-	}
-	fmt.Printf("binary speedup (encode+decode, best of %d attempts): %.2fx\n", attempts, best)
-	if best < 2 {
-		return fmt.Errorf("codec ablation: binary codec only %.2fx faster than gob, want >=2x", best)
-	}
-
-	sd := bench.DefaultCodecDAG()
-	base, cleanup, err := tempBase("codec")
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	const hotBudget = 16 << 10 // far below the shape's footprint: force spills
-	configs := []struct {
-		codec store.Codec
-		mmap  bool
-	}{{store.CodecGob, false}, {store.CodecBinary, false}, {store.CodecBinary, true}}
-	rows := make([]bench.CodecMeasurement, 0, len(configs))
-	var results [][2]*exec.Result
-	for i, cfg := range configs {
-		dir := filepath.Join(base, fmt.Sprintf("cfg%d", i))
-		m, res, err := bench.MeasureCodecStore(sd, dir, cfg.codec, cfg.mmap, hotBudget, -1, workers)
-		if err != nil {
-			return fmt.Errorf("codec ablation: %s: %w", m.Config, err)
-		}
-		switch {
-		case cfg.codec == store.CodecGob && m.BinaryEncodes != 0:
-			return fmt.Errorf("codec ablation: %s: %d encodes used the binary codec", m.Config, m.BinaryEncodes)
-		case cfg.codec == store.CodecBinary && m.GobEncodes != 0:
-			return fmt.Errorf("codec ablation: %s: %d encodes fell back to gob", m.Config, m.GobEncodes)
-		}
-		if m.Spills == 0 {
-			return fmt.Errorf("codec ablation: %s: hot budget %d forced no spills", m.Config, hotBudget)
-		}
-		if cfg.mmap && runtime.GOOS == "linux" && (m.MmapColdReads == 0 || m.BufferedColdReads != 0) {
-			return fmt.Errorf("codec ablation: %s: cold reads mmap=%d buffered=%d, want all mmap",
-				m.Config, m.MmapColdReads, m.BufferedColdReads)
-		}
-		if !cfg.mmap && m.MmapColdReads != 0 {
-			return fmt.Errorf("codec ablation: %s: %d cold reads used mmap", m.Config, m.MmapColdReads)
-		}
-		for _, prev := range results {
-			// Iteration 1 runs the same all-compute plan everywhere; iteration
-			// 2's plans may differ, so the check there is on graph outputs.
-			if err := bench.SchedValuesEqual(res[0], prev[0]); err != nil {
-				return fmt.Errorf("codec ablation: %s iter 1: %w", m.Config, err)
-			}
-			if err := bench.OutputValuesEqual(sd.G, res[1], prev[1]); err != nil {
-				return fmt.Errorf("codec ablation: %s iter 2: %w", m.Config, err)
-			}
-		}
-		results = append(results, res)
-		rows = append(rows, m)
-	}
-	fmt.Printf("%-14s %10s %10s %8s %8s %10s %10s %7s %7s\n",
-		"config", "iter1", "iter2", "gob-enc", "bin-enc", "mmap-rd", "buf-rd", "spills", "loads2")
-	for _, m := range rows {
-		fmt.Printf("%-14s %8.2fms %8.2fms %8d %8d %10d %10d %7d %7d\n",
-			m.Config, m.Iter1WallMS, m.Iter2WallMS, m.GobEncodes, m.BinaryEncodes,
-			m.MmapColdReads, m.BufferedColdReads, m.Spills, m.Loaded2)
-	}
-	fmt.Println()
-	return nil
-}
-
-// runDispatch is the 2-way dispatch ablation: every stress shape executed
-// under work-stealing and global-heap dispatch at the same worker count,
-// value-checked against each other, with wall time, steal/handoff counts
-// and peak live bytes reported — and written as JSON when jsonPath is set
-// (the CI artifact BENCH_3.json). With faults set, every run is wrapped in
-// a seeded recoverable fault schedule (the chaos smoke): walls then include
-// retry/backoff cost, and the retry counters land in the report.
-func runDispatch(workers int, jsonPath string, faults bool, seed int64) error {
-	mode := ""
-	if faults {
-		mode = ", seeded faults"
-	}
-	fmt.Printf("=== ablation: work-stealing vs global-heap dispatch (%d workers%s) ===\n", workers, mode)
-	fmt.Printf("%-16s %6s %12s %12s %8s %8s %9s %12s %8s\n",
-		"shape", "nodes", "worksteal", "global-heap", "red", "steals", "handoffs", "peak-bytes", "retries")
-	report := bench.DispatchReport{Schema: exec.ReportSchemaVersion, Workers: workers}
-	// Best of three per mode: single-shot walls on ms-scale shapes are at
-	// the mercy of host noise; the minimum is the honest dispatch cost.
-	const reps = 3
-	measure := func(sd *bench.SchedDAG, mode exec.DispatchMode) (bench.DispatchMeasurement, *exec.Result, error) {
-		var best bench.DispatchMeasurement
-		var bestRes *exec.Result
-		for i := 0; i < reps; i++ {
-			var m bench.DispatchMeasurement
-			var res *exec.Result
-			var err error
-			if faults {
-				m, res, err = bench.MeasureDispatchFaults(sd, mode, workers, bench.DefaultFaultPlan(seed+int64(i)))
-			} else {
-				m, res, err = bench.MeasureDispatch(sd, mode, workers)
-			}
-			if err != nil {
-				return best, nil, err
-			}
-			if bestRes == nil || m.WallMS < best.WallMS {
-				best, bestRes = m, res
-			}
-		}
-		return best, bestRes, nil
-	}
-	for _, sd := range bench.DefaultShapes() {
-		wsm, ws, err := measure(sd, exec.WorkSteal)
-		if err != nil {
-			return err
-		}
-		ghm, gh, err := measure(sd, exec.GlobalHeap)
-		if err != nil {
-			return err
-		}
-		// The measured runs are the checked runs (release is on, so this
-		// compares the surviving output values byte-for-byte; full-value
-		// equivalence across dispatch modes is the randomized harness's job).
-		if err := bench.SchedValuesEqual(ws, gh); err != nil {
-			return fmt.Errorf("dispatch ablation: %s: %w", sd.Name, err)
-		}
-		red := 0.0
-		if ghm.WallMS > 0 {
-			red = (1 - wsm.WallMS/ghm.WallMS) * 100
-		}
-		report.Shapes = append(report.Shapes, bench.DispatchShapeEntry{
-			Shape: sd.Name, Nodes: sd.G.Len(),
-			WorkSteal: wsm, GlobalHeap: ghm, ReductionPct: red,
-		})
-		fmt.Printf("%-16s %6d %10.2fms %10.2fms %7.0f%% %8d %9d %12d %8d\n",
-			sd.Name, sd.G.Len(), wsm.WallMS, ghm.WallMS, red, wsm.Steals, wsm.Handoffs, wsm.PeakLiveBytes,
-			wsm.Retries+ghm.Retries)
-	}
-	// The serve-loadgen shape measures the multi-tenant daemon end-to-end
-	// (concurrent tenants, overlapping variants, one shared store) under
-	// both dispatch modes. It carries throughput/p99/CrossSessionHits in
-	// the same JSON document so the benchdiff gate covers the service
-	// path. Skipped in chaos mode: the daemon has no fault-plan hook, and
-	// mixing clean serve walls into a faulted report would skew the gate.
-	if !faults {
-		entry, err := runServeLoad(workers)
-		if err != nil {
-			return err
-		}
-		report.Shapes = append(report.Shapes, entry)
-		fmt.Printf("%-16s %6d %10.2fms %10.2fms %7.0f%%  throughput=%.1f rps  p99=%.2fms  cross-session hits=%d\n",
-			entry.Shape, entry.Nodes, entry.WorkSteal.WallMS, entry.GlobalHeap.WallMS, entry.ReductionPct,
-			entry.WorkSteal.ThroughputRPS, entry.WorkSteal.P99MS, entry.WorkSteal.CrossSessionHits)
-	}
-	fmt.Println()
-	if jsonPath == "" {
-		return nil
-	}
-	raw, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, raw, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", jsonPath)
-	return nil
-}
-
-// runServeLoad measures the serve daemon's load-generator shape under both
-// dispatch modes (fresh store per run so every measurement does the same
-// cold-start work) and folds it into the dispatch report. Unlike the
-// micro shapes this is an end-to-end macro-benchmark — HTTP, real store
-// I/O, concurrent clients — where the fast tail is not representative, so
-// it reports the median of 3 runs rather than the minimum: the median is
-// what a typical CI run reproduces, which is what a regression gate needs.
-func runServeLoad(workers int) (bench.DispatchShapeEntry, error) {
-	const reps = 3
-	measure := func(mode exec.DispatchMode) (bench.DispatchMeasurement, error) {
-		runs := make([]bench.DispatchMeasurement, 0, reps)
-		for i := 0; i < reps; i++ {
-			dir, cleanup, err := tempBase("serve")
-			if err != nil {
-				return bench.DispatchMeasurement{}, err
-			}
-			m, err := bench.MeasureServeLoad(dir, bench.ServeLoadOptions{Workers: workers, Dispatch: mode})
-			cleanup()
-			if err != nil {
-				return bench.DispatchMeasurement{}, err
-			}
-			runs = append(runs, m)
-		}
-		sort.Slice(runs, func(i, j int) bool { return runs[i].WallMS < runs[j].WallMS })
-		return runs[len(runs)/2], nil
-	}
-	wsm, err := measure(exec.WorkSteal)
-	if err != nil {
-		return bench.DispatchShapeEntry{}, err
-	}
-	ghm, err := measure(exec.GlobalHeap)
-	if err != nil {
-		return bench.DispatchShapeEntry{}, err
-	}
-	red := 0.0
-	if ghm.WallMS > 0 {
-		red = (1 - wsm.WallMS/ghm.WallMS) * 100
-	}
-	return bench.DispatchShapeEntry{
-		Shape: wsm.Shape, Nodes: wsm.Nodes,
-		WorkSteal: wsm, GlobalHeap: ghm, ReductionPct: red,
-	}, nil
 }

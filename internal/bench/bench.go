@@ -268,8 +268,12 @@ func (c *Comparison) Summary() string {
 			if n < len(c.Scenario.Steps) {
 				note = fmt.Sprintf(" (through iteration %d)", n)
 			}
-			fmt.Fprintf(&b, "helix vs %s: %.0f%% lower cumulative runtime (%.1fx)%s\n",
-				s.System, (1-float64(h)/float64(o))*100, float64(o)/float64(h), note)
+			pct, dir := (1-float64(h)/float64(o))*100, "lower"
+			if h > o {
+				pct, dir = -pct, "higher"
+			}
+			fmt.Fprintf(&b, "helix vs %s: %.0f%% %s cumulative runtime (%.1fx)%s\n",
+				s.System, pct, dir, float64(o)/float64(h), note)
 		}
 		med := helix.MedianWallByKind()
 		fmt.Fprintf(&b, "helix median iteration wall: prep=%v ml=%v eval=%v\n",

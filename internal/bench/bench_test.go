@@ -3,13 +3,14 @@ package bench
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/systems"
 	"repro/internal/workload"
 )
 
 // smallCensus keeps unit-test scenarios fast; the real figure sizes live in
-// the top-level benchmark harness.
+// cmd/helix-bench.
 func smallCensus() *workload.Scenario {
 	return workload.CensusScenario(workload.GenerateCensus(300, 80, 1))
 }
@@ -100,6 +101,39 @@ func TestComparisonTableAndSeries(t *testing.T) {
 	}
 	if _, _, err := cmp.CumulativeSeries(systems.DeepDive); err == nil {
 		t.Error("missing system accepted")
+	}
+}
+
+// TestSummarySignWhenHelixSlower: a comparator that beats HELIX is reported
+// as a positive "higher" percentage, never a negative "lower" one.
+func TestSummarySignWhenHelixSlower(t *testing.T) {
+	series := func(kind systems.Kind, walls ...time.Duration) *SeriesResult {
+		s := &SeriesResult{System: kind}
+		var cum time.Duration
+		for i, w := range walls {
+			cum += w
+			s.Iterations = append(s.Iterations, IterationResult{
+				Iteration: i + 1, Kind: workload.StepPrep, Wall: w, Cumulative: cum,
+			})
+		}
+		return s
+	}
+	cmp := &Comparison{
+		Scenario: &workload.Scenario{Name: "synthetic", Steps: make([]workload.Step, 2)},
+		Series: []*SeriesResult{
+			series(systems.Helix, 60*time.Millisecond, 40*time.Millisecond),
+			series(systems.KeystoneML, 40*time.Millisecond, 40*time.Millisecond),
+			series(systems.DeepDive, 100*time.Millisecond, 100*time.Millisecond),
+		},
+	}
+	sum := cmp.Summary()
+	for _, want := range []string{
+		"helix vs keystoneml: 25% higher cumulative runtime (0.8x)",
+		"helix vs deepdive: 50% lower cumulative runtime (2.0x)",
+	} {
+		if !strings.Contains(sum, want) {
+			t.Errorf("summary missing %q:\n%s", want, sum)
+		}
 	}
 }
 

@@ -56,7 +56,7 @@ func CodecPayloads(n, examples, features int) []any {
 // (after sleeping d, so scheduling noise doesn't swamp the serialization
 // signal) joining into one scalar output. With a materialize-everything
 // policy every producer value rides store.EncodeValueWith on the persist
-// path — the workload the codec ablation drives through gob, binary, and
+// path — the workload MeasureCodecStore drives through gob, binary, and
 // binary+mmap configurations.
 func CodecDAG(producers, examples, features int, d time.Duration) *SchedDAG {
 	g := dag.New()
@@ -111,9 +111,9 @@ func CodecDAG(producers, examples, features int, d time.Duration) *SchedDAG {
 
 // DefaultCodecDAG returns the canonical serialization-pressure shape: 16
 // producers × (48 examples × 24 features) ≈ 18K feature entries materialized
-// per all-compute iteration. The 1ms producer sleep keeps the shape's wall
-// time machine-insensitive enough for the benchdiff gate while the persist
-// path still serializes every producer value.
+// per all-compute iteration. The 1ms producer sleep keeps scheduling noise
+// out of the serialization signal while the persist path still serializes
+// every producer value.
 func DefaultCodecDAG() *SchedDAG {
 	return CodecDAG(16, 48, 24, time.Millisecond)
 }
@@ -129,7 +129,7 @@ type CodecThroughput struct {
 	EncodeMS     float64 `json:"encode_ms"`
 	DecodeMS     float64 `json:"decode_ms"`
 	// EncodeMBps/DecodeMBps derive from the min-of-N walls and the encoded
-	// size, for human-readable ablation tables.
+	// size.
 	EncodeMBps float64 `json:"encode_mbps"`
 	DecodeMBps float64 `json:"decode_mbps"`
 }
@@ -195,19 +195,16 @@ func MeasureCodecThroughput(c store.Codec, payloads []any, rounds int) (CodecThr
 	return m, nil
 }
 
-// CodecMeasurement is one machine-readable data point of the codec
-// ablation: one codec/mmap configuration driven through two store-backed
-// iterations of the codec shape (materialize-all with a spill-forcing hot
-// budget, then the optimizer's plan over the measured cost model), plus the
-// raw encode/decode throughput of the same codec over the shape's payload
-// population.
+// CodecMeasurement is one data point of a codec comparison: one codec/mmap
+// configuration driven through two store-backed iterations of the codec
+// shape (materialize-all with a spill-forcing hot budget, then the
+// optimizer's plan over the measured cost model).
 type CodecMeasurement struct {
-	Config      string          `json:"config"`
-	Codec       string          `json:"codec"`
-	Mmap        bool            `json:"mmap"`
-	Throughput  CodecThroughput `json:"throughput"`
-	Iter1WallMS float64         `json:"iter1_wall_ms"`
-	Iter2WallMS float64         `json:"iter2_wall_ms"`
+	Config      string  `json:"config"`
+	Codec       string  `json:"codec"`
+	Mmap        bool    `json:"mmap"`
+	Iter1WallMS float64 `json:"iter1_wall_ms"`
+	Iter2WallMS float64 `json:"iter2_wall_ms"`
 	// Per-codec encode counters across both iterations: the encode-once
 	// contract means their sum equals the number of persisted values.
 	GobEncodes    int64 `json:"gob_encodes"`
@@ -223,11 +220,10 @@ type CodecMeasurement struct {
 }
 
 // MeasureCodecStore drives the codec shape through two iterations under one
-// codec/mmap configuration rooted at dir, exactly like MeasureSpill's
-// two-phase protocol: iteration 1 all-compute through a spill-forcing
-// tiered store (hot budget below the materialized footprint so cold reads
-// actually happen), iteration 2 on the optimizer's plan over the measured
-// per-tier cost model. Both Results are returned for value checks.
+// codec/mmap configuration rooted at dir: iteration 1 all-compute through a
+// spill-forcing tiered store (hot budget below the materialized footprint so
+// cold reads actually happen), iteration 2 on the optimizer's plan over the
+// measured per-tier cost model. Both Results are returned for value checks.
 func MeasureCodecStore(sd *SchedDAG, dir string, c store.Codec, mmap bool, hotBudget, spillBudget int64, workers int) (CodecMeasurement, [2]*exec.Result, error) {
 	var out [2]*exec.Result
 	m := CodecMeasurement{

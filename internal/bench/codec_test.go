@@ -51,7 +51,7 @@ func TestCodecThroughputBinaryAtLeast2xGob(t *testing.T) {
 }
 
 // TestMeasureCodecStoreCounters drives the codec shape through the
-// store-backed two-iteration protocol under each ablation configuration and
+// store-backed two-iteration protocol under each codec configuration and
 // asserts the per-codec encode counters and the mmap-vs-buffered cold-read
 // counters attribute every persist and every cold hit to the right path.
 func TestMeasureCodecStoreCounters(t *testing.T) {

@@ -108,24 +108,6 @@ func (p FaultPlan) Policy() exec.FaultPolicy {
 	}
 }
 
-// MeasureDispatchFaults is the chaos variant of MeasureDispatch: the shape
-// is wrapped with a fresh fault schedule from the plan and executed under
-// the plan's matching retry policy, so the run completes (every injected
-// failure is recoverable) and the measurement's fault counters are
-// populated. Values remain byte-identical to a clean run's, so the usual
-// cross-dispatch value checks still apply.
-func MeasureDispatchFaults(sd *SchedDAG, dispatch exec.DispatchMode, workers int, plan FaultPlan) (DispatchMeasurement, *exec.Result, error) {
-	faulted, injected := WithFaults(sd, plan)
-	m, res, err := measureDispatch(faulted, dispatch, workers, plan.Policy())
-	if err != nil {
-		return m, res, err
-	}
-	if m.Retries < int64(injected) {
-		return m, res, fmt.Errorf("bench: %s: %d retries for %d injected faults", faulted.Name, m.Retries, injected)
-	}
-	return m, res, nil
-}
-
 // WithFaults returns a faulted copy of the DAG per the plan, plus the
 // total number of injected transient failures (the minimum Retries a
 // completing run must report). The copy carries fresh failure counters, so

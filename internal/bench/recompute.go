@@ -14,7 +14,7 @@ import (
 )
 
 // Canonical recompute-heavy dimensions (DefaultRecomputeHeavyDAG and the
-// eviction ablation's cold budget). The arithmetic the shape is built
+// eviction tests' cold budget). The arithmetic the shape is built
 // around: the chain materializes chainDepth×chainPayload ≈ 20 KiB whose
 // recompute cost is serial (2 ms per link), the fillers materialize
 // fillers×fillerPayload ≈ 768 KiB of cheap parallel work, and the default
@@ -27,8 +27,8 @@ const (
 	rheavyFillers       = 24
 	rheavyChainPayload  = 2 << 10
 	rheavyFillerPayload = 32 << 10
-	// RecomputeHeavyColdBudget is the default cold-tier budget for the
-	// eviction ablation on this shape.
+	// RecomputeHeavyColdBudget is the default cold-tier budget for
+	// MeasureEviction on this shape.
 	RecomputeHeavyColdBudget = int64(512 << 10)
 	// RecomputeHeavyCrownKey is the store key of the chain's last node —
 	// the 2 KiB value whose recompute cost is the whole serial chain. It is
@@ -88,8 +88,7 @@ func rheavyTask(key string, idx, payloadBytes int, d time.Duration) exec.Task {
 // ancestor compute over a tiny payload) tower over the fillers' (sub-ms
 // compute over 16× the bytes) and sacrifices fillers instead. As a plain
 // scheduler shape (no store attached) it is a serial-tail-plus-fanout
-// dispatch workload, which is why it also rides the dispatch ablation into
-// BENCH_baseline.json.
+// dispatch workload.
 func RecomputeHeavyDAG(chainDepth, fillers, chainPayload, fillerPayload int, chainDur, fillerDur time.Duration) *SchedDAG {
 	g := dag.New()
 	root := g.MustAddNode("root", "scan")
@@ -142,9 +141,9 @@ func DefaultRecomputeHeavyDAG() *SchedDAG {
 	return RecomputeHeavyDAG(rheavyChainDepth, rheavyFillers, rheavyChainPayload, rheavyFillerPayload, rheavyChainDur, rheavyFillerDur)
 }
 
-// EvictionMeasurement is one machine-readable data point of the eviction
-// ablation: one cold-tier policy driven through two iterations of the
-// recompute-heavy shape under spill pressure.
+// EvictionMeasurement is one data point of an eviction-policy comparison:
+// one cold-tier policy driven through two iterations of the recompute-heavy
+// shape under spill pressure.
 type EvictionMeasurement struct {
 	Config      string  `json:"config"`
 	ColdBudget  int64   `json:"cold_budget"`
@@ -162,8 +161,8 @@ type EvictionMeasurement struct {
 	Computed2 int `json:"computed_2"`
 }
 
-// EvictionConfigName names an ablation configuration the way the CLI and
-// tests report it: the policy, with "+maxflow" when the global evict-set
+// EvictionConfigName names an eviction configuration the way the tests
+// report it: the policy, with "+maxflow" when the global evict-set
 // planner is installed on top of reward-aware ranking.
 func EvictionConfigName(policy store.EvictionPolicy, maxflow bool) string {
 	name := "reward"

@@ -9,7 +9,7 @@ import (
 )
 
 // TestRecomputeHeavyShape pins the structural contract the eviction
-// ablation depends on: tasks align with node IDs, the crown is the chain's
+// tests depend on: tasks align with node IDs, the crown is the chain's
 // last link and a graph output, and the shape is registered under the
 // canonical name.
 func TestRecomputeHeavyShape(t *testing.T) {

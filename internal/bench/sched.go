@@ -99,12 +99,12 @@ func spinTask(idx int, d time.Duration) exec.Task {
 	}}
 }
 
-// StragglerLevelDAG is the level-barrier worst case the acceptance
-// benchmark measures: `width` independent chains of depth `levels` hang off
-// one root, and chain w's node at level w (the diagonal) runs for `slow`
-// while every other node runs for `fast`. A level-barrier executor pays the
-// straggler once per level (≈ levels·slow total, because every level
-// contains exactly one slow node); dependency-counting scheduling overlaps
+// StragglerLevelDAG is the level-barrier worst case: `width` independent
+// chains of depth `levels` hang off one root, and chain w's node at level w
+// (the diagonal) runs for `slow` while every other node runs for `fast`. A
+// level-barrier executor pays the straggler once per level (≈ levels·slow
+// total, because every level contains exactly one slow node);
+// dependency-counting scheduling overlaps
 // the stragglers across chains, so the wall approaches one chain's cost
 // (slow + (levels-1)·fast). width should not exceed the worker count if the
 // comparison is to isolate scheduling rather than queueing.
@@ -333,11 +333,11 @@ func LiarHistory(sd *SchedDAG, decoyClaim, chainClaim time.Duration) *exec.Histo
 	return h
 }
 
-// Canonical LiarDAG instance shared by BenchmarkSchedulerLiar and
-// helix-bench's `-ablation reweight`: 12 starter decoys × 1.5ms + 16 fat
-// decoys × 8ms (all claimed 30ms) against a 10-link × 2ms chain (claimed
-// 1ms per link, a claimed 10ms path — under a third of the decoys' 30ms,
-// so the lie buries the chain under both dispatchers: strictly by rank in
+// Canonical LiarDAG instance measured by TestLiarAdaptiveBeatsStatic: 12
+// starter decoys × 1.5ms + 16 fat decoys × 8ms (all claimed 30ms) against a
+// 10-link × 2ms chain (claimed 1ms per link, a claimed 10ms path — under a
+// third of the decoys' 30ms, so the lie buries the chain under both
+// dispatchers: strictly by rank in
 // the global heap, and past the work-stealing stranding consult's 2×
 // threshold). Under static dispatch the lie costs the run the whole ~20ms
 // chain as a serial tail after the decoy drain, while adaptive
@@ -378,9 +378,8 @@ func DefaultLiarHistory(sd *SchedDAG) *exec.History {
 	return LiarHistory(sd, liarDecoyClaim, liarChainClaim)
 }
 
-// ReweightMeasurement is one machine-readable data point of the reweight
-// ablation: one shape executed once under one reweight mode and dispatch
-// mode.
+// ReweightMeasurement is one data point of a reweight comparison: one
+// shape executed once under one reweight mode and dispatch mode.
 type ReweightMeasurement struct {
 	Shape     string  `json:"shape"`
 	Nodes     int     `json:"nodes"`
@@ -408,7 +407,6 @@ type ReweightMeasurement struct {
 // global best, so work-stealing honors deceptive weights as faithfully as
 // the global heap does and the adaptive margin holds under both
 // dispatchers (asserted by TestLiarAdaptiveBeatsStatic, which runs both).
-// Both numbers are reported by the reweight ablation.
 //
 // The engine is configured with reweightMeasureInterval rather than the
 // default completion floor: the default (8, tuned for graphs with
@@ -519,12 +517,9 @@ func RunSchedDispatch(sd *SchedDAG, sched exec.Strategy, order exec.Ordering, di
 	return e.Execute(sd.G, sd.Tasks, sd.Plan())
 }
 
-// DispatchMeasurement is one machine-readable data point of the dispatch
-// ablation (the BENCH_3.json schema): one shape executed once under one
-// dispatch mode. Since schema 2 the counter fields are the embedded
-// exec.Counters block (same JSON keys the pre-consolidation schema used,
-// plus the counters it lacked), shared verbatim with the serve daemon's
-// responses.
+// DispatchMeasurement is one data point of a dispatch comparison: one
+// shape executed once under one dispatch mode, with the run's embedded
+// exec.Counters block.
 type DispatchMeasurement struct {
 	Shape         string  `json:"shape"`
 	Nodes         int     `json:"nodes"`
@@ -533,11 +528,6 @@ type DispatchMeasurement struct {
 	WallMS        float64 `json:"wall_ms"`
 	PeakLiveBytes int64   `json:"peak_live_bytes"`
 	exec.Counters
-	// ThroughputRPS and P99MS are populated only by the serve-loadgen
-	// shape (submissions/sec across concurrent clients, p99
-	// submit-to-complete latency); zero elsewhere.
-	ThroughputRPS float64 `json:"throughput_rps,omitempty"`
-	P99MS         float64 `json:"p99_ms,omitempty"`
 }
 
 // MeasureDispatch executes the shape once under the given dispatch mode
@@ -548,17 +538,12 @@ type DispatchMeasurement struct {
 // comparable across modes; release is on, so Result.Values holds the
 // output nodes.
 func MeasureDispatch(sd *SchedDAG, dispatch exec.DispatchMode, workers int) (DispatchMeasurement, *exec.Result, error) {
-	return measureDispatch(sd, dispatch, workers, exec.FaultPolicy{})
-}
-
-func measureDispatch(sd *SchedDAG, dispatch exec.DispatchMode, workers int, faults exec.FaultPolicy) (DispatchMeasurement, *exec.Result, error) {
 	var gauge store.Gauge
 	e := &exec.Engine{
 		Workers:              workers,
 		Dispatch:             dispatch,
 		ReleaseIntermediates: true,
 		LiveBytes:            &gauge,
-		Faults:               faults,
 	}
 	res, err := e.Execute(sd.G, sd.Tasks, sd.Plan())
 	if err != nil {
@@ -575,32 +560,8 @@ func measureDispatch(sd *SchedDAG, dispatch exec.DispatchMode, workers int, faul
 	}, res, nil
 }
 
-// DispatchReport is the machine-readable dispatch-ablation document
-// (BENCH_baseline.json and the per-CI-run BENCH JSON): one entry per
-// stress shape, both dispatch modes measured best-of-N, plus the
-// work-stealing wall reduction. Shared by helix-bench (writer) and
-// helix-benchdiff (the CI perf-regression gate).
-type DispatchReport struct {
-	// Schema versions the document layout (exec.ReportSchemaVersion);
-	// absent in pre-consolidation reports, which readers treat as 1.
-	Schema  int                  `json:"schema"`
-	Workers int                  `json:"workers"`
-	Shapes  []DispatchShapeEntry `json:"shapes"`
-}
-
-// DispatchShapeEntry is one shape's head-to-head in a DispatchReport.
-type DispatchShapeEntry struct {
-	Shape        string              `json:"shape"`
-	Nodes        int                 `json:"nodes"`
-	WorkSteal    DispatchMeasurement `json:"worksteal"`
-	GlobalHeap   DispatchMeasurement `json:"global_heap"`
-	ReductionPct float64             `json:"reduction_pct"`
-}
-
-// DefaultShapes returns the canonical scheduler stress shapes. Both the
-// BenchmarkScheduler* microbenchmarks and helix-bench's
-// `-ablation scheduler` measure exactly this list, so the CI smoke and the
-// CLI report always describe the same workloads.
+// DefaultShapes returns the canonical scheduler stress shapes at their
+// default sizes; Shape looks one up by name.
 func DefaultShapes() []*SchedDAG {
 	return []*SchedDAG{
 		StragglerLevelDAG(4, 4, 8*time.Millisecond, 500*time.Microsecond),

@@ -150,10 +150,9 @@ func TestDispatchModesEquivalentOnShapes(t *testing.T) {
 // TestContentionWorkStealNotSlower is the CI-safe guard on the dispatch
 // rewrite: on the contention shape, work-stealing must not lose to the
 // global heap beyond noise (best of 5 each, interleaved so a freeze
-// storm hits both modes' samples). The ≥20% win itself is a benchmark
-// target (BenchmarkSchedulerContention), not a test assertion —
-// wall-clock ratios on starved shared runners are too noisy to gate a
-// build on.
+// storm hits both modes' samples). The win itself is measured by the
+// benchmark's wide_dag workload, not asserted here — wall-clock ratios on
+// starved shared runners are too noisy to gate a build on.
 func TestContentionWorkStealNotSlower(t *testing.T) {
 	sd := ContentionDAG(32, 16)
 	one := func(mode exec.DispatchMode) time.Duration {
@@ -178,7 +177,7 @@ func TestContentionWorkStealNotSlower(t *testing.T) {
 	}
 }
 
-// TestMeasureDispatch: the BENCH_3 measurement helper reports the shape,
+// TestMeasureDispatch: the dispatch measurement helper reports the shape,
 // a positive wall, cross-worker transfers under work-stealing, and a
 // non-zero peak (the structural cold-size floor guarantees estimates
 // before any size is learned).

@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"repro/internal/dag"
 	"repro/internal/exec"
-	"repro/internal/opt"
 	"repro/internal/store"
 )
 
@@ -45,10 +43,9 @@ func payloadTask(idx, payloadBytes int, d time.Duration) exec.Task {
 // sized string after sleeping d) joining into one output, so with a
 // materialize-everything policy the run persists ≈ producers×payloadBytes
 // bytes. Size the hot budget below that and admission must spill — the
-// workload the spill ablation and the tiered-store acceptance tests drive.
-// As a plain scheduler shape (no store attached) it doubles as a
-// wide-fanout dispatch workload with large values, which is why it also
-// rides the dispatch ablation into BENCH_baseline.json.
+// workload the tiered-store acceptance tests drive. As a plain scheduler
+// shape (no store attached) it doubles as a wide-fanout dispatch workload
+// with large values.
 func SpillDAG(producers, payloadBytes int, d time.Duration) *SchedDAG {
 	g := dag.New()
 	root := g.MustAddNode("root", "scan")
@@ -83,31 +80,9 @@ func SpillDAG(producers, payloadBytes int, d time.Duration) *SchedDAG {
 
 // DefaultSpillDAG returns the canonical spill-pressure shape: 24 producers
 // × 32 KiB payloads, ≈ 786 KiB materialized per all-compute iteration. The
-// 1ms producer sleep dominates the payload construction, keeping the
-// shape's wall time machine-insensitive enough for the benchdiff gate.
+// 1ms producer sleep dominates the payload construction.
 func DefaultSpillDAG() *SchedDAG {
 	return SpillDAG(24, 32<<10, time.Millisecond)
-}
-
-// SpillMeasurement is one machine-readable data point of the spill
-// ablation: one store configuration driven through two iterations of the
-// spill shape (materialize-all, history attached so the second iteration
-// plans loads against per-tier costs).
-type SpillMeasurement struct {
-	Config      string  `json:"config"`
-	HotBudget   int64   `json:"hot_budget"`
-	Iter1WallMS float64 `json:"iter1_wall_ms"`
-	Iter2WallMS float64 `json:"iter2_wall_ms"`
-	Spills      int64   `json:"spills"`
-	Promotions  int64   `json:"promotions"`
-	Evictions   int64   `json:"evictions"`
-	HotUsed     int64   `json:"hot_used"`
-	ColdUsed    int64   `json:"cold_used"`
-	// Loaded2 and Computed2 count the second iteration's plan states: how
-	// much of the first run's materialization the optimizer chose to reuse
-	// given each tier's load cost.
-	Loaded2   int `json:"loaded_2"`
-	Computed2 int `json:"computed_2"`
 }
 
 // OutputValuesEqual checks that two runs agree byte-identically on every
@@ -135,69 +110,4 @@ func OutputValuesEqual(g *dag.Graph, a, b *exec.Result) error {
 		}
 	}
 	return nil
-}
-
-// MeasureSpill drives the shape through two iterations under one store
-// configuration rooted at dir: iteration 1 all-compute (materializing
-// through the tiered admission path), iteration 2 on the optimizer's plan
-// over the resulting per-tier cost model. withSpill attaches a cold tier
-// with the given budget (<=0 unbudgeted); hotBudget <=0 leaves the hot
-// tier unbudgeted. Both iterations' Results are returned for value checks.
-func MeasureSpill(sd *SchedDAG, dir string, hotBudget, spillBudget int64, withSpill bool, workers int) (SpillMeasurement, [2]*exec.Result, error) {
-	var out [2]*exec.Result
-	st, err := store.Open(filepath.Join(dir, "hot"), hotBudget)
-	if err != nil {
-		return SpillMeasurement{}, out, err
-	}
-	var sp *store.Spill
-	if withSpill {
-		if sp, err = store.OpenSpill(filepath.Join(dir, "cold"), spillBudget); err != nil {
-			return SpillMeasurement{}, out, err
-		}
-	}
-	e := &exec.Engine{
-		Workers: workers,
-		Store:   st,
-		Spill:   sp,
-		Policy:  opt.MaterializeAll{},
-		History: exec.NewHistory(),
-	}
-	res1, err := e.Execute(sd.G, sd.Tasks, sd.Plan())
-	if err != nil {
-		return SpillMeasurement{}, out, err
-	}
-	cm, err := e.BuildCostModel(sd.G, sd.Tasks)
-	if err != nil {
-		return SpillMeasurement{}, out, err
-	}
-	plan2, err := opt.Optimal(sd.G, cm)
-	if err != nil {
-		return SpillMeasurement{}, out, err
-	}
-	res2, err := e.Execute(sd.G, sd.Tasks, plan2)
-	if err != nil {
-		return SpillMeasurement{}, out, err
-	}
-	out[0], out[1] = res1, res2
-	m := SpillMeasurement{
-		HotBudget:   hotBudget,
-		Iter1WallMS: float64(res1.Wall.Microseconds()) / 1000,
-		Iter2WallMS: float64(res2.Wall.Microseconds()) / 1000,
-		Spills:      res1.Spills + res2.Spills,
-		Promotions:  res1.Promotions + res2.Promotions,
-		Evictions:   res1.Evictions + res2.Evictions,
-		HotUsed:     st.Used(),
-	}
-	if sp != nil {
-		m.ColdUsed = sp.Used()
-	}
-	for _, s := range plan2.States {
-		switch s {
-		case opt.Load:
-			m.Loaded2++
-		case opt.Compute:
-			m.Computed2++
-		}
-	}
-	return m, out, nil
 }

@@ -172,7 +172,7 @@ func TestCompileSignatureStability(t *testing.T) {
 }
 
 func TestSessionFirstRunComputesAll(t *testing.T) {
-	s, err := NewSession(Config{
+	s, err := Open(Options{
 		SystemName: "helix", StoreDir: t.TempDir(),
 		Policy: opt.OnlineHeuristic{}, Reuse: true,
 	})
@@ -200,7 +200,7 @@ func TestSessionFirstRunComputesAll(t *testing.T) {
 }
 
 func TestSessionMLIterationReusesPrep(t *testing.T) {
-	s, err := NewSession(Config{
+	s, err := Open(Options{
 		SystemName: "helix", StoreDir: t.TempDir(),
 		Policy: opt.MaterializeAll{}, Reuse: true,
 	})
@@ -240,7 +240,7 @@ func TestSessionMLIterationReusesPrep(t *testing.T) {
 
 func TestSessionSpillTierKeepsReuseUnderPressure(t *testing.T) {
 	// Measure the workflow's full materialization footprint unbudgeted.
-	probe, err := NewSession(Config{
+	probe, err := Open(Options{
 		SystemName: "helix", StoreDir: t.TempDir(),
 		Policy: opt.MaterializeAll{}, Reuse: true,
 	})
@@ -261,7 +261,7 @@ func TestSessionSpillTierKeepsReuseUnderPressure(t *testing.T) {
 
 	// A hot tier at half that footprint must spill, stay inside its
 	// budget, and still let the next iteration reuse data prep.
-	s, err := NewSession(Config{
+	s, err := Open(Options{
 		SystemName: "helix", StoreDir: t.TempDir(),
 		BudgetBytes: total / 2, SpillDir: t.TempDir(),
 		Policy: opt.MaterializeAll{}, Reuse: true,
@@ -305,13 +305,13 @@ func TestSessionSpillTierKeepsReuseUnderPressure(t *testing.T) {
 }
 
 func TestSessionSpillRequiresStore(t *testing.T) {
-	if _, err := NewSession(Config{SystemName: "helix", SpillDir: t.TempDir()}); err == nil {
-		t.Fatal("NewSession accepted a spill tier without a hot store")
+	if _, err := Open(Options{SystemName: "helix", SpillDir: t.TempDir()}); err == nil {
+		t.Fatal("Open accepted a spill tier without a hot store")
 	}
 }
 
 func TestSessionIdenticalRerunLoadsOutputsOnly(t *testing.T) {
-	s, err := NewSession(Config{
+	s, err := Open(Options{
 		SystemName: "helix", StoreDir: t.TempDir(),
 		Policy: opt.MaterializeAll{}, Reuse: true,
 	})
@@ -342,7 +342,7 @@ func TestSessionIdenticalRerunLoadsOutputsOnly(t *testing.T) {
 }
 
 func TestSessionNoReuseRecomputesEverything(t *testing.T) {
-	s, err := NewSession(Config{
+	s, err := Open(Options{
 		SystemName: "keystoneml", StoreDir: t.TempDir(),
 		Policy: opt.MaterializeNone{}, Reuse: false,
 	})
@@ -365,7 +365,7 @@ func TestSessionNoReuseRecomputesEverything(t *testing.T) {
 }
 
 func TestSessionNeverReuseCategory(t *testing.T) {
-	s, err := NewSession(Config{
+	s, err := Open(Options{
 		SystemName: "deepdive", StoreDir: t.TempDir(),
 		Policy: opt.MaterializeAll{}, Reuse: true,
 		NeverReuse: []Category{CatML, CatEval},
@@ -393,7 +393,7 @@ func TestSessionNeverReuseCategory(t *testing.T) {
 }
 
 func TestSessionDataPrepIterationInvalidatesDownstream(t *testing.T) {
-	s, err := NewSession(Config{
+	s, err := Open(Options{
 		SystemName: "helix", StoreDir: t.TempDir(),
 		Policy: opt.MaterializeAll{}, Reuse: true,
 	})
@@ -427,7 +427,7 @@ func TestSessionSlicePrunesDeadExtractor(t *testing.T) {
 	// Declare an extractor that no featurize consumes: it must be pruned.
 	wf := censusWorkflow(0.1, "accuracy", true)
 	wf.Apply("race", Field("race"), "rows") // dead: not an income input
-	s, err := NewSession(Config{SystemName: "helix", Reuse: false})
+	s, err := Open(Options{SystemName: "helix", Reuse: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestSessionSlicePrunesDeadExtractor(t *testing.T) {
 }
 
 func TestReportRendering(t *testing.T) {
-	s, err := NewSession(Config{SystemName: "helix", StoreDir: t.TempDir(), Policy: opt.MaterializeAll{}, Reuse: true})
+	s, err := Open(Options{SystemName: "helix", StoreDir: t.TempDir(), Policy: opt.MaterializeAll{}, Reuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestUDFOperator(t *testing.T) {
 	wf.Source("src", NewLiteralSource("ab", ""))
 	wf.Apply("doubled", udf, "src")
 	wf.Output("doubled")
-	s, err := NewSession(Config{SystemName: "t"})
+	s, err := Open(Options{SystemName: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func TestLearnerKinds(t *testing.T) {
 		wf.Apply("predictions", NewPredict(), "model", "income")
 		wf.Apply("checked", NewEval("accuracy"), "predictions")
 		wf.Output("checked")
-		s, err := NewSession(Config{SystemName: "t"})
+		s, err := Open(Options{SystemName: "t"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,12 +104,6 @@ type Options struct {
 	SharedHistory *exec.History
 }
 
-// Config is the deprecated name of Options, kept as an alias for one
-// release so existing call sites compile unchanged.
-//
-// Deprecated: use Options with Open.
-type Config = Options
-
 // Validate defaults and sanity-checks the options in place. Open calls it;
 // callers only need it to inspect the resolved values early.
 func (o *Options) Validate() error {

@@ -35,11 +35,6 @@ type Session struct {
 // later sessions warm-start with realistic compute-cost estimates.
 const historyFile = "helix-history.json"
 
-// NewSession opens a session from the deprecated Config name.
-//
-// Deprecated: use Open — NewSession is a thin wrapper kept for one release.
-func NewSession(cfg Config) (*Session, error) { return Open(cfg) }
-
 // Store exposes the session's materialization store — the hot tier when a
 // spill tier is configured (nil if disabled).
 func (s *Session) Store() *store.Store { return s.store }

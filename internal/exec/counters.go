@@ -1,21 +1,20 @@
 package exec
 
 // ReportSchemaVersion is the wire-schema version stamped as "schema" on
-// every JSON surface that embeds Counters (bench dispatch reports, the
-// serve daemon's submit/status responses). Version 1 is the pre-Counters
-// layout with ad-hoc per-counter fields; version 2 introduced the
-// consolidated counter block; version 3 adds the single-flight counters
-// (inflight_dedup_hits, inflight_waits) and the service's queued/failed
-// status fields. Readers (helix-benchdiff) accept every version up to this
-// one and treat an absent field as its zero.
+// the serve daemon's submit/status responses, which embed Counters.
+// Version 1 is the pre-Counters layout with ad-hoc per-counter fields;
+// version 2 introduced the consolidated counter block; version 3 adds the
+// single-flight counters (inflight_dedup_hits, inflight_waits) and the
+// service's queued/failed status fields. Readers should accept every
+// version up to this one and treat an absent field as its zero.
 const ReportSchemaVersion = 3
 
 // Counters is the consolidated execution-counter block shared by every
 // surface that reports engine activity: exec.Result embeds it (per-run
-// deltas), core.Report embeds it (per-iteration deltas), the bench JSON's
-// DispatchMeasurement embeds it, and the helix-serve status/submit
+// deltas), core.Report embeds it (per-iteration deltas),
+// bench.DispatchMeasurement embeds it, and the helix-serve status/submit
 // responses carry it verbatim. The JSON tags are the stable schema-2 wire
-// names — bench baselines and service clients parse the same keys.
+// names — service clients and the benchmark parse the same keys.
 //
 // All counts are deltas over the window the embedding struct describes
 // (one Execute, one iteration, one benchmark run) except where the

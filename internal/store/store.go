@@ -279,20 +279,6 @@ func (c Codec) String() string {
 	}
 }
 
-// ParseCodec parses a codec name as used by CLI flags.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "auto":
-		return CodecAuto, nil
-	case "binary":
-		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
-	default:
-		return CodecAuto, fmt.Errorf("store: unknown codec %q (want auto, binary or gob)", s)
-	}
-}
-
 // Every encoded value is self-describing: the first payload byte names the
 // codec that produced the rest, so Decode needs no out-of-band format flag
 // and mixed-codec stores (e.g. after a config change) keep working.

@@ -20,9 +20,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/opt"
-	"repro/internal/store"
 )
 
 // Kind names a comparator system.
@@ -83,79 +81,4 @@ func Preset(kind Kind, baseDir string) (core.Options, error) {
 		return core.Options{}, fmt.Errorf("systems: %s requires a base directory for its store", kind)
 	}
 	return o, nil
-}
-
-// Options tune a system instance.
-//
-// Deprecated: use Preset to get core.Options, tweak them, and open the
-// session with core.Open. Options mirrors a subset of core.Options
-// field-for-field and is kept for one release.
-type Options struct {
-	// BaseDir is where the system's materialization store lives; each
-	// system gets its own subdirectory. Required for systems that persist.
-	BaseDir string
-	// BudgetBytes caps the materialization store (<=0 = unlimited).
-	BudgetBytes int64
-	// SpillBudgetBytes enables the cold spill tier for systems that
-	// persist: values the (hot) store budget rejects are admitted to a
-	// second-tier "<system>-spill" directory instead of being dropped, and
-	// cold hits are promoted back on load. 0 disables tiering, >0 caps the
-	// spill tier, <0 leaves it unbudgeted.
-	SpillBudgetBytes int64
-	// Workers bounds intra-iteration parallelism.
-	Workers int
-	// Sched selects the execution scheduling strategy (default: the
-	// dependency-counting dataflow scheduler).
-	Sched exec.Strategy
-	// Order selects the dataflow ready-queue priority (default: cost-aware
-	// critical-path-first; exec.MinID restores the original ordering).
-	Order exec.Ordering
-	// Dispatch selects the dataflow dispatch mode (default: work-stealing
-	// per-worker deques; exec.GlobalHeap restores the single shared heap).
-	Dispatch exec.DispatchMode
-	// Reweight selects online re-prioritization from measured durations
-	// (default: exec.Adaptive; exec.ReweightOff pins the initial weights).
-	Reweight exec.Reweight
-	// KeepIntermediates disables the session's memory-bounded release of
-	// consumed intermediate values (see core.Config.KeepIntermediates).
-	KeepIntermediates bool
-	// Faults is the execution-time fault policy (retry budget, backoff,
-	// per-node deadlines); the zero value keeps the historical fail-fast
-	// single-attempt behaviour (see core.Config.Faults).
-	Faults exec.FaultPolicy
-	// Codec selects the value serialization format (default: the
-	// reflection-free binary codec; store.CodecGob forces the reflective
-	// A/B reference). See core.Config.Codec.
-	Codec store.Codec
-	// MmapCold serves cold-tier reads zero-copy via mmap for systems with a
-	// spill tier (see core.Config.MmapCold).
-	MmapCold bool
-}
-
-// New builds a configured session for the named system.
-//
-// Deprecated: use Preset + core.Open. New maps the legacy Options onto the
-// preset and is kept for one release.
-func New(kind Kind, o Options) (*core.Session, error) {
-	cfg, err := Preset(kind, o.BaseDir)
-	if err != nil {
-		return nil, err
-	}
-	cfg.BudgetBytes = o.BudgetBytes
-	cfg.Workers = o.Workers
-	cfg.Sched = o.Sched
-	cfg.Order = o.Order
-	cfg.Dispatch = o.Dispatch
-	cfg.Reweight = o.Reweight
-	cfg.KeepIntermediates = o.KeepIntermediates
-	cfg.Faults = o.Faults
-	cfg.Codec = o.Codec
-	cfg.MmapCold = o.MmapCold
-	if cfg.StoreDir != "" && o.SpillBudgetBytes != 0 {
-		cfg.SpillDir = cfg.StoreDir + "-spill"
-		if o.SpillBudgetBytes > 0 {
-			cfg.SpillBudgetBytes = o.SpillBudgetBytes
-		}
-	}
-	return core.Open(cfg)
 }

@@ -9,14 +9,30 @@ import (
 	"repro/internal/workload"
 )
 
+// openSystem opens the named system's preset rooted at baseDir, applying
+// tweak (if any) to the options first; the session is closed at test end.
+func openSystem(t *testing.T, kind Kind, baseDir string, tweak func(*core.Options)) *core.Session {
+	t.Helper()
+	opts, err := Preset(kind, baseDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tweak != nil {
+		tweak(&opts)
+	}
+	sess, err := core.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close() })
+	return sess
+}
+
 // runScenarioMetrics replays a scenario on one system and returns the
 // headline metrics per iteration.
 func runScenarioMetrics(t *testing.T, kind Kind, sc *workload.Scenario) []ml.Metrics {
 	t.Helper()
-	sess, err := New(kind, Options{BaseDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := openSystem(t, kind, t.TempDir(), nil)
 	var out []ml.Metrics
 	for i, step := range sc.Steps {
 		rep, err := sess.Run(step.Workflow)
@@ -70,10 +86,7 @@ func metricsEqual(a, b ml.Metrics) bool {
 
 func TestHelixStaysWithinBudget(t *testing.T) {
 	const budget = 64 << 10 // 64 KiB: far too small for everything
-	sess, err := New(Helix, Options{BaseDir: t.TempDir(), BudgetBytes: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := openSystem(t, Helix, t.TempDir(), func(o *core.Options) { o.BudgetBytes = budget })
 	sc := workload.CensusScenario(workload.GenerateCensus(800, 200, 3))
 	for i, step := range sc.Steps {
 		rep, err := sess.Run(step.Workflow)
@@ -95,10 +108,10 @@ func TestHelixSpillTierAbsorbsBudgetPressure(t *testing.T) {
 	sc := workload.CensusScenario(workload.GenerateCensus(800, 200, 3))
 	plain := runScenarioMetrics(t, Helix, sc)
 
-	sess, err := New(Helix, Options{BaseDir: t.TempDir(), BudgetBytes: budget, SpillBudgetBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := openSystem(t, Helix, t.TempDir(), func(o *core.Options) {
+		o.BudgetBytes = budget
+		o.SpillDir = o.StoreDir + "-spill" // unbudgeted cold tier
+	})
 	var spills int64
 	for i, step := range sc.Steps {
 		rep, err := sess.Run(step.Workflow)
@@ -123,10 +136,7 @@ func TestHelixSpillTierAbsorbsBudgetPressure(t *testing.T) {
 }
 
 func TestHelixUnoptNeverPersists(t *testing.T) {
-	sess, err := New(HelixUnopt, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := openSystem(t, HelixUnopt, "", nil)
 	p := workload.DefaultCensusParams(workload.GenerateCensus(200, 50, 5))
 	for i := 0; i < 2; i++ {
 		rep, err := sess.Run(p.Build())
@@ -147,10 +157,7 @@ func TestHelixUnoptNeverPersists(t *testing.T) {
 }
 
 func TestDeepDiveRerunsMLEveryIteration(t *testing.T) {
-	sess, err := New(DeepDive, Options{BaseDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := openSystem(t, DeepDive, t.TempDir(), nil)
 	p := workload.DefaultCensusParams(workload.GenerateCensus(200, 50, 5))
 	var last *core.Report
 	for i := 0; i < 3; i++ {
@@ -173,17 +180,11 @@ func TestDeepDiveRerunsMLEveryIteration(t *testing.T) {
 func TestSessionsAreIsolated(t *testing.T) {
 	// Two helix sessions over different BaseDirs must not share stores.
 	p := workload.DefaultCensusParams(workload.GenerateCensus(200, 50, 5))
-	s1, err := New(Helix, Options{BaseDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := openSystem(t, Helix, t.TempDir(), nil)
 	if _, err := s1.Run(p.Build()); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := New(Helix, Options{BaseDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := openSystem(t, Helix, t.TempDir(), nil)
 	rep, err := s2.Run(p.Build())
 	if err != nil {
 		t.Fatal(err)
@@ -193,69 +194,17 @@ func TestSessionsAreIsolated(t *testing.T) {
 	}
 }
 
-// The deprecated New shim must map every legacy Options field onto the
-// preset, including the StoreDir+"-spill" convention, so code still on the
-// old surface behaves identically to Preset + core.Open during the
-// deprecation window.
-func TestDeprecatedNewMatchesPreset(t *testing.T) {
-	dir := t.TempDir()
-	legacy, err := New(Helix, Options{BaseDir: dir, BudgetBytes: 1 << 20, SpillBudgetBytes: 1 << 20, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-	if legacy.Spill() == nil {
-		t.Fatal("legacy SpillBudgetBytes did not open a spill tier")
-	}
-
-	opts, err := Preset(Helix, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.BudgetBytes = 1 << 20
-	opts.SpillDir = opts.StoreDir + "-spill"
-	opts.SpillBudgetBytes = 1 << 20
-	opts.Workers = 3
-	canonical, err := core.Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer canonical.Close()
-
-	p := workload.DefaultCensusParams(workload.GenerateCensus(200, 50, 5))
-	repL, err := legacy.Run(p.Build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	repC, err := canonical.Run(p.Build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lm, cm := repL.Outputs["checked"].(ml.Metrics), repC.Outputs["checked"].(ml.Metrics); !metricsEqual(lm, cm) {
-		t.Fatalf("legacy metrics %+v != canonical %+v", lm, cm)
-	}
-	if repL.StoreUsed != repC.StoreUsed {
-		t.Fatalf("legacy store used %d != canonical %d", repL.StoreUsed, repC.StoreUsed)
-	}
-}
-
 // Sharing a BaseDir lets a new session warm-start from a previous one's
 // materializations — the cross-session reuse the content-addressed store
 // enables for free.
 func TestWarmStartAcrossSessions(t *testing.T) {
 	dir := t.TempDir()
 	p := workload.DefaultCensusParams(workload.GenerateCensus(200, 50, 5))
-	s1, err := New(Helix, Options{BaseDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := openSystem(t, Helix, dir, nil)
 	if _, err := s1.Run(p.Build()); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := New(Helix, Options{BaseDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := openSystem(t, Helix, dir, nil)
 	rep, err := s2.Run(p.Build())
 	if err != nil {
 		t.Fatal(err)
