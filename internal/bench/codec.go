@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"reflect"
 	"time"
 
 	"repro/internal/dag"
@@ -14,17 +13,11 @@ import (
 	"repro/internal/store"
 )
 
-// The codec shape stores *data.ExampleSet values as engine intermediates,
-// which the gob A/B reference serializes through the `any` interface — so
-// the concrete type needs a gob registration just like the workload values
-// in core and workload do theirs.
-func init() { store.Register(&data.ExampleSet{}) }
-
 // codecExampleSet builds a deterministic FeatureMap-heavy *data.ExampleSet:
 // `examples` examples of `features` features each, values derived from seed.
 // Feature names are shared across examples (realistic for extracted feature
-// columns), which is exactly the shape where gob's reflective map encoding
-// is slowest and the binary codec's string table pays off most.
+// columns), which is exactly the shape where the binary codec's string
+// table pays off most.
 func codecExampleSet(seed, examples, features int) *data.ExampleSet {
 	set := &data.ExampleSet{Examples: make([]data.Example, examples)}
 	for i := range set.Examples {
@@ -41,23 +34,13 @@ func codecExampleSet(seed, examples, features int) *data.ExampleSet {
 	return set
 }
 
-// CodecPayloads returns n deterministic FeatureMap-heavy example sets — the
-// workload-value population the codec throughput measurement serializes.
-func CodecPayloads(n, examples, features int) []any {
-	out := make([]any, n)
-	for i := range out {
-		out[i] = codecExampleSet(i*1009+17, examples, features)
-	}
-	return out
-}
-
 // CodecDAG is the serialization-pressure shape: a root fans out to
 // `producers` nodes that each emit a FeatureMap-heavy *data.ExampleSet
 // (after sleeping d, so scheduling noise doesn't swamp the serialization
 // signal) joining into one scalar output. With a materialize-everything
-// policy every producer value rides store.EncodeValueWith on the persist
-// path — the workload MeasureCodecStore drives through gob, binary, and
-// binary+mmap configurations.
+// policy every producer value rides store.EncodeValue on the persist
+// path — the workload MeasureCodecStore drives through buffered and mmap
+// cold reads.
 func CodecDAG(producers, examples, features int, d time.Duration) *SchedDAG {
 	g := dag.New()
 	root := g.MustAddNode("root", "scan")
@@ -118,96 +101,16 @@ func DefaultCodecDAG() *SchedDAG {
 	return CodecDAG(16, 48, 24, time.Millisecond)
 }
 
-// CodecThroughput is one codec's raw serialization measurement over a fixed
-// payload population: min-of-N wall times for encoding and decoding every
-// payload once, plus the encoded size (a fixed property of the codec, not
-// of the round).
-type CodecThroughput struct {
-	Codec        string  `json:"codec"`
-	Payloads     int     `json:"payloads"`
-	EncodedBytes int64   `json:"encoded_bytes"`
-	EncodeMS     float64 `json:"encode_ms"`
-	DecodeMS     float64 `json:"decode_ms"`
-	// EncodeMBps/DecodeMBps derive from the min-of-N walls and the encoded
-	// size.
-	EncodeMBps float64 `json:"encode_mbps"`
-	DecodeMBps float64 `json:"decode_mbps"`
-}
-
-// MeasureCodecThroughput serializes and deserializes every payload with the
-// given codec, min-of-rounds, and deep-equal-verifies every decode of the
-// final round against the original value — so the numbers are only reported
-// for byte streams that provably round-trip.
-func MeasureCodecThroughput(c store.Codec, payloads []any, rounds int) (CodecThroughput, error) {
-	if rounds < 1 {
-		rounds = 1
-	}
-	m := CodecThroughput{Codec: c.String(), Payloads: len(payloads)}
-	encoded := make([][]byte, len(payloads))
-	minEnc, minDec := time.Duration(-1), time.Duration(-1)
-	for round := 0; round < rounds; round++ {
-		start := time.Now()
-		for i, v := range payloads {
-			enc, err := store.EncodeValueWith(c, v)
-			if err != nil {
-				return m, fmt.Errorf("bench: encode payload %d with %s: %w", i, c, err)
-			}
-			if got := enc.Codec(); got != c && !(c == store.CodecAuto && got == store.CodecBinary) {
-				return m, fmt.Errorf("bench: payload %d fell back from %s to %s", i, c, got)
-			}
-			encoded[i] = append(encoded[i][:0], enc.Bytes()...)
-			enc.Release()
-		}
-		if d := time.Since(start); minEnc < 0 || d < minEnc {
-			minEnc = d
-		}
-		start = time.Now()
-		decoded := make([]any, len(payloads))
-		for i, raw := range encoded {
-			v, err := store.Decode(raw)
-			if err != nil {
-				return m, fmt.Errorf("bench: decode payload %d with %s: %w", i, c, err)
-			}
-			decoded[i] = v
-		}
-		if d := time.Since(start); minDec < 0 || d < minDec {
-			minDec = d
-		}
-		if round == rounds-1 {
-			for i, v := range decoded {
-				if !reflect.DeepEqual(v, payloads[i]) {
-					return m, fmt.Errorf("bench: %s round-trip of payload %d not deep-equal", c, i)
-				}
-			}
-		}
-	}
-	for _, raw := range encoded {
-		m.EncodedBytes += int64(len(raw))
-	}
-	m.EncodeMS = float64(minEnc.Microseconds()) / 1000
-	m.DecodeMS = float64(minDec.Microseconds()) / 1000
-	if minEnc > 0 {
-		m.EncodeMBps = float64(m.EncodedBytes) / minEnc.Seconds() / 1e6
-	}
-	if minDec > 0 {
-		m.DecodeMBps = float64(m.EncodedBytes) / minDec.Seconds() / 1e6
-	}
-	return m, nil
-}
-
-// CodecMeasurement is one data point of a codec comparison: one codec/mmap
-// configuration driven through two store-backed iterations of the codec
+// CodecMeasurement is one data point of a cold-read comparison: buffered or
+// mmap cold reads driven through two store-backed iterations of the codec
 // shape (materialize-all with a spill-forcing hot budget, then the
 // optimizer's plan over the measured cost model).
 type CodecMeasurement struct {
-	Config      string  `json:"config"`
-	Codec       string  `json:"codec"`
 	Mmap        bool    `json:"mmap"`
 	Iter1WallMS float64 `json:"iter1_wall_ms"`
 	Iter2WallMS float64 `json:"iter2_wall_ms"`
-	// Per-codec encode counters across both iterations: the encode-once
-	// contract means their sum equals the number of persisted values.
-	GobEncodes    int64 `json:"gob_encodes"`
+	// BinaryEncodes counts encodes across both iterations: the encode-once
+	// contract means it equals the number of persisted values.
 	BinaryEncodes int64 `json:"binary_encodes"`
 	// Cold-read counters across both iterations: under mmap every cold hit
 	// should be MmapColdReads, without mmap every one BufferedColdReads.
@@ -219,21 +122,14 @@ type CodecMeasurement struct {
 	Computed2         int   `json:"computed_2"`
 }
 
-// MeasureCodecStore drives the codec shape through two iterations under one
-// codec/mmap configuration rooted at dir: iteration 1 all-compute through a
+// MeasureCodecStore drives the codec shape through two iterations rooted at
+// dir, with buffered or mmap cold reads: iteration 1 all-compute through a
 // spill-forcing tiered store (hot budget below the materialized footprint so
 // cold reads actually happen), iteration 2 on the optimizer's plan over the
 // measured per-tier cost model. Both Results are returned for value checks.
-func MeasureCodecStore(sd *SchedDAG, dir string, c store.Codec, mmap bool, hotBudget, spillBudget int64, workers int) (CodecMeasurement, [2]*exec.Result, error) {
+func MeasureCodecStore(sd *SchedDAG, dir string, mmap bool, hotBudget, spillBudget int64, workers int) (CodecMeasurement, [2]*exec.Result, error) {
 	var out [2]*exec.Result
-	m := CodecMeasurement{
-		Config: c.String(),
-		Codec:  c.String(),
-		Mmap:   mmap,
-	}
-	if mmap {
-		m.Config += "+mmap"
-	}
+	m := CodecMeasurement{Mmap: mmap}
 	st, err := store.Open(filepath.Join(dir, "hot"), hotBudget)
 	if err != nil {
 		return m, out, err
@@ -250,7 +146,6 @@ func MeasureCodecStore(sd *SchedDAG, dir string, c store.Codec, mmap bool, hotBu
 		Workers: workers,
 		Store:   st,
 		Spill:   sp,
-		Codec:   c,
 		Policy:  opt.MaterializeAll{},
 		History: exec.NewHistory(),
 	}
@@ -273,7 +168,6 @@ func MeasureCodecStore(sd *SchedDAG, dir string, c store.Codec, mmap bool, hotBu
 	out[0], out[1] = res1, res2
 	m.Iter1WallMS = float64(res1.Wall.Microseconds()) / 1000
 	m.Iter2WallMS = float64(res2.Wall.Microseconds()) / 1000
-	m.GobEncodes = res1.GobEncodes + res2.GobEncodes
 	m.BinaryEncodes = res1.BinaryEncodes + res2.BinaryEncodes
 	m.MmapColdReads = res1.MmapColdReads + res2.MmapColdReads
 	m.BufferedColdReads = res1.BufferedColdReads + res2.BufferedColdReads

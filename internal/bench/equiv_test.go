@@ -107,70 +107,57 @@ func sharedSigDAG(tag string) *SchedDAG {
 // half of the shared-key double-write hole: with two nodes sharing one
 // result signature, the dataflow writer's in-run dedupe and the
 // level-barrier executor's (new) equivalent must each encode the shared
-// signature exactly once — asserted via the instrumented per-codec store
-// counters, under both the binary codec and the gob reference — and charge
-// its budget once.
+// signature exactly once — asserted via the instrumented store encode
+// counter and the Result's BinaryEncodes — and charge its budget once.
 func TestSharedSignatureEncodedOnceAcrossExecutors(t *testing.T) {
 	configs := []schedConfig{
-		{name: "level-barrier", sched: exec.LevelBarrier},
-		{name: "dataflow-worksteal", sched: exec.Dataflow, dispatch: exec.WorkSteal},
-		{name: "dataflow-global-heap", sched: exec.Dataflow, dispatch: exec.GlobalHeap},
+		{name: "level-barrier-binary", sched: exec.LevelBarrier},
+		{name: "dataflow-worksteal-binary", sched: exec.Dataflow, dispatch: exec.WorkSteal},
+		{name: "dataflow-global-heap-binary", sched: exec.Dataflow, dispatch: exec.GlobalHeap},
 	}
 	for i, c := range configs {
-		for _, cdc := range []store.Codec{store.CodecBinary, store.CodecGob} {
-			t.Run(c.name+"-"+cdc.String(), func(t *testing.T) {
-				// Repeat each config: the same-level race needs attempts to
-				// interleave, and the counter must hold every time.
-				for rep := 0; rep < 10; rep++ {
-					sd := sharedSigDAG(fmt.Sprintf("%d-%s-%d", i, cdc, rep))
-					st, err := store.Open(t.TempDir(), 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					e := &exec.Engine{
-						Workers:  4,
-						Sched:    c.sched,
-						Dispatch: c.dispatch,
-						Store:    st,
-						Codec:    cdc,
-						Policy:   opt.MaterializeAll{},
-					}
-					gobBefore, binBefore := store.GobEncodeCalls(), store.BinaryEncodeCalls()
-					res, err := e.Execute(sd.G, sd.Tasks, sd.Plan())
-					if err != nil {
-						t.Fatal(err)
-					}
-					gobGot := store.GobEncodeCalls() - gobBefore
-					binGot := store.BinaryEncodeCalls() - binBefore
-					// 3 distinct keys across 4 nodes: root, the shared twin
-					// signature (once), join — all through the selected codec
-					// (int values are builtin, so binary never falls back).
-					want := [2]int64{0, 3} // gob, binary
-					if cdc == store.CodecGob {
-						want = [2]int64{3, 0}
-					}
-					if gobGot != want[0] || binGot != want[1] {
-						t.Fatalf("rep %d: encodes gob=%d binary=%d, want gob=%d binary=%d (shared signature encoded once)",
-							rep, gobGot, binGot, want[0], want[1])
-					}
-					if res.GobEncodes != want[0] || res.BinaryEncodes != want[1] {
-						t.Fatalf("rep %d: Result counters gob=%d binary=%d, want gob=%d binary=%d",
-							rep, res.GobEncodes, res.BinaryEncodes, want[0], want[1])
-					}
-					entries := st.Entries()
-					if len(entries) != 3 {
-						t.Fatalf("rep %d: %d store entries, want 3", rep, len(entries))
-					}
-					var total int64
-					for _, en := range entries {
-						total += en.Size
-					}
-					if st.Used() != total {
-						t.Fatalf("rep %d: store used %d != entry sum %d (budget double-reserved)", rep, st.Used(), total)
-					}
+		t.Run(c.name, func(t *testing.T) {
+			// Repeat each config: the same-level race needs attempts to
+			// interleave, and the counter must hold every time.
+			for rep := 0; rep < 10; rep++ {
+				sd := sharedSigDAG(fmt.Sprintf("%d-%d", i, rep))
+				st, err := store.Open(t.TempDir(), 0)
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
-		}
+				e := &exec.Engine{
+					Workers:  4,
+					Sched:    c.sched,
+					Dispatch: c.dispatch,
+					Store:    st,
+					Policy:   opt.MaterializeAll{},
+				}
+				before := store.EncodeCalls()
+				res, err := e.Execute(sd.G, sd.Tasks, sd.Plan())
+				if err != nil {
+					t.Fatal(err)
+				}
+				// 3 distinct keys across 4 nodes: root, the shared twin
+				// signature (once), join.
+				if got := store.EncodeCalls() - before; got != 3 {
+					t.Fatalf("rep %d: %d encodes, want 3 (shared signature encoded once)", rep, got)
+				}
+				if res.BinaryEncodes != 3 {
+					t.Fatalf("rep %d: Result counts %d encodes, want 3", rep, res.BinaryEncodes)
+				}
+				entries := st.Entries()
+				if len(entries) != 3 {
+					t.Fatalf("rep %d: %d store entries, want 3", rep, len(entries))
+				}
+				var total int64
+				for _, en := range entries {
+					total += en.Size
+				}
+				if st.Used() != total {
+					t.Fatalf("rep %d: store used %d != entry sum %d (budget double-reserved)", rep, st.Used(), total)
+				}
+			}
+		})
 	}
 }
 
@@ -344,15 +331,13 @@ func TestRandomizedSpillEquivalence(t *testing.T) {
 	}
 }
 
-// TestRandomizedCodecEquivalence adds the value codec as a harness axis:
+// TestRandomizedCodecEquivalence adds the cold-read path as a harness axis:
 // the same seeded graphs and mixed plans as the spill harness, each run
-// under gob × binary × (binary + mmap cold reads), spill-forced through a
-// tiny hot tier so most materializations land in the cold tier and most
-// loads cross the codec's decode path. Every configuration must agree with
-// the unbudgeted single-tier level-barrier reference (default codec) on
-// state counts and byte-identical values — the codec is a pure
-// representation change — and the per-codec Result counters must attribute
-// every encode to the selected codec with zero fallbacks.
+// with buffered and with mmap cold reads, spill-forced through a tiny hot
+// tier so most materializations land in the cold tier and most loads cross
+// the codec's decode path. Every configuration must agree with the
+// unbudgeted single-tier level-barrier reference on state counts and
+// byte-identical values — the read path is a pure transport change.
 func TestRandomizedCodecEquivalence(t *testing.T) {
 	const graphs = 8
 	const tinyHot = 64
@@ -383,19 +368,18 @@ func TestRandomizedCodecEquivalence(t *testing.T) {
 				t.Fatalf("plan: %v", err)
 			}
 
-			prepopulate := func(tiers *store.Tiered, cdc store.Codec) {
+			prepopulate := func(tiers *store.Tiered) {
 				for i := 0; i < n; i++ {
 					if !keep[i] {
 						continue
 					}
-					enc, err := store.EncodeValueWith(cdc, truth.Values[dag.NodeID(i)])
+					raw, err := store.Encode(truth.Values[dag.NodeID(i)])
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := tiers.PutBytes(sd.Tasks[i].Key, enc.Bytes()); err != nil {
+					if _, err := tiers.PutBytes(sd.Tasks[i].Key, raw); err != nil {
 						t.Fatal(err)
 					}
-					enc.Release()
 				}
 			}
 
@@ -403,7 +387,7 @@ func TestRandomizedCodecEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prepopulate(store.NewTiered(refStore, nil), store.CodecAuto)
+			prepopulate(store.NewTiered(refStore, nil))
 			refEng := &exec.Engine{
 				Workers: 4, Sched: exec.LevelBarrier,
 				Store: refStore, Policy: opt.MaterializeAll{},
@@ -414,29 +398,21 @@ func TestRandomizedCodecEquivalence(t *testing.T) {
 			}
 			refC, refL, refP := stateCounts(ref)
 
-			for _, cfg := range []struct {
-				cdc  store.Codec
-				mmap bool
-			}{{store.CodecGob, false}, {store.CodecBinary, false}, {store.CodecBinary, true}} {
-				name := cfg.cdc.String()
-				if cfg.mmap {
-					name += "+mmap"
+			for _, mmap := range []bool{false, true} {
+				name := "buffered"
+				openSpill := store.OpenSpill
+				if mmap {
+					name, openSpill = "mmap", store.OpenSpillMmap
 				}
 				hot, err := store.Open(t.TempDir(), tinyHot)
 				if err != nil {
 					t.Fatal(err)
 				}
-				openSpill := store.OpenSpill
-				if cfg.mmap {
-					openSpill = store.OpenSpillMmap
-				}
 				cold, err := openSpill(t.TempDir(), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Prepopulate with the run's own codec: loads then decode
-				// through the codec under test, not just fresh encodes.
-				prepopulate(store.NewTiered(hot, cold), cfg.cdc)
+				prepopulate(store.NewTiered(hot, cold))
 				e := &exec.Engine{
 					Workers:  4,
 					Sched:    exec.Dataflow,
@@ -444,7 +420,6 @@ func TestRandomizedCodecEquivalence(t *testing.T) {
 					Dispatch: exec.WorkSteal,
 					Store:    hot,
 					Spill:    cold,
-					Codec:    cfg.cdc,
 					Policy:   opt.MaterializeAll{},
 					Reweight: exec.ReweightOff,
 				}
@@ -452,17 +427,7 @@ func TestRandomizedCodecEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				switch cfg.cdc {
-				case store.CodecGob:
-					if res.BinaryEncodes != 0 {
-						t.Errorf("%s: %d encodes used the binary codec", name, res.BinaryEncodes)
-					}
-				case store.CodecBinary:
-					if res.GobEncodes != 0 {
-						t.Errorf("%s: %d encodes fell back to gob", name, res.GobEncodes)
-					}
-				}
-				if !cfg.mmap && res.MmapColdReads != 0 {
+				if !mmap && res.MmapColdReads != 0 {
 					t.Errorf("%s: %d cold reads used mmap", name, res.MmapColdReads)
 				}
 				totalSpills += res.Spills
@@ -499,16 +464,15 @@ func TestRandomizedCodecEquivalence(t *testing.T) {
 	}
 }
 
-// TestRandomizedEvictionEquivalence turns the cold tier's eviction policy
-// into a harness dimension: across seeded random graphs with mixed plans,
-// every combination of eviction policy (LRU vs reward-aware, the latter
-// also with the min-cut evict-set planner) × dispatch mode × forced
-// re-prioritization × injected transient faults runs against a cold tier
-// sized to just hold the prepopulated loadable keys — so every fresh
-// materialization during the run must evict — and must still agree with
-// the unbudgeted level-barrier reference on state counts and byte-identical
-// values. Eviction is pure cache policy: it may change what survives the
-// run (not asserted here), never what the run computes.
+// TestRandomizedEvictionEquivalence puts the cold tier's eviction under the
+// harness: across seeded random graphs with mixed plans, every combination
+// of dispatch mode × forced re-prioritization × injected transient faults
+// runs against a cold tier sized to just hold the prepopulated loadable
+// keys — so every fresh materialization during the run must evict — and
+// must still agree with the unbudgeted level-barrier reference on state
+// counts and byte-identical values. Eviction is pure cache policy: it may
+// change what survives the run (not asserted here), never what the run
+// computes.
 func TestRandomizedEvictionEquivalence(t *testing.T) {
 	const graphs = 6
 	const tinyHot = 64 // bytes: force nearly everything through cold admission
@@ -584,81 +548,64 @@ func TestRandomizedEvictionEquivalence(t *testing.T) {
 			}
 			refC, refL, refP := stateCounts(ref)
 
-			type evictMode struct {
-				name    string
-				policy  store.EvictionPolicy
-				maxflow bool
-			}
-			for _, em := range []evictMode{
-				{"lru", store.EvictLRU, false},
-				{"reward", store.EvictReward, false},
-				{"reward+maxflow", store.EvictReward, true},
-			} {
-				for _, dispatch := range []exec.DispatchMode{exec.WorkSteal, exec.GlobalHeap} {
-					for _, reweight := range []bool{false, true} {
-						for _, faults := range []bool{false, true} {
-							name := fmt.Sprintf("%s-%s-rw%v-f%v", em.name, dispatch, reweight, faults)
-							hot, err := store.Open(t.TempDir(), tinyHot)
-							if err != nil {
-								t.Fatal(err)
+			for _, dispatch := range []exec.DispatchMode{exec.WorkSteal, exec.GlobalHeap} {
+				for _, reweight := range []bool{false, true} {
+					for _, faults := range []bool{false, true} {
+						name := fmt.Sprintf("%s-rw%v-f%v", dispatch, reweight, faults)
+						hot, err := store.Open(t.TempDir(), tinyHot)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cold, err := store.OpenSpill(t.TempDir(), coldBudget)
+						if err != nil {
+							t.Fatal(err)
+						}
+						prepopulate(store.NewTiered(hot, cold))
+						run := sd
+						e := &exec.Engine{
+							Workers:  4,
+							Sched:    exec.Dataflow,
+							Order:    exec.CriticalPath,
+							Dispatch: dispatch,
+							Store:    hot,
+							Spill:    cold,
+							Policy:   opt.MaterializeAll{},
+							Reweight: exec.ReweightOff,
+						}
+						if reweight {
+							e.Reweight = exec.Adaptive
+							e.ReweightInterval = 1
+							e.ReweightMinDivergence = time.Nanosecond
+						}
+						if faults {
+							fp := DefaultFaultPlan(seed)
+							run, _ = WithFaults(sd, fp)
+							e.Faults = fp.Policy()
+						}
+						res, err := e.Execute(run.G, run.Tasks, plan)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						totalEvictions += cold.Evictions()
+						totalRetries += res.Retries
+						gotC, gotL, gotP := stateCounts(res)
+						if gotC != refC || gotL != refL || gotP != refP {
+							t.Errorf("%s: counts computed/loaded/pruned = %d/%d/%d, reference %d/%d/%d",
+								name, gotC, gotL, gotP, refC, refL, refP)
+						}
+						if cold.Used() > coldBudget {
+							t.Errorf("%s: cold tier used %d over its %d budget", name, cold.Used(), coldBudget)
+						}
+						for i := 0; i < n; i++ {
+							id := dag.NodeID(i)
+							refV, refOK := ref.Values[id]
+							gotV, gotOK := res.Values[id]
+							if gotOK != refOK {
+								t.Errorf("%s: node %d present=%v, reference %v", name, i, gotOK, refOK)
+								continue
 							}
-							cold, err := store.OpenSpill(t.TempDir(), coldBudget)
-							if err != nil {
-								t.Fatal(err)
-							}
-							cold.SetEvictionPolicy(em.policy)
-							prepopulate(store.NewTiered(hot, cold))
-							run := sd
-							e := &exec.Engine{
-								Workers:  4,
-								Sched:    exec.Dataflow,
-								Order:    exec.CriticalPath,
-								Dispatch: dispatch,
-								Store:    hot,
-								Spill:    cold,
-								Policy:   opt.MaterializeAll{},
-								Reweight: exec.ReweightOff,
-							}
-							if em.maxflow {
-								if err := e.UseMaxflowEviction(sd.G, sd.Tasks); err != nil {
-									t.Fatal(err)
-								}
-							}
-							if reweight {
-								e.Reweight = exec.Adaptive
-								e.ReweightInterval = 1
-								e.ReweightMinDivergence = time.Nanosecond
-							}
-							if faults {
-								fp := DefaultFaultPlan(seed)
-								run, _ = WithFaults(sd, fp)
-								e.Faults = fp.Policy()
-							}
-							res, err := e.Execute(run.G, run.Tasks, plan)
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-							totalEvictions += cold.Evictions()
-							totalRetries += res.Retries
-							gotC, gotL, gotP := stateCounts(res)
-							if gotC != refC || gotL != refL || gotP != refP {
-								t.Errorf("%s: counts computed/loaded/pruned = %d/%d/%d, reference %d/%d/%d",
-									name, gotC, gotL, gotP, refC, refL, refP)
-							}
-							if cold.Used() > coldBudget {
-								t.Errorf("%s: cold tier used %d over its %d budget", name, cold.Used(), coldBudget)
-							}
-							for i := 0; i < n; i++ {
-								id := dag.NodeID(i)
-								refV, refOK := ref.Values[id]
-								gotV, gotOK := res.Values[id]
-								if gotOK != refOK {
-									t.Errorf("%s: node %d present=%v, reference %v", name, i, gotOK, refOK)
-									continue
-								}
-								if gotOK && !bytes.Equal(encodeValue(t, gotV), encodeValue(t, refV)) {
-									t.Errorf("%s: node %d value differs from reference", name, i)
-								}
+							if gotOK && !bytes.Equal(encodeValue(t, gotV), encodeValue(t, refV)) {
+								t.Errorf("%s: node %d value differs from reference", name, i)
 							}
 						}
 					}

@@ -31,10 +31,10 @@ const (
 	// MeasureEviction on this shape.
 	RecomputeHeavyColdBudget = int64(512 << 10)
 	// RecomputeHeavyCrownKey is the store key of the chain's last node —
-	// the 2 KiB value whose recompute cost is the whole serial chain. It is
-	// the entry the eviction policies disagree about: reward-aware ranking
-	// keeps it (highest saving-per-byte in the tier), LRU evicts it (oldest
-	// unpinned entry once the fillers start landing).
+	// the 2 KiB value whose recompute cost is the whole serial chain.
+	// Reward-aware eviction keeps it (highest saving-per-byte in the tier)
+	// although it is the oldest unpinned entry once the fillers start
+	// landing, so a recency ranking would evict it.
 	RecomputeHeavyCrownKey = "rheavy-crown"
 )
 
@@ -74,20 +74,20 @@ func rheavyTask(key string, idx, payloadBytes int, d time.Duration) exec.Task {
 	}
 }
 
-// RecomputeHeavyDAG is the eviction-policy stress shape: a root feeds a
+// RecomputeHeavyDAG is the eviction stress shape: a root feeds a
 // serial chain of chainDepth nodes (chainDur each, small chainPayload
 // values) whose last link — the "crown", keyed RecomputeHeavyCrownKey and
 // marked Output — fans out to `fillers` cheap wide nodes (fillerDur each,
 // large fillerPayload values) joining into one output.
 //
-// Under a cold-tier budget that cannot hold everything, the shape forces
-// the two eviction policies apart. The chain entries are the oldest in the
-// tier by the time the fillers flood in, so pure LRU deletes exactly them —
-// the entries whose loss costs a serial chainDepth×chainDur recompute next
-// iteration. Reward-aware ranking sees the chain's saving-per-byte (serial
-// ancestor compute over a tiny payload) tower over the fillers' (sub-ms
-// compute over 16× the bytes) and sacrifices fillers instead. As a plain
-// scheduler shape (no store attached) it is a serial-tail-plus-fanout
+// Under a cold-tier budget that cannot hold everything, the shape separates
+// reward from recency. The chain entries are the oldest in the tier by the
+// time the fillers flood in, so a recency ranking would delete exactly them
+// — the entries whose loss costs a serial chainDepth×chainDur recompute
+// next iteration. Reward-aware ranking sees the chain's saving-per-byte
+// (serial ancestor compute over a tiny payload) tower over the fillers'
+// (sub-ms compute over 16× the bytes) and sacrifices fillers instead. As a
+// plain scheduler shape (no store attached) it is a serial-tail-plus-fanout
 // dispatch workload.
 func RecomputeHeavyDAG(chainDepth, fillers, chainPayload, fillerPayload int, chainDur, fillerDur time.Duration) *SchedDAG {
 	g := dag.New()
@@ -141,11 +141,9 @@ func DefaultRecomputeHeavyDAG() *SchedDAG {
 	return RecomputeHeavyDAG(rheavyChainDepth, rheavyFillers, rheavyChainPayload, rheavyFillerPayload, rheavyChainDur, rheavyFillerDur)
 }
 
-// EvictionMeasurement is one data point of an eviction-policy comparison:
-// one cold-tier policy driven through two iterations of the recompute-heavy
-// shape under spill pressure.
+// EvictionMeasurement is the cold tier's eviction outcome over two
+// iterations of the recompute-heavy shape under spill pressure.
 type EvictionMeasurement struct {
-	Config      string  `json:"config"`
 	ColdBudget  int64   `json:"cold_budget"`
 	Iter1WallMS float64 `json:"iter1_wall_ms"`
 	Iter2WallMS float64 `json:"iter2_wall_ms"`
@@ -161,29 +159,14 @@ type EvictionMeasurement struct {
 	Computed2 int `json:"computed_2"`
 }
 
-// EvictionConfigName names an eviction configuration the way the tests
-// report it: the policy, with "+maxflow" when the global evict-set
-// planner is installed on top of reward-aware ranking.
-func EvictionConfigName(policy store.EvictionPolicy, maxflow bool) string {
-	name := "reward"
-	if policy == store.EvictLRU {
-		name = "lru"
-	}
-	if maxflow {
-		name += "+maxflow"
-	}
-	return name
-}
-
 // MeasureEviction drives the shape through two iterations with a 1-byte
 // hot tier (every materialization is forced through cold-tier admission,
-// so the eviction policy under test decides everything) and a cold tier of
-// coldBudget bytes under the given policy: iteration 1 all-compute,
-// iteration 2 on the optimizer's plan over the per-tier cost model the
-// first run left behind. maxflow additionally installs the min-cut global
-// evict-set planner (Engine.UseMaxflowEviction). Both iterations' Results
-// are returned for value checks against an unpressured reference.
-func MeasureEviction(sd *SchedDAG, dir string, coldBudget int64, policy store.EvictionPolicy, maxflow bool, workers int) (EvictionMeasurement, [2]*exec.Result, error) {
+// so the cold tier's eviction decides everything) and a cold tier of
+// coldBudget bytes: iteration 1 all-compute, iteration 2 on the optimizer's
+// plan over the per-tier cost model the first run left behind. Both
+// iterations' Results are returned for value and plan checks against an
+// unpressured reference.
+func MeasureEviction(sd *SchedDAG, dir string, coldBudget int64, workers int) (EvictionMeasurement, [2]*exec.Result, error) {
 	var out [2]*exec.Result
 	st, err := store.Open(filepath.Join(dir, "hot"), 1)
 	if err != nil {
@@ -193,18 +176,12 @@ func MeasureEviction(sd *SchedDAG, dir string, coldBudget int64, policy store.Ev
 	if err != nil {
 		return EvictionMeasurement{}, out, err
 	}
-	sp.SetEvictionPolicy(policy)
 	e := &exec.Engine{
 		Workers: workers,
 		Store:   st,
 		Spill:   sp,
 		Policy:  opt.MaterializeAll{},
 		History: exec.NewHistory(),
-	}
-	if maxflow {
-		if err := e.UseMaxflowEviction(sd.G, sd.Tasks); err != nil {
-			return EvictionMeasurement{}, out, err
-		}
 	}
 	res1, err := e.Execute(sd.G, sd.Tasks, sd.Plan())
 	if err != nil {
@@ -225,7 +202,6 @@ func MeasureEviction(sd *SchedDAG, dir string, coldBudget int64, policy store.Ev
 	}
 	out[0], out[1] = res1, res2
 	m := EvictionMeasurement{
-		Config:        EvictionConfigName(policy, maxflow),
 		ColdBudget:    coldBudget,
 		Iter1WallMS:   float64(res1.Wall.Microseconds()) / 1000,
 		Iter2WallMS:   float64(res2.Wall.Microseconds()) / 1000,

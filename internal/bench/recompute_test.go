@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/exec"
-	"repro/internal/store"
+	"repro/internal/opt"
 )
 
 // TestRecomputeHeavyShape pins the structural contract the eviction
@@ -48,91 +48,44 @@ func TestRecomputeHeavyShape(t *testing.T) {
 	}
 }
 
-// measureEvictionBest runs MeasureEviction n times on fresh directories and
-// returns the measurement with the lowest second-iteration wall plus the
-// Results of that run. The first run's outputs are value-checked against
-// ref.
-func measureEvictionBest(t *testing.T, n int, policy store.EvictionPolicy, maxflow bool, ref *exec.Result) EvictionMeasurement {
-	t.Helper()
-	var best EvictionMeasurement
-	for i := 0; i < n; i++ {
+// TestRewardEvictionRetainsCrown: on the recompute-heavy shape under
+// cold-tier pressure, reward-aware eviction sacrifices cheap fillers and
+// keeps the serial chain's crown — although it is the oldest entry, so a
+// recency ranking would lose it — and the second iteration replans against
+// the still-loadable crown instead of recomputing 20 ms of serial work.
+// Retention is a ranking property, not a timing one, so every run must
+// keep the crown, stay within budget, and produce outputs byte-identical
+// to an unpressured in-memory reference.
+func TestRewardEvictionRetainsCrown(t *testing.T) {
+	ref, err := RunSched(DefaultRecomputeHeavyDAG(), exec.Dataflow, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 3; run++ {
 		sd := DefaultRecomputeHeavyDAG()
-		m, res, err := MeasureEviction(sd, t.TempDir(), RecomputeHeavyColdBudget, policy, maxflow, 8)
+		m, res, err := MeasureEviction(sd, t.TempDir(), RecomputeHeavyColdBudget, 8)
 		if err != nil {
-			t.Fatalf("%s: %v", EvictionConfigName(policy, maxflow), err)
+			t.Fatal(err)
 		}
-		if i == 0 {
-			for it, r := range res {
-				if err := OutputValuesEqual(sd.G, ref, r); err != nil {
-					t.Errorf("%s iter%d: %v", m.Config, it+1, err)
-				}
+		if m.Evictions == 0 {
+			t.Fatalf("run %d: no eviction pressure (budget %d)", run, RecomputeHeavyColdBudget)
+		}
+		if !m.CrownRetained {
+			t.Errorf("run %d: reward-aware eviction lost the crown (saving-per-byte ranking broken)", run)
+		}
+		if m.ColdUsed > RecomputeHeavyColdBudget {
+			t.Errorf("run %d: cold tier over budget: %d > %d", run, m.ColdUsed, RecomputeHeavyColdBudget)
+		}
+		for i, task := range sd.Tasks {
+			if task.Key == RecomputeHeavyCrownKey && res[1].Nodes[i].State != opt.Load {
+				t.Errorf("run %d: iteration 2 plans the crown as %v, want a load", run, res[1].Nodes[i].State)
 			}
 		}
-		if i == 0 || m.Iter2WallMS < best.Iter2WallMS {
-			crown := best.CrownRetained
-			best = m
-			if i > 0 {
-				// Retention is a policy property, not a timing one: any run
-				// losing the crown under a policy that should keep it (or
-				// vice versa) must fail the test, whichever run was fastest.
-				best.CrownRetained = crown && m.CrownRetained
+		for it, r := range res {
+			if err := OutputValuesEqual(sd.G, ref, r); err != nil {
+				t.Errorf("run %d iter%d: %v", run, it+1, err)
 			}
-		} else if !m.CrownRetained {
-			best.CrownRetained = false
 		}
-	}
-	return best
-}
-
-// TestRewardEvictionBeatsLRU is the tentpole acceptance check: on the
-// recompute-heavy shape under cold-tier pressure, reward-aware eviction
-// sacrifices cheap fillers and keeps the serial chain, so the second
-// iteration replans against a still-loadable chain instead of recomputing
-// 20 ms of serial work — at least 20% lower wall than the LRU baseline
-// (in practice several times lower; the margin absorbs throttled-host
-// noise). The two policies run interleaved, min-of-3 each, and both must
-// produce outputs byte-identical to an unpressured in-memory reference.
-func TestRewardEvictionBeatsLRU(t *testing.T) {
-	ref, err := RunSched(DefaultRecomputeHeavyDAG(), exec.Dataflow, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lru := measureEvictionBest(t, 3, store.EvictLRU, false, ref)
-	reward := measureEvictionBest(t, 3, store.EvictReward, false, ref)
-	if lru.Evictions == 0 || reward.Evictions == 0 {
-		t.Fatalf("no eviction pressure: lru=%d reward=%d evictions (budget %d)",
-			lru.Evictions, reward.Evictions, RecomputeHeavyColdBudget)
-	}
-	if lru.CrownRetained {
-		t.Errorf("LRU retained the crown — the shape no longer forces the policies apart")
-	}
-	if !reward.CrownRetained {
-		t.Errorf("reward-aware eviction lost the crown (saving-per-byte ranking broken)")
-	}
-	if reward.Iter2WallMS > 0.8*lru.Iter2WallMS {
-		t.Errorf("reward iter2 %.2fms not ≥20%% below LRU iter2 %.2fms", reward.Iter2WallMS, lru.Iter2WallMS)
-	}
-	t.Logf("iter2 wall: lru %.2fms (evictions %d, loaded %d) vs reward %.2fms (evictions %d, loaded %d)",
-		lru.Iter2WallMS, lru.Evictions, lru.Loaded2, reward.Iter2WallMS, reward.Evictions, reward.Loaded2)
-}
-
-// TestMaxflowEvictionRetainsCrown drives the reward+maxflow configuration:
-// the global evict-set planner must agree with the greedy ranking about the
-// crown (keep it), still relieve the budget pressure, and stay
-// byte-identical on outputs.
-func TestMaxflowEvictionRetainsCrown(t *testing.T) {
-	ref, err := RunSched(DefaultRecomputeHeavyDAG(), exec.Dataflow, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := measureEvictionBest(t, 1, store.EvictReward, true, ref)
-	if m.Evictions == 0 {
-		t.Fatal("no eviction pressure under maxflow config")
-	}
-	if !m.CrownRetained {
-		t.Error("maxflow evict-set planner evicted the crown")
-	}
-	if m.ColdUsed > RecomputeHeavyColdBudget {
-		t.Errorf("cold tier over budget: %d > %d", m.ColdUsed, RecomputeHeavyColdBudget)
+		t.Logf("run %d: iter2 wall %.2fms, evictions %d, loaded %d", run, m.Iter2WallMS, m.Evictions, m.Loaded2)
 	}
 }

@@ -588,7 +588,7 @@ func Shape(name string) (*SchedDAG, error) {
 }
 
 // SchedValuesEqual checks that two scheduler runs produced byte-identical
-// (gob-encoded) values for every node — the correctness half of a
+// (encoded) values for every node — the correctness half of a
 // scheduler comparison.
 func SchedValuesEqual(a, b *exec.Result) error {
 	if len(a.Values) != len(b.Values) {

@@ -32,7 +32,7 @@ const (
 )
 
 // ErrUnregistered reports a value whose dynamic type has no binary encoder.
-// Callers (the store) fall back to gob for these.
+// The store does not materialize such values.
 var ErrUnregistered = errors.New("codec: unregistered value type")
 
 // EncodeFunc writes one value's payload (after the tag and name).

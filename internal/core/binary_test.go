@@ -10,7 +10,7 @@ import (
 	"repro/internal/store"
 )
 
-// roundTrip pushes a value through the store codec (gob + custom encoders).
+// roundTrip pushes a value through the store codec.
 func roundTrip(t *testing.T, v any) any {
 	t.Helper()
 	raw, err := store.Encode(v)
@@ -108,21 +108,6 @@ func TestFittedExtractorRoundTrip(t *testing.T) {
 	}
 	if gb.Lo != 10 || gb.Width != 4 || !gb.Fitted {
 		t.Errorf("fitted state lost: %+v", gb)
-	}
-}
-
-func TestGobDecodeCorrupt(t *testing.T) {
-	var fc FeatureColumn
-	if err := fc.GobDecode([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}); err == nil {
-		t.Error("corrupt FeatureColumn accepted")
-	}
-	var vp VecPair
-	if err := vp.GobDecode([]byte{0x01}); err == nil {
-		t.Error("corrupt VecPair accepted")
-	}
-	var p Predictions
-	if err := p.GobDecode([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}); err == nil {
-		t.Error("corrupt Predictions accepted")
 	}
 }
 

@@ -31,8 +31,9 @@ type Options struct {
 	// StoreDir.
 	SpillDir string
 	// SpillBudgetBytes caps the spill tier (<=0 = unlimited). The spill
-	// tier deletes its least-recently-accessed entries to admit new values,
-	// so unlike BudgetBytes this cap bounds retention, not admission.
+	// tier deletes its cheapest-to-lose entries (smallest recompute saving
+	// per byte) to admit new values, so unlike BudgetBytes this cap bounds
+	// retention, not admission.
 	SpillBudgetBytes int64
 	// Policy is the online materialization policy; nil = never materialize.
 	Policy opt.MatPolicy
@@ -76,9 +77,9 @@ type Options struct {
 	// classification. The zero value disables retries and deadlines (one
 	// attempt, fail-fast — the historical behaviour).
 	Faults exec.FaultPolicy
-	// Codec selects the value serialization format (see store.Codec). The
-	// zero value resolves to the reflection-free binary codec;
-	// store.CodecGob forces the reflective A/B reference.
+	// Codec is ignored: the store has one value format.
+	//
+	// Deprecated: see store.Codec.
 	Codec store.Codec
 	// MmapCold serves cold-tier reads zero-copy from a read-only memory
 	// mapping instead of a buffered file read (store.OpenSpillMmap).
@@ -175,7 +176,6 @@ func Open(o Options) (*Session, error) {
 		ReleaseIntermediates: !o.KeepIntermediates,
 		LiveBytes:            &s.live,
 		Faults:               o.Faults,
-		Codec:                o.Codec,
 		Tenant:               o.Tenant,
 	}
 	if o.SharedTiers != nil {

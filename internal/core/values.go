@@ -2,14 +2,14 @@ package core
 
 import (
 	"repro/internal/data"
-	"repro/internal/ml"
-	"repro/internal/store"
 )
 
 // The value types flowing between census-style workflow operators. Each pair
 // carries the train and test halves together so every operator downstream of
 // the source applies consistently to both (the paper's FileSource declares
-// train and test paths in one statement).
+// train and test paths in one statement). Each is registered with the store's
+// binary codec in binary.go; a type without a registration is never
+// materialized.
 
 // TextPair is raw train/test text as produced by a source operator.
 type TextPair struct {
@@ -52,25 +52,4 @@ type Predictions struct {
 	Scores, Labels []float64
 	// Gold are the test labels, copied through for evaluation operators.
 	Gold []float64
-}
-
-func init() {
-	// Register every built-in value type with the materialization store's
-	// codec. Workloads registering their own types do the same in their
-	// init.
-	store.Register(TextPair{})
-	store.Register(CollectionPair{})
-	store.Register(FittedExtractor{})
-	store.Register(FeatureColumn{})
-	store.Register(data.FeatureMap{})
-	store.Register(VecPair{})
-	store.Register(Predictions{})
-	store.Register(&ml.LinearModel{})
-	store.Register(&ml.NaiveBayes{})
-	store.Register(&ml.KMeans{})
-	store.Register(ClusterResult{})
-	store.Register(ml.Metrics{})
-	store.Register(&data.FieldExtractor{})
-	store.Register(&data.Bucketizer{})
-	store.Register(&data.InteractionFeature{})
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // Binary value codec registrations for the data types (see codec.EncodeValue).
-// Unlike the gob helpers, every map here is written in sorted key order so
-// re-encoding a decoded value is byte-stable — the equivalence harness
-// compares encodings across executors.
+// Every map here is written in sorted key order so re-encoding a decoded
+// value is byte-stable — the equivalence harness compares encodings across
+// executors.
 
 func init() {
 	codec.RegisterValue(&Collection{}, "data.*Collection",
@@ -314,9 +314,9 @@ func decodeFeatureMap(r *codec.Reader, table *codec.ReadStringTable) (FeatureMap
 	return fm, nil
 }
 
-// EncodeFeatureMapsSorted is EncodeFeatureMaps with deterministic (sorted)
-// key order, for the byte-stable binary codec. Exposed for the composite
-// value types in internal/core.
+// EncodeFeatureMapsSorted writes a slice of feature maps, each in sorted key
+// order, with names interned through a shared string table. Exposed for the
+// composite value types in internal/core.
 func EncodeFeatureMapsSorted(w *codec.Writer, table *codec.StringTable, maps []FeatureMap) {
 	w.Len(len(maps))
 	var keys []string
@@ -431,4 +431,52 @@ func decodeVector(r *codec.Reader) (Vector, error) {
 		}
 	}
 	return Vector{Indices: idx, Values: vals}, nil
+}
+
+// EncodeLabeled writes vectorized examples as flat arrays.
+func EncodeLabeled(w *codec.Writer, set []Labeled) {
+	w.Len(len(set))
+	for _, ex := range set {
+		w.Float64(ex.Y)
+		w.Len(len(ex.X.Indices))
+		for _, i := range ex.X.Indices {
+			w.Int(i)
+		}
+		for _, v := range ex.X.Values {
+			w.Float64(v)
+		}
+	}
+}
+
+// DecodeLabeled reverses EncodeLabeled.
+func DecodeLabeled(r *codec.Reader) ([]Labeled, error) {
+	n, err := r.Len()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Labeled, n)
+	for i := range out {
+		y, err := r.Float64()
+		if err != nil {
+			return nil, err
+		}
+		nnz, err := r.Len()
+		if err != nil {
+			return nil, err
+		}
+		idx := make([]int, nnz)
+		for k := range idx {
+			if idx[k], err = r.Int(); err != nil {
+				return nil, err
+			}
+		}
+		vals := make([]float64, nnz)
+		for k := range vals {
+			if vals[k], err = r.Float64(); err != nil {
+				return nil, err
+			}
+		}
+		out[i] = Labeled{X: Vector{Indices: idx, Values: vals}, Y: y}
+	}
+	return out, nil
 }

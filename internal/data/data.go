@@ -5,8 +5,6 @@
 package data
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"strconv"
@@ -49,32 +47,6 @@ func MustSchema(names ...string) *Schema {
 
 // Names returns the column names in order. Callers must not mutate.
 func (s *Schema) Names() []string { return s.names }
-
-// GobEncode serializes the schema as its ordered column names, letting
-// collections travel through the materialization store despite the schema's
-// unexported index.
-func (s *Schema) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s.names); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode rebuilds the schema (including its name index) from GobEncode
-// output.
-func (s *Schema) GobDecode(raw []byte) error {
-	var names []string
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&names); err != nil {
-		return err
-	}
-	ns, err := NewSchema(names...)
-	if err != nil {
-		return err
-	}
-	*s = *ns
-	return nil
-}
 
 // Len returns the number of columns.
 func (s *Schema) Len() int { return len(s.names) }

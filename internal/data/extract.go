@@ -66,8 +66,8 @@ type Bucketizer struct {
 	Col  string
 	Bins int
 
-	// Fitted state, exported so a fitted bucketizer survives the gob codec
-	// of the materialization store.
+	// Fitted state, exported so a fitted bucketizer survives the codec of
+	// the materialization store.
 	Lo, Width float64
 	Fitted    bool
 }

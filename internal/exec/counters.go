@@ -51,20 +51,22 @@ type Counters struct {
 	// failed (corrupt frame, read I/O error, evicted entry) — the failing
 	// node plus any ancestors its recovery had to re-run.
 	Recomputes int64 `json:"recomputes"`
-	// CorruptFrames counts cold-tier frames that failed checksum
-	// verification; each was deleted on detection and its value recovered by
-	// recompute.
+	// CorruptFrames counts loads whose stored bytes were unusable — cold-tier
+	// frames that failed checksum verification, and payloads in either tier
+	// that failed to decode; each was deleted on detection and its value
+	// recovered by recompute.
 	CorruptFrames int64 `json:"corrupt_frames"`
 	// TierDisabled reports whether repeated cold-tier I/O failures tripped
 	// the circuit breaker during (or before) the window, degrading the store
 	// to hot-only.
 	TierDisabled bool `json:"tier_disabled"`
-	// GobEncodes counts values serialized through reflective gob — either
-	// because Engine.Codec selected it or as the binary codec's fallback for
-	// unregistered types.
+	// GobEncodes is always 0: the store has no gob codec any more. The
+	// field stays only so readers of the counter block keep compiling.
+	//
+	// Deprecated: use BinaryEncodes, which counts every encode.
 	GobEncodes int64 `json:"gob_encodes"`
-	// BinaryEncodes counts values serialized through the reflection-free
-	// binary codec (codec.EncodeValue).
+	// BinaryEncodes counts values serialized for materialization through
+	// the store's binary codec (store.EncodeValue).
 	BinaryEncodes int64 `json:"binary_encodes"`
 	// MmapColdReads counts cold-tier loads served zero-copy from a memory
 	// mapping (store.OpenSpillMmap; always 0 otherwise).
@@ -106,7 +108,6 @@ func (c *Counters) Add(o Counters) {
 	c.Recomputes += o.Recomputes
 	c.CorruptFrames += o.CorruptFrames
 	c.TierDisabled = c.TierDisabled || o.TierDisabled
-	c.GobEncodes += o.GobEncodes
 	c.BinaryEncodes += o.BinaryEncodes
 	c.MmapColdReads += o.MmapColdReads
 	c.BufferedColdReads += o.BufferedColdReads

@@ -25,7 +25,7 @@ func materializedCount(res *Result) int {
 // TestEncodeOncePerMaterializedValue is the encode-once acceptance check:
 // across both dataflow dispatch modes and the level-barrier reference,
 // with cold history (so the size probe must serialize), the store codec
-// performs exactly one gob encode per materialized value — the probe
+// performs exactly one encode per materialized value — the probe
 // encoding is threaded through to the persist instead of re-encoding.
 // Asserted via the instrumented codec counter.
 func TestEncodeOncePerMaterializedValue(t *testing.T) {
@@ -62,7 +62,7 @@ func TestEncodeOncePerMaterializedValue(t *testing.T) {
 				t.Fatalf("materialized %d of %d nodes", mat, g.Len())
 			}
 			if encodes != int64(mat) {
-				t.Errorf("%d gob encodes for %d materialized values, want exactly one each", encodes, mat)
+				t.Errorf("%d encodes for %d materialized values, want exactly one each", encodes, mat)
 			}
 		})
 	}
@@ -92,7 +92,7 @@ func TestEncodeOnceWarmHistory(t *testing.T) {
 	}
 	encodes := store.EncodeCalls() - before
 	if mat := materializedCount(res); encodes != int64(mat) {
-		t.Errorf("%d gob encodes for %d materialized values under warm history", encodes, mat)
+		t.Errorf("%d encodes for %d materialized values under warm history", encodes, mat)
 	}
 }
 
@@ -129,7 +129,7 @@ func TestMatWriterDedupesInFlightKeys(t *testing.T) {
 	}
 	// One encode for the shared key, one for the join.
 	if encodes := store.EncodeCalls() - before; encodes != 2 {
-		t.Errorf("%d gob encodes, want 2 (shared key submitted once)", encodes)
+		t.Errorf("%d encodes, want 2 (shared key submitted once)", encodes)
 	}
 	entry, _ := st.Lookup("shared-key")
 	if st.Used() != entry.Size+mustLookupSize(t, st, "kjoin") {

@@ -28,7 +28,7 @@
 // persist it while downstream consumers are already executing;
 // NodeRun.MatDuration records the real write cost, and Execute flushes the
 // pipeline — also on error — before returning. Each materialized value is
-// gob-encoded exactly once: the size probe for the policy decision is the
+// encoded exactly once: the size probe for the policy decision is the
 // same (pooled) encoding that Store.PutEncoded persists. With a spill tier
 // configured (Engine.Spill), a hot-budget rejection admits that encoding to
 // the cold tier instead of dropping it, loads fall back to cold and promote
@@ -45,7 +45,6 @@ package exec
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -345,7 +344,7 @@ type Engine struct {
 	// Spill is the optional cold second-tier store: values the hot tier's
 	// budget rejects are admitted here instead of being dropped, loads fall
 	// back to it, and cold hits are promoted back into the hot tier
-	// (demoting the hot tier's least-recently-used entries). Nil disables
+	// (demoting the hot tier's cheapest-to-lose entries). Nil disables
 	// tiering; ignored without Store.
 	Spill *store.Spill
 	// Policy decides online materialization; nil means never materialize.
@@ -392,10 +391,10 @@ type Engine struct {
 	// wide DAGs (dataflow scheduler only). Off by default, so Result.Values
 	// holds every non-pruned node's value.
 	ReleaseIntermediates bool
-	// Codec selects the value serialization format for this engine's
-	// materializations (see store.Codec). The zero value (CodecAuto)
-	// resolves to the reflection-free binary codec; CodecGob forces the
-	// reflective A/B reference.
+	// Codec is ignored: every materialization uses the store's one value
+	// format.
+	//
+	// Deprecated: see store.Codec.
 	Codec store.Codec
 	// Tenant labels every value this engine materializes with an owner
 	// (store.Entry.Owner) for per-tenant budget accounting in a shared
@@ -427,21 +426,10 @@ type Engine struct {
 	// the first Execute — converges on one shared view and its counters).
 	tierView atomic.Pointer[store.Tiered]
 
-	// Per-engine encode counters by codec actually used. Engine-local (not
-	// the store package's process-wide counters) so concurrent engines in
-	// one process cannot misattribute each other's encodes in Result.
-	gobEncs    atomic.Int64
+	// binaryEncs counts this engine's materialization encodes. Engine-local
+	// (not the store package's process-wide counter) so concurrent engines
+	// in one process cannot misattribute each other's encodes in Result.
 	binaryEncs atomic.Int64
-}
-
-// countEncode attributes one materialization encode to the codec that
-// actually produced the bytes.
-func (e *Engine) countEncode(c store.Codec) {
-	if c == store.CodecBinary {
-		e.binaryEncs.Add(1)
-	} else {
-		e.gobEncs.Add(1)
-	}
 }
 
 // UseTiers injects a pre-built (typically shared) tiered store view: the
@@ -545,73 +533,6 @@ func (e *Engine) BuildCostModel(g *dag.Graph, tasks []Task) (*opt.CostModel, err
 	return cm, nil
 }
 
-// UseMaxflowEviction installs the global evict-set planner
-// (opt.PlanEvictSet, the min-cut project-selection formulation) on the
-// spill tier for the given workflow: when the cold tier must free room, it
-// plans the whole evict set at once — sharing recompute chains between
-// victims and truncating them at still-stored ancestors — instead of
-// ranking entries one by one. Per-node recompute costs are read from the
-// engine's History at eviction time, so costs measured earlier in the same
-// run are visible. Install after the graph is fixed for the session;
-// passing a nil graph removes the planner. Errors if no spill tier is
-// attached.
-func (e *Engine) UseMaxflowEviction(g *dag.Graph, tasks []Task) error {
-	if e.Spill == nil {
-		return errors.New("exec: UseMaxflowEviction: no spill tier attached")
-	}
-	if g == nil {
-		e.Spill.SetEvictPlanner(nil)
-		return nil
-	}
-	if len(tasks) != g.Len() {
-		return fmt.Errorf("exec: %d tasks for %d nodes", len(tasks), g.Len())
-	}
-	producer := make(map[string]dag.NodeID, g.Len())
-	for i := 0; i < g.Len(); i++ {
-		if k := tasks[i].Key; k != "" {
-			if _, dup := producer[k]; !dup {
-				producer[k] = dag.NodeID(i)
-			}
-		}
-	}
-	names := make([]string, g.Len())
-	for i := range names {
-		names[i] = g.Node(dag.NodeID(i)).Name
-	}
-	e.Spill.SetEvictPlanner(func(cands []store.Entry, need int64) []string {
-		// Runs with the store lock held: read only the engine's history and
-		// the snapshot above, never back into the store.
-		compute := make([]int64, len(names))
-		if e.History != nil {
-			for i, name := range names {
-				if d, ok := e.History.Compute(name); ok {
-					compute[i] = d.Nanoseconds()
-				}
-			}
-		}
-		items := make([]opt.EvictCandidate, len(cands))
-		for i, c := range cands {
-			node, ok := producer[c.Key]
-			if !ok {
-				node = dag.InvalidNode
-			}
-			items[i] = opt.EvictCandidate{
-				Key:    c.Key,
-				Node:   node,
-				Size:   c.Size,
-				Load:   c.LoadCost.Nanoseconds(),
-				Saving: c.Recompute - c.LoadCost.Nanoseconds(),
-			}
-		}
-		keys, err := opt.PlanEvictSet(g, compute, items, need)
-		if err != nil {
-			return nil // fall back to the greedy per-entry policy
-		}
-		return keys
-	})
-	return nil
-}
-
 // Execute runs the plan over the graph using the configured scheduling
 // strategy. The first node error cancels all not-yet-dispatched work (and,
 // through the run context, interrupts in-flight operators that honor their
@@ -644,7 +565,7 @@ func (e *Engine) ExecuteCtx(ctx context.Context, g *dag.Graph, tasks []Task, pla
 	if e.Store != nil {
 		before = e.tiers().Counters()
 	}
-	gobBefore, binBefore := e.gobEncs.Load(), e.binaryEncs.Load()
+	binBefore := e.binaryEncs.Load()
 	stats := &faultStats{}
 	// Pin every planned-load key before dispatch so the spill tier's
 	// within-run eviction cannot delete a value the plan depends on; each
@@ -667,7 +588,6 @@ func (e *Engine) ExecuteCtx(ctx context.Context, g *dag.Graph, tasks []Task, pla
 		res.Recomputes = stats.recomputes.Load()
 		res.InflightDedupHits = stats.inflightHits.Load()
 		res.InflightWaits = stats.inflightWaits.Load()
-		res.GobEncodes = e.gobEncs.Load() - gobBefore
 		res.BinaryEncodes = e.binaryEncs.Load() - binBefore
 	}
 	if res != nil && e.Store != nil {
@@ -741,7 +661,7 @@ func gatherInputs(g *dag.Graph, id dag.NodeID, res *Result, mu *sync.Mutex) ([]a
 // probe the size (history-preferred, encoding cold nodes once to learn it),
 // consult the policy, and persist on a yes — degrading to "not
 // materialized" on unencodable values, budget races and I/O failures.
-// The value is encoded (Engine.Codec) at most once: a probe encoding is kept and
+// The value is encoded at most once: a probe encoding is kept and
 // handed straight to Store.PutEncoded on a yes, and the pooled buffer is
 // released before returning either way.
 // ancestorCost is a callback because its snapshot semantics differ per
@@ -772,13 +692,13 @@ func (e *Engine) decideAndPersist(g *dag.Graph, id dag.NodeID, name, key string,
 		if hsize, ok := e.historySize(name); ok {
 			size = hsize
 		} else {
-			probe, err := store.EncodeValueWith(e.Codec, v)
+			probe, err := store.EncodeValue(v)
 			if err != nil {
 				// Unencodable values (unregistered types) are simply not
 				// materialization candidates.
 				return time.Since(start), 0, false, 0
 			}
-			e.countEncode(probe.Codec())
+			e.binaryEncs.Add(1)
 			enc = probe
 			size = enc.Size()
 		}
@@ -809,11 +729,11 @@ func (e *Engine) decideAndPersist(g *dag.Graph, id dag.NodeID, name, key string,
 		return time.Since(start), size, false, dec.Reward
 	}
 	if enc == nil {
-		encoded, err := store.EncodeValueWith(e.Codec, v)
+		encoded, err := store.EncodeValue(v)
 		if err != nil {
 			return time.Since(start), size, false, dec.Reward
 		}
-		e.countEncode(encoded.Codec())
+		e.binaryEncs.Add(1)
 		enc = encoded
 		size = enc.Size()
 	}

@@ -14,12 +14,6 @@ import (
 	"repro/internal/store"
 )
 
-func init() {
-	store.Register("")
-	store.Register(0)
-	store.Register([]byte{})
-}
-
 // buildChain returns a->b->c with c output, plus tasks that concatenate
 // their input with the node name.
 func buildChain(t *testing.T) (*dag.Graph, []Task) {
@@ -261,7 +255,7 @@ func TestExecuteUnencodableValueNotMaterialized(t *testing.T) {
 
 func TestExecuteBudgetExhaustionDegrades(t *testing.T) {
 	g, tasks := buildChain(t)
-	st, err := store.Open(t.TempDir(), 2) // too small for any gob value
+	st, err := store.Open(t.TempDir(), 2) // too small for any encoded value
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -319,6 +319,66 @@ func TestRecomputeAfterVanishedFile(t *testing.T) {
 	}
 }
 
+// TestUndecodableLoadsDroppedAndRematerialized: a stored payload that fails
+// to decode — here a gob-tagged entry an older version wrote, one in each
+// tier — must be deleted on its failed load, so the recomputed value is
+// re-materialized and the next cost model plans a load that succeeds
+// instead of one that always falls back to recompute.
+func TestUndecodableLoadsDroppedAndRematerialized(t *testing.T) {
+	g := dag.New()
+	g.Node(g.MustAddNode("x", "scan")).Output = true
+	g.Node(g.MustAddNode("y", "scan")).Output = true
+	tasks := []Task{
+		{Key: "kx", Run: func(context.Context, []any) (any, error) { return "value-x", nil }},
+		{Key: "ky", Run: func(context.Context, []any) (any, error) { return "value-y", nil }},
+	}
+	hot, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := store.OpenSpill(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := append([]byte{'G'}, "legacy gob payload"...)
+	if err := hot.PutBytes("kx", legacy); err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.PutBytes("ky", legacy); err != nil {
+		t.Fatal(err)
+	}
+	e := &Engine{Workers: 2, Store: hot, Spill: cold, Policy: opt.MaterializeAll{}}
+	plan := &opt.Plan{States: []opt.State{opt.Load, opt.Load}}
+	res, err := e.Execute(g, tasks, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Recomputes != 2 || res.CorruptFrames != 2 {
+		t.Errorf("recomputes %d, corrupt %d; want 2 and 2", res.Recomputes, res.CorruptFrames)
+	}
+	for i, name := range []string{"x", "y"} {
+		if v, _ := res.Value(g, name); v != "value-"+name {
+			t.Errorf("%s = %v", name, v)
+		}
+		if !res.Nodes[i].Materialized {
+			t.Errorf("%s: recovered value not re-materialized", name)
+		}
+	}
+	cm, err := e.BuildCostModel(g, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, task := range tasks {
+		if !cm.Loadable[i] {
+			t.Errorf("%s not loadable after re-materialization", task.Key)
+			continue
+		}
+		if v, _, err := e.tiers().Get(task.Key); err != nil || v != "value-"+g.Node(dag.NodeID(i)).Name {
+			t.Errorf("%s loads %v, %v", task.Key, v, err)
+		}
+	}
+}
+
 func TestPinSetReleaseOnce(t *testing.T) {
 	hot, err := store.Open(t.TempDir(), 0)
 	if err != nil {

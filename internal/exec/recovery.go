@@ -85,7 +85,7 @@ func (r *recomputer) recompute(ctx context.Context, id dag.NodeID, memo map[dag.
 
 // pinSet holds one Execute call's planned-load pins: every Load-state
 // node's key is pinned in the cold tier before dispatch, so the spill
-// tier's within-run LRU eviction can never delete a key the plan still
+// tier's within-run eviction can never delete a key the plan still
 // depends on. Each node's pin is released the moment its load (or recovery)
 // completes — CAS-guarded, so the end-of-run sweep that covers error paths
 // never double-unpins. Pins are refcounted in the store, so load nodes

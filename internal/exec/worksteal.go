@@ -605,8 +605,12 @@ func (d *wsDispatch) popOverflow() (dag.NodeID, bool) {
 // back for every one. A stranded thief passes the deque that published
 // the weight its consult declined for as prefer (-1 for none): that deque
 // is probed first, so the targeted steal takes the urgent node instead of
-// whatever a random victim happens to hold. Returns the best stolen node;
-// the remainder lands on the thief's own deque.
+// whatever a random victim happens to hold. Victims are subject to the
+// same stranding consult as popLocal: a victim whose top is far below the
+// published global best is passed over in favor of the urgent work, and
+// only robbed anyway — progress beats priority — if the round finds
+// nothing else takeable. Returns the best stolen node; the remainder lands
+// on the thief's own deque.
 func (d *wsDispatch) stealBatch(w int, rng *wsRand, prefer int) (dag.NodeID, bool) {
 	n := len(d.deques)
 	if n < 2 {
@@ -617,6 +621,7 @@ func (d *wsDispatch) stealBatch(w int, rng *wsRand, prefer int) (dag.NodeID, boo
 	// skips a victim (the preferred deque may be probed twice — one extra
 	// uncontended lock).
 	off := rng.intn(n - 1)
+	declined := -1
 	for i := -1; i < n-1; i++ {
 		v := prefer
 		if i >= 0 {
@@ -624,40 +629,64 @@ func (d *wsDispatch) stealBatch(w int, rng *wsRand, prefer int) (dag.NodeID, boo
 		} else if v < 0 || v == w {
 			continue
 		}
-		dq := &d.deques[v]
-		dq.mu.Lock()
-		if dq.h.Len() == 0 {
-			dq.mu.Unlock()
-			continue
+		id, ok, stranded := d.stealFrom(w, v, false)
+		if ok {
+			return id, true
 		}
-		// Re-sort before splitting: the thief is about to take the
-		// victim's "best half", which must mean best under the current
-		// weights, not the ones from before the last re-prioritization.
-		d.fix(&dq.h)
-		take := (dq.h.Len() + 1) / 2
-		batch := make([]dag.NodeID, 0, take)
-		for len(batch) < take {
-			batch = append(batch, dq.h.pop())
+		if stranded && declined < 0 {
+			declined = v
 		}
-		d.publishTop(v, &dq.h)
-		dq.mu.Unlock()
-		d.steals.Add(int64(len(batch)))
-		if len(batch) > 1 {
-			own := &d.deques[w]
-			own.mu.Lock()
-			d.fix(&own.h)
-			for _, id := range batch[1:] {
-				own.h.push(id)
-			}
-			d.publishTop(w, &own.h)
-			own.mu.Unlock()
-			// Without this wake a worker that parked after the thief's probe
-			// passed its deque would sleep through the stolen batch.
-			d.wakeWaiters(len(batch) - 1)
-		}
-		return batch[0], true
+	}
+	if declined >= 0 {
+		id, ok, _ := d.stealFrom(w, declined, true)
+		return id, ok
 	}
 	return 0, false
+}
+
+// stealFrom moves up to half of deque v's queue to thief w and returns the
+// best stolen node. Unless force is set, a victim whose top weight is less
+// than half the published global best is left alone (stranded=true) — the
+// thief-side counterpart of popLocal's consult.
+func (d *wsDispatch) stealFrom(w, v int, force bool) (id dag.NodeID, ok, stranded bool) {
+	dq := &d.deques[v]
+	dq.mu.Lock()
+	if dq.h.Len() == 0 {
+		dq.mu.Unlock()
+		return 0, false, false
+	}
+	// Re-sort before splitting: the thief is about to take the victim's
+	// "best half", which must mean best under the current weights, not the
+	// ones from before the last re-prioritization.
+	d.fix(&dq.h)
+	if !force && d.weight != nil {
+		if tw := dq.h.weight[dq.h.ids[0]]; d.globalBest(w) > 2*tw {
+			dq.mu.Unlock()
+			return 0, false, true
+		}
+	}
+	take := (dq.h.Len() + 1) / 2
+	batch := make([]dag.NodeID, 0, take)
+	for len(batch) < take {
+		batch = append(batch, dq.h.pop())
+	}
+	d.publishTop(v, &dq.h)
+	dq.mu.Unlock()
+	d.steals.Add(int64(len(batch)))
+	if len(batch) > 1 {
+		own := &d.deques[w]
+		own.mu.Lock()
+		d.fix(&own.h)
+		for _, id := range batch[1:] {
+			own.h.push(id)
+		}
+		d.publishTop(w, &own.h)
+		own.mu.Unlock()
+		// Without this wake a worker that parked after the thief's probe
+		// passed its deque would sleep through the stolen batch.
+		d.wakeWaiters(len(batch) - 1)
+	}
+	return batch[0], true, false
 }
 
 // park registers the worker as idle and sleeps until a finisher signals.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -59,6 +60,57 @@ func TestWorkStealCrossWorkerTransfers(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Values, ghRes.Values) {
 		t.Error("values differ between dispatch modes")
+	}
+}
+
+// stealFixture builds a three-deque dispatcher over nodes weighted
+// {10, 30, 30}: node 0 sits alone on deque 1, nodes 1 and 2 on deque 2,
+// and worker 0 — the thief — holds nothing.
+func stealFixture() *wsDispatch {
+	weight := []int64{10, 30, 30}
+	d := &wsDispatch{runCtx: &runCtx{}, weight: weight}
+	d.parkCond = sync.NewCond(&d.parkMu)
+	d.overflowTop.Store(wsTopEmpty)
+	d.deques = make([]wsDeque, 3)
+	d.tops = make([]wsTop, 3)
+	for i := range d.deques {
+		d.deques[i].h.weight = weight
+	}
+	d.deques[1].h.push(0)
+	d.deques[2].h.push(1)
+	d.deques[2].h.push(2)
+	for i := range d.deques {
+		d.publishTop(i, &d.deques[i].h)
+	}
+	return d
+}
+
+// TestStealPassesOverStrandedVictim: a thief's random probe applies the
+// stranding consult to every victim. A deque whose only node weighs under
+// half the published global best is passed over for the urgent work,
+// whichever deque the probe reaches first — before the fix, a node left
+// alone on a deque by earlier steal-halves was taken by the first idle
+// thief to probe it, rescuing a deceptively under-weighted chain at random.
+// Once nothing else is takeable (here: a stale published top), the passed-
+// over victim is robbed anyway.
+func TestStealPassesOverStrandedVictim(t *testing.T) {
+	for seed := 0; seed < 8; seed++ {
+		d := stealFixture()
+		rng := wsRand(seed)
+		id, ok := d.stealBatch(0, &rng, -1)
+		if !ok || id != 1 {
+			t.Fatalf("seed %d: stole (%d, %v), want the urgent node 1", seed, id, ok)
+		}
+		if d.deques[1].h.Len() != 1 {
+			t.Fatalf("seed %d: the stranded node left its deque", seed)
+		}
+	}
+
+	d := stealFixture()
+	d.deques[2].h.ids = nil // drained, but its top of 30 is still published
+	rng := wsRand(0)
+	if id, ok := d.stealBatch(0, &rng, -1); !ok || id != 0 {
+		t.Fatalf("with only the stranded node takeable, stole (%d, %v), want node 0", id, ok)
 	}
 }
 

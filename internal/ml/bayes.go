@@ -9,7 +9,8 @@ import (
 
 // NaiveBayes is a multinomial naive Bayes classifier over non-negative
 // sparse features — the cheap probabilistic baseline the DSL's Learner
-// operator offers alongside the linear models. Exported fields for gob.
+// operator offers alongside the linear models. Exported fields for the
+// store's codec.
 type NaiveBayes struct {
 	// LogPrior[c] is log P(class c), c in {0, 1}.
 	LogPrior [2]float64

@@ -39,7 +39,7 @@ func (m *linearModel) Predict(x data.Vector) float64 {
 }
 
 // LinearModel is an exported trained linear classifier. Serialized by the
-// materialization store, so fields are exported for gob.
+// materialization store, so fields are exported for its codec.
 type LinearModel struct {
 	Weights []float64
 	Bias    float64

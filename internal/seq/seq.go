@@ -47,7 +47,8 @@ type Instance struct {
 func (in *Instance) Len() int { return len(in.Feats) }
 
 // Model is a linear sequence model: per-tag emission weights over the
-// feature space plus a tag-transition matrix. Exported fields for gob.
+// feature space plus a tag-transition matrix. Exported fields for the
+// store's codec.
 type Model struct {
 	// Emit[tag] is a dense weight vector over feature indices.
 	Emit [NumTags][]float64

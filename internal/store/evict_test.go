@@ -27,61 +27,48 @@ func evictAll(t *testing.T, s *Store) []string {
 	return order
 }
 
-// TestVictimOrderRewardVsLRU is the table-driven contract of the two
-// eviction policies over one population: an old unhinted entry, an old
-// entry guarding an expensive recompute, and a fresh entry with a tiny
-// hint. Reward-aware ranking evicts by ascending saving-per-byte whatever
-// the recency; LRU evicts by recency whatever the hints.
+// TestVictimOrderRewardVsLRU is the contract of the reward-aware eviction
+// ranking over one population: an old unhinted entry, an old entry guarding
+// an expensive recompute, and a fresh entry with a tiny hint. Victims go by
+// ascending saving-per-byte whatever the recency — where a pure LRU ranking
+// (insertion order here) would lose the guard's recompute second.
 func TestVictimOrderRewardVsLRU(t *testing.T) {
-	const size = 1000
-	cases := []struct {
-		name   string
-		policy EvictionPolicy
-		order  []string
-	}{
+	t.Run("reward", func(t *testing.T) {
+		const size = 1000
+		s := openTemp(t, 3*size)
+		puts := []struct {
+			key  string
+			hint RewardHint
+		}{
+			{"old-unhinted", RewardHint{}},
+			{"guard", RewardHint{RecomputeNanos: (50 * time.Millisecond).Nanoseconds()}},
+			{"new-small", RewardHint{RecomputeNanos: (10 * time.Microsecond).Nanoseconds()}},
+		}
+		for _, p := range puts {
+			if err := s.PutBytesHint(p.key, bytes.Repeat([]byte{'x'}, size), p.hint); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(2 * time.Millisecond) // distinct LastAccess ordering
+		}
 		// old-unhinted saves nothing, new-small saves ~8µs/KB, guard saves
-		// ~50µs/B: reward sacrifices the guard last even though it is older
-		// than new-small.
-		{"reward", EvictReward, []string{"old-unhinted", "new-small", "guard"}},
-		// LRU ignores the hints entirely — insertion order is eviction
-		// order, so the guard goes second and the 20 ms recompute is lost.
-		{"lru", EvictLRU, []string{"old-unhinted", "guard", "new-small"}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := openTemp(t, 3*size)
-			s.SetEvictionPolicy(tc.policy)
-			puts := []struct {
-				key  string
-				hint RewardHint
-			}{
-				{"old-unhinted", RewardHint{}},
-				{"guard", RewardHint{RecomputeNanos: (50 * time.Millisecond).Nanoseconds()}},
-				{"new-small", RewardHint{RecomputeNanos: (10 * time.Microsecond).Nanoseconds()}},
+		// ~50µs/B: the guard goes last even though it is older than new-small.
+		want := []string{"old-unhinted", "new-small", "guard"}
+		got := evictAll(t, s)
+		if len(got) != len(want) {
+			t.Fatalf("evicted %v, want %v", got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("eviction order %v, want %v", got, want)
 			}
-			for _, p := range puts {
-				if err := s.PutBytesHint(p.key, bytes.Repeat([]byte{'x'}, size), p.hint); err != nil {
-					t.Fatal(err)
-				}
-				time.Sleep(2 * time.Millisecond) // distinct LastAccess ordering
-			}
-			got := evictAll(t, s)
-			if len(got) != len(tc.order) {
-				t.Fatalf("evicted %v, want %v", got, tc.order)
-			}
-			for i := range got {
-				if got[i] != tc.order[i] {
-					t.Fatalf("eviction order %v, want %v", got, tc.order)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestRewardSavingTiesFallBackToLRU: entries with identical
 // saving-per-byte (same hint, size, and tier load cost) — and entries
 // whose hint is below their load cost, which clamps to zero saving — rank
-// by recency under the reward policy, exactly like LRU.
+// by recency, least-recently-accessed first.
 func TestRewardSavingTiesFallBackToLRU(t *testing.T) {
 	const size = 1000
 	s := openTemp(t, 3*size)
@@ -110,47 +97,40 @@ func TestRewardSavingTiesFallBackToLRU(t *testing.T) {
 // adopted-store eviction-order bug: files adopted at open take their
 // LastAccess from the file mtime, and coarse filesystem timestamps make
 // equal mtimes routine — under which the old comparison left the victim
-// order to map iteration, differing run to run. Ties must break by key,
-// under both policies (adopted entries carry no hints, so reward
-// degrades to the same ordering).
+// order to map iteration, differing run to run. Adopted entries carry no
+// hints, so every saving ties too, and ties must break by key.
 func TestAdoptedSameMtimeTieBreaksByKey(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		policy EvictionPolicy
-	}{{"lru", EvictLRU}, {"reward", EvictReward}} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			seed, err := Open(dir, 0)
-			if err != nil {
+	t.Run("reward", func(t *testing.T) {
+		dir := t.TempDir()
+		seed, err := Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Deliberately not in key order, so the assertion cannot pass by
+		// insertion-order accident.
+		for _, key := range []string{"kc", "ka", "kb"} {
+			if err := seed.PutBytes(key, bytes.Repeat([]byte{'m'}, 500)); err != nil {
 				t.Fatal(err)
 			}
-			// Deliberately not in key order, so the assertion cannot pass by
-			// insertion-order accident.
-			for _, key := range []string{"kc", "ka", "kb"} {
-				if err := seed.PutBytes(key, bytes.Repeat([]byte{'m'}, 500)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			stamp := time.Now().Add(-time.Hour).Truncate(time.Second)
-			for _, key := range []string{"ka", "kb", "kc"} {
-				if err := os.Chtimes(filepath.Join(dir, key), stamp, stamp); err != nil {
-					t.Fatal(err)
-				}
-			}
-			s, err := Open(dir, 1500)
-			if err != nil {
+		}
+		stamp := time.Now().Add(-time.Hour).Truncate(time.Second)
+		for _, key := range []string{"ka", "kb", "kc"} {
+			if err := os.Chtimes(filepath.Join(dir, key), stamp, stamp); err != nil {
 				t.Fatal(err)
 			}
-			s.SetEvictionPolicy(tc.policy)
-			got := evictAll(t, s)
-			want := []string{"ka", "kb", "kc"}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("adopted eviction order %v, want deterministic key order %v", got, want)
-				}
+		}
+		s, err := Open(dir, 1500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := evictAll(t, s)
+		want := []string{"ka", "kb", "kc"}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("adopted eviction order %v, want deterministic key order %v", got, want)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestSpillFullyPinnedFastFails: an admission that cannot fit even after
@@ -183,72 +163,6 @@ func TestSpillFullyPinnedFastFails(t *testing.T) {
 	}
 	if sp.Has("k1") || !sp.Has("k2") {
 		t.Errorf("k1 present=%v k2 present=%v after unpinned admission", sp.Has("k1"), sp.Has("k2"))
-	}
-}
-
-// TestEvictPlannerConsulted: an installed EvictPlanner sees exactly the
-// unpinned candidates (sorted by key) and the shortfall; its returned set
-// is evicted with stale and pinned keys silently skipped, and the greedy
-// loop only runs if the planned set left the admission short.
-func TestEvictPlannerConsulted(t *testing.T) {
-	sp := openSpillTemp(t, 1000)
-	sp.SetEvictionPolicy(EvictReward)
-	hint := RewardHint{RecomputeNanos: (3 * time.Millisecond).Nanoseconds()}
-	for _, key := range []string{"ka", "kb", "kc"} {
-		if err := sp.PutBytesHint(key, bytes.Repeat([]byte{'e'}, 300), hint); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tv := NewTiered(openTemp(t, 1), sp)
-	tv.Pin("ka")
-	defer tv.Unpin("ka")
-	var gotCands []string
-	var gotNeed int64
-	sp.SetEvictPlanner(func(cands []Entry, need int64) []string {
-		for _, c := range cands {
-			gotCands = append(gotCands, c.Key)
-		}
-		gotNeed = need
-		// kb is the plan; "ghost" is stale and ka is pinned — both must be
-		// skipped, not crash or double-free budget.
-		return []string{"kb", "ghost", "ka"}
-	})
-	// Admitting 300 bytes at 900/1000 used: shortfall is 200, and the
-	// planner's kb (300 bytes) covers it alone — the greedy loop must not
-	// evict anything further.
-	if err := sp.PutBytes("kd", bytes.Repeat([]byte{'f'}, 300)); err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"kb", "kc"}; len(gotCands) != 2 || gotCands[0] != want[0] || gotCands[1] != want[1] {
-		t.Errorf("planner candidates %v, want %v (unpinned, key-sorted)", gotCands, want)
-	}
-	if gotNeed != 200 {
-		t.Errorf("planner shortfall %d, want 200", gotNeed)
-	}
-	for key, want := range map[string]bool{"ka": true, "kb": false, "kc": true, "kd": true} {
-		if sp.Has(key) != want {
-			t.Errorf("after planned eviction: Has(%s) = %v, want %v", key, sp.Has(key), want)
-		}
-	}
-	if !sp.Pinned("ka") {
-		t.Error("ka lost its pin")
-	}
-	if n := sp.Evictions(); n != 1 {
-		t.Errorf("%d evictions, want 1 (planner set only)", n)
-	}
-	if got := len(sp.Entries()); got != 3 {
-		t.Errorf("%d entries, want 3", got)
-	}
-	if sp.Remaining() != 100 {
-		t.Errorf("remaining %d, want 100", sp.Remaining())
-	}
-	// A removed planner reverts to pure greedy eviction.
-	sp.SetEvictPlanner(nil)
-	if err := sp.PutBytes("ke", bytes.Repeat([]byte{'g'}, 300)); err != nil {
-		t.Fatal(err)
-	}
-	if sp.Has("ka") == false {
-		t.Error("greedy eviction took the pinned ka")
 	}
 }
 

@@ -19,9 +19,10 @@ const ColdThroughput = 80e6
 // Spill is the cold second tier of a tiered materialization store: a
 // budgeted disk store in its own directory that admits values the hot tier
 // rejected (spill) or evicted (demotion), and — unlike the hot tier — makes
-// room for new admissions by deleting its own least-recently-accessed
-// entries. A value evicted from the spill tier is gone; the next
-// iteration's cost model simply sees it as not loadable and recomputes it.
+// room for new admissions by deleting its own cheapest-to-lose entries
+// (see Store.EvictColdest). A value evicted from the spill tier is gone;
+// the next iteration's cost model simply sees it as not loadable and
+// recomputes it.
 type Spill struct {
 	s *Store
 	// putMu serializes admissions: eviction deletes victim files after
@@ -71,7 +72,7 @@ func openSpill(dir string, budget int64, mmap bool) (*Spill, error) {
 }
 
 // PutBytes admits pre-encoded bytes, deleting the cheapest-to-lose entries
-// (reward-aware by default; see Store.EvictColdest) as needed to make room.
+// (see Store.EvictColdest) as needed to make room.
 // Re-admitting an existing key is an idempotent no-op (content addressing)
 // and evicts nothing. A value that cannot fit even after evicting every
 // unpinned entry — larger than the whole budget, or crowded out by pinned
@@ -105,7 +106,7 @@ func (sp *Spill) PutBytesHint(key string, raw []byte, hint RewardHint) error {
 }
 
 // PutEncoded admits an already-encoded value; the caller keeps ownership
-// of enc. Like Store.PutEncoded this performs no gob encode of its own —
+// of enc. Like Store.PutEncoded this performs no encode of its own —
 // spilled values are never re-encoded.
 func (sp *Spill) PutEncoded(key string, enc *Encoded) error {
 	return sp.PutBytes(key, enc.Bytes())
@@ -119,14 +120,6 @@ func (sp *Spill) PutEncodedHint(key string, enc *Encoded, hint RewardHint) error
 
 // SetHint refreshes the recompute-saving hint on an already-admitted entry.
 func (sp *Spill) SetHint(key string, hint RewardHint) { sp.s.SetHint(key, hint) }
-
-// SetEvictionPolicy selects the victim ranking for this tier's eviction
-// (reward-aware by default; EvictLRU is the ablation baseline).
-func (sp *Spill) SetEvictionPolicy(p EvictionPolicy) { sp.s.SetEvictionPolicy(p) }
-
-// SetEvictPlanner installs a global evict-set planner on this tier (see
-// Store.SetEvictPlanner).
-func (sp *Spill) SetEvictPlanner(p EvictPlanner) { sp.s.SetEvictPlanner(p) }
 
 // Get loads and decodes the value for key, recording the measured cold-tier
 // load cost on the entry.

@@ -427,7 +427,7 @@ func TestTieredEncodeOncePerTier(t *testing.T) {
 		t.Fatalf("demoted get → %v, %v", tier, err)
 	}
 	if got := EncodeCalls() - before; got != 2 {
-		t.Fatalf("%d gob encodes across the spill/promote/demote cycle, want exactly the 2 EncodeValue calls", got)
+		t.Fatalf("%d encodes across the spill/promote/demote cycle, want exactly the 2 EncodeValue calls", got)
 	}
 	// Two promotions: "spilled" on its first cold hit, then "fill" — demoted
 	// to make room — promoted back by its own cold hit at the end.
@@ -442,7 +442,7 @@ func encInt(t *testing.T, n int) []byte {
 	return encBytes(t, bytes.Repeat([]byte{'x'}, n))
 }
 
-// encBytes gob-encodes a []byte value the way the engine would, so Get can
+// encBytes encodes a []byte value the way the engine would, so Get can
 // decode what budget tests admit.
 func encBytes(t *testing.T, b []byte) []byte {
 	t.Helper()

@@ -5,21 +5,22 @@
 // iteration derives the same signature — the store itself never needs an
 // invalidation protocol.
 //
-// Values are encoded with a self-describing codec: a reflection-free binary
-// format for the registered workload value types (see internal/codec), with
-// reflective gob as the A/B reference and the fallback for unregistered
-// types. The store tracks measured write/read throughput so the optimizer
-// can estimate load costs for results it has not touched yet.
+// Values are encoded with one self-describing codec: the reflection-free
+// binary format of internal/codec, covering the builtins and every value
+// type registered with codec.RegisterValue. A value of any other type is
+// not encodable, so it is never materialized. The store tracks measured
+// write/read throughput so the optimizer can estimate load costs for
+// results it has not touched yet.
 package store
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,9 +50,9 @@ type Entry struct {
 	// Recompute estimates the wall-clock nanoseconds it would take to
 	// rebuild this value from scratch — the producing node's compute cost
 	// plus every ancestor the rebuild transitively forces (the paper's
-	// c_i + sum of ancestor costs). Zero means unknown; reward-aware
-	// eviction treats an unknown as zero saving, so unhinted entries
-	// degrade to pure LRU ordering.
+	// c_i + sum of ancestor costs). Zero means unknown; eviction treats an
+	// unknown as zero saving, so unhinted entries degrade to pure recency
+	// ordering.
 	Recompute int64
 	// Owner labels which tenant's materialization produced the bytes
 	// (per-tenant budget accounting in a shared multi-session store). The
@@ -78,30 +79,6 @@ type RewardHint struct {
 	// accountable owner), but never overwrites an existing owner.
 	Owner string
 }
-
-// EvictionPolicy selects how EvictColdest and VictimCandidates rank
-// victims.
-type EvictionPolicy int
-
-const (
-	// EvictReward (the default) evicts the entry with the smallest
-	// recompute-saving per byte first: saving = max(0, Recompute −
-	// LoadCost), per byte of Size. Ties (including every entry with no
-	// recompute hint) fall back to least-recently-accessed, then key.
-	EvictReward EvictionPolicy = iota
-	// EvictLRU is the pure least-recently-accessed policy, kept as the A/B
-	// baseline for the eviction ablation.
-	EvictLRU
-)
-
-// EvictPlanner is an optional global evict-set planner consulted by
-// EvictColdest before its greedy per-entry loop. It receives the unpinned
-// candidate entries and the bytes that must be freed, and returns the keys
-// to evict (a subset of the candidates; unknown keys are ignored). The
-// planner runs while the store lock is held, so it must not call back into
-// the store. If the returned set frees too little, the greedy policy makes
-// up the difference.
-type EvictPlanner func(candidates []Entry, need int64) []string
 
 // Store is a budgeted, content-addressed disk store. Safe for concurrent
 // use: metadata reads share a read lock, and writes reserve budget under the
@@ -153,12 +130,6 @@ type Store struct {
 	// Throughput estimates (bytes/sec), exponentially smoothed.
 	readBps  float64
 	writeBps float64
-
-	// evict selects the victim ranking (reward-per-byte by default, pure
-	// LRU as the ablation baseline); planner, when set, is consulted for a
-	// globally-planned evict set before the greedy loop.
-	evict   EvictionPolicy
-	planner EvictPlanner
 }
 
 // DefaultThroughput seeds the load-cost estimate before any I/O has been
@@ -166,7 +137,10 @@ type Store struct {
 const DefaultThroughput = 500e6
 
 // Open creates or reuses a store rooted at dir with the given budget in
-// bytes (<=0 disables the budget). Existing files in dir are adopted.
+// bytes (<=0 disables the budget). Existing key files in dir are adopted;
+// temp files a crashed write left behind are deleted, and files other
+// components keep beside the values (a session's helix-history.json) are
+// left alone.
 func Open(dir string, budget int64) (*Store, error) {
 	return open(dir, budget, false, false)
 }
@@ -191,6 +165,16 @@ func open(dir string, budget int64, framed, syncWrites bool) (*Store, error) {
 	}
 	for _, f := range files {
 		if f.IsDir() {
+			continue
+		}
+		// Keys are hex signatures and never contain a '.': a dotted name is
+		// a write's "<key>.<n>.tmp" or a file the store does not own.
+		if name := f.Name(); strings.Contains(name, ".") {
+			if strings.HasSuffix(name, ".tmp") {
+				// Best effort: a leftover that cannot be removed is still
+				// never adopted.
+				_ = os.Remove(filepath.Join(dir, name))
+			}
 			continue
 		}
 		info, err := f.Info()
@@ -234,97 +218,28 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, filepath.Base(key))
 }
 
-// Register makes a concrete type encodable through the store's interface-
-// typed gob fallback codec. Every value type a workflow operator can produce
-// must be registered once (the core package registers the built-in ones).
-// Types additionally registered with codec.RegisterValue take the
-// reflection-free binary path instead.
-func Register(value any) { gob.Register(value) }
+// Codec used to select the value serialization format. The store now has
+// exactly one format, so the type holds no choice.
+//
+// Deprecated: kept only so configuration structs that still carry a Codec
+// field compile; setting it has no effect.
+type Codec struct{}
 
-// Codec selects the value serialization format of the store's codec.
-type Codec int
+// markerBinary is the format tag every encoded payload starts with. Decode
+// rejects any other first byte — notably the 'G' of gob payloads written by
+// older versions — so such entries read as corrupt and are recomputed.
+const markerBinary byte = 'B'
 
-const (
-	// CodecAuto resolves to the default codec (currently CodecBinary).
-	CodecAuto Codec = iota
-	// CodecBinary is the reflection-free self-describing binary codec
-	// (codec.EncodeValue) with per-value gob fallback for unregistered
-	// types. The default.
-	CodecBinary
-	// CodecGob forces reflective encoding/gob for every value — the A/B
-	// reference the binary codec is benchmarked and equivalence-tested
-	// against.
-	CodecGob
-)
+// encodes counts every encode performed through the store's codec (Encode
+// and EncodeValue). The execution engine's encode-once contract — each
+// materialized value is serialized exactly once, with the size probe
+// reused for the persist — is asserted against it in tests.
+var encodes atomic.Int64
 
-// resolve maps CodecAuto to the concrete default.
-func (c Codec) resolve() Codec {
-	if c == CodecAuto {
-		return CodecBinary
-	}
-	return c
-}
-
-// String implements fmt.Stringer.
-func (c Codec) String() string {
-	switch c {
-	case CodecAuto:
-		return "auto"
-	case CodecBinary:
-		return "binary"
-	case CodecGob:
-		return "gob"
-	default:
-		return fmt.Sprintf("codec(%d)", int(c))
-	}
-}
-
-// Every encoded value is self-describing: the first payload byte names the
-// codec that produced the rest, so Decode needs no out-of-band format flag
-// and mixed-codec stores (e.g. after a config change) keep working.
-const (
-	markerGob    byte = 'G'
-	markerBinary byte = 'B'
-)
-
-// CodecOf reports which codec produced an encoded payload.
-func CodecOf(raw []byte) (Codec, error) {
-	if len(raw) == 0 {
-		return CodecAuto, fmt.Errorf("store: empty payload")
-	}
-	switch raw[0] {
-	case markerGob:
-		return CodecGob, nil
-	case markerBinary:
-		return CodecBinary, nil
-	default:
-		return CodecAuto, fmt.Errorf("store: unknown codec marker 0x%02x", raw[0])
-	}
-}
-
-// gobEncodes / binaryEncodes count every encode performed through the
-// store's codec (Encode and EncodeValue), per codec actually used. The
-// execution engine's encode-once contract — each materialized value is
-// serialized exactly once, with the size probe reused for the persist — is
-// asserted against the total in tests.
-var (
-	gobEncodes    atomic.Int64
-	binaryEncodes atomic.Int64
-)
-
-// EncodeCalls returns the total number of value encodes (both codecs)
-// performed through the store's codec since process start. Instrumentation
-// only: take a snapshot before and after the section under test and compare
-// the delta.
-func EncodeCalls() int64 { return gobEncodes.Load() + binaryEncodes.Load() }
-
-// GobEncodeCalls returns the number of gob encodes (including binary-codec
-// fallbacks for unregistered types) since process start.
-func GobEncodeCalls() int64 { return gobEncodes.Load() }
-
-// BinaryEncodeCalls returns the number of reflection-free binary encodes
-// since process start.
-func BinaryEncodeCalls() int64 { return binaryEncodes.Load() }
+// EncodeCalls returns the total number of value encodes performed through
+// the store's codec since process start. Instrumentation only: take a
+// snapshot before and after the section under test and compare the delta.
+func EncodeCalls() int64 { return encodes.Load() }
 
 // encBufPool recycles encode buffers across materializations so the hot
 // path of the execution engine's writer pipeline does not allocate a fresh
@@ -339,8 +254,7 @@ var binWriterPool = sync.Pool{New: func() any { return new(codec.Writer) }}
 // done with the bytes should Release it so the buffer returns to the pool;
 // the bytes must not be used after Release.
 type Encoded struct {
-	buf   *bytes.Buffer
-	codec Codec
+	buf *bytes.Buffer
 }
 
 // Bytes returns the serialized bytes. Valid until Release.
@@ -348,10 +262,6 @@ func (e *Encoded) Bytes() []byte { return e.buf.Bytes() }
 
 // Size returns the serialized length in bytes.
 func (e *Encoded) Size() int64 { return int64(e.buf.Len()) }
-
-// Codec returns the codec that actually produced the bytes — CodecGob when
-// the binary codec fell back for an unregistered type.
-func (e *Encoded) Codec() Codec { return e.codec }
 
 // Release returns the backing buffer to the encode pool. Safe to call once;
 // the Encoded must not be used afterwards.
@@ -363,45 +273,28 @@ func (e *Encoded) Release() {
 	}
 }
 
-// EncodeValueWith encodes a value with the chosen codec into a pooled
-// buffer. Under CodecBinary, types without a codec.RegisterValue entry fall
-// back to gob transparently (the payload marker records what happened).
-func EncodeValueWith(c Codec, value any) (*Encoded, error) {
-	buf := encBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if c.resolve() == CodecBinary {
-		w := binWriterPool.Get().(*codec.Writer)
-		w.Reset()
-		if err := codec.EncodeValue(w, value); err == nil {
-			binaryEncodes.Add(1)
-			buf.WriteByte(markerBinary)
-			buf.Write(w.Bytes())
-			binWriterPool.Put(w)
-			return &Encoded{buf: buf, codec: CodecBinary}, nil
-		}
-		// Unregistered (or nested-unregistered) type: fall back to gob.
-		w.Reset()
-		binWriterPool.Put(w)
-	}
-	gobEncodes.Add(1)
-	buf.WriteByte(markerGob)
-	if err := gob.NewEncoder(buf).Encode(&value); err != nil {
-		buf.Reset()
-		encBufPool.Put(buf)
-		return nil, fmt.Errorf("store: encode: %w", err)
-	}
-	return &Encoded{buf: buf, codec: CodecGob}, nil
-}
-
-// EncodeValue encodes a value with the default codec into a pooled buffer.
+// EncodeValue encodes a value into a pooled buffer: the format tag, then
+// the binary codec's encoding. A value whose type (or a nested value's
+// type) has no codec.RegisterValue entry fails with codec.ErrUnregistered.
 // It is the encode-once entry point of the execution engine: the same
 // Encoded probes the size for the materialization decision and then
 // persists through PutEncoded, so each value is serialized exactly once.
 func EncodeValue(value any) (*Encoded, error) {
-	return EncodeValueWith(CodecAuto, value)
+	w := binWriterPool.Get().(*codec.Writer)
+	defer binWriterPool.Put(w)
+	w.Reset()
+	if err := codec.EncodeValue(w, value); err != nil {
+		return nil, fmt.Errorf("store: encode: %w", err)
+	}
+	encodes.Add(1)
+	buf := encBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	buf.WriteByte(markerBinary)
+	buf.Write(w.Bytes())
+	return &Encoded{buf: buf}, nil
 }
 
-// Encode serializes a value with the default codec, returning its bytes.
+// Encode serializes a value, returning its bytes.
 // Exposed so callers outside the engine's encode-once pipeline (tests,
 // comparisons) can serialize without buffer-lifetime bookkeeping.
 func Encode(value any) ([]byte, error) {
@@ -413,24 +306,18 @@ func Encode(value any) ([]byte, error) {
 	return append([]byte(nil), enc.Bytes()...), nil
 }
 
-// Decode reverses Encode / EncodeValueWith, dispatching on the payload's
-// codec marker. Decoded values never alias raw, so callers may decode
-// straight out of a memory-mapped frame.
+// Decode reverses Encode / EncodeValue. A payload that does not start with
+// the format tag is an error. Decoded values never alias raw, so callers
+// may decode straight out of a memory-mapped frame.
 func Decode(raw []byte) (any, error) {
-	c, err := CodecOf(raw)
+	if len(raw) == 0 {
+		return nil, errors.New("store: decode: empty payload")
+	}
+	if raw[0] != markerBinary {
+		return nil, fmt.Errorf("store: decode: unknown format tag 0x%02x", raw[0])
+	}
+	value, err := codec.DecodeValue(codec.NewReader(raw[1:]))
 	if err != nil {
-		return nil, fmt.Errorf("store: decode: %w", err)
-	}
-	if c == CodecBinary {
-		r := codec.NewReader(raw[1:])
-		value, err := codec.DecodeValue(r)
-		if err != nil {
-			return nil, fmt.Errorf("store: decode: %w", err)
-		}
-		return value, nil
-	}
-	var value any
-	if err := gob.NewDecoder(bytes.NewReader(raw[1:])).Decode(&value); err != nil {
 		return nil, fmt.Errorf("store: decode: %w", err)
 	}
 	return value, nil
@@ -538,24 +425,6 @@ func (s *Store) SetHint(key string, hint RewardHint) {
 	if e, ok := s.entries[key]; ok {
 		e.Recompute = hint.RecomputeNanos
 	}
-	s.mu.Unlock()
-}
-
-// SetEvictionPolicy selects the victim ranking for EvictColdest and
-// VictimCandidates. Not safe to flip concurrently with admissions; set it
-// once at configuration time.
-func (s *Store) SetEvictionPolicy(p EvictionPolicy) {
-	s.mu.Lock()
-	s.evict = p
-	s.mu.Unlock()
-}
-
-// SetEvictPlanner installs (or, with nil, removes) a global evict-set
-// planner consulted by EvictColdest before the greedy per-entry loop. See
-// EvictPlanner for the contract.
-func (s *Store) SetEvictPlanner(p EvictPlanner) {
-	s.mu.Lock()
-	s.planner = p
 	s.mu.Unlock()
 }
 
@@ -829,25 +698,21 @@ func (e *Entry) savingPerByte() float64 {
 	return float64(sv) / float64(e.Size)
 }
 
-// victimOrder snapshots the entries best-victim-first under the configured
-// eviction policy: EvictReward orders by smallest saving-per-byte with
-// recency (then key) as the tie-break, so a tier full of unhinted entries
-// behaves exactly like LRU; EvictLRU orders purely by recency.
-// Callers must hold mu. O(n log n) per call, fine at workflow scale (tens
-// to hundreds of entries); a priority heap would be the upgrade if tier
-// populations grow by orders of magnitude.
+// victimOrder snapshots the entries best-victim-first: smallest
+// saving-per-byte (the entry's eviction reward) first, with recency (then
+// key) as the tie-break, so a tier full of unhinted entries evicts
+// least-recently-accessed first. Callers must hold mu. O(n log n) per call,
+// fine at workflow scale (tens to hundreds of entries); a priority heap
+// would be the upgrade if tier populations grow by orders of magnitude.
 func (s *Store) victimOrder() []*Entry {
 	victims := make([]*Entry, 0, len(s.entries))
 	for _, e := range s.entries {
 		victims = append(victims, e)
 	}
-	reward := s.evict == EvictReward
 	sort.Slice(victims, func(i, j int) bool {
-		if reward {
-			si, sj := victims[i].savingPerByte(), victims[j].savingPerByte()
-			if si != sj {
-				return si < sj
-			}
+		si, sj := victims[i].savingPerByte(), victims[j].savingPerByte()
+		if si != sj {
+			return si < sj
 		}
 		if !victims[i].LastAccess.Equal(victims[j].LastAccess) {
 			return victims[i].LastAccess.Before(victims[j].LastAccess)
@@ -887,10 +752,8 @@ func (s *Store) VictimCandidates(need int64) []Entry {
 // values; an evicted value is gone. Pinned entries (keys the current run
 // still plans to load) are never victims, so within-run eviction cannot
 // delete a value the plan depends on — if only pinned entries remain, the
-// admission simply fails its budget check instead. An installed
-// EvictPlanner is consulted first with the unpinned candidates; the greedy
-// loop then frees whatever the planned set left short. On an unbudgeted
-// store, or when need already fits, nothing is evicted.
+// admission simply fails its budget check instead. On an unbudgeted store,
+// or when need already fits, nothing is evicted.
 func (s *Store) EvictColdest(need int64) []Entry {
 	s.mu.Lock()
 	if s.budget <= 0 || s.budget-s.used >= need {
@@ -898,25 +761,6 @@ func (s *Store) EvictColdest(need int64) []Entry {
 		return nil
 	}
 	var victims []Entry
-	if s.planner != nil {
-		cands := make([]Entry, 0, len(s.entries))
-		for _, e := range s.entries {
-			if s.pins[e.Key] == 0 {
-				cands = append(cands, *e)
-			}
-		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].Key < cands[j].Key })
-		shortfall := need - (s.budget - s.used)
-		for _, key := range s.planner(cands, shortfall) {
-			e, ok := s.entries[key]
-			if !ok || s.pins[key] > 0 {
-				continue // planner returned a stale or protected key; skip it
-			}
-			delete(s.entries, key)
-			s.used -= e.Size
-			victims = append(victims, *e)
-		}
-	}
 	for _, e := range s.victimOrder() {
 		if s.budget-s.used >= need {
 			break

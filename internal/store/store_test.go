@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -8,11 +9,6 @@ import (
 	"testing"
 	"time"
 )
-
-func init() {
-	Register(map[string]float64{})
-	Register([]int{})
-}
 
 func openTemp(t *testing.T, budget int64) *Store {
 	t.Helper()
@@ -152,6 +148,64 @@ func TestReopenAdoptsFiles(t *testing.T) {
 	}
 	if s2.Used() == 0 {
 		t.Error("reopened store shows zero usage")
+	}
+}
+
+// TestReopenAdoptsOnlyKeyFiles: a store directory also holds a crashed
+// write's temp file and the session's history file. Reopening either tier
+// must adopt only the key, charge only its bytes, and delete the leftover
+// temp file — neither foreign file may become a budget-charged, evictable
+// entry.
+func TestReopenAdoptsOnlyKeyFiles(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		open func(dir string) (*Store, error)
+	}{
+		{"hot", func(dir string) (*Store, error) { return Open(dir, 1000) }},
+		{"cold", func(dir string) (*Store, error) {
+			sp, err := OpenSpill(dir, 1000)
+			if err != nil {
+				return nil, err
+			}
+			return sp.s, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := tc.open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.PutBytes("k", bytes.Repeat([]byte{'v'}, 100)); err != nil {
+				t.Fatal(err)
+			}
+			foreign := map[string][]byte{
+				"k.7.tmp":            bytes.Repeat([]byte{'t'}, 300),
+				"helix-history.json": bytes.Repeat([]byte{'h'}, 200),
+			}
+			for name, raw := range foreign {
+				if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s2, err := tc.open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries := s2.Entries()
+			if len(entries) != 1 || entries[0].Key != "k" {
+				t.Fatalf("adopted entries %v, want just k", entries)
+			}
+			if s2.Used() != 100 || entries[0].Size != 100 {
+				t.Errorf("used %d, entry size %d; want both 100", s2.Used(), entries[0].Size)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "k.7.tmp")); !os.IsNotExist(err) {
+				t.Errorf("crash-leftover temp file not deleted: %v", err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "helix-history.json")); err != nil {
+				t.Errorf("history file touched: %v", err)
+			}
+		})
 	}
 }
 

@@ -46,9 +46,10 @@ type TierCounters struct {
 	// for new admissions (those values are gone; the next iteration's cost
 	// model sees them as not loadable and recomputes).
 	ColdEvictions int64
-	// CorruptFrames counts cold-tier reads that failed frame verification
-	// (ErrCorrupt). Each corrupt frame is deleted on detection, so the
-	// damage degrades to a one-time cache miss.
+	// CorruptFrames counts loads whose stored bytes were unusable: cold-tier
+	// reads that failed frame verification (ErrCorrupt), and payloads in
+	// either tier that failed to decode. The bad bytes are deleted on
+	// detection, so the damage degrades to a one-time cache miss.
 	CorruptFrames int64
 	// BreakerTrips counts how many times repeated cold-tier I/O failures
 	// tripped the circuit breaker open (disabling the cold tier until its
@@ -67,8 +68,8 @@ type TierCounters struct {
 // (§2.3's storage budget, extended with the hot/cold hierarchy production
 // caching systems use). Admission tries the hot tier first and spills on
 // budget rejection; a Get that misses hot is served from cold and promoted
-// back, demoting the hot tier's least-recently-accessed entries to cold to
-// make room. All byte movement between tiers is raw — a value is gob-encoded
+// back, demoting the hot tier's cheapest-to-lose entries to cold to make
+// room. All byte movement between tiers is raw — a value is encoded
 // exactly once, on first materialization, no matter how many times it
 // migrates.
 //
@@ -145,7 +146,7 @@ func (t *Tiered) TierDisabled() bool {
 }
 
 // Pin marks key as planned-for-load in the cold tier, exempting it from the
-// spill tier's LRU eviction until Unpin. The hot tier never deletes values
+// spill tier's eviction until Unpin. The hot tier never deletes values
 // destructively (demotion is copy-then-delete into cold, where the pin
 // applies), so pinning the cold tier alone guarantees a planned-load key
 // survives the whole run. Pins are refcounted; no-op without a cold tier.
@@ -339,18 +340,19 @@ func (t *Tiered) SetHint(key string, hint RewardHint) {
 
 // Get loads and decodes the value for key: a hot hit is served lock-free;
 // a cold hit is promoted into the hot tier (demoting the hot tier's
-// least-recently-accessed entries to cold as needed) and decoded. Returns
-// the tier that served the value. Only the file reads and the cross-tier
-// movement hold the movement lock — the gob decode, usually the expensive
-// part of a load, runs outside it, so concurrent cold loads of different
-// keys overlap their decodes.
+// cheapest-to-lose entries to cold as needed) and decoded. Returns the
+// tier that served the value. Only the file reads and the cross-tier
+// movement hold the movement lock — the decode, usually the expensive part
+// of a load, runs outside it, so concurrent cold loads of different keys
+// overlap their decodes. Bytes that fail to decode are deleted from every
+// tier (see decodeAndRecord).
 func (t *Tiered) Get(key string) (any, Tier, error) {
-	// Lock-free fast path. Any failure — not just a map miss — falls
+	// Lock-free fast path. Any read failure — not just a map miss — falls
 	// through to the locked path: a concurrent promotion can remove a hot
 	// file between the metadata read and the file read.
-	v, err := t.hot.Get(key)
+	raw, start, err := t.hot.read(key)
 	if err == nil {
-		return v, TierHot, nil
+		return t.decodeAndRecord(t.hot, key, raw, time.Since(start), TierHot)
 	}
 	if t.cold == nil {
 		return nil, TierNone, err
@@ -412,14 +414,26 @@ func (t *Tiered) Get(key string) (any, Tier, error) {
 	return v, served, derr
 }
 
-// decodeAndRecord finishes a locked-path load outside the movement lock:
-// decode the raw bytes and land the measured load cost — read plus decode,
-// the full price a consumer pays, excluding any promotion work — on the
-// serving tier's entry.
+// decodeAndRecord finishes a load outside the movement lock: decode the raw
+// bytes and land the measured load cost — read plus decode, the full price
+// a consumer pays, excluding any promotion work — on the serving tier's
+// entry. Bytes that do not decode (a torn unframed hot file, a payload in
+// a format this version does not read) never will: the key is deleted from
+// every tier holding it and counted in CorruptFrames. Left in place, it
+// would keep the cost model planning a load that always falls back to
+// recompute, and block re-materializing the recomputed value.
 func (t *Tiered) decodeAndRecord(tier *Store, key string, raw []byte, readDur time.Duration, served Tier) (any, Tier, error) {
 	decStart := time.Now()
 	v, err := Decode(raw)
 	if err != nil {
+		t.corrupt.Add(1)
+		// ErrNotFound from the tier not holding the key is expected.
+		t.mu.Lock()
+		_ = t.hot.Delete(key)
+		if t.cold != nil {
+			_ = t.cold.Delete(key)
+		}
+		t.mu.Unlock()
 		return nil, served, err
 	}
 	tier.recordRead(key, int64(len(raw)), readDur+time.Since(decStart))

@@ -6,8 +6,8 @@ import (
 )
 
 // Binary value codec registrations for the IE workload values (see
-// codec.EncodeValue). These reuse the same columnar helpers as the custom
-// gob encodings in gob.go, writing straight into the outer value stream.
+// codec.EncodeValue), written through the columnar helpers at the end of
+// this file straight into the outer value stream.
 
 func init() {
 	codec.RegisterValue(NewsData{}, "workload.NewsData",
@@ -209,4 +209,131 @@ func decodeNewsData(r *codec.Reader) (NewsData, error) {
 		*dst = docs
 	}
 	return nd, nil
+}
+
+// Columnar helpers for the IE values. Token text is heavily repetitive, so
+// sentences go through an interned string table; feature-index tensors
+// encode as flat varint arrays.
+
+func encodeSents(w *codec.Writer, table *codec.StringTable, sents [][]string) {
+	w.Len(len(sents))
+	for _, sent := range sents {
+		w.Len(len(sent))
+		for _, tok := range sent {
+			table.Write(w, tok)
+		}
+	}
+}
+
+func decodeSents(r *codec.Reader, table *codec.ReadStringTable) ([][]string, error) {
+	n, err := r.Len()
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]string, n)
+	for i := range out {
+		k, err := r.Len()
+		if err != nil {
+			return nil, err
+		}
+		sent := make([]string, k)
+		for j := range sent {
+			if sent[j], err = table.Read(r); err != nil {
+				return nil, err
+			}
+		}
+		out[i] = sent
+	}
+	return out, nil
+}
+
+func encodeInts2(w *codec.Writer, rows [][]int) {
+	w.Len(len(rows))
+	for _, row := range rows {
+		w.Len(len(row))
+		for _, v := range row {
+			w.Int(v)
+		}
+	}
+}
+
+func decodeInts2(r *codec.Reader) ([][]int, error) {
+	n, err := r.Len()
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]int, n)
+	for i := range out {
+		k, err := r.Len()
+		if err != nil {
+			return nil, err
+		}
+		row := make([]int, k)
+		for j := range row {
+			if row[j], err = r.Int(); err != nil {
+				return nil, err
+			}
+		}
+		out[i] = row
+	}
+	return out, nil
+}
+
+func encodeInts3(w *codec.Writer, t [][][]int) {
+	w.Len(len(t))
+	for _, m := range t {
+		encodeInts2(w, m)
+	}
+}
+
+func decodeInts3(r *codec.Reader) ([][][]int, error) {
+	n, err := r.Len()
+	if err != nil {
+		return nil, err
+	}
+	out := make([][][]int, n)
+	for i := range out {
+		m, err := decodeInts2(r)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = m
+	}
+	return out, nil
+}
+
+func encodeSpans2(w *codec.Writer, spans [][]seq.Span) {
+	w.Len(len(spans))
+	for _, ss := range spans {
+		w.Len(len(ss))
+		for _, s := range ss {
+			w.Int(s.Start)
+			w.Int(s.End)
+		}
+	}
+}
+
+func decodeSpans2(r *codec.Reader) ([][]seq.Span, error) {
+	n, err := r.Len()
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]seq.Span, n)
+	for i := range out {
+		k, err := r.Len()
+		if err != nil {
+			return nil, err
+		}
+		ss := make([]seq.Span, k)
+		for j := range ss {
+			if ss[j].Start, err = r.Int(); err != nil {
+				return nil, err
+			}
+			if ss[j].End, err = r.Int(); err != nil {
+				return nil, err
+			}
+		}
+		out[i] = ss
+	}
+	return out, nil
 }

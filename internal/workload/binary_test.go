@@ -1,9 +1,14 @@
 package workload
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/opt"
 	"repro/internal/seq"
 	"repro/internal/store"
 )
@@ -84,30 +89,60 @@ func TestSeqModelRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWorkloadGobCorrupt(t *testing.T) {
-	bad := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-	var tc TokenizedCorpus
-	if err := tc.GobDecode(bad); err == nil {
-		t.Error("corrupt TokenizedCorpus accepted")
+// TestScenarioIntermediatesStorable runs every workflow version of the
+// census and IE scenarios all-compute, keeping intermediates, and pushes
+// every node value through the store codec. The store has one format and no
+// fallback, so a value type without a codec.RegisterValue entry would
+// silently never be materialized; this test makes that gap fail loudly.
+// Encode → decode → encode must also be a byte-level fixed point.
+func TestScenarioIntermediatesStorable(t *testing.T) {
+	seen := make(map[string]bool) // result signatures already checked
+	for _, sc := range []*Scenario{
+		CensusScenario(GenerateCensus(200, 50, 1)),
+		IEScenario(GenerateNews(20, 5, 1)),
+	} {
+		for i, step := range sc.Steps {
+			c, err := core.Compile(step.Workflow)
+			if err != nil {
+				t.Fatalf("%s step %d: %v", sc.Name, i+1, err)
+			}
+			plan := &opt.Plan{States: make([]opt.State, c.Graph.Len())}
+			for id := range plan.States {
+				plan.States[id] = opt.Compute
+			}
+			res, err := (&exec.Engine{Workers: 2}).Execute(c.Graph, c.Tasks, plan)
+			if err != nil {
+				t.Fatalf("%s step %d: %v", sc.Name, i+1, err)
+			}
+			for id, v := range res.Values {
+				if seen[c.Tasks[id].Key] {
+					continue
+				}
+				seen[c.Tasks[id].Key] = true
+				node := fmt.Sprintf("%s step %d node %s (%T)", sc.Name, i+1, c.Graph.Node(id).Name, v)
+				raw, err := store.Encode(v)
+				if err != nil {
+					t.Errorf("%s: not storable: %v", node, err)
+					continue
+				}
+				dec, err := store.Decode(raw)
+				if err != nil {
+					t.Errorf("%s: decode: %v", node, err)
+					continue
+				}
+				again, err := store.Encode(dec)
+				if err != nil {
+					t.Errorf("%s: re-encode: %v", node, err)
+					continue
+				}
+				if !bytes.Equal(raw, again) {
+					t.Errorf("%s: re-encode not byte-identical (%d vs %d bytes)", node, len(raw), len(again))
+				}
+			}
+		}
 	}
-	var lc LabeledCorpus
-	if err := lc.GobDecode(bad); err == nil {
-		t.Error("corrupt LabeledCorpus accepted")
+	if len(seen) == 0 {
+		t.Fatal("no node values checked")
 	}
-	var ds SeqDataset
-	if err := ds.GobDecode(bad); err == nil {
-		t.Error("corrupt SeqDataset accepted")
-	}
-}
-
-// End-to-end: a full IE iteration's intermediates all survive the store.
-func TestIEIntermediatesStorable(t *testing.T) {
-	data := GenerateNews(20, 5, 1)
-	trS, trP := tokenizeDocs(data.Train)
-	teS, teP := tokenizeDocs(data.Test)
-	tc := TokenizedCorpus{TrainSents: trS, TestSents: teS, TrainPersons: trP, TestPersons: teP}
-	got := roundTrip(t, tc).(TokenizedCorpus)
-	if len(got.TrainSents) != len(tc.TrainSents) {
-		t.Errorf("sentences lost: %d vs %d", len(got.TrainSents), len(tc.TrainSents))
-	}
+	t.Logf("%d distinct node values checked", len(seen))
 }

@@ -14,34 +14,11 @@ import (
 	"repro/internal/store"
 )
 
-// The production packages gob-register only the types that actually flow as
-// top-level store values; the binary codec registry is wider (it also names
-// value variants and small leaf types). The gob reference leg of the
-// equivalence sweep needs every exemplar registered, so the test fills the
-// gap. One variant per base type: gob keys its registry on the base type, so
-// registering both T and *T would conflict.
-func init() {
-	store.Register(&data.Collection{})
-	store.Register(data.Row{})
-	store.Register(&data.Schema{})
-	store.Register(&data.ExampleSet{})
-	store.Register(&data.Dictionary{})
-	store.Register(data.Vector{})
-	store.Register(data.Labeled{})
-	store.Register(seq.Instance{})
-	store.Register(seq.Span{})
-	store.Register(&seq.FeatureDict{})
-	store.Register(map[string]float64{})
-}
-
 // exemplars returns one fully-populated instance per registered named value
-// codec, keyed by registration name, plus gob-form overrides for the names
-// where gob cannot preserve the exact dynamic type: gob flattens pointers
-// when transmitting interface values, so the value variants of types
-// registered as pointers decode back as pointers. Every field is non-zero
-// and every slice/map non-empty, so a codec that drops or reorders anything
-// fails the deep-equal checks instead of hiding behind zero values.
-func exemplars(t *testing.T) (map[string]any, map[string]any) {
+// codec, keyed by registration name. Every field is non-zero and every
+// slice/map non-empty, so a codec that drops or reorders anything fails the
+// deep-equal checks instead of hiding behind zero values.
+func exemplars(t *testing.T) map[string]any {
 	t.Helper()
 	schema, err := data.NewSchema("age", "edu", "hours")
 	if err != nil {
@@ -71,10 +48,6 @@ func exemplars(t *testing.T) (map[string]any, map[string]any) {
 	fm := data.FeatureMap{"age": 39, "edu=Bachelors": 1, "hours": 40}
 	vec := data.Vector{Indices: []int{0, 3, 7}, Values: []float64{1, 0.5, -2}}
 
-	gobForm := map[string]any{
-		"data.Collection": coll,
-		"data.ExampleSet": exSet,
-	}
 	return map[string]any{
 		"data.*Collection":         coll,
 		"data.Collection":          *coll,
@@ -158,18 +131,16 @@ func exemplars(t *testing.T) (map[string]any, map[string]any) {
 			Spans: [][]seq.Span{{{Start: 0, End: 2}}},
 			Gold:  [][]seq.Span{{{Start: 0, End: 1}}},
 		},
-	}, gobForm
+	}
 }
 
-// TestBinaryCodecExhaustiveRoundTrip is the exhaustive gob-vs-binary
-// equivalence sweep: one exemplar per registered named value type, checked
-// for (1) binary encode without gob fallback, (2) deep-equal binary decode,
-// (3) byte-stable binary re-encode of the decoded value, (4) deep-equal gob
-// decode, and (5) cross-codec agreement of the two decodes. The exemplar
-// set is asserted complete against the codec registry, so registering a new
-// value type without extending this test fails loudly.
+// TestBinaryCodecExhaustiveRoundTrip is the exhaustive codec sweep: one
+// exemplar per registered named value type, checked for (1) encode, (2)
+// deep-equal decode, and (3) byte-stable re-encode of the decoded value.
+// The exemplar set is asserted complete against the codec registry, so
+// registering a new value type without extending this test fails loudly.
 func TestBinaryCodecExhaustiveRoundTrip(t *testing.T) {
-	ex, gobForm := exemplars(t)
+	ex := exemplars(t)
 	var covered []string
 	for name := range ex {
 		covered = append(covered, name)
@@ -180,76 +151,32 @@ func TestBinaryCodecExhaustiveRoundTrip(t *testing.T) {
 	}
 	for name, v := range ex {
 		t.Run(name, func(t *testing.T) {
-			encB, err := store.EncodeValueWith(store.CodecBinary, v)
+			raw, err := store.Encode(v)
 			if err != nil {
-				t.Fatalf("binary encode: %v", err)
+				t.Fatalf("encode: %v", err)
 			}
-			if got := encB.Codec(); got != store.CodecBinary {
-				t.Fatalf("binary encode fell back to %s", got)
-			}
-			rawB := append([]byte(nil), encB.Bytes()...)
-			encB.Release()
-			if c, err := store.CodecOf(rawB); err != nil || c != store.CodecBinary {
-				t.Fatalf("binary payload marker = %v, %v", c, err)
-			}
-			decB, err := store.Decode(rawB)
+			dec, err := store.Decode(raw)
 			if err != nil {
-				t.Fatalf("binary decode: %v", err)
+				t.Fatalf("decode: %v", err)
 			}
-			if !reflect.DeepEqual(decB, v) {
-				t.Fatalf("binary round-trip not deep-equal:\ngot  %#v\nwant %#v", decB, v)
+			if !reflect.DeepEqual(dec, v) {
+				t.Fatalf("round-trip not deep-equal:\ngot  %#v\nwant %#v", dec, v)
 			}
 			// Byte stability: re-encoding the decoded value reproduces the
 			// exact bytes (sorted maps, dense dictionary order).
-			encB2, err := store.EncodeValueWith(store.CodecBinary, decB)
+			again, err := store.Encode(dec)
 			if err != nil {
-				t.Fatalf("binary re-encode: %v", err)
+				t.Fatalf("re-encode: %v", err)
 			}
-			if !bytes.Equal(rawB, encB2.Bytes()) {
-				t.Fatalf("binary re-encode of decoded value not byte-identical (%d vs %d bytes)",
-					len(rawB), len(encB2.Bytes()))
-			}
-			encB2.Release()
-
-			// gob flattens pointers when transmitting interface values and
-			// needs addressability for pointer-receiver GobEncode, so the
-			// value variants of pointer-registered types run the gob leg in
-			// their pointer form.
-			gv, gobFlattened := gobForm[name]
-			if !gobFlattened {
-				gv = v
-			}
-			encG, err := store.EncodeValueWith(store.CodecGob, gv)
-			if err != nil {
-				t.Fatalf("gob encode: %v", err)
-			}
-			rawG := append([]byte(nil), encG.Bytes()...)
-			encG.Release()
-			if c, err := store.CodecOf(rawG); err != nil || c != store.CodecGob {
-				t.Fatalf("gob payload marker = %v, %v", c, err)
-			}
-			decG, err := store.Decode(rawG)
-			if err != nil {
-				t.Fatalf("gob decode: %v", err)
-			}
-			if !reflect.DeepEqual(decG, gv) {
-				t.Fatalf("gob round-trip not deep-equal:\ngot  %#v\nwant %#v", decG, gv)
-			}
-			if gobFlattened {
-				// The binary decode preserved the exact value form above;
-				// with the gob decode matching the pointer form, semantic
-				// equality is established without a direct compare.
-				return
-			}
-			if !reflect.DeepEqual(decB, decG) {
-				t.Fatalf("binary and gob decodes disagree:\nbinary %#v\ngob    %#v", decB, decG)
+			if !bytes.Equal(raw, again) {
+				t.Fatalf("re-encode of decoded value not byte-identical (%d vs %d bytes)", len(raw), len(again))
 			}
 		})
 	}
 }
 
 // TestBinaryCodecBuiltinRoundTrip covers the closed set of scalar/slice/map
-// builtins the bench tasks produce, through both codecs.
+// builtins the bench tasks produce.
 func TestBinaryCodecBuiltinRoundTrip(t *testing.T) {
 	builtins := []any{
 		"a string",
@@ -264,33 +191,16 @@ func TestBinaryCodecBuiltinRoundTrip(t *testing.T) {
 		map[string]float64{"b": 2, "a": 1, "c": -3},
 	}
 	for _, v := range builtins {
-		encB, err := store.EncodeValueWith(store.CodecBinary, v)
+		raw, err := store.Encode(v)
 		if err != nil {
-			t.Fatalf("%T: binary encode: %v", v, err)
+			t.Fatalf("%T: encode: %v", v, err)
 		}
-		if got := encB.Codec(); got != store.CodecBinary {
-			t.Fatalf("%T: binary encode fell back to %s", v, got)
-		}
-		rawB := append([]byte(nil), encB.Bytes()...)
-		encB.Release()
-		decB, err := store.Decode(rawB)
+		dec, err := store.Decode(raw)
 		if err != nil {
-			t.Fatalf("%T: binary decode: %v", v, err)
+			t.Fatalf("%T: decode: %v", v, err)
 		}
-		if !reflect.DeepEqual(decB, v) {
-			t.Errorf("%T: binary round-trip = %#v, want %#v", v, decB, v)
-		}
-		encG, err := store.EncodeValueWith(store.CodecGob, v)
-		if err != nil {
-			t.Fatalf("%T: gob encode: %v", v, err)
-		}
-		decG, err := store.Decode(append([]byte(nil), encG.Bytes()...))
-		encG.Release()
-		if err != nil {
-			t.Fatalf("%T: gob decode: %v", v, err)
-		}
-		if !reflect.DeepEqual(decG, v) {
-			t.Errorf("%T: gob round-trip = %#v, want %#v", v, decG, v)
+		if !reflect.DeepEqual(dec, v) {
+			t.Errorf("%T: round-trip = %#v, want %#v", v, dec, v)
 		}
 	}
 }

@@ -10,12 +10,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/ml"
 	"repro/internal/seq"
-	"repro/internal/store"
 	"repro/internal/text"
 )
 
 // Value types flowing through the IE pipeline. All are registered with the
-// store codec so HELIX can materialize any intermediate.
+// store's binary codec (binary.go) so HELIX can materialize any
+// intermediate.
 
 // TokenizedCorpus is the corpus after tokenization and sentence splitting.
 // Sentences are flattened across documents; PersonsOf[i] lists the gold
@@ -52,16 +52,6 @@ type SeqDataset struct {
 type PredSpans struct {
 	Spans [][]seq.Span
 	Gold  [][]seq.Span
-}
-
-func init() {
-	store.Register(NewsData{})
-	store.Register(TokenizedCorpus{})
-	store.Register(LabeledCorpus{})
-	store.Register(GazValue{})
-	store.Register(SeqDataset{})
-	store.Register(PredSpans{})
-	store.Register(&seq.Model{})
 }
 
 // IEParams are the iteration knobs of the information-extraction workflow.
