@@ -233,9 +233,9 @@ func (c *Comparison) Summary() string {
 		fmt.Fprintf(&b, "  %s=%.1fms", s.System, float64(s.Cumulative().Microseconds())/1000)
 	}
 	b.WriteByte('\n')
-	// A zero peak means the gauge had nothing to measure (level-barrier
-	// runs never charge it; size-blind policies never learn estimates) —
-	// print n/a rather than implying the system used no memory.
+	// A zero peak means the gauge had nothing to measure (size-blind
+	// policies never learn estimates) — print n/a rather than implying the
+	// system used no memory.
 	b.WriteString("peak live bytes:")
 	for _, s := range c.Series {
 		if s.PeakLiveBytes == 0 {

@@ -15,15 +15,13 @@ import (
 	"repro/internal/store"
 )
 
-// chaosConfigs are the executor configurations the chaos harness drives:
-// both dispatch modes × both orderings, with release toggled across the
-// set so retries and recomputes race the value plane's slot clearing too.
+// chaosConfigs are the engine configurations the chaos harness drives:
+// release off and on, so retries and recomputes race the value plane's
+// slot clearing too.
 func chaosConfigs() []schedConfig {
 	return []schedConfig{
-		{name: "ws-cp", sched: exec.Dataflow, dispatch: exec.WorkSteal, order: exec.CriticalPath},
-		{name: "ws-minid-release", sched: exec.Dataflow, dispatch: exec.WorkSteal, order: exec.MinID, release: true},
-		{name: "gh-cp-release", sched: exec.Dataflow, dispatch: exec.GlobalHeap, order: exec.CriticalPath, release: true},
-		{name: "gh-minid", sched: exec.Dataflow, dispatch: exec.GlobalHeap, order: exec.MinID},
+		{name: "engine"},
+		{name: "engine-release", release: true},
 	}
 }
 
@@ -32,7 +30,7 @@ func chaosConfigs() []schedConfig {
 // chaos configuration against a spill-pressured tiered store (64-byte hot
 // tier) with a seeded schedule of transient operator faults, must complete
 // with zero run failures and agree byte-identically with a clean
-// level-barrier reference on every surviving value. Aggregate retries,
+// sequential reference on every surviving value. Aggregate retries,
 // spills and promotions must all be nonzero — proof the harness actually
 // exercised the retry loop and both tiers rather than passing vacuously.
 func TestChaosEquivalence(t *testing.T) {
@@ -81,20 +79,13 @@ func TestChaosEquivalence(t *testing.T) {
 				}
 			}
 
-			// Clean level-barrier reference on an unbudgeted single tier.
+			// Clean sequential reference on an unbudgeted single tier.
 			refStore, err := store.Open(t.TempDir(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			prepopulate(store.NewTiered(refStore, nil))
-			refEng := &exec.Engine{
-				Workers: 4, Sched: exec.LevelBarrier,
-				Store: refStore, Policy: opt.MaterializeAll{},
-			}
-			ref, err := refEng.Execute(sd.G, sd.Tasks, plan)
-			if err != nil {
-				t.Fatalf("reference: %v", err)
-			}
+			ref := sequentialRun(sd.G, sd.Tasks, plan, refStore)
 
 			for ci, c := range chaosConfigs() {
 				fp := DefaultFaultPlan(seed*131 + int64(ci))
@@ -110,9 +101,6 @@ func TestChaosEquivalence(t *testing.T) {
 				prepopulate(store.NewTiered(hot, cold))
 				e := &exec.Engine{
 					Workers:              4,
-					Sched:                c.sched,
-					Order:                c.order,
-					Dispatch:             c.dispatch,
 					ReleaseIntermediates: c.release,
 					Store:                hot,
 					Spill:                cold,
@@ -334,63 +322,30 @@ func TestEIOBreakerDegradesToHotOnly(t *testing.T) {
 // joined error must surface the injected fault, not the collateral
 // context cancellations.
 func TestFatalFaultCancelsRun(t *testing.T) {
-	for _, dispatch := range []exec.DispatchMode{exec.WorkSteal, exec.GlobalHeap} {
-		t.Run(dispatch.String(), func(t *testing.T) {
-			// A root fanning out to slow sleepers plus one fatal node: the
-			// sleepers are mid-sleep when the fatal error lands.
-			sd := WideDAG(8, 50*time.Millisecond)
-			tasks := append([]exec.Task(nil), sd.Tasks...)
-			tasks[2] = FaultyOp(tasks[2], FaultSchedule{Fatal: true})
-			e := &exec.Engine{
-				Workers:  4,
-				Dispatch: dispatch,
-				Faults:   exec.FaultPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond},
-			}
-			start := time.Now()
-			_, err := e.Execute(sd.G, tasks, sd.Plan())
-			if err == nil {
-				t.Fatal("run with a fatal fault succeeded")
-			}
-			if !errors.Is(err, ErrInjectedFatal) {
-				t.Fatalf("error %v does not wrap the injected fatal fault", err)
-			}
-			// Fatal means no retry: the run must die on the first attempt,
-			// well before the 50ms sleepers would have finished naturally.
-			if wall := time.Since(start); wall > 40*time.Millisecond {
-				t.Errorf("cancellation took %v; in-flight sleepers were not interrupted", wall)
-			}
-		})
-	}
-}
-
-// TestChaosLevelBarrier runs the fault schedule under the level-barrier
-// reference executor itself: retry/backoff is scheduler-independent, so
-// the wave executor must also absorb every recoverable fault and match a
-// clean run's values.
-func TestChaosLevelBarrier(t *testing.T) {
-	for seed := int64(900); seed < 908; seed++ {
-		sd := RandomDAG(seed)
-		prime := &exec.Engine{Workers: 4}
-		truth, err := prime.Execute(sd.G, sd.Tasks, sd.Plan())
-		if err != nil {
-			t.Fatal(err)
+	t.Run("worksteal", func(t *testing.T) {
+		// A root fanning out to slow sleepers plus one fatal node: the
+		// sleepers are mid-sleep when the fatal error lands.
+		sd := WideDAG(8, 50*time.Millisecond)
+		tasks := append([]exec.Task(nil), sd.Tasks...)
+		tasks[2] = FaultyOp(tasks[2], FaultSchedule{Fatal: true})
+		e := &exec.Engine{
+			Workers: 4,
+			Faults:  exec.FaultPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond},
 		}
-		fp := DefaultFaultPlan(seed)
-		faulted, injected := WithFaults(sd, fp)
-		e := &exec.Engine{Workers: 4, Sched: exec.LevelBarrier, Faults: fp.Policy()}
-		res, err := e.Execute(faulted.G, faulted.Tasks, sd.Plan())
-		if err != nil {
-			t.Fatalf("seed %d: faulted level-barrier run failed: %v", seed, err)
+		start := time.Now()
+		_, err := e.Execute(sd.G, tasks, sd.Plan())
+		if err == nil {
+			t.Fatal("run with a fatal fault succeeded")
 		}
-		if injected > 0 && res.Retries == 0 {
-			t.Errorf("seed %d: no retries recorded for %d injected faults", seed, injected)
+		if !errors.Is(err, ErrInjectedFatal) {
+			t.Fatalf("error %v does not wrap the injected fatal fault", err)
 		}
-		for id, v := range truth.Values {
-			if !bytes.Equal(encodeValue(t, res.Values[id]), encodeValue(t, v)) {
-				t.Errorf("seed %d: node %d differs from clean run", seed, id)
-			}
+		// Fatal means no retry: the run must die on the first attempt,
+		// well before the 50ms sleepers would have finished naturally.
+		if wall := time.Since(start); wall > 40*time.Millisecond {
+			t.Errorf("cancellation took %v; in-flight sleepers were not interrupted", wall)
 		}
-	}
+	})
 }
 
 // TestChaosSingleFlightLeaderFailure extends the chaos harness to the

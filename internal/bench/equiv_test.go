@@ -15,13 +15,10 @@ import (
 	"repro/internal/store"
 )
 
-// schedConfig is one executor configuration under equivalence test.
+// schedConfig is one engine configuration under equivalence test.
 type schedConfig struct {
-	name     string
-	sched    exec.Strategy
-	order    exec.Ordering
-	dispatch exec.DispatchMode
-	release  bool
+	name    string
+	release bool
 	// reweight forces online re-prioritization passes (Adaptive with a
 	// 1-completion interval and a 1ns divergence floor, so every graph
 	// actually re-sorts mid-run); false pins the initial weights
@@ -29,27 +26,22 @@ type schedConfig struct {
 	reweight bool
 }
 
-// equivConfigs are every scheduler configuration that must agree with the
-// level-barrier reference: both dispatch modes (work-stealing and the
-// global-heap baseline) × both orderings × with and without refcounted
-// release of consumed intermediates × with re-prioritization passes
-// forced on every completion and pinned off.
+// equivConfigs are the engine configurations that must agree with the
+// sequential reference: with and without refcounted release of consumed
+// intermediates × with re-prioritization passes forced on every
+// completion and pinned off.
 func equivConfigs() []schedConfig {
 	var out []schedConfig
-	for _, d := range []exec.DispatchMode{exec.WorkSteal, exec.GlobalHeap} {
-		for _, o := range []exec.Ordering{exec.CriticalPath, exec.MinID} {
-			for _, release := range []bool{false, true} {
-				for _, reweight := range []bool{false, true} {
-					name := fmt.Sprintf("dataflow-%s-%s", d, o)
-					if release {
-						name += "-release"
-					}
-					if reweight {
-						name += "-reweight"
-					}
-					out = append(out, schedConfig{name, exec.Dataflow, o, d, release, reweight})
-				}
+	for _, release := range []bool{false, true} {
+		for _, reweight := range []bool{false, true} {
+			name := "engine"
+			if release {
+				name += "-release"
 			}
+			if reweight {
+				name += "-reweight"
+			}
+			out = append(out, schedConfig{name, release, reweight})
 		}
 	}
 	return out
@@ -103,71 +95,57 @@ func sharedSigDAG(tag string) *SchedDAG {
 	}}
 }
 
-// TestSharedSignatureEncodedOnceAcrossExecutors closes the level-barrier
-// half of the shared-key double-write hole: with two nodes sharing one
-// result signature, the dataflow writer's in-run dedupe and the
-// level-barrier executor's (new) equivalent must each encode the shared
-// signature exactly once — asserted via the instrumented store encode
-// counter and the Result's BinaryEncodes — and charge its budget once.
+// TestSharedSignatureEncodedOnceAcrossExecutors closes the shared-key
+// double-write hole: with two nodes sharing one result signature, the
+// materialization writer's in-run dedupe must encode the shared signature
+// exactly once — asserted via the instrumented store encode counter and
+// the Result's BinaryEncodes — and charge its budget once.
 func TestSharedSignatureEncodedOnceAcrossExecutors(t *testing.T) {
-	configs := []schedConfig{
-		{name: "level-barrier-binary", sched: exec.LevelBarrier},
-		{name: "dataflow-worksteal-binary", sched: exec.Dataflow, dispatch: exec.WorkSteal},
-		{name: "dataflow-global-heap-binary", sched: exec.Dataflow, dispatch: exec.GlobalHeap},
-	}
-	for i, c := range configs {
-		t.Run(c.name, func(t *testing.T) {
-			// Repeat each config: the same-level race needs attempts to
-			// interleave, and the counter must hold every time.
-			for rep := 0; rep < 10; rep++ {
-				sd := sharedSigDAG(fmt.Sprintf("%d-%d", i, rep))
-				st, err := store.Open(t.TempDir(), 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e := &exec.Engine{
-					Workers:  4,
-					Sched:    c.sched,
-					Dispatch: c.dispatch,
-					Store:    st,
-					Policy:   opt.MaterializeAll{},
-				}
-				before := store.EncodeCalls()
-				res, err := e.Execute(sd.G, sd.Tasks, sd.Plan())
-				if err != nil {
-					t.Fatal(err)
-				}
-				// 3 distinct keys across 4 nodes: root, the shared twin
-				// signature (once), join.
-				if got := store.EncodeCalls() - before; got != 3 {
-					t.Fatalf("rep %d: %d encodes, want 3 (shared signature encoded once)", rep, got)
-				}
-				if res.BinaryEncodes != 3 {
-					t.Fatalf("rep %d: Result counts %d encodes, want 3", rep, res.BinaryEncodes)
-				}
-				entries := st.Entries()
-				if len(entries) != 3 {
-					t.Fatalf("rep %d: %d store entries, want 3", rep, len(entries))
-				}
-				var total int64
-				for _, en := range entries {
-					total += en.Size
-				}
-				if st.Used() != total {
-					t.Fatalf("rep %d: store used %d != entry sum %d (budget double-reserved)", rep, st.Used(), total)
-				}
+	t.Run("dataflow-worksteal-binary", func(t *testing.T) {
+		// Repeat: the twins' race needs attempts to interleave, and the
+		// counter must hold every time.
+		for rep := 0; rep < 10; rep++ {
+			sd := sharedSigDAG(fmt.Sprint(rep))
+			st, err := store.Open(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			e := &exec.Engine{Workers: 4, Store: st, Policy: opt.MaterializeAll{}}
+			before := store.EncodeCalls()
+			res, err := e.Execute(sd.G, sd.Tasks, sd.Plan())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// 3 distinct keys across 4 nodes: root, the shared twin
+			// signature (once), join.
+			if got := store.EncodeCalls() - before; got != 3 {
+				t.Fatalf("rep %d: %d encodes, want 3 (shared signature encoded once)", rep, got)
+			}
+			if res.BinaryEncodes != 3 {
+				t.Fatalf("rep %d: Result counts %d encodes, want 3", rep, res.BinaryEncodes)
+			}
+			entries := st.Entries()
+			if len(entries) != 3 {
+				t.Fatalf("rep %d: %d store entries, want 3", rep, len(entries))
+			}
+			var total int64
+			for _, en := range entries {
+				total += en.Size
+			}
+			if st.Used() != total {
+				t.Fatalf("rep %d: store used %d != entry sum %d (budget double-reserved)", rep, st.Used(), total)
+			}
+		}
+	})
 }
 
 // TestRandomizedSpillEquivalence forces the tiered store into the
 // randomized harness: the same seeded graphs and mixed plans as the
-// scheduler-equivalence test, but every dataflow configuration (dispatch ×
-// ordering × release) runs against a hot tier so small that most
-// materializations spill and most loads hit cold and promote — maximal
-// cross-tier churn under concurrency. Each configuration must still agree
-// with the unbudgeted single-tier level-barrier reference on byte-identical
+// scheduler-equivalence test, but every configuration (with and without
+// release) runs against a hot tier so small that most materializations
+// spill and most loads hit cold and promote — maximal cross-tier churn
+// under concurrency. Each configuration must still agree with the
+// sequential reference over an unbudgeted single tier on byte-identical
 // values and state counts, and the union of its two tiers must hold
 // exactly the reference store's contents.
 func TestRandomizedSpillEquivalence(t *testing.T) {
@@ -220,20 +198,13 @@ func TestRandomizedSpillEquivalence(t *testing.T) {
 				}
 			}
 
-			// Unbudgeted single-tier reference under the level barrier.
+			// Sequential reference over an unbudgeted single tier.
 			refStore, err := store.Open(t.TempDir(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			prepopulate(store.NewTiered(refStore, nil))
-			refEng := &exec.Engine{
-				Workers: 4, Sched: exec.LevelBarrier,
-				Store: refStore, Policy: opt.MaterializeAll{},
-			}
-			ref, err := refEng.Execute(sd.G, sd.Tasks, plan)
-			if err != nil {
-				t.Fatalf("reference: %v", err)
-			}
+			ref := sequentialRun(sd.G, sd.Tasks, plan, refStore)
 			refC, refL, refP := stateCounts(ref)
 
 			for _, c := range equivConfigs() {
@@ -251,9 +222,6 @@ func TestRandomizedSpillEquivalence(t *testing.T) {
 				prepopulate(store.NewTiered(hot, cold))
 				e := &exec.Engine{
 					Workers:              4,
-					Sched:                c.sched,
-					Order:                c.order,
-					Dispatch:             c.dispatch,
 					ReleaseIntermediates: c.release,
 					Store:                hot,
 					Spill:                cold,
@@ -336,7 +304,7 @@ func TestRandomizedSpillEquivalence(t *testing.T) {
 // with buffered and with mmap cold reads, spill-forced through a tiny hot
 // tier so most materializations land in the cold tier and most loads cross
 // the codec's decode path. Every configuration must agree with the
-// unbudgeted single-tier level-barrier reference on state counts and
+// sequential reference over an unbudgeted single tier on state counts and
 // byte-identical values — the read path is a pure transport change.
 func TestRandomizedCodecEquivalence(t *testing.T) {
 	const graphs = 8
@@ -388,14 +356,7 @@ func TestRandomizedCodecEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			prepopulate(store.NewTiered(refStore, nil))
-			refEng := &exec.Engine{
-				Workers: 4, Sched: exec.LevelBarrier,
-				Store: refStore, Policy: opt.MaterializeAll{},
-			}
-			ref, err := refEng.Execute(sd.G, sd.Tasks, plan)
-			if err != nil {
-				t.Fatalf("reference: %v", err)
-			}
+			ref := sequentialRun(sd.G, sd.Tasks, plan, refStore)
 			refC, refL, refP := stateCounts(ref)
 
 			for _, mmap := range []bool{false, true} {
@@ -415,9 +376,6 @@ func TestRandomizedCodecEquivalence(t *testing.T) {
 				prepopulate(store.NewTiered(hot, cold))
 				e := &exec.Engine{
 					Workers:  4,
-					Sched:    exec.Dataflow,
-					Order:    exec.CriticalPath,
-					Dispatch: exec.WorkSteal,
 					Store:    hot,
 					Spill:    cold,
 					Policy:   opt.MaterializeAll{},
@@ -466,10 +424,10 @@ func TestRandomizedCodecEquivalence(t *testing.T) {
 
 // TestRandomizedEvictionEquivalence puts the cold tier's eviction under the
 // harness: across seeded random graphs with mixed plans, every combination
-// of dispatch mode × forced re-prioritization × injected transient faults
-// runs against a cold tier sized to just hold the prepopulated loadable
-// keys — so every fresh materialization during the run must evict — and
-// must still agree with the unbudgeted level-barrier reference on state
+// of forced re-prioritization × injected transient faults runs against a
+// cold tier sized to just hold the prepopulated loadable keys — so every
+// fresh materialization during the run must evict — and must still agree
+// with the sequential reference over an unbudgeted single tier on state
 // counts and byte-identical values. Eviction is pure cache policy: it may
 // change what survives the run (not asserted here), never what the run
 // computes.
@@ -538,75 +496,63 @@ func TestRandomizedEvictionEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			prepopulate(store.NewTiered(refStore, nil))
-			refEng := &exec.Engine{
-				Workers: 4, Sched: exec.LevelBarrier,
-				Store: refStore, Policy: opt.MaterializeAll{},
-			}
-			ref, err := refEng.Execute(sd.G, sd.Tasks, plan)
-			if err != nil {
-				t.Fatalf("reference: %v", err)
-			}
+			ref := sequentialRun(sd.G, sd.Tasks, plan, refStore)
 			refC, refL, refP := stateCounts(ref)
 
-			for _, dispatch := range []exec.DispatchMode{exec.WorkSteal, exec.GlobalHeap} {
-				for _, reweight := range []bool{false, true} {
-					for _, faults := range []bool{false, true} {
-						name := fmt.Sprintf("%s-rw%v-f%v", dispatch, reweight, faults)
-						hot, err := store.Open(t.TempDir(), tinyHot)
-						if err != nil {
-							t.Fatal(err)
+			for _, reweight := range []bool{false, true} {
+				for _, faults := range []bool{false, true} {
+					name := fmt.Sprintf("rw%v-f%v", reweight, faults)
+					hot, err := store.Open(t.TempDir(), tinyHot)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cold, err := store.OpenSpill(t.TempDir(), coldBudget)
+					if err != nil {
+						t.Fatal(err)
+					}
+					prepopulate(store.NewTiered(hot, cold))
+					run := sd
+					e := &exec.Engine{
+						Workers:  4,
+						Store:    hot,
+						Spill:    cold,
+						Policy:   opt.MaterializeAll{},
+						Reweight: exec.ReweightOff,
+					}
+					if reweight {
+						e.Reweight = exec.Adaptive
+						e.ReweightInterval = 1
+						e.ReweightMinDivergence = time.Nanosecond
+					}
+					if faults {
+						fp := DefaultFaultPlan(seed)
+						run, _ = WithFaults(sd, fp)
+						e.Faults = fp.Policy()
+					}
+					res, err := e.Execute(run.G, run.Tasks, plan)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					totalEvictions += cold.Evictions()
+					totalRetries += res.Retries
+					gotC, gotL, gotP := stateCounts(res)
+					if gotC != refC || gotL != refL || gotP != refP {
+						t.Errorf("%s: counts computed/loaded/pruned = %d/%d/%d, reference %d/%d/%d",
+							name, gotC, gotL, gotP, refC, refL, refP)
+					}
+					if cold.Used() > coldBudget {
+						t.Errorf("%s: cold tier used %d over its %d budget", name, cold.Used(), coldBudget)
+					}
+					for i := 0; i < n; i++ {
+						id := dag.NodeID(i)
+						refV, refOK := ref.Values[id]
+						gotV, gotOK := res.Values[id]
+						if gotOK != refOK {
+							t.Errorf("%s: node %d present=%v, reference %v", name, i, gotOK, refOK)
+							continue
 						}
-						cold, err := store.OpenSpill(t.TempDir(), coldBudget)
-						if err != nil {
-							t.Fatal(err)
-						}
-						prepopulate(store.NewTiered(hot, cold))
-						run := sd
-						e := &exec.Engine{
-							Workers:  4,
-							Sched:    exec.Dataflow,
-							Order:    exec.CriticalPath,
-							Dispatch: dispatch,
-							Store:    hot,
-							Spill:    cold,
-							Policy:   opt.MaterializeAll{},
-							Reweight: exec.ReweightOff,
-						}
-						if reweight {
-							e.Reweight = exec.Adaptive
-							e.ReweightInterval = 1
-							e.ReweightMinDivergence = time.Nanosecond
-						}
-						if faults {
-							fp := DefaultFaultPlan(seed)
-							run, _ = WithFaults(sd, fp)
-							e.Faults = fp.Policy()
-						}
-						res, err := e.Execute(run.G, run.Tasks, plan)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						totalEvictions += cold.Evictions()
-						totalRetries += res.Retries
-						gotC, gotL, gotP := stateCounts(res)
-						if gotC != refC || gotL != refL || gotP != refP {
-							t.Errorf("%s: counts computed/loaded/pruned = %d/%d/%d, reference %d/%d/%d",
-								name, gotC, gotL, gotP, refC, refL, refP)
-						}
-						if cold.Used() > coldBudget {
-							t.Errorf("%s: cold tier used %d over its %d budget", name, cold.Used(), coldBudget)
-						}
-						for i := 0; i < n; i++ {
-							id := dag.NodeID(i)
-							refV, refOK := ref.Values[id]
-							gotV, gotOK := res.Values[id]
-							if gotOK != refOK {
-								t.Errorf("%s: node %d present=%v, reference %v", name, i, gotOK, refOK)
-								continue
-							}
-							if gotOK && !bytes.Equal(encodeValue(t, gotV), encodeValue(t, refV)) {
-								t.Errorf("%s: node %d value differs from reference", name, i)
-							}
+						if gotOK && !bytes.Equal(encodeValue(t, gotV), encodeValue(t, refV)) {
+							t.Errorf("%s: node %d value differs from reference", name, i)
 						}
 					}
 				}
@@ -622,13 +568,12 @@ func TestRandomizedEvictionEquivalence(t *testing.T) {
 }
 
 // TestRandomizedSchedulerEquivalence is the property harness of the
-// scheduler rewrite: across ≥50 seeded random graphs with mixed
-// load/compute/prune plans, every dataflow configuration (work-stealing ×
-// global-heap dispatch, both orderings, with and without
-// ReleaseIntermediates) must agree with the
-// level-barrier reference on byte-identical values, per-node states and
+// engine: across ≥50 seeded random graphs with mixed load/compute/prune
+// plans, every configuration (with and without ReleaseIntermediates, with
+// re-prioritization forced and pinned off) must agree with the sequential
+// reference on byte-identical values, per-node states and
 // computed/loaded/pruned counts, materialization outcomes, and final
-// store contents. Each configuration executes against its own identically
+// store contents. Each run executes against its own identically
 // pre-populated store, so runs cannot influence each other.
 func TestRandomizedSchedulerEquivalence(t *testing.T) {
 	const graphs = 52
@@ -663,7 +608,7 @@ func TestRandomizedSchedulerEquivalence(t *testing.T) {
 				t.Fatalf("plan: %v", err)
 			}
 
-			run := func(c schedConfig) (*exec.Result, *store.Store) {
+			prepopulated := func() *store.Store {
 				st, err := store.Open(t.TempDir(), 0)
 				if err != nil {
 					t.Fatal(err)
@@ -675,11 +620,12 @@ func TestRandomizedSchedulerEquivalence(t *testing.T) {
 						}
 					}
 				}
+				return st
+			}
+			run := func(c schedConfig) (*exec.Result, *store.Store) {
+				st := prepopulated()
 				e := &exec.Engine{
 					Workers:              4,
-					Sched:                c.sched,
-					Order:                c.order,
-					Dispatch:             c.dispatch,
 					ReleaseIntermediates: c.release,
 					Store:                st,
 					Policy:               opt.MaterializeAll{},
@@ -697,7 +643,8 @@ func TestRandomizedSchedulerEquivalence(t *testing.T) {
 				return res, st
 			}
 
-			ref, refStore := run(schedConfig{name: "level-barrier", sched: exec.LevelBarrier})
+			refStore := prepopulated()
+			ref := sequentialRun(sd.G, sd.Tasks, plan, refStore)
 			refC, refL, refP := stateCounts(ref)
 			for _, c := range equivConfigs() {
 				res, st := run(c)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/dag"
-	"repro/internal/exec"
 	"repro/internal/opt"
 )
 
@@ -39,7 +38,7 @@ func TestRecomputeHeavyShape(t *testing.T) {
 	if _, err := Shape("recompute-heavy"); err != nil {
 		t.Fatalf("not in DefaultShapes: %v", err)
 	}
-	res, err := RunSched(sd, exec.Dataflow, 8)
+	res, err := RunSched(sd, 8, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +56,7 @@ func TestRecomputeHeavyShape(t *testing.T) {
 // keep the crown, stay within budget, and produce outputs byte-identical
 // to an unpressured in-memory reference.
 func TestRewardEvictionRetainsCrown(t *testing.T) {
-	ref, err := RunSched(DefaultRecomputeHeavyDAG(), exec.Dataflow, 8)
+	ref, err := RunSched(DefaultRecomputeHeavyDAG(), 8, false)
 	if err != nil {
 		t.Fatal(err)
 	}

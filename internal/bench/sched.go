@@ -99,12 +99,12 @@ func spinTask(idx int, d time.Duration) exec.Task {
 	}}
 }
 
-// StragglerLevelDAG is the level-barrier worst case: `width` independent
-// chains of depth `levels` hang off one root, and chain w's node at level w
-// (the diagonal) runs for `slow` while every other node runs for `fast`. A
-// level-barrier executor pays the straggler once per level (≈ levels·slow
-// total, because every level contains exactly one slow node);
-// dependency-counting scheduling overlaps
+// StragglerLevelDAG is the worst case for a wave executor that puts a
+// barrier between DAG levels: `width` independent chains of depth `levels`
+// hang off one root, and chain w's node at level w (the diagonal) runs for
+// `slow` while every other node runs for `fast`. Such an executor would pay
+// the straggler once per level (≈ levels·slow total, because every level
+// contains exactly one slow node); dependency-counting scheduling overlaps
 // the stragglers across chains, so the wall approaches one chain's cost
 // (slow + (levels-1)·fast). width should not exceed the worker count if the
 // comparison is to isolate scheduling rather than queueing.
@@ -214,11 +214,12 @@ func StragglerChainDAG(depth int, slow, fast time.Duration) *SchedDAG {
 // fanoutChain builds the ordering-adversarial wide-fanout topology: a root
 // fans out to `short` independent single-node branches plus one chain of
 // `depth` nodes, all joining into one output. The chain is added last, so
-// its IDs are the highest — the worst case for min-ID dispatch, which
-// drains every cheap branch before the run's long pole gets a worker
-// (makespan ≈ short/workers + depth task-lengths). Critical-path ordering
-// starts the chain immediately and fills the remaining workers with the
-// branches (makespan ≈ max(depth, short/(workers-1)) task-lengths).
+// its IDs are the highest — the worst case for dispatch in ID order, which
+// would drain every cheap branch before the run's long pole gets a worker
+// (makespan ≈ ⌈short/workers⌉ + depth task-lengths). Critical-path
+// ordering starts the chain immediately and fills the remaining workers
+// with the branches (makespan ≈ max(depth, short/(workers-1))
+// task-lengths).
 func fanoutChain(name string, short, depth int, d time.Duration, mk func(int, time.Duration) exec.Task) *SchedDAG {
 	g := dag.New()
 	root := g.MustAddNode("root", "scan")
@@ -253,10 +254,8 @@ func FanoutChainDAG(short, depth int, d time.Duration) *SchedDAG {
 
 // CPUFanoutDAG is the same topology with spin-loop (CPU-bound) tasks: the
 // honest workload for measuring scheduler overhead under real core
-// contention. The ordering win additionally needs spare cores (on a
-// single-core host total work equals makespan whatever the order), so
-// wall-time comparisons against MinID are only meaningful when
-// runtime.NumCPU() comfortably exceeds one.
+// contention. The ordering win additionally needs spare cores: on a
+// single-core host total work equals makespan whatever the order.
 func CPUFanoutDAG(short, depth int, spin time.Duration) *SchedDAG {
 	return fanoutChain("cpu-fanout", short, depth, spin, spinTask)
 }
@@ -336,13 +335,11 @@ func LiarHistory(sd *SchedDAG, decoyClaim, chainClaim time.Duration) *exec.Histo
 // Canonical LiarDAG instance measured by TestLiarAdaptiveBeatsStatic: 12
 // starter decoys × 1.5ms + 16 fat decoys × 8ms (all claimed 30ms) against a
 // 10-link × 2ms chain (claimed 1ms per link, a claimed 10ms path — under a
-// third of the decoys' 30ms, so the lie buries the chain under both
-// dispatchers: strictly by rank in
-// the global heap, and past the work-stealing stranding consult's 2×
-// threshold). Under static dispatch the lie costs the run the whole ~20ms
-// chain as a serial tail after the decoy drain, while adaptive
-// re-weighting starts the chain within a few ms of the starters' reveal
-// and overlaps it with the drain.
+// third of the decoys' 30ms, so the lie buries the chain past the
+// work-stealing stranding consult's 2× threshold). Under static dispatch
+// the lie costs the run the whole ~20ms chain as a serial tail after the
+// decoy drain, while adaptive re-weighting starts the chain within a few
+// ms of the starters' reveal and overlaps it with the drain.
 const (
 	liarStarters   = 12
 	liarFats       = 16
@@ -379,34 +376,20 @@ func DefaultLiarHistory(sd *SchedDAG) *exec.History {
 }
 
 // ReweightMeasurement is one data point of a reweight comparison: one
-// shape executed once under one reweight mode and dispatch mode.
+// shape executed once under one reweight mode.
 type ReweightMeasurement struct {
 	Shape     string  `json:"shape"`
 	Nodes     int     `json:"nodes"`
 	Reweight  string  `json:"reweight"`
-	Dispatch  string  `json:"dispatch"`
 	Workers   int     `json:"workers"`
 	WallMS    float64 `json:"wall_ms"`
 	Reweights int64   `json:"reweights"`
 }
 
-// MeasureReweight executes the shape once under the given reweight and
-// dispatch modes with a fresh engine and the supplied history (pass a
-// fresh LiarHistory per call for deceptive runs; nil runs cold) and
-// returns the measurement with the run's Result for value checking.
-//
-// The headline Adaptive-vs-Off comparison on LiarDAG uses GlobalHeap
-// dispatch deliberately: a single strictly priority-ordered queue isolates
-// the re-weighting effect. Work-stealing used to blunt the comparison —
-// steal-half repeatedly moved the best half of a victim's deque and
-// stranded the globally-worst nodes on deques whose owners then ran them
-// early, so a deceptively under-weighted long pole got picked up within a
-// few milliseconds by accident and the static-vs-adaptive gap mostly
-// closed. The stranding consult (see docs/scheduler.md, "Hybrid steal")
-// fixed that: a worker now declines a local top far below the published
-// global best, so work-stealing honors deceptive weights as faithfully as
-// the global heap does and the adaptive margin holds under both
-// dispatchers (asserted by TestLiarAdaptiveBeatsStatic, which runs both).
+// MeasureReweight executes the shape once under the given reweight mode
+// with a fresh engine and the supplied history (pass a fresh LiarHistory
+// per call for deceptive runs; nil runs cold) and returns the measurement
+// with the run's Result for value checking.
 //
 // The engine is configured with reweightMeasureInterval rather than the
 // default completion floor: the default (8, tuned for graphs with
@@ -415,8 +398,8 @@ type ReweightMeasurement struct {
 // every worker has already committed to a multi-millisecond decoy — and
 // the measured gap would understate what re-weighting buys at a trigger
 // matched to the graph's scale.
-func MeasureReweight(sd *SchedDAG, h *exec.History, mode exec.Reweight, dispatch exec.DispatchMode, workers int) (ReweightMeasurement, *exec.Result, error) {
-	e := &exec.Engine{Workers: workers, History: h, Reweight: mode, Dispatch: dispatch,
+func MeasureReweight(sd *SchedDAG, h *exec.History, mode exec.Reweight, workers int) (ReweightMeasurement, *exec.Result, error) {
+	e := &exec.Engine{Workers: workers, History: h, Reweight: mode,
 		ReweightInterval: reweightMeasureInterval}
 	res, err := e.Execute(sd.G, sd.Tasks, sd.Plan())
 	if err != nil {
@@ -426,7 +409,6 @@ func MeasureReweight(sd *SchedDAG, h *exec.History, mode exec.Reweight, dispatch
 		Shape:     sd.Name,
 		Nodes:     sd.G.Len(),
 		Reweight:  mode.String(),
-		Dispatch:  dispatch.String(),
 		Workers:   workers,
 		WallMS:    float64(res.Wall.Microseconds()) / 1000,
 		Reweights: res.Reweights,
@@ -469,12 +451,11 @@ func busyTask(idx int) exec.Task {
 // ContentionDAG is the dispatch-contention worst case: `chains` independent
 // chains of `depth` fine-grained nodes hang off one root and join into one
 // output — a wide DAG of tiny tasks where every node completion is a
-// dispatch event. Under the global-heap dispatcher each of the
-// chains×depth transitions takes the one shared mutex (and broadcasts the
-// ready condition); under work-stealing a chain link hands off to its
-// child on the finishing worker's own deque, so the steady state touches
-// no shared lock at all. Tasks are pure dispatch probes (no sleep, no
-// spin), so wall time ≈ scheduler overhead.
+// dispatch event. A dispatcher with one shared ready queue would take its
+// mutex on each of the chains×depth transitions; under work-stealing a
+// chain link hands off to its child on the finishing worker's own deque,
+// so the steady state touches no shared lock at all. Tasks are pure
+// dispatch probes (no sleep, no spin), so wall time ≈ scheduler overhead.
 func ContentionDAG(chains, depth int) *SchedDAG {
 	g := dag.New()
 	root := g.MustAddNode("root", "scan")
@@ -495,69 +476,12 @@ func ContentionDAG(chains, depth int) *SchedDAG {
 	return &SchedDAG{Name: "contention-wide", G: g, Tasks: tasks}
 }
 
-// RunSched executes the DAG once under the given strategy and worker count
-// with the default (critical-path) ordering, returning the result for
+// RunSched executes the DAG once with a fresh engine at the given worker
+// count and intermediate-release setting, returning the result for
 // wall-time and value inspection.
-func RunSched(sd *SchedDAG, sched exec.Strategy, workers int) (*exec.Result, error) {
-	return RunSchedOrdered(sd, sched, exec.CriticalPath, workers, false)
-}
-
-// RunSchedOrdered executes the DAG once under the given strategy, dataflow
-// ready-queue ordering, worker count and intermediate-release setting,
-// with the default (work-stealing) dispatch.
-func RunSchedOrdered(sd *SchedDAG, sched exec.Strategy, order exec.Ordering, workers int, release bool) (*exec.Result, error) {
-	return RunSchedDispatch(sd, sched, order, exec.WorkSteal, workers, release)
-}
-
-// RunSchedDispatch executes the DAG once under a fully specified scheduler
-// configuration: strategy, dataflow ordering, dispatch mode, worker count
-// and intermediate-release setting.
-func RunSchedDispatch(sd *SchedDAG, sched exec.Strategy, order exec.Ordering, dispatch exec.DispatchMode, workers int, release bool) (*exec.Result, error) {
-	e := &exec.Engine{Workers: workers, Sched: sched, Order: order, Dispatch: dispatch, ReleaseIntermediates: release}
+func RunSched(sd *SchedDAG, workers int, release bool) (*exec.Result, error) {
+	e := &exec.Engine{Workers: workers, ReleaseIntermediates: release}
 	return e.Execute(sd.G, sd.Tasks, sd.Plan())
-}
-
-// DispatchMeasurement is one data point of a dispatch comparison: one
-// shape executed once under one dispatch mode, with the run's embedded
-// exec.Counters block.
-type DispatchMeasurement struct {
-	Shape         string  `json:"shape"`
-	Nodes         int     `json:"nodes"`
-	Dispatch      string  `json:"dispatch"`
-	Workers       int     `json:"workers"`
-	WallMS        float64 `json:"wall_ms"`
-	PeakLiveBytes int64   `json:"peak_live_bytes"`
-	exec.Counters
-}
-
-// MeasureDispatch executes the shape once under the given dispatch mode
-// with a fresh engine and live-bytes gauge and returns the measurement
-// together with the run's Result, so callers can value-check the very run
-// that produced the numbers. Peak live bytes come from the engine's
-// structural cold-size estimates (no history is attached), so runs are
-// comparable across modes; release is on, so Result.Values holds the
-// output nodes.
-func MeasureDispatch(sd *SchedDAG, dispatch exec.DispatchMode, workers int) (DispatchMeasurement, *exec.Result, error) {
-	var gauge store.Gauge
-	e := &exec.Engine{
-		Workers:              workers,
-		Dispatch:             dispatch,
-		ReleaseIntermediates: true,
-		LiveBytes:            &gauge,
-	}
-	res, err := e.Execute(sd.G, sd.Tasks, sd.Plan())
-	if err != nil {
-		return DispatchMeasurement{}, nil, err
-	}
-	return DispatchMeasurement{
-		Shape:         sd.Name,
-		Nodes:         sd.G.Len(),
-		Dispatch:      dispatch.String(),
-		Workers:       workers,
-		WallMS:        float64(res.Wall.Microseconds()) / 1000,
-		PeakLiveBytes: gauge.Peak(),
-		Counters:      res.Counters,
-	}, res, nil
 }
 
 // DefaultShapes returns the canonical scheduler stress shapes at their

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -41,173 +40,62 @@ func TestSchedDAGsValid(t *testing.T) {
 	}
 }
 
-// TestSchedShapesEquivalentAcrossStrategies: every scheduler configuration
-// computes identical values on every stress shape — the correctness half
-// of the scheduler benchmarks.
+// TestSchedShapesEquivalentAcrossStrategies: on every stress shape a
+// 4-worker engine run produces values byte-identical to the sequential
+// reference — the correctness half of the scheduler benchmarks.
 func TestSchedShapesEquivalentAcrossStrategies(t *testing.T) {
 	for _, sd := range schedShapes() {
-		lb, err := RunSched(sd, exec.LevelBarrier, 4)
+		res, err := RunSched(sd, 4, false)
 		if err != nil {
-			t.Fatalf("%s level-barrier: %v", sd.Name, err)
+			t.Fatalf("%s: %v", sd.Name, err)
 		}
-		for _, order := range []exec.Ordering{exec.CriticalPath, exec.MinID} {
-			df, err := RunSchedOrdered(sd, exec.Dataflow, order, 4, false)
-			if err != nil {
-				t.Fatalf("%s dataflow/%v: %v", sd.Name, order, err)
-			}
-			if !reflect.DeepEqual(df.Values, lb.Values) {
-				t.Errorf("%s: values differ between dataflow/%v and level-barrier", sd.Name, order)
-			}
+		if err := SchedValuesEqual(res, sequentialRun(sd.G, sd.Tasks, sd.Plan(), nil)); err != nil {
+			t.Errorf("%s: %v", sd.Name, err)
 		}
 	}
 }
 
-// TestFanoutChainCriticalPathBeatsMinID is the ordering-latency
-// acceptance check on the adversarial fanout shape: critical-path
-// dispatch starts the long chain immediately, min-ID drains every cheap
-// branch first. The shape is sleep-based so the expected ~33% gap does
-// not depend on spare cores; the assertion demands only a 10% win to
-// stay far from scheduler jitter. The two modes run interleaved, each
-// taking its min over five runs: a throttled-host freeze storm then
-// inflates samples of both modes instead of swallowing one mode's whole
-// series and compressing the ratio.
-func TestFanoutChainCriticalPathBeatsMinID(t *testing.T) {
-	sd := FanoutChainDAG(12, 6, time.Millisecond)
-	one := func(order exec.Ordering) time.Duration {
-		res, err := RunSchedOrdered(sd, exec.Dataflow, order, 4, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Wall
-	}
-	cp := time.Duration(1<<62 - 1)
-	mi := cp
-	for i := 0; i < 5; i++ {
-		if w := one(exec.CriticalPath); w < cp {
-			cp = w
-		}
-		if w := one(exec.MinID); w < mi {
-			mi = w
-		}
-	}
-	if float64(cp) > 0.9*float64(mi) {
-		t.Errorf("critical-path %v not measurably faster than min-id %v on fanout-chain", cp, mi)
-	}
-}
-
-// TestCPUFanoutCriticalPathNotSlower compares the orderings on the
-// CPU-bound fanout. With spare cores critical-path should win outright;
-// on starved runners (single-core CI) total work equals makespan whatever
-// the order, so the assertion is only "not slower beyond noise".
-func TestCPUFanoutCriticalPathNotSlower(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spin-loop shape is CPU-hungry")
-	}
-	sd := CPUFanoutDAG(12, 6, 500*time.Microsecond)
-	best := func(order exec.Ordering) time.Duration {
-		min := time.Duration(1<<62 - 1)
-		for i := 0; i < 3; i++ {
-			res, err := RunSchedOrdered(sd, exec.Dataflow, order, 4, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Wall < min {
-				min = res.Wall
-			}
-		}
-		return min
-	}
-	cp, mi := best(exec.CriticalPath), best(exec.MinID)
-	if float64(cp) > 1.25*float64(mi) {
-		t.Errorf("critical-path %v slower than min-id %v beyond noise on cpu-fanout", cp, mi)
-	}
-	if runtime.NumCPU() >= 4 && float64(cp) > 0.95*float64(mi) {
-		t.Logf("note: %d cores available but critical-path %v did not beat min-id %v", runtime.NumCPU(), cp, mi)
-	}
-}
-
-// TestDispatchModesEquivalentOnShapes: on every stress shape, the
-// work-stealing and global-heap dispatchers produce byte-identical values
-// (checked against each other and the level-barrier reference).
+// TestDispatchModesEquivalentOnShapes: the work-stealing dispatcher
+// matches the sequential reference on every shape at worker counts that
+// change who steals what (1, 2 and 8). The 4-worker run is
+// TestSchedShapesEquivalentAcrossStrategies.
 func TestDispatchModesEquivalentOnShapes(t *testing.T) {
 	for _, sd := range schedShapes() {
-		lb, err := RunSched(sd, exec.LevelBarrier, 4)
-		if err != nil {
-			t.Fatalf("%s level-barrier: %v", sd.Name, err)
-		}
-		for _, mode := range []exec.DispatchMode{exec.WorkSteal, exec.GlobalHeap} {
-			df, err := RunSchedDispatch(sd, exec.Dataflow, exec.CriticalPath, mode, 4, false)
+		ref := sequentialRun(sd.G, sd.Tasks, sd.Plan(), nil)
+		for _, workers := range []int{1, 2, 8} {
+			res, err := RunSched(sd, workers, false)
 			if err != nil {
-				t.Fatalf("%s %v: %v", sd.Name, mode, err)
+				t.Fatalf("%s workers=%d: %v", sd.Name, workers, err)
 			}
-			if err := SchedValuesEqual(df, lb); err != nil {
-				t.Errorf("%s %v: %v", sd.Name, mode, err)
+			if err := SchedValuesEqual(res, ref); err != nil {
+				t.Errorf("%s workers=%d: %v", sd.Name, workers, err)
 			}
 		}
 	}
 }
 
-// TestContentionWorkStealNotSlower is the CI-safe guard on the dispatch
-// rewrite: on the contention shape, work-stealing must not lose to the
-// global heap beyond noise (best of 5 each, interleaved so a freeze
-// storm hits both modes' samples). The win itself is measured by the
-// benchmark's wide_dag workload, not asserted here — wall-clock ratios on
-// starved shared runners are too noisy to gate a build on.
-func TestContentionWorkStealNotSlower(t *testing.T) {
-	sd := ContentionDAG(32, 16)
-	one := func(mode exec.DispatchMode) time.Duration {
-		res, err := RunSchedDispatch(sd, exec.Dataflow, exec.CriticalPath, mode, 8, false)
+// TestFanoutChainStartsLongPoleFirst is the ordering-latency check on the
+// adversarial fanout shape, where the long chain has the highest IDs.
+// Dispatch in ID order would drain every cheap branch before the chain
+// gets a worker, for a makespan of (⌈short/workers⌉ + depth) task-lengths;
+// critical-path ordering starts the chain immediately and overlaps the
+// branches with it. The best of five runs must beat that product by 10 %
+// (8.1ms for 12 branches, a 6-deep chain, 1ms tasks and 4 workers). The
+// shape is sleep-based, so the margin does not depend on spare cores.
+func TestFanoutChainStartsLongPoleFirst(t *testing.T) {
+	const short, depth, workers, d = 12, 6, 4, time.Millisecond
+	sd := FanoutChainDAG(short, depth, d)
+	best := time.Duration(1<<62 - 1)
+	for i := 0; i < 5; i++ {
+		res, err := RunSched(sd, workers, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Wall
+		best = min(best, res.Wall)
 	}
-	ws := time.Duration(1<<62 - 1)
-	gh := ws
-	for i := 0; i < 5; i++ {
-		if w := one(exec.WorkSteal); w < ws {
-			ws = w
-		}
-		if w := one(exec.GlobalHeap); w < gh {
-			gh = w
-		}
-	}
-	if float64(ws) > 1.5*float64(gh) {
-		t.Errorf("work-stealing %v slower than global heap %v beyond noise on contention shape", ws, gh)
-	}
-}
-
-// TestMeasureDispatch: the dispatch measurement helper reports the shape,
-// a positive wall, cross-worker transfers under work-stealing, and a
-// non-zero peak (the structural cold-size floor guarantees estimates
-// before any size is learned).
-func TestMeasureDispatch(t *testing.T) {
-	sd := ContentionDAG(8, 6)
-	m, res, err := MeasureDispatch(sd, exec.WorkSteal, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res == nil || len(res.Values) != len(sd.G.Outputs()) {
-		t.Fatalf("measured run result missing or wrong size: %+v", res)
-	}
-	if m.Shape != sd.Name || m.Nodes != sd.G.Len() || m.Workers != 4 || m.Dispatch != "worksteal" {
-		t.Errorf("measurement metadata wrong: %+v", m)
-	}
-	if m.WallMS <= 0 {
-		t.Errorf("wall not measured: %+v", m)
-	}
-	if m.PeakLiveBytes <= 0 {
-		t.Errorf("peak live bytes not measured (cold structural floor missing?): %+v", m)
-	}
-	gh, ghRes, err := MeasureDispatch(sd, exec.GlobalHeap, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SchedValuesEqual(res, ghRes); err != nil {
-		t.Errorf("measured runs disagree across modes: %v", err)
-	}
-	if gh.Steals != 0 || gh.Handoffs != 0 {
-		t.Errorf("global-heap measurement reported transfers: %+v", gh)
+	idOrder := time.Duration((short+workers-1)/workers+depth) * d
+	if float64(best) >= 0.9*float64(idOrder) {
+		t.Errorf("best wall %v not under 0.9 × %v, the makespan of dispatch in ID order", best, idOrder)
 	}
 }
 
@@ -216,13 +104,11 @@ func TestMeasureDispatch(t *testing.T) {
 // the true long-pole chain behind claimed-expensive decoys, so static
 // critical-path pays the whole chain as a serial tail while adaptive
 // re-weighting corrects the decoy group off the first measured
-// completions. Asserted under both dispatchers: the global heap buries the
-// chain strictly by rank, and work-stealing — since the stranding-consult
-// fix — declines a deceptively under-weighted local top in favor of the
-// published global best, so the lie costs it the same serial tail instead
-// of being accidentally rescued by steal-half stranding (the PR 4
-// finding, now closed). The design-point gap is ~25-40% at 8 workers; the
-// assertion demands 15%: on a throttled CI host a slow window inflates
+// completions. Work-stealing declines a deceptively under-weighted local
+// top in favor of the published global best (the stranding consult), so
+// static dispatch really pays the lie as a serial tail instead of being
+// accidentally rescued by steal-half stranding. The design-point gap is
+// ~25-40% at 8 workers; the assertion demands 15%: on a throttled CI host a slow window inflates
 // both modes' walls by the same additive freeze time, which preserves the
 // absolute gap but pushes the ratio toward 1, so the factor carries slack
 // for exactly that signature. The shape is sleep-dominated so the gap
@@ -231,38 +117,36 @@ func TestMeasureDispatch(t *testing.T) {
 // be byte-identical across modes.
 func TestLiarAdaptiveBeatsStatic(t *testing.T) {
 	const factor = 0.85
-	for _, dispatch := range []exec.DispatchMode{exec.GlobalHeap, exec.WorkSteal} {
-		t.Run(dispatch.String(), func(t *testing.T) {
-			best := func(mode exec.Reweight) (time.Duration, *exec.Result) {
-				min := time.Duration(1<<62 - 1)
-				var bestRes *exec.Result
-				for i := 0; i < 5; i++ {
-					sd := DefaultLiarDAG()
-					_, res, err := MeasureReweight(sd, DefaultLiarHistory(sd), mode, dispatch, 8)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Wall < min {
-						min = res.Wall
-						bestRes = res
-					}
-					if mode == exec.Adaptive && res.Reweights == 0 {
-						t.Error("adaptive run performed no re-prioritization passes")
-					}
+	t.Run("worksteal", func(t *testing.T) {
+		best := func(mode exec.Reweight) (time.Duration, *exec.Result) {
+			min := time.Duration(1<<62 - 1)
+			var bestRes *exec.Result
+			for i := 0; i < 5; i++ {
+				sd := DefaultLiarDAG()
+				_, res, err := MeasureReweight(sd, DefaultLiarHistory(sd), mode, 8)
+				if err != nil {
+					t.Fatal(err)
 				}
-				return min, bestRes
+				if res.Wall < min {
+					min = res.Wall
+					bestRes = res
+				}
+				if mode == exec.Adaptive && res.Reweights == 0 {
+					t.Error("adaptive run performed no re-prioritization passes")
+				}
 			}
-			ad, adRes := best(exec.Adaptive)
-			off, offRes := best(exec.ReweightOff)
-			if err := SchedValuesEqual(adRes, offRes); err != nil {
-				t.Fatal(err)
-			}
-			if float64(ad) > factor*float64(off) {
-				t.Errorf("adaptive min-wall %v not ≥%.0f%% below static %v on the liar shape under %s",
-					ad, 100*(1-factor), off, dispatch)
-			}
-		})
-	}
+			return min, bestRes
+		}
+		ad, adRes := best(exec.Adaptive)
+		off, offRes := best(exec.ReweightOff)
+		if err := SchedValuesEqual(adRes, offRes); err != nil {
+			t.Fatal(err)
+		}
+		if float64(ad) > factor*float64(off) {
+			t.Errorf("adaptive min-wall %v not ≥%.0f%% below static %v on the liar shape",
+				ad, 100*(1-factor), off)
+		}
+	})
 }
 
 // TestMeasureReweightMetadata: the reweight measurement helper reports the
@@ -270,12 +154,12 @@ func TestLiarAdaptiveBeatsStatic(t *testing.T) {
 // counts its passes.
 func TestMeasureReweightMetadata(t *testing.T) {
 	sd := DefaultLiarDAG()
-	m, res, err := MeasureReweight(sd, DefaultLiarHistory(sd), exec.Adaptive, exec.WorkSteal, 8)
+	m, res, err := MeasureReweight(sd, DefaultLiarHistory(sd), exec.Adaptive, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Shape != "liar" || m.Nodes != sd.G.Len() || m.Workers != 8 ||
-		m.Reweight != "adaptive" || m.Dispatch != "worksteal" {
+		m.Reweight != "adaptive" {
 		t.Errorf("measurement metadata wrong: %+v", m)
 	}
 	if m.WallMS <= 0 {
@@ -286,16 +170,16 @@ func TestMeasureReweightMetadata(t *testing.T) {
 	}
 }
 
-// TestRunSchedReleaseDropsIntermediates: the release knob of
-// RunSchedOrdered leaves only output values behind, and they match the
+// TestRunSchedReleaseDropsIntermediates: the release knob of RunSched
+// leaves only output values behind, and they match the
 // retain-everything run.
 func TestRunSchedReleaseDropsIntermediates(t *testing.T) {
 	sd := FanoutChainDAG(4, 3, 0)
-	full, err := RunSchedOrdered(sd, exec.Dataflow, exec.CriticalPath, 4, false)
+	full, err := RunSched(sd, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := RunSchedOrdered(sd, exec.Dataflow, exec.CriticalPath, 4, true)
+	rel, err := RunSched(sd, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,17 +10,14 @@ import (
 )
 
 // TestSpillDAGDeterministic: the spill shape's values are a pure function
-// of the graph, whatever the scheduler does.
+// of the graph — an 8-worker engine run matches the sequential reference.
 func TestSpillDAGDeterministic(t *testing.T) {
-	a, err := RunSched(DefaultSpillDAG(), exec.Dataflow, 8)
+	sd := DefaultSpillDAG()
+	a, err := RunSched(sd, 8, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSched(DefaultSpillDAG(), exec.LevelBarrier, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SchedValuesEqual(a, b); err != nil {
+	if err := SchedValuesEqual(a, sequentialRun(sd.G, sd.Tasks, sd.Plan(), nil)); err != nil {
 		t.Fatal(err)
 	}
 }

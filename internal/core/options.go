@@ -15,7 +15,8 @@ import (
 // knobs are defined, defaulted, and validated.
 //
 // The zero value is a valid in-memory session: no persistence, no reuse,
-// dataflow scheduling with work-stealing dispatch.
+// and the engine's one scheduler (dependency-counting dataflow,
+// work-stealing dispatch, critical-path ordering, adaptive reweighting).
 type Options struct {
 	// SystemName labels reports ("helix", "deepdive", ...). Defaults to
 	// "helix" when empty.
@@ -47,23 +48,22 @@ type Options struct {
 	NeverReuse []Category
 	// Workers bounds intra-iteration parallelism.
 	Workers int
-	// Sched selects the execution scheduling strategy; the zero value is
-	// the dependency-counting dataflow scheduler. LevelBarrier reproduces
-	// the original wave executor for A/B comparisons.
+	// Sched is ignored.
+	//
+	// Deprecated: see exec.Strategy.
 	Sched exec.Strategy
-	// Order selects the dataflow ready-queue priority; the zero value is
-	// cost-aware critical-path-first. exec.MinID restores the original
-	// smallest-ID dispatch for A/B comparisons.
+	// Order is ignored.
+	//
+	// Deprecated: see exec.Ordering.
 	Order exec.Ordering
-	// Dispatch selects how the dataflow scheduler hands ready nodes to
-	// workers; the zero value is work-stealing (per-worker deques).
-	// exec.GlobalHeap restores the single shared ready heap for A/B
-	// comparisons.
+	// Dispatch is ignored.
+	//
+	// Deprecated: see exec.DispatchMode.
 	Dispatch exec.DispatchMode
-	// Reweight selects online re-prioritization of the remaining DAG from
-	// measured durations; the zero value is exec.Adaptive.
-	// exec.ReweightOff pins the weights computed at the top of each
-	// iteration for A/B comparisons.
+	// Reweight is ignored: sessions always re-prioritize adaptively
+	// (exec.Adaptive). Engine.Reweight remains for direct engine callers.
+	//
+	// Deprecated: no session entry point selects anything else.
 	Reweight exec.Reweight
 	// KeepIntermediates retains every non-pruned value in memory for the
 	// whole iteration. By default the session releases a non-output value
@@ -169,10 +169,6 @@ func Open(o Options) (*Session, error) {
 		Policy:               o.Policy,
 		Workers:              o.Workers,
 		History:              s.history,
-		Sched:                o.Sched,
-		Order:                o.Order,
-		Dispatch:             o.Dispatch,
-		Reweight:             o.Reweight,
 		ReleaseIntermediates: !o.KeepIntermediates,
 		LiveBytes:            &s.live,
 		Faults:               o.Faults,

@@ -192,33 +192,6 @@ func (h *minIDHeap) Pop() any {
 	return x
 }
 
-// Levels partitions the graph into execution waves: level 0 holds all roots,
-// level k holds nodes whose longest path from a root has length k. Nodes in
-// the same level are independent and may execute concurrently.
-func (g *Graph) Levels() ([][]NodeID, error) {
-	order, err := g.Topo()
-	if err != nil {
-		return nil, err
-	}
-	depth := make([]int, len(g.nodes))
-	maxd := 0
-	for _, v := range order {
-		for _, p := range g.parents[v] {
-			if depth[p]+1 > depth[v] {
-				depth[v] = depth[p] + 1
-			}
-		}
-		if depth[v] > maxd {
-			maxd = depth[v]
-		}
-	}
-	levels := make([][]NodeID, maxd+1)
-	for _, v := range order {
-		levels[depth[v]] = append(levels[depth[v]], v)
-	}
-	return levels, nil
-}
-
 // Indegrees returns, for each node, the number of parents for which keep
 // returns true (nil keeps all). These are the initial pending-parent
 // counters of a dependency-counting scheduler: node v becomes runnable when

@@ -88,29 +88,6 @@ func TestTopoCycle(t *testing.T) {
 	if _, err := g.Topo(); err == nil {
 		t.Fatal("cycle not detected")
 	}
-	if _, err := g.Levels(); err == nil {
-		t.Fatal("Levels on cyclic graph did not error")
-	}
-}
-
-func TestLevels(t *testing.T) {
-	g, a, b, c, d := diamond(t)
-	levels, err := g.Levels()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(levels) != 3 {
-		t.Fatalf("want 3 levels, got %d", len(levels))
-	}
-	if len(levels[0]) != 1 || levels[0][0] != a {
-		t.Errorf("level 0 = %v, want [%d]", levels[0], a)
-	}
-	if len(levels[1]) != 2 {
-		t.Errorf("level 1 = %v, want {%d,%d}", levels[1], b, c)
-	}
-	if len(levels[2]) != 1 || levels[2][0] != d {
-		t.Errorf("level 2 = %v, want [%d]", levels[2], d)
-	}
 }
 
 func TestAncestorsDescendants(t *testing.T) {
@@ -274,41 +251,6 @@ func TestQuickSliceClosedUnderAncestors(t *testing.T) {
 		for i := 0; i < g.Len(); i++ {
 			if !live[NodeID(i)] && g.Node(NodeID(i)).Output {
 				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: levels partition all nodes and each node's parents sit in
-// strictly lower levels.
-func TestQuickLevelsPartition(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := randomDAG(r, 2+r.Intn(25), 0.3)
-		levels, err := g.Levels()
-		if err != nil {
-			return false
-		}
-		lvl := make(map[NodeID]int)
-		total := 0
-		for li, nodes := range levels {
-			total += len(nodes)
-			for _, v := range nodes {
-				lvl[v] = li
-			}
-		}
-		if total != g.Len() {
-			return false
-		}
-		for v := 0; v < g.Len(); v++ {
-			for _, p := range g.Parents(NodeID(v)) {
-				if lvl[p] >= lvl[NodeID(v)] {
-					return false
-				}
 			}
 		}
 		return true

@@ -11,9 +11,8 @@ const ReportSchemaVersion = 3
 
 // Counters is the consolidated execution-counter block shared by every
 // surface that reports engine activity: exec.Result embeds it (per-run
-// deltas), core.Report embeds it (per-iteration deltas),
-// bench.DispatchMeasurement embeds it, and the helix-serve status/submit
-// responses carry it verbatim. The JSON tags are the stable schema-2 wire
+// deltas), core.Report embeds it (per-iteration deltas), and the
+// helix-serve status/submit responses carry it verbatim. The JSON tags are the stable schema-2 wire
 // names — service clients and the benchmark parse the same keys.
 //
 // All counts are deltas over the window the embedding struct describes
@@ -22,18 +21,18 @@ const ReportSchemaVersion = 3
 // reports daemon-lifetime totals).
 type Counters struct {
 	// Steals counts ready nodes an idle worker took from another worker's
-	// deque (work-stealing dispatch only; always 0 otherwise).
+	// deque.
 	Steals int64 `json:"steals"`
 	// Handoffs counts ready nodes a finishing worker routed through the
-	// global overflow queue to parked workers (work-stealing dispatch only).
+	// global overflow queue to parked workers.
 	Handoffs int64 `json:"handoffs"`
-	// AffinityKeeps counts newly-ready children the work-stealing dispatcher
-	// kept on the producing worker's deque instead of handing off — the
-	// surplus beyond one-node-per-parked-worker, left where their freshly
-	// computed inputs are warm (work-stealing dispatch only).
+	// AffinityKeeps counts newly-ready children the dispatcher kept on the
+	// producing worker's deque instead of handing off — the surplus beyond
+	// one-node-per-parked-worker, left where their freshly computed inputs
+	// are warm.
 	AffinityKeeps int64 `json:"affinity_keeps"`
-	// Reweights counts online re-prioritization passes (dataflow scheduler,
-	// critical-path ordering, Adaptive reweighting only; always 0 otherwise).
+	// Reweights counts online re-prioritization passes (Adaptive
+	// reweighting only; always 0 under ReweightOff).
 	Reweights int64 `json:"reweights"`
 	// Spills counts values admitted to the cold spill tier after the hot
 	// tier's budget rejected them (always 0 without a spill tier).

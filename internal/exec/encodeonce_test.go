@@ -23,49 +23,36 @@ func materializedCount(res *Result) int {
 }
 
 // TestEncodeOncePerMaterializedValue is the encode-once acceptance check:
-// across both dataflow dispatch modes and the level-barrier reference,
 // with cold history (so the size probe must serialize), the store codec
 // performs exactly one encode per materialized value — the probe
 // encoding is threaded through to the persist instead of re-encoding.
 // Asserted via the instrumented codec counter.
 func TestEncodeOncePerMaterializedValue(t *testing.T) {
-	configs := []struct {
-		name  string
-		sched Strategy
-		mode  DispatchMode
-	}{
-		{"worksteal", Dataflow, WorkSteal},
-		{"global-heap", Dataflow, GlobalHeap},
-		{"level-barrier", LevelBarrier, WorkSteal},
-	}
-	for _, tc := range configs {
-		t.Run(tc.name, func(t *testing.T) {
-			g, tasks := buildChain(t)
-			// Fresh keys per config so every value is a materialization
-			// candidate.
-			for i := range tasks {
-				tasks[i].Key = fmt.Sprintf("enc-once-%s-%d", tc.name, i)
-			}
-			st, err := store.Open(t.TempDir(), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := &Engine{Workers: 4, Sched: tc.sched, Dispatch: tc.mode, Store: st, Policy: opt.MaterializeAll{}}
-			before := store.EncodeCalls()
-			res, err := e.Execute(g, tasks, allCompute(g.Len()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			encodes := store.EncodeCalls() - before
-			mat := materializedCount(res)
-			if mat != g.Len() {
-				t.Fatalf("materialized %d of %d nodes", mat, g.Len())
-			}
-			if encodes != int64(mat) {
-				t.Errorf("%d encodes for %d materialized values, want exactly one each", encodes, mat)
-			}
-		})
-	}
+	t.Run("worksteal", func(t *testing.T) {
+		g, tasks := buildChain(t)
+		// Fresh keys so every value is a materialization candidate.
+		for i := range tasks {
+			tasks[i].Key = fmt.Sprintf("enc-once-%d", i)
+		}
+		st, err := store.Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := &Engine{Workers: 4, Store: st, Policy: opt.MaterializeAll{}}
+		before := store.EncodeCalls()
+		res, err := e.Execute(g, tasks, allCompute(g.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		encodes := store.EncodeCalls() - before
+		mat := materializedCount(res)
+		if mat != g.Len() {
+			t.Fatalf("materialized %d of %d nodes", mat, g.Len())
+		}
+		if encodes != int64(mat) {
+			t.Errorf("%d encodes for %d materialized values, want exactly one each", encodes, mat)
+		}
+	})
 }
 
 // TestEncodeOnceWarmHistory: with sizes already learned, the decision uses

@@ -9,20 +9,16 @@
 // parent finishes, and a fixed worker pool drains the ready set until the
 // slice completes or the first error cancels all not-yet-dispatched work.
 // There are no level barriers, so a straggler delays only its own
-// descendants, never unrelated branches. Dispatch is work-stealing by
-// default (see docs/scheduler.md): each worker owns a private priority
-// deque seeded by a critical-path-aware partition of the initial ready set,
-// a finishing worker keeps its highest-priority newly-ready child to run
-// directly and queues the rest locally — no global lock on the happy path —
-// while idle workers steal batches from seeded-randomly probed victims and
-// parked workers are fed through a small global overflow queue.
-// Engine{Dispatch: GlobalHeap} retains the previous single shared ready
-// heap behind one mutex for A/B benchmarks. Both dispatchers are cost-aware
-// by default: every node carries a critical-path weight (its heaviest
-// downstream cost path, per dag.CriticalPath over the engine's history and
-// store estimates) and the highest weight dispatches first, so the run's
-// long pole starts as early as a worker frees up; Engine{Order: MinID}
-// restores the smallest-ID ordering for head-to-head benchmarks.
+// descendants, never unrelated branches. Dispatch is work-stealing (see
+// docs/scheduler.md): each worker owns a private priority deque seeded by a
+// critical-path-aware partition of the initial ready set, a finishing
+// worker keeps its highest-priority newly-ready child to run directly and
+// queues the rest locally — no global lock on the happy path — while idle
+// workers steal batches from seeded-randomly probed victims and parked
+// workers are fed through a small global overflow queue. Ready nodes are
+// ordered by critical-path weight (each node's heaviest downstream cost
+// path, per dag.CriticalPath over the engine's history and store
+// estimates), so the run's long pole starts as early as a worker frees up.
 // Materialization runs off the critical path: each completed value is
 // handed to a bounded pool of background writers that decide, encode and
 // persist it while downstream consumers are already executing;
@@ -32,9 +28,7 @@
 // same (pooled) encoding that Store.PutEncoded persists. With a spill tier
 // configured (Engine.Spill), a hot-budget rejection admits that encoding to
 // the cold tier instead of dropping it, loads fall back to cold and promote
-// (see docs/store.md) — still without ever re-encoding. The original wave
-// executor is retained as Engine{Sched: LevelBarrier}, the reference for
-// equivalence tests and the scheduler benchmarks.
+// (see docs/store.md) — still without ever re-encoding.
 //
 // The paper executes on Spark; here nodes run on goroutines and the
 // materialization store is local disk. All costs the optimizers consume
@@ -76,9 +70,7 @@ type NodeRun struct {
 	Name  string
 	State opt.State
 	// Duration is the node's critical-path time as seen by its consumers:
-	// the load or compute time. The level-barrier reference scheduler
-	// materializes synchronously inside the node's turn, so there Duration
-	// additionally includes MatDuration (the historical accounting).
+	// the load or compute time. It never includes MatDuration.
 	Duration time.Duration
 	// Size is the serialized size, known only if the engine encoded the
 	// value (for a materialization decision).
@@ -88,9 +80,9 @@ type NodeRun struct {
 	// MatReward is the online heuristic's r_i (0 for other policies).
 	MatReward int64
 	// MatDuration is the measured time spent on the materialization
-	// decision, serialization and write. Under the dataflow scheduler this
-	// work happens on a background writer: it neither extends Duration nor
-	// delays consumers, but it is still real, measured cost.
+	// decision, serialization and write. This work happens on a background
+	// writer: it neither extends Duration nor delays consumers, but it is
+	// still real, measured cost.
 	MatDuration time.Duration
 	// InflightHit reports that this compute-planned node never ran its
 	// operator: a concurrent in-flight computation of the same signature
@@ -252,89 +244,21 @@ func (h *History) Load(path string) error {
 	return nil
 }
 
-// Strategy selects how Execute schedules runnable nodes.
-type Strategy int
+// Strategy is an inert placeholder: Execute has one scheduler.
+//
+// Deprecated: kept only so existing field assignments compile.
+type Strategy struct{}
 
-const (
-	// Dataflow is dependency-counting scheduling: a node becomes runnable
-	// the instant its last parent finishes, and materialization is handed
-	// to background writers. The zero value, and the default.
-	Dataflow Strategy = iota
-	// LevelBarrier is the original wave executor: nodes in the same DAG
-	// level run concurrently, a full barrier separates levels, and
-	// materialization runs synchronously inside the node's turn. Retained
-	// as the reference for equivalence tests and scheduler benchmarks.
-	LevelBarrier
-)
+// Ordering is an inert placeholder: ready nodes are always ordered by
+// critical-path weight.
+//
+// Deprecated: kept only so existing field assignments compile.
+type Ordering struct{}
 
-func (s Strategy) String() string {
-	switch s {
-	case Dataflow:
-		return "dataflow"
-	case LevelBarrier:
-		return "level-barrier"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
-// Ordering selects how the dataflow scheduler prioritizes simultaneously
-// ready nodes. It has no effect under LevelBarrier.
-type Ordering int
-
-const (
-	// CriticalPath dispatches the ready node with the largest critical-path
-	// weight first (heaviest downstream cost path, from dag.CriticalPath
-	// over per-node cost estimates: history compute times for compute
-	// nodes, store load estimates for load nodes, 1ns for never-seen
-	// nodes so structure decides before any cost is measured). Ties break
-	// on the smaller ID, so dispatch stays deterministic. The zero value,
-	// and the default.
-	CriticalPath Ordering = iota
-	// MinID dispatches the smallest ready ID first — the original ordering,
-	// retained for head-to-head scheduler benchmarks.
-	MinID
-)
-
-func (o Ordering) String() string {
-	switch o {
-	case CriticalPath:
-		return "critical-path"
-	case MinID:
-		return "min-id"
-	default:
-		return fmt.Sprintf("Ordering(%d)", int(o))
-	}
-}
-
-// DispatchMode selects how the dataflow scheduler hands ready nodes to its
-// worker pool. It has no effect under LevelBarrier.
-type DispatchMode int
-
-const (
-	// WorkSteal gives every worker a private priority deque: a finishing
-	// worker pushes newly-ready children onto its own deque (running the
-	// best one directly) with no global lock on the happy path, idle
-	// workers steal batches from seeded-randomly probed victims, and a
-	// small global overflow queue hands work to parked workers and carries
-	// shutdown/cancellation wakeups. The zero value, and the default.
-	WorkSteal DispatchMode = iota
-	// GlobalHeap is the previous dispatch loop — one shared ready heap
-	// behind one mutex — retained for A/B benchmarks: it is the contention
-	// baseline the work-stealing numbers are measured against.
-	GlobalHeap
-)
-
-func (m DispatchMode) String() string {
-	switch m {
-	case WorkSteal:
-		return "worksteal"
-	case GlobalHeap:
-		return "global-heap"
-	default:
-		return fmt.Sprintf("DispatchMode(%d)", int(m))
-	}
-}
+// DispatchMode is an inert placeholder: dispatch is always work-stealing.
+//
+// Deprecated: kept only so existing field assignments compile.
+type DispatchMode struct{}
 
 // Engine executes plans. Configure once, reuse across iterations.
 type Engine struct {
@@ -354,26 +278,28 @@ type Engine struct {
 	// History receives compute-time observations and supplies estimates for
 	// nodes not computed this run; nil disables both.
 	History *History
-	// Sched selects the scheduling strategy; the zero value is Dataflow.
+	// Sched is ignored.
+	//
+	// Deprecated: see Strategy.
 	Sched Strategy
-	// Order selects the ready-queue priority of the dataflow scheduler;
-	// the zero value is CriticalPath.
+	// Order is ignored.
+	//
+	// Deprecated: see Ordering.
 	Order Ordering
-	// Dispatch selects how the dataflow scheduler hands ready nodes to
-	// workers; the zero value is WorkSteal (per-worker deques, lock-light).
-	// GlobalHeap retains the single shared ready heap for A/B benchmarks.
+	// Dispatch is ignored.
+	//
+	// Deprecated: see DispatchMode.
 	Dispatch DispatchMode
 	// Faults is the engine's fault-tolerance policy: per-node attempt
 	// budget with exponential backoff for transient operator failures, and
 	// an optional per-attempt deadline. The zero value disables both (one
-	// attempt, no deadline). Applies to every scheduler and dispatcher, and
-	// to lineage recomputes after failed loads.
+	// attempt, no deadline). Applies to every node run and to lineage
+	// recomputes after failed loads.
 	Faults FaultPolicy
 	// Reweight selects online re-prioritization of the remaining DAG as
 	// measured durations diverge from the estimates behind the initial
 	// critical-path weights; the zero value is Adaptive. ReweightOff pins
-	// the weights computed at the top of Execute for A/B benchmarks. Only
-	// meaningful under Dataflow scheduling with CriticalPath ordering.
+	// the weights computed at the top of Execute for A/B benchmarks.
 	Reweight Reweight
 	// ReweightInterval overrides the minimum number of node completions
 	// between re-prioritization passes; <=0 selects the default (8, scaled
@@ -383,13 +309,13 @@ type Engine struct {
 	// divergence a trigger window must accumulate before a pass runs; <=0
 	// selects the default (1ms). Exposed for tests that must force passes.
 	ReweightMinDivergence time.Duration
-	// MatWriters bounds the background materialization writers of the
-	// dataflow scheduler; <=0 means 2.
+	// MatWriters bounds the background materialization writers; <=0
+	// means 2.
 	MatWriters int
 	// ReleaseIntermediates drops a non-output node's value from
 	// Result.Values once its last consumer has run, cutting peak memory on
-	// wide DAGs (dataflow scheduler only). Off by default, so Result.Values
-	// holds every non-pruned node's value.
+	// wide DAGs. Off by default, so Result.Values holds every non-pruned
+	// node's value.
 	ReleaseIntermediates bool
 	// Codec is ignored: every materialization uses the store's one value
 	// format.
@@ -414,7 +340,7 @@ type Engine struct {
 	// (progress always beats dedup); <=0 selects the default (10s).
 	InflightWait time.Duration
 	// LiveBytes, when non-nil, tracks the serialized-size estimate of the
-	// values held in Result.Values while a dataflow Execute runs: sizes are
+	// values held in Result.Values while an Execute runs: sizes are
 	// added as values are published (exact entry sizes for loads, history
 	// estimates for computes — 0 until a node's size has been learned) and
 	// subtracted on release and at the end of the run, so Gauge.Peak is the
@@ -533,10 +459,10 @@ func (e *Engine) BuildCostModel(g *dag.Graph, tasks []Task) (*opt.CostModel, err
 	return cm, nil
 }
 
-// Execute runs the plan over the graph using the configured scheduling
-// strategy. The first node error cancels all not-yet-dispatched work (and,
-// through the run context, interrupts in-flight operators that honor their
-// ctx); errors from nodes already in flight are collected and joined. The
+// Execute runs the plan over the graph. The first node error cancels all
+// not-yet-dispatched work (and, through the run context, interrupts
+// in-flight operators that honor their ctx); errors from nodes already in
+// flight are collected and joined. The
 // returned Result is complete for every node that ran, and the background
 // materialization pipeline is flushed — also on error — before Execute
 // returns.
@@ -577,12 +503,7 @@ func (e *Engine) ExecuteCtx(ctx context.Context, g *dag.Graph, tasks []Task, pla
 		pins = newPinSet(e.tiers(), tasks, plan)
 		defer pins.releaseAll()
 	}
-	var err error
-	if e.Sched == LevelBarrier {
-		res, err = e.executeLevelBarrier(ctx, g, tasks, plan, res, stats, pins)
-	} else {
-		res, err = e.executeDataflow(ctx, g, tasks, plan, res, stats, pins)
-	}
+	res, err := e.executeDataflow(ctx, g, tasks, plan, res, stats, pins)
 	if res != nil {
 		res.Retries = stats.retries.Load()
 		res.Recomputes = stats.recomputes.Load()
@@ -611,66 +532,19 @@ func (e *Engine) historySize(name string) (int64, bool) {
 	return e.History.Size(name)
 }
 
-// loadNode is the level-barrier executor's Load state: fetch the value
-// from either store tier and record it (under the results lock) with its
-// measured load time. A failed load — corrupt frame, read I/O error,
-// vanished entry — degrades to a lineage recompute instead of a run
-// failure. The dataflow schedulers use runCtx.runNode, which publishes to
-// the lock-free slot plane instead.
-func (e *Engine) loadNode(ctx context.Context, g *dag.Graph, tasks []Task, plan *opt.Plan, id dag.NodeID, res *Result, mu *sync.Mutex, stats *faultStats, pins *pinSet) error {
-	name := g.Node(id).Name
-	nodeStart := time.Now()
-	if e.Store == nil {
-		return fmt.Errorf("exec: plan loads %s but engine has no store", name)
-	}
-	v, _, err := e.tiers().Get(tasks[id].Key)
-	if err != nil {
-		rec := &recomputer{e: e, g: g, tasks: tasks, plan: plan, stats: stats}
-		if v, err = rec.recoverLoad(ctx, id, err); err != nil {
-			return fmt.Errorf("exec: load %s: %w", name, err)
-		}
-	}
-	pins.release(id)
-	mu.Lock()
-	res.Values[id] = v
-	res.Nodes[id].Duration = time.Since(nodeStart)
-	mu.Unlock()
-	return nil
-}
-
-// gatherInputs is the level-barrier executor's input snapshot: the
-// parents' values in g.Parents order under the results lock, erroring on
-// any parent without a value (a pruned producer the plan should not have
-// allowed). The dataflow schedulers use runCtx.gather instead.
-func gatherInputs(g *dag.Graph, id dag.NodeID, res *Result, mu *sync.Mutex) ([]any, error) {
-	parents := g.Parents(id)
-	inputs := make([]any, len(parents))
-	mu.Lock()
-	defer mu.Unlock()
-	for i, p := range parents {
-		v, ok := res.Values[p]
-		if !ok {
-			return nil, fmt.Errorf("exec: %s needs parent %s which has no value", g.Node(id).Name, g.Node(p).Name)
-		}
-		inputs[i] = v
-	}
-	return inputs, nil
-}
-
-// decideAndPersist is the materialization step shared by both schedulers:
-// probe the size (history-preferred, encoding cold nodes once to learn it),
+// decideAndPersist is the background writer's materialization step: probe
+// the size (history-preferred, encoding cold nodes once to learn it),
 // consult the policy, and persist on a yes — degrading to "not
 // materialized" on unencodable values, budget races and I/O failures.
 // The value is encoded at most once: a probe encoding is kept and
 // handed straight to Store.PutEncoded on a yes, and the pooled buffer is
 // released before returning either way.
-// ancestorCost is a callback because its snapshot semantics differ per
-// scheduler; it is evaluated at most once per decision, and only when the
-// policy declares (NeedsAncestorCost) that it reads the term or a spill
-// tier is attached (the term doubles as the persisted entry's
-// recompute-saving eviction hint) — for cost-insensitive policies without
-// a spill tier the O(ancestors) walk under the results lock never happens
-// and MatContext carries a zero.
+// ancestorCost is a callback so the O(ancestors) walk is paid lazily: it
+// is evaluated at most once per decision, and only when the policy
+// declares (NeedsAncestorCost) that it reads the term or a spill tier is
+// attached (the term doubles as the persisted entry's recompute-saving
+// eviction hint) — for cost-insensitive policies without a spill tier the
+// walk never happens and MatContext carries a zero.
 // Callers guarantee Policy and Store are set, key is non-empty and not yet
 // stored. Returns the elapsed decision+write time, the serialized size (0
 // if never encoded), whether the value was stored, and the policy reward.
@@ -745,40 +619,4 @@ func (e *Engine) decideAndPersist(g *dag.Graph, id dag.NodeID, name, key string,
 		return time.Since(start), size, false, dec.Reward
 	}
 	return time.Since(start), size, true, dec.Reward
-}
-
-// ancestorCost is the level-barrier executor's recomputation-chain term:
-// the best-known compute costs of the ancestors in closure under a single
-// results-lock acquisition — the measured duration when the ancestor
-// computed this run, else the history estimate, else zero. syncMat backs
-// out the synchronous materialization time the level-barrier Duration
-// folds in. The dataflow schedulers use matWriter.ancestorCost, which
-// reads the run's atomic duration plane instead (a decision there can
-// overlap a still-running ancestor).
-func (e *Engine) ancestorCost(closure []dag.NodeID, res *Result, mu *sync.Mutex, syncMat bool) int64 {
-	if len(closure) == 0 {
-		return 0
-	}
-	var total int64
-	var unknown []string
-	mu.Lock()
-	for _, a := range closure {
-		nr := &res.Nodes[a]
-		if nr.State == opt.Compute && nr.Duration > 0 {
-			d := nr.Duration
-			if syncMat {
-				d -= nr.MatDuration
-			}
-			total += d.Nanoseconds()
-			continue
-		}
-		unknown = append(unknown, nr.Name)
-	}
-	mu.Unlock()
-	if e.History != nil {
-		for _, d := range e.History.ComputeMany(unknown) {
-			total += d.Nanoseconds()
-		}
-	}
-	return total
 }

@@ -77,48 +77,29 @@ func TestBackoffZeroPolicyUsesDefaults(t *testing.T) {
 	}
 }
 
-// faultSchedulers enumerates every scheduler/dispatcher combination the
-// fault policy must behave identically under.
-func faultSchedulers() []struct {
-	name string
-	cfg  func(*Engine)
-} {
-	return []struct {
-		name string
-		cfg  func(*Engine)
-	}{
-		{"worksteal", func(e *Engine) { e.Sched = Dataflow; e.Dispatch = WorkSteal }},
-		{"globalheap", func(e *Engine) { e.Sched = Dataflow; e.Dispatch = GlobalHeap }},
-		{"levelbarrier", func(e *Engine) { e.Sched = LevelBarrier }},
-	}
-}
-
 func TestRetryTransientThenSucceed(t *testing.T) {
-	for _, sc := range faultSchedulers() {
-		t.Run(sc.name, func(t *testing.T) {
-			g, tasks := buildChain(t)
-			var calls atomic.Int32
-			inner := tasks[1].Run
-			tasks[1].Run = func(ctx context.Context, in []any) (any, error) {
-				if calls.Add(1) <= 2 {
-					return nil, fmt.Errorf("blip %d: %w", calls.Load(), ErrTransient)
-				}
-				return inner(ctx, in)
+	t.Run("worksteal", func(t *testing.T) {
+		g, tasks := buildChain(t)
+		var calls atomic.Int32
+		inner := tasks[1].Run
+		tasks[1].Run = func(ctx context.Context, in []any) (any, error) {
+			if calls.Add(1) <= 2 {
+				return nil, fmt.Errorf("blip %d: %w", calls.Load(), ErrTransient)
 			}
-			e := &Engine{Workers: 2, Faults: FaultPolicy{MaxAttempts: 4, BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond}}
-			sc.cfg(e)
-			res, err := e.Execute(g, tasks, allCompute(3))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v, ok := res.Value(g, "c"); !ok || v.(string) != "abc" {
-				t.Fatalf("c = %v, %v", v, ok)
-			}
-			if res.Retries != 2 {
-				t.Fatalf("Retries = %d, want 2", res.Retries)
-			}
-		})
-	}
+			return inner(ctx, in)
+		}
+		e := &Engine{Workers: 2, Faults: FaultPolicy{MaxAttempts: 4, BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond}}
+		res, err := e.Execute(g, tasks, allCompute(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := res.Value(g, "c"); !ok || v.(string) != "abc" {
+			t.Fatalf("c = %v, %v", v, ok)
+		}
+		if res.Retries != 2 {
+			t.Fatalf("Retries = %d, want 2", res.Retries)
+		}
+	})
 }
 
 func TestRetryBudgetExhausted(t *testing.T) {
@@ -283,40 +264,36 @@ func TestRetriesDuringRecompute(t *testing.T) {
 
 func TestRecomputeAfterVanishedFile(t *testing.T) {
 	// A planned load whose backing file vanished out from under the store
-	// (single tier, no spill) recovers by lineage recompute, on every
-	// scheduler.
-	for _, sc := range faultSchedulers() {
-		t.Run(sc.name, func(t *testing.T) {
-			g, tasks := buildChain(t)
-			dir := t.TempDir()
-			st, err := store.Open(dir, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prime := &Engine{Workers: 2, Store: st, Policy: opt.MaterializeAll{}}
-			if _, err := prime.Execute(g, tasks, allCompute(3)); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Remove(filepath.Join(dir, "kb")); err != nil {
-				t.Fatal(err)
-			}
-			plan := allCompute(3)
-			plan.States[0] = opt.Prune
-			plan.States[1] = opt.Load
-			e := &Engine{Workers: 2, Store: st}
-			sc.cfg(e)
-			res, err := e.Execute(g, tasks, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v, ok := res.Value(g, "c"); !ok || v.(string) != "abc" {
-				t.Fatalf("c = %v, %v", v, ok)
-			}
-			if res.Recomputes < 1 {
-				t.Fatalf("Recomputes = %d, want >= 1", res.Recomputes)
-			}
-		})
-	}
+	// (single tier, no spill) recovers by lineage recompute.
+	t.Run("worksteal", func(t *testing.T) {
+		g, tasks := buildChain(t)
+		dir := t.TempDir()
+		st, err := store.Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prime := &Engine{Workers: 2, Store: st, Policy: opt.MaterializeAll{}}
+		if _, err := prime.Execute(g, tasks, allCompute(3)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(filepath.Join(dir, "kb")); err != nil {
+			t.Fatal(err)
+		}
+		plan := allCompute(3)
+		plan.States[0] = opt.Prune
+		plan.States[1] = opt.Load
+		e := &Engine{Workers: 2, Store: st}
+		res, err := e.Execute(g, tasks, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := res.Value(g, "c"); !ok || v.(string) != "abc" {
+			t.Fatalf("c = %v, %v", v, ok)
+		}
+		if res.Recomputes < 1 {
+			t.Fatalf("Recomputes = %d, want >= 1", res.Recomputes)
+		}
+	})
 }
 
 // TestUndecodableLoadsDroppedAndRematerialized: a stored payload that fails

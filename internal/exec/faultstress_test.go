@@ -39,9 +39,9 @@ func withTransients(tasks []Task) ([]Task, int) {
 }
 
 // TestRetryStealReweightReleaseStress runs retried transient faults
-// concurrently with everything else the dataflow scheduler does between
+// concurrently with everything else the scheduler does between
 // completions — steal-half victims, adaptive reweight passes forced every
-// completion, refcounted release — under both dispatchers. Run with -race
+// completion, refcounted release. Run with -race
 // in CI; correctness here is that every run completes with the clean
 // reference's output values and accounts for every injected fault.
 func TestRetryStealReweightReleaseStress(t *testing.T) {
@@ -57,45 +57,42 @@ func TestRetryStealReweightReleaseStress(t *testing.T) {
 			wantOut[refG.Node(id).Name] = v
 		}
 	}
-	for _, mode := range dispatchModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			for iter := 0; iter < 10; iter++ {
-				g, tasks := layeredDAG(4, 6, fmt.Sprintf("fault-%s-%d", mode, iter))
-				faulted, injected := withTransients(tasks)
-				e := &Engine{
-					Workers:               8,
-					Dispatch:              mode,
-					ReleaseIntermediates:  true,
-					ReweightInterval:      1,
-					ReweightMinDivergence: 1,
-					Faults: FaultPolicy{
-						MaxAttempts: 4,
-						BaseBackoff: time.Microsecond,
-						MaxBackoff:  20 * time.Microsecond,
-						JitterSeed:  int64(iter),
-					},
+	t.Run("worksteal", func(t *testing.T) {
+		for iter := 0; iter < 10; iter++ {
+			g, tasks := layeredDAG(4, 6, fmt.Sprintf("fault-%d", iter))
+			faulted, injected := withTransients(tasks)
+			e := &Engine{
+				Workers:               8,
+				ReleaseIntermediates:  true,
+				ReweightInterval:      1,
+				ReweightMinDivergence: 1,
+				Faults: FaultPolicy{
+					MaxAttempts: 4,
+					BaseBackoff: time.Microsecond,
+					MaxBackoff:  20 * time.Microsecond,
+					JitterSeed:  int64(iter),
+				},
+			}
+			res, err := e.Execute(g, faulted, allCompute(g.Len()))
+			if err != nil {
+				t.Fatalf("iter %d: %v", iter, err)
+			}
+			if res.Retries != int64(injected) {
+				t.Fatalf("iter %d: Retries = %d, want %d injected", iter, res.Retries, injected)
+			}
+			for id, v := range res.Values {
+				if !g.Node(id).Output {
+					t.Fatalf("iter %d: non-output value survived release", iter)
 				}
-				res, err := e.Execute(g, faulted, allCompute(g.Len()))
-				if err != nil {
-					t.Fatalf("iter %d: %v", iter, err)
-				}
-				if res.Retries != int64(injected) {
-					t.Fatalf("iter %d: Retries = %d, want %d injected", iter, res.Retries, injected)
-				}
-				for id, v := range res.Values {
-					if !g.Node(id).Output {
-						t.Fatalf("iter %d: non-output value survived release", iter)
-					}
-					if want := wantOut[g.Node(id).Name]; !reflect.DeepEqual(v, want) {
-						t.Fatalf("iter %d: %s = %v, want %v", iter, g.Node(id).Name, v, want)
-					}
-				}
-				if len(res.Values) != len(wantOut) {
-					t.Fatalf("iter %d: %d outputs, want %d", iter, len(res.Values), len(wantOut))
+				if want := wantOut[g.Node(id).Name]; !reflect.DeepEqual(v, want) {
+					t.Fatalf("iter %d: %s = %v, want %v", iter, g.Node(id).Name, v, want)
 				}
 			}
-		})
-	}
+			if len(res.Values) != len(wantOut) {
+				t.Fatalf("iter %d: %d outputs, want %d", iter, len(res.Values), len(wantOut))
+			}
+		}
+	})
 }
 
 // TestRetryErrorCancelStress races in-flight retries (with their backoff
@@ -104,45 +101,42 @@ func TestRetryStealReweightReleaseStress(t *testing.T) {
 // cancelled retry loops must not keep retrying after shutdown.
 func TestRetryErrorCancelStress(t *testing.T) {
 	boom := errors.New("fatal sibling")
-	for _, mode := range dispatchModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			for iter := 0; iter < 10; iter++ {
-				g, tasks := layeredDAG(3, 8, fmt.Sprintf("cancel-%s-%d", mode, iter))
-				// Middle-layer nodes retry forever (transient, ctx-honoring
-				// backoff); one of them is fatal instead.
-				for w := 0; w < 8; w++ {
-					id := dag.NodeID(8 + w)
-					if w == 3 {
-						tasks[id].Run = func(context.Context, []any) (any, error) {
-							return nil, boom
-						}
-						continue
+	t.Run("worksteal", func(t *testing.T) {
+		for iter := 0; iter < 10; iter++ {
+			g, tasks := layeredDAG(3, 8, fmt.Sprintf("cancel-%d", iter))
+			// Middle-layer nodes retry forever (transient, ctx-honoring
+			// backoff); one of them is fatal instead.
+			for w := 0; w < 8; w++ {
+				id := dag.NodeID(8 + w)
+				if w == 3 {
+					tasks[id].Run = func(context.Context, []any) (any, error) {
+						return nil, boom
 					}
-					tasks[id].Run = func(ctx context.Context, in []any) (any, error) {
-						return nil, fmt.Errorf("forever flaky: %w", ErrTransient)
-					}
+					continue
 				}
-				e := &Engine{
-					Workers:  8,
-					Dispatch: mode,
-					Faults: FaultPolicy{
-						MaxAttempts: 1 << 20, // effectively unbounded: only cancellation ends the loop
-						BaseBackoff: 50 * time.Microsecond,
-						MaxBackoff:  time.Millisecond,
-					},
-				}
-				start := time.Now()
-				_, err := e.Execute(g, tasks, allCompute(g.Len()))
-				if !errors.Is(err, boom) {
-					t.Fatalf("iter %d: err = %v, want the fatal cause", iter, err)
-				}
-				if errors.Is(err, context.Canceled) {
-					t.Fatalf("iter %d: collateral cancellation surfaced: %v", iter, err)
-				}
-				if wall := time.Since(start); wall > 5*time.Second {
-					t.Fatalf("iter %d: run took %v; cancelled retry loops kept spinning", iter, wall)
+				tasks[id].Run = func(ctx context.Context, in []any) (any, error) {
+					return nil, fmt.Errorf("forever flaky: %w", ErrTransient)
 				}
 			}
-		})
-	}
+			e := &Engine{
+				Workers: 8,
+				Faults: FaultPolicy{
+					MaxAttempts: 1 << 20, // effectively unbounded: only cancellation ends the loop
+					BaseBackoff: 50 * time.Microsecond,
+					MaxBackoff:  time.Millisecond,
+				},
+			}
+			start := time.Now()
+			_, err := e.Execute(g, tasks, allCompute(g.Len()))
+			if !errors.Is(err, boom) {
+				t.Fatalf("iter %d: err = %v, want the fatal cause", iter, err)
+			}
+			if errors.Is(err, context.Canceled) {
+				t.Fatalf("iter %d: collateral cancellation surfaced: %v", iter, err)
+			}
+			if wall := time.Since(start); wall > 5*time.Second {
+				t.Fatalf("iter %d: run took %v; cancelled retry loops kept spinning", iter, wall)
+			}
+		}
+	})
 }

@@ -9,10 +9,9 @@ import (
 	"repro/internal/opt"
 )
 
-// keyDedupe is the in-run first-claim set both executors use to keep nodes
-// sharing a result signature (identical subcomputations under content
-// addressing) from racing to materialize the same key: without it, both
-// nodes can pass the Store.Has check before either write lands, double-
+// keyDedupe is the writer's in-run first-claim set: it keeps nodes sharing
+// a result signature (identical subcomputations under content addressing)
+// from racing to materialize the same key. Without it, both nodes can pass the Store.Has check before either write lands, double-
 // encoding the value and double-reserving its budget.
 type keyDedupe struct {
 	mu   sync.Mutex
@@ -45,8 +44,8 @@ type matJob struct {
 	finish bool
 }
 
-// matWriter is the bounded asynchronous materialization pipeline of the
-// dataflow scheduler: completed values are queued (one slot per node, so a
+// matWriter is the engine's bounded asynchronous materialization pipeline:
+// completed values are queued (one slot per node, so a
 // single Execute never blocks submitting) and drained by a small pool of
 // writer goroutines that decide, encode and persist off the critical path.
 // Execute flushes the pipeline — also on error — before returning, so the
@@ -126,8 +125,7 @@ func (w *matWriter) flush() {
 	w.wg.Wait()
 }
 
-// process consults the policy and persists the value when told to — the
-// same decision the level-barrier path makes synchronously, made here on a
+// process consults the policy and persists the value when told to, on a
 // background goroutine.
 func (w *matWriter) process(j matJob) {
 	matDur, size, materialized, reward := w.e.decideAndPersist(w.g, j.id, j.name, j.key, j.value, j.computeDur, func() int64 {

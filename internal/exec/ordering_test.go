@@ -14,8 +14,9 @@ import (
 )
 
 // orderedDAG builds a single-worker ordering probe: root feeds a cheap
-// 4-node chain (low IDs) and one straggler (highest ID, so min-ID always
-// runs it last among the ready set). Tasks record their dispatch order.
+// 4-node chain (low IDs) and one straggler (highest ID, so an ID tie-break
+// alone would run it last among the ready set). Tasks record their
+// dispatch order.
 func orderedDAG() (*dag.Graph, []Task, *[]string, *sync.Mutex) {
 	g := dag.New()
 	root := g.MustAddNode("root", "scan")
@@ -51,29 +52,21 @@ func orderedDAG() (*dag.Graph, []Task, *[]string, *sync.Mutex) {
 
 // TestCriticalPathUsesHistoryCosts is the cost-awareness property: once
 // history knows the straggler is expensive, critical-path ordering
-// dispatches it before the structurally deeper but cheap chain, while
-// min-ID keeps burying it behind the lower-ID chain nodes.
+// dispatches it before the structurally deeper but cheap chain, even
+// though every chain node has a lower ID.
 func TestCriticalPathUsesHistoryCosts(t *testing.T) {
-	for _, tc := range []struct {
-		order Ordering
-		next  string // node dispatched right after root
-	}{
-		{CriticalPath, "straggler"},
-		{MinID, "c0"},
-	} {
-		g, tasks, order, mu := orderedDAG()
-		h := NewHistory()
-		h.ObserveCompute("straggler", 80*time.Millisecond, 0)
-		e := &Engine{Workers: 1, Order: tc.order, History: h}
-		if _, err := e.Execute(g, tasks, allCompute(g.Len())); err != nil {
-			t.Fatal(err)
-		}
-		mu.Lock()
-		got := append([]string(nil), (*order)...)
-		mu.Unlock()
-		if len(got) < 2 || got[0] != "root" || got[1] != tc.next {
-			t.Errorf("%v dispatch order = %v, want root then %s", tc.order, got, tc.next)
-		}
+	g, tasks, order, mu := orderedDAG()
+	h := NewHistory()
+	h.ObserveCompute("straggler", 80*time.Millisecond, 0)
+	e := &Engine{Workers: 1, History: h}
+	if _, err := e.Execute(g, tasks, allCompute(g.Len())); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	got := append([]string(nil), (*order)...)
+	mu.Unlock()
+	if len(got) < 2 || got[0] != "root" || got[1] != "straggler" {
+		t.Errorf("dispatch order = %v, want root then straggler", got)
 	}
 }
 
@@ -106,7 +99,7 @@ func TestCriticalPathTieBreakDeterministic(t *testing.T) {
 	var first []dag.NodeID
 	for run := 0; run < 3; run++ {
 		g, tasks, order, mu := build()
-		e := &Engine{Workers: 1, Order: CriticalPath}
+		e := &Engine{Workers: 1}
 		if _, err := e.Execute(g, tasks, allCompute(g.Len())); err != nil {
 			t.Fatal(err)
 		}

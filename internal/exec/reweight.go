@@ -8,11 +8,9 @@ import (
 	"repro/internal/dag"
 )
 
-// Reweight selects whether the dataflow scheduler re-prioritizes the
-// remaining DAG mid-run as measured durations diverge from the estimates
-// the initial critical-path weights were built from. It has an effect only
-// under critical-path ordering (MinID carries no weights to correct) and
-// the dataflow strategy.
+// Reweight selects whether the scheduler re-prioritizes the remaining DAG
+// mid-run as measured durations diverge from the estimates the initial
+// critical-path weights were built from.
 type Reweight int
 
 const (
@@ -56,7 +54,7 @@ const (
 	reweightCostCeiling = int64(1) << 40
 )
 
-// reweighter is the online re-prioritization state of one dataflow Execute:
+// reweighter is the online re-prioritization state of one Execute:
 // workers feed it measured durations from the lock-free duration plane as
 // nodes finish, and when the accumulated divergence against the estimates
 // crosses the trigger it recomputes the critical-path weights of the

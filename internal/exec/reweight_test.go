@@ -13,8 +13,8 @@ import (
 // liarProbeDAG is a single-worker re-prioritization probe: root fans out to
 // `decoys` sleeping nodes (op "decoy", history claims them expensive) and
 // one two-link chain (op "liar", history claims it cheap, actually slow).
-// With one worker and strict heap dispatch the dispatch order is exactly
-// the weight order, so the test can assert where the chain lands.
+// With one worker nothing is stolen and every pop takes the heaviest ready
+// node, so the test can assert where the chain lands.
 func liarProbeDAG(decoys int, decoyDur time.Duration) (*dag.Graph, []Task, *History, *[]string, *sync.Mutex) {
 	g := dag.New()
 	root := g.MustAddNode("root", "scan")
@@ -74,7 +74,6 @@ func TestAdaptiveRepriotizesMidRun(t *testing.T) {
 		g, tasks, h, order, mu := liarProbeDAG(decoys, 200*time.Microsecond)
 		e := &Engine{
 			Workers:               1,
-			Dispatch:              GlobalHeap,
 			History:               h,
 			Reweight:              mode,
 			ReweightInterval:      2,
@@ -102,27 +101,6 @@ func TestAdaptiveRepriotizesMidRun(t *testing.T) {
 	adaptive := run(Adaptive)
 	if p := pos(adaptive, "liar0"); p >= decoys {
 		t.Errorf("adaptive dispatch never re-prioritized: liar0 at position %d of %v", p, adaptive)
-	}
-}
-
-// TestReweightNoOpUnderMinID: min-ID ordering carries no weights, so
-// Adaptive must do nothing (and count nothing).
-func TestReweightNoOpUnderMinID(t *testing.T) {
-	g, tasks, h, _, _ := liarProbeDAG(4, 0)
-	e := &Engine{
-		Workers:               2,
-		Order:                 MinID,
-		History:               h,
-		Reweight:              Adaptive,
-		ReweightInterval:      1,
-		ReweightMinDivergence: time.Nanosecond,
-	}
-	res, err := e.Execute(g, tasks, allCompute(g.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reweights != 0 {
-		t.Errorf("min-ID run reported %d re-prioritization passes, want 0", res.Reweights)
 	}
 }
 

@@ -20,11 +20,11 @@ import (
 // visible before any size has been learned.
 const coldSizeUnit = 1024
 
-// runCtx is the per-Execute state shared by both dataflow dispatchers (the
-// work-stealing default and the GlobalHeap A/B baseline): the immutable run
-// inputs, the shared result accounting, the live-bytes bookkeeping and the
-// background materialization writer. Everything dispatch-specific (ready
-// queues, counters, cancellation) lives in the dispatcher that owns it.
+// runCtx is the per-Execute state the work-stealing dispatcher runs nodes
+// against: the immutable run inputs, the shared result accounting, the
+// live-bytes bookkeeping and the background materialization writer.
+// Everything dispatch-specific (ready queues, counters, cancellation) lives
+// in the dispatcher.
 type runCtx struct {
 	e     *Engine
 	g     *dag.Graph
@@ -45,8 +45,7 @@ type runCtx struct {
 	stats *faultStats
 	pins  *pinSet
 
-	// vals and published are the lock-free value plane of the dataflow
-	// schedulers: each slot is written exactly once, by the worker that ran
+	// vals and published are the run's lock-free value plane: each slot is written exactly once, by the worker that ran
 	// the node, before the node's finish; readers (a node's consumers) are
 	// dispatched only after that finish, so the dependency counters — an
 	// atomic decrement the consumer's dispatch is ordered behind — carry
@@ -72,8 +71,8 @@ type runCtx struct {
 	// live-bytes gauge, so release and the end-of-run settlement subtract
 	// exactly that. Entries are written by the worker that ran the node
 	// before its finish() and zeroed on release; the dispatcher's hand-off
-	// of the node's children (mutex or atomic counter) orders those
-	// accesses. Nil when the gauge is disabled.
+	// of the node's children (an atomic counter) orders those accesses.
+	// Nil when the gauge is disabled.
 	liveSize []int64
 
 	// coldSizes is the structural fallback estimate for compute nodes with
@@ -83,7 +82,7 @@ type runCtx struct {
 	writer *matWriter // nil when materialization is disabled
 
 	// rw is the online re-prioritization state; nil when reweighting is
-	// off, the ordering carries no weights (MinID), or the graph is empty.
+	// off.
 	rw *reweighter
 }
 
@@ -91,10 +90,8 @@ type runCtx struct {
 // level barriers, a node is dispatched the instant its last parent
 // finishes, and completed values go to the background materialization
 // pipeline (flushed before return, also on error). Ready nodes dispatch
-// critical-path-first by default (Engine.Order selects MinID instead), so
-// the run's long pole is never left waiting behind cheap siblings. Dispatch
-// itself is work-stealing by default; Engine.Dispatch selects the
-// single-global-heap baseline for A/B comparisons.
+// critical-path-first, so the run's long pole is never left waiting behind
+// cheap siblings, through the work-stealing dispatcher.
 func (e *Engine) executeDataflow(ctx context.Context, g *dag.Graph, tasks []Task, plan *opt.Plan, res *Result, stats *faultStats, pins *pinSet) (*Result, error) {
 	// Dependency counting never drains a cyclic graph; reject it up front
 	// with the same diagnostic the topological sort produces. The order is
@@ -119,17 +116,13 @@ func (e *Engine) executeDataflow(ctx context.Context, g *dag.Graph, tasks []Task
 	// feed the critical-path weights, the coldSizeUnit-scaled copy feeds
 	// the gauge. The error path is unreachable (the units are positive
 	// constants).
-	var structural []int64
-	if e.Order == CriticalPath || e.LiveBytes != nil {
-		structural, _ = g.StructuralCosts(1)
+	structural, _ := g.StructuralCosts(1)
+	weight, cost, err := e.pathWeights(g, tasks, plan, order, structural)
+	if err != nil {
+		return nil, err
 	}
-	var weight []int64
-	if e.Order == CriticalPath {
-		var cost []int64
-		weight, cost = e.pathWeights(g, tasks, plan, order, structural)
-		if weight != nil && e.Reweight == Adaptive {
-			rc.rw = newReweighter(rc, order, cost, weight)
-		}
+	if e.Reweight == Adaptive {
+		rc.rw = newReweighter(rc, order, cost, weight)
 	}
 	if e.LiveBytes != nil {
 		rc.liveSize = make([]int64, g.Len())
@@ -141,7 +134,7 @@ func (e *Engine) executeDataflow(ctx context.Context, g *dag.Graph, tasks []Task
 	// A compute node waits for every non-pruned parent. Load nodes read the
 	// store, not their parents, so they are runnable immediately; a compute
 	// node whose parents were all pruned is too, and fails input gathering
-	// with the same missing-parent error the level-barrier executor gave.
+	// with a missing-parent error.
 	pending := g.Indegrees(runnable)
 	var consumers []int
 	if e.ReleaseIntermediates {
@@ -161,12 +154,7 @@ func (e *Engine) executeDataflow(ctx context.Context, g *dag.Graph, tasks []Task
 	if e.Policy != nil && e.Store != nil {
 		rc.writer = newMatWriter(rc)
 	}
-	var errs []error
-	if e.Dispatch == GlobalHeap {
-		errs = runHeapDispatch(rc, weight, pending, consumers, remaining, ready)
-	} else {
-		errs = runWorkSteal(rc, weight, pending, consumers, remaining, ready)
-	}
+	errs := runWorkSteal(rc, weight, pending, consumers, remaining, ready)
 	if rc.writer != nil {
 		rc.writer.flush()
 	}
@@ -203,154 +191,6 @@ func (e *Engine) executeDataflow(ctx context.Context, g *dag.Graph, tasks []Task
 		return res, errors.Join(dropCollateralCancels(errs)...)
 	}
 	return res, nil
-}
-
-// heapDispatch is the GlobalHeap dispatcher: one shared ready heap, one
-// mutex, one condition variable. Retained as the contention baseline the
-// work-stealing dispatcher is benchmarked against.
-type heapDispatch struct {
-	*runCtx
-
-	mu        sync.Mutex // guards the scheduling state below
-	cond      *sync.Cond // signaled when ready grows, work completes, or on cancel
-	ready     nodeHeap   // runnable nodes, highest priority first
-	pending   []int      // per-node count of unfinished non-pruned parents
-	consumers []int      // per-node count of compute children yet to run
-	remaining int        // runnable nodes not yet finished
-	cancelled bool       // set on first error; stops dispatching new work
-	errs      []error    // every node error observed before shutdown
-}
-
-// runHeapDispatch drains the run with the single-heap dispatcher and
-// returns every node error observed before shutdown.
-func runHeapDispatch(rc *runCtx, weight []int64, pending, consumers []int, remaining int, ready []dag.NodeID) []error {
-	d := &heapDispatch{runCtx: rc, pending: pending, consumers: consumers, remaining: remaining}
-	d.cond = sync.NewCond(&d.mu)
-	d.ready.weight = weight
-	if rc.rw != nil {
-		// Eager sweep of a pass: one heap, one lock. Queues also catch up
-		// lazily through fix() on every locked access.
-		rc.rw.resort = func() {
-			d.mu.Lock()
-			rc.rw.fix(&d.ready)
-			d.mu.Unlock()
-		}
-	}
-	for _, id := range ready {
-		d.ready.push(id)
-	}
-	workers := rc.e.workers()
-	if workers > remaining {
-		workers = remaining
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d.work()
-		}()
-	}
-	wg.Wait()
-	return d.errs
-}
-
-// work is one worker's loop: pull the highest-priority ready node, run it,
-// publish completion, repeat until the slice drains or is cancelled.
-func (d *heapDispatch) work() {
-	for {
-		id, ok := d.next()
-		if !ok {
-			return
-		}
-		err := d.runNode(id)
-		d.finish(id, err)
-	}
-}
-
-// next blocks until a node is runnable, the run is cancelled, or all
-// runnable nodes have finished.
-func (d *heapDispatch) next() (dag.NodeID, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for {
-		if d.cancelled || d.remaining == 0 {
-			return 0, false
-		}
-		if d.rw != nil {
-			d.rw.fix(&d.ready)
-		}
-		if d.ready.Len() > 0 {
-			return d.ready.pop(), true
-		}
-		d.cond.Wait()
-	}
-}
-
-// finish publishes id's completion. On success it decrements each compute
-// child's pending-parent counter, queues children that just became
-// runnable, and — when ReleaseIntermediates is on — drops values whose last
-// consumer has now run. On failure it records the error and cancels all
-// not-yet-dispatched work; nodes already in flight complete and their
-// errors, if any, are collected too.
-func (d *heapDispatch) finish(id dag.NodeID, err error) {
-	// Feed the re-prioritizer before taking the dispatch lock: a pass's
-	// eager re-sort acquires d.mu itself.
-	if err == nil && d.rw != nil {
-		d.rw.observe(id, d.durs[id].Load())
-		d.rw.maybePass()
-	}
-	var release []dag.NodeID
-	if err != nil {
-		// Interrupt in-flight operators before taking the dispatch lock:
-		// they may be long-running, and nothing below waits on them.
-		d.runCtx.cancel()
-	}
-	d.mu.Lock()
-	d.remaining--
-	if err != nil {
-		d.errs = append(d.errs, err)
-		d.cancelled = true
-	} else {
-		for _, c := range d.g.Children(id) {
-			if d.plan.States[c] != opt.Compute {
-				continue
-			}
-			d.pending[c]--
-			if d.pending[c] == 0 {
-				d.ready.push(c)
-			}
-		}
-		if d.e.ReleaseIntermediates {
-			release = d.releasable(id)
-		}
-	}
-	d.mu.Unlock()
-	d.cond.Broadcast()
-	d.applyRelease(release)
-}
-
-// releasable decrements the reference counts id's completion settles and
-// returns the non-output nodes whose values no remaining consumer needs.
-// Callers hold d.mu. The background materialization writer captures values
-// in its jobs, so releasing here never races a pending write.
-func (d *heapDispatch) releasable(id dag.NodeID) []dag.NodeID {
-	var out []dag.NodeID
-	if d.plan.States[id] == opt.Compute {
-		for _, p := range d.g.Parents(id) {
-			if d.plan.States[p] == opt.Prune {
-				continue
-			}
-			d.consumers[p]--
-			if d.consumers[p] == 0 && !d.g.Node(p).Output {
-				out = append(out, p)
-			}
-		}
-	}
-	if d.consumers[id] == 0 && !d.g.Node(id).Output {
-		out = append(out, id)
-	}
-	return out
 }
 
 // applyRelease clears released value slots and settles their live-bytes
@@ -499,8 +339,9 @@ func (rc *runCtx) gather(id dag.NodeID) ([]any, error) {
 // themselves never enter a ready queue). The per-node cost estimates are
 // returned alongside the weights: they seed the online re-prioritizer,
 // which measures divergence against exactly what the weights were built
-// from.
-func (e *Engine) pathWeights(g *dag.Graph, tasks []Task, plan *opt.Plan, order []dag.NodeID, structural []int64) ([]int64, []int64) {
+// from. order must be a valid topological order of g (from g.Topo), so the
+// only error is an internal invariant violation.
+func (e *Engine) pathWeights(g *dag.Graph, tasks []Task, plan *opt.Plan, order []dag.NodeID, structural []int64) ([]int64, []int64, error) {
 	cost := make([]int64, g.Len())
 	for i := range cost {
 		id := dag.NodeID(i)
@@ -523,9 +364,9 @@ func (e *Engine) pathWeights(g *dag.Graph, tasks []Task, plan *opt.Plan, order [
 	}
 	w, err := g.CriticalPathOrdered(cost, order)
 	if err != nil {
-		return nil, nil // cycles are rejected before dispatch; fall back to min-ID
+		return nil, nil, fmt.Errorf("exec: critical-path weights over a topological order: %w", err)
 	}
-	return w, cost
+	return w, cost, nil
 }
 
 // noteLive charges id's freshly published value to the engine's live-bytes
@@ -552,24 +393,19 @@ func (rc *runCtx) noteLive(id dag.NodeID) {
 	rc.e.LiveBytes.Add(est)
 }
 
-// nodeHeap is the dataflow scheduler's priority queue of ready nodes (the
-// shared heap under GlobalHeap dispatch; each per-worker deque and the
-// overflow queue under work-stealing). With weight set (critical-path
-// ordering) the largest weight dispatches first and ties break on the
-// smaller ID; with weight nil it is a plain min-heap of IDs, matching the
-// deterministic tie-break of dag.Topo. Single-worker runs are a pure
-// function of the graph under both dispatch modes; under GlobalHeap with
-// min-ID the order is additionally exactly topological-by-ID, while the
-// work-stealing chase (a finisher keeps its best newly-ready child ahead
-// of its queue) runs chains eagerly instead.
+// nodeHeap is the priority queue of ready nodes behind each per-worker
+// deque and the overflow queue: the largest critical-path weight
+// dispatches first and ties break on the smaller ID, matching the
+// deterministic tie-break of dag.Topo, so single-worker runs are a pure
+// function of the graph.
 //
 // The heap is hand-rolled rather than container/heap: push and pop sit on
-// the per-node dispatch path of every scheduler, and the interface-based
-// API boxes every NodeID into an allocation (runtime.convT64) plus dynamic
-// dispatch per sift step — measurable churn at fine-grained-node scale.
+// the per-node dispatch path, and the interface-based API boxes every
+// NodeID into an allocation (runtime.convT64) plus dynamic dispatch per
+// sift step — measurable churn at fine-grained-node scale.
 type nodeHeap struct {
 	ids    []dag.NodeID
-	weight []int64 // indexed by node ID; nil selects min-ID ordering
+	weight []int64 // critical-path priorities, indexed by node ID
 	// epoch is the re-prioritization version this heap was last sorted
 	// with (reweighter.fix compares it against the global counter and
 	// re-heapifies with the fresh weights on mismatch). Guarded by
@@ -638,9 +474,9 @@ func (h *nodeHeap) heapify() {
 }
 
 // nodeBefore reports whether a dispatches before b: larger critical-path
-// weight first (when weights are in play), then smaller ID.
+// weight first, then smaller ID.
 func nodeBefore(weight []int64, a, b dag.NodeID) bool {
-	if weight != nil && weight[a] != weight[b] {
+	if weight[a] != weight[b] {
 		return weight[a] > weight[b]
 	}
 	return a < b

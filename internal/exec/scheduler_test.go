@@ -17,7 +17,7 @@ import (
 
 // TestDataflowOutOfOrderCompletion is the no-barrier property: a deep chain
 // of cheap nodes must drain to completion while a shallow expensive sibling
-// is still running. Under the level-barrier executor the chain's second
+// is still running. Under a barrier between DAG levels the chain's second
 // link could not even start before the straggler finished its level.
 func TestDataflowOutOfOrderCompletion(t *testing.T) {
 	g := dag.New()
@@ -178,55 +178,56 @@ func equivalenceDAG(t *testing.T) (*dag.Graph, []Task, *opt.Plan) {
 	return g, tasks, plan
 }
 
-// TestSchedulerEquivalence runs the same plan under the dataflow scheduler
-// and the level-barrier reference and requires byte-identical Values plus
-// identical per-node states and materialization outcomes.
+// TestSchedulerEquivalence runs the mixed-shape equivalence DAG and checks
+// the result against values worked out by hand: byte-identical Values,
+// the plan's per-node states, and — with a store — every computed node
+// materialized exactly once under its own key, holding its value.
 func TestSchedulerEquivalence(t *testing.T) {
+	want := map[string]int{"root": 1, "left": 3, "right": 5, "join": 8,
+		"leaf0": 8, "leaf1": 16, "leaf2": 24, "leaf3": 32, "leaf4": 40}
 	for _, withStore := range []bool{false, true} {
 		name := "pure-compute"
 		if withStore {
 			name = "with-materialization"
 		}
 		t.Run(name, func(t *testing.T) {
-			run := func(sched Strategy) (*Result, *Engine) {
-				g, tasks, plan := equivalenceDAG(t)
-				e := &Engine{Workers: 4, Sched: sched}
-				if withStore {
-					st, err := store.Open(t.TempDir(), 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					e.Store = st
-					e.Policy = opt.MaterializeAll{}
-				}
-				res, err := e.Execute(g, tasks, plan)
+			g, tasks, plan := equivalenceDAG(t)
+			e := &Engine{Workers: 4}
+			if withStore {
+				st, err := store.Open(t.TempDir(), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res, e
+				e.Store = st
+				e.Policy = opt.MaterializeAll{}
 			}
-			g, _, _ := equivalenceDAG(t)
-			resDF, eDF := run(Dataflow)
-			resLB, eLB := run(LevelBarrier)
-			if df, lb := encodeValues(t, g, resDF), encodeValues(t, g, resLB); !bytes.Equal(df, lb) {
-				t.Errorf("values differ:\n dataflow: %s\n  barrier: %s", df, lb)
+			res, err := e.Execute(g, tasks, plan)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range resDF.Nodes {
-				if resDF.Nodes[i].State != resLB.Nodes[i].State {
-					t.Errorf("node %d state: dataflow %v, barrier %v", i, resDF.Nodes[i].State, resLB.Nodes[i].State)
+			expect := &Result{Values: make(map[dag.NodeID]any)}
+			for n, v := range want {
+				expect.Values[g.Lookup(n)] = v
+			}
+			if got, exp := encodeValues(t, g, res), encodeValues(t, g, expect); !bytes.Equal(got, exp) {
+				t.Errorf("values differ:\n      got: %s\n expected: %s", got, exp)
+			}
+			for i, nr := range res.Nodes {
+				if nr.State != plan.States[i] {
+					t.Errorf("node %d state %v, plan %v", i, nr.State, plan.States[i])
 				}
-				if resDF.Nodes[i].Materialized != resLB.Nodes[i].Materialized {
-					t.Errorf("node %d materialized: dataflow %v, barrier %v", i, resDF.Nodes[i].Materialized, resLB.Nodes[i].Materialized)
+				if wantMat := withStore && plan.States[i] == opt.Compute; nr.Materialized != wantMat {
+					t.Errorf("node %d materialized %v, want %v", i, nr.Materialized, wantMat)
 				}
 			}
 			if withStore {
-				dfKeys, lbKeys := eDF.Store.Entries(), eLB.Store.Entries()
-				if len(dfKeys) != len(lbKeys) {
-					t.Fatalf("store entries: dataflow %d, barrier %d", len(dfKeys), len(lbKeys))
+				if n := len(e.Store.Entries()); n != len(want) {
+					t.Fatalf("%d store entries, want %d", n, len(want))
 				}
-				for i := range dfKeys {
-					if dfKeys[i].Key != lbKeys[i].Key || dfKeys[i].Size != lbKeys[i].Size {
-						t.Errorf("entry %d: dataflow %+v, barrier %+v", i, dfKeys[i], lbKeys[i])
+				for n, v := range want {
+					got, err := e.Store.Get(tasks[g.Lookup(n)].Key)
+					if err != nil || got != v {
+						t.Errorf("stored %s = %v (%v), want %d", n, got, err, v)
 					}
 				}
 			}
@@ -360,45 +361,5 @@ func TestReleaseIntermediatesDiamond(t *testing.T) {
 	}
 	if len(res.Values) != 1 {
 		t.Errorf("intermediates retained: %v", res.Values)
-	}
-}
-
-func TestStrategyString(t *testing.T) {
-	if Dataflow.String() != "dataflow" || LevelBarrier.String() != "level-barrier" {
-		t.Errorf("Strategy strings: %v %v", Dataflow, LevelBarrier)
-	}
-}
-
-// TestLevelBarrierStillWorks keeps the reference path honest: the existing
-// engine tests run under the default dataflow scheduler, so this exercises
-// an end-to-end compute+materialize+reload cycle under LevelBarrier.
-func TestLevelBarrierStillWorks(t *testing.T) {
-	g, tasks := buildChain(t)
-	st, err := store.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := &Engine{Sched: LevelBarrier, Store: st, Policy: opt.MaterializeAll{}}
-	res, err := e.Execute(g, tasks, allCompute(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, nr := range res.Nodes {
-		if !nr.Materialized {
-			t.Errorf("node %d not materialized: %+v", i, nr)
-		}
-		if nr.MatDuration > nr.Duration {
-			t.Errorf("node %d: synchronous accounting violated, mat %v > total %v", i, nr.MatDuration, nr.Duration)
-		}
-	}
-	plan := allCompute(3)
-	plan.States[0] = opt.Prune
-	plan.States[1] = opt.Load
-	res2, err := e.Execute(g, tasks, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := res2.Value(g, "c"); v.(string) != "abc" {
-		t.Errorf("c = %v", v)
 	}
 }

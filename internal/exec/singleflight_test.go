@@ -41,13 +41,12 @@ func sfChain(counters []*atomic.Int64) (*dag.Graph, []Task) {
 	return g, tasks
 }
 
-func sfEngine(t *testing.T, tv *store.Tiered, sched Strategy) *Engine {
+func sfEngine(t *testing.T, tv *store.Tiered) *Engine {
 	t.Helper()
 	e := &Engine{
 		Workers:      2,
 		Store:        tv.Hot(),
 		Policy:       opt.MaterializeAll{},
-		Sched:        sched,
 		SingleFlight: true,
 	}
 	e.UseTiers(tv)
@@ -58,73 +57,66 @@ func sfEngine(t *testing.T, tv *store.Tiered, sched Strategy) *Engine {
 // executing the identical all-compute plan concurrently and asserts the
 // exactly-once contract: each unique signature's operator runs once across
 // the fleet, every other compute-planned node is served by the registry,
-// and all runs end with identical output values. Exercised under both
-// schedulers; run with -race in CI.
+// and all runs end with identical output values. Run with -race in CI.
 func TestConcurrentEnginesSingleFlight(t *testing.T) {
-	for _, sched := range []Strategy{Dataflow, LevelBarrier} {
-		name := "dataflow"
-		if sched == LevelBarrier {
-			name = "levelbarrier"
+	t.Run("dataflow", func(t *testing.T) {
+		hot, err := store.Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			hot, err := store.Open(t.TempDir(), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tv := store.NewTiered(hot, nil)
-			counters := []*atomic.Int64{{}, {}, {}}
-			g, tasks := sfChain(counters)
-			plan := allCompute(3)
+		tv := store.NewTiered(hot, nil)
+		counters := []*atomic.Int64{{}, {}, {}}
+		g, tasks := sfChain(counters)
+		plan := allCompute(3)
 
-			const n = 4
-			results := make([]*Result, n)
-			errs := make([]error, n)
-			var wg sync.WaitGroup
-			for i := 0; i < n; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					e := sfEngine(t, tv, sched)
-					results[i], errs[i] = e.Execute(g, tasks, plan)
-				}(i)
-			}
-			wg.Wait()
+		const n = 4
+		results := make([]*Result, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				e := sfEngine(t, tv)
+				results[i], errs[i] = e.Execute(g, tasks, plan)
+			}(i)
+		}
+		wg.Wait()
 
-			var total, hits, waits int64
-			for i := 0; i < n; i++ {
-				if errs[i] != nil {
-					t.Fatalf("run %d: %v", i, errs[i])
-				}
-				v, ok := results[i].Value(g, "c")
-				if !ok || v.(string) != "abc" {
-					t.Fatalf("run %d output = %v, %v; want abc", i, v, ok)
-				}
-				hits += results[i].InflightDedupHits
-				waits += results[i].InflightWaits
+		var total, hits, waits int64
+		for i := 0; i < n; i++ {
+			if errs[i] != nil {
+				t.Fatalf("run %d: %v", i, errs[i])
 			}
-			for node, c := range counters {
-				got := c.Load()
-				total += got
-				if got != 1 {
-					t.Errorf("node %d operator ran %d times, want exactly 1", node, got)
-				}
+			v, ok := results[i].Value(g, "c")
+			if !ok || v.(string) != "abc" {
+				t.Fatalf("run %d output = %v, %v; want abc", i, v, ok)
 			}
-			// The verification identity: summed over runs, computed-planned
-			// nodes minus dedup hits equals the unique signature count.
-			unique := int64(len(counters))
-			if computed := int64(n) * unique; computed-hits != unique {
-				t.Errorf("computed %d - hits %d = %d, want unique count %d",
-					computed, hits, computed-hits, unique)
+			hits += results[i].InflightDedupHits
+			waits += results[i].InflightWaits
+		}
+		for node, c := range counters {
+			got := c.Load()
+			total += got
+			if got != 1 {
+				t.Errorf("node %d operator ran %d times, want exactly 1", node, got)
 			}
-			if hits != int64(n-1)*unique {
-				t.Errorf("inflight dedup hits = %d, want %d", hits, int64(n-1)*unique)
-			}
-			if waits > hits {
-				t.Errorf("inflight waits %d exceed hits %d: some waiter fell back to compute", waits, hits)
-			}
-			t.Logf("total ops %d, hits %d, waits %d", total, hits, waits)
-		})
-	}
+		}
+		// The verification identity: summed over runs, computed-planned
+		// nodes minus dedup hits equals the unique signature count.
+		unique := int64(len(counters))
+		if computed := int64(n) * unique; computed-hits != unique {
+			t.Errorf("computed %d - hits %d = %d, want unique count %d",
+				computed, hits, computed-hits, unique)
+		}
+		if hits != int64(n-1)*unique {
+			t.Errorf("inflight dedup hits = %d, want %d", hits, int64(n-1)*unique)
+		}
+		if waits > hits {
+			t.Errorf("inflight waits %d exceed hits %d: some waiter fell back to compute", waits, hits)
+		}
+		t.Logf("total ops %d, hits %d, waits %d", total, hits, waits)
+	})
 }
 
 // TestSingleFlightWaiterTimeoutFallsBack parks a waiter behind a leader
@@ -153,14 +145,14 @@ func TestSingleFlightWaiterTimeoutFallsBack(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		e := sfEngine(t, tv, Dataflow)
+		e := sfEngine(t, tv)
 		if _, err := e.Execute(g, blocking, plan); err != nil {
 			t.Errorf("leader run: %v", err)
 		}
 	}()
 	waitInflight(t, tv, 1)
 
-	w := sfEngine(t, tv, Dataflow)
+	w := sfEngine(t, tv)
 	w.InflightWait = 5 * time.Millisecond
 	res, err := w.Execute(g, fast, plan)
 	if err != nil {
@@ -181,65 +173,59 @@ func TestSingleFlightWaiterTimeoutFallsBack(t *testing.T) {
 // and succeeds — the failed run errors, the surviving run's output is the
 // value a solo run would produce.
 func TestSingleFlightLeaderFailureHandsOff(t *testing.T) {
-	for _, sched := range []Strategy{Dataflow, LevelBarrier} {
-		name := "dataflow"
-		if sched == LevelBarrier {
-			name = "levelbarrier"
+	t.Run("dataflow", func(t *testing.T) {
+		hot, err := store.Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			hot, err := store.Open(t.TempDir(), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tv := store.NewTiered(hot, nil)
+		tv := store.NewTiered(hot, nil)
 
-			g := dag.New()
-			id := g.MustAddNode("fragile", "scan")
-			g.Node(id).Output = true
-			// The doomed leader spins until a waiter parks, then dies — the
-			// deterministic seeded-fault version of a crash mid-node.
-			doomed := []Task{{Key: "sf-fragile", Run: func(ctx context.Context, _ []any) (any, error) {
-				deadline := time.Now().Add(5 * time.Second)
-				for tv.InflightWaiters("sf-fragile") == 0 {
-					if time.Now().After(deadline) {
-						return nil, errors.New("no waiter ever parked")
-					}
-					time.Sleep(100 * time.Microsecond)
+		g := dag.New()
+		id := g.MustAddNode("fragile", "scan")
+		g.Node(id).Output = true
+		// The doomed leader spins until a waiter parks, then dies — the
+		// deterministic seeded-fault version of a crash mid-node.
+		doomed := []Task{{Key: "sf-fragile", Run: func(ctx context.Context, _ []any) (any, error) {
+			deadline := time.Now().Add(5 * time.Second)
+			for tv.InflightWaiters("sf-fragile") == 0 {
+				if time.Now().After(deadline) {
+					return nil, errors.New("no waiter ever parked")
 				}
-				return nil, errors.New("leader killed mid-node")
-			}}}
-			survivor := []Task{{Key: "sf-fragile", Run: func(context.Context, []any) (any, error) {
-				return "recovered", nil
-			}}}
-			plan := allCompute(1)
+				time.Sleep(100 * time.Microsecond)
+			}
+			return nil, errors.New("leader killed mid-node")
+		}}}
+		survivor := []Task{{Key: "sf-fragile", Run: func(context.Context, []any) (any, error) {
+			return "recovered", nil
+		}}}
+		plan := allCompute(1)
 
-			leaderErr := make(chan error, 1)
-			go func() {
-				e := sfEngine(t, tv, sched)
-				_, err := e.Execute(g, doomed, plan)
-				leaderErr <- err
-			}()
-			waitInflight(t, tv, 1)
+		leaderErr := make(chan error, 1)
+		go func() {
+			e := sfEngine(t, tv)
+			_, err := e.Execute(g, doomed, plan)
+			leaderErr <- err
+		}()
+		waitInflight(t, tv, 1)
 
-			w := sfEngine(t, tv, sched)
-			res, err := w.Execute(g, survivor, plan)
-			if err != nil {
-				t.Fatalf("surviving run: %v", err)
-			}
-			if v, _ := res.Value(g, "fragile"); v.(string) != "recovered" {
-				t.Fatalf("survivor value = %v, want recovered", v)
-			}
-			if res.InflightWaits != 1 {
-				t.Fatalf("survivor waits = %d, want 1 (parked then handed leadership)", res.InflightWaits)
-			}
-			if err := <-leaderErr; err == nil {
-				t.Fatal("doomed leader run succeeded, want error")
-			}
-			if n := tv.InflightComputes(); n != 0 {
-				t.Fatalf("%d flights still registered after both runs ended", n)
-			}
-		})
-	}
+		w := sfEngine(t, tv)
+		res, err := w.Execute(g, survivor, plan)
+		if err != nil {
+			t.Fatalf("surviving run: %v", err)
+		}
+		if v, _ := res.Value(g, "fragile"); v.(string) != "recovered" {
+			t.Fatalf("survivor value = %v, want recovered", v)
+		}
+		if res.InflightWaits != 1 {
+			t.Fatalf("survivor waits = %d, want 1 (parked then handed leadership)", res.InflightWaits)
+		}
+		if err := <-leaderErr; err == nil {
+			t.Fatal("doomed leader run succeeded, want error")
+		}
+		if n := tv.InflightComputes(); n != 0 {
+			t.Fatalf("%d flights still registered after both runs ended", n)
+		}
+	})
 }
 
 // TestSingleFlightDisabledByDefault: the zero-value engine must never touch

@@ -48,13 +48,6 @@ func layeredDAG(levels, width int, keyTag string) (*dag.Graph, []Task) {
 	return g, tasks
 }
 
-// dispatchModes are both dataflow dispatchers; every stress scenario runs
-// under each so the steal/finish/release interleavings of the work-stealing
-// dispatcher get the same -race coverage as the global-heap baseline.
-func dispatchModes() []DispatchMode {
-	return []DispatchMode{WorkSteal, GlobalHeap}
-}
-
 // TestReleaseWriterStress hammers the async materialization writer
 // interleaved with refcounted release: fresh keys every iteration keep the
 // writer pool busy while completions concurrently drop the very values the
@@ -62,44 +55,41 @@ func dispatchModes() []DispatchMode {
 // for the value-ownership contract (jobs own a reference; release never
 // invalidates a pending write).
 func TestReleaseWriterStress(t *testing.T) {
-	for _, mode := range dispatchModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			st, err := store.Open(t.TempDir(), 0)
+	t.Run("worksteal", func(t *testing.T) {
+		st, err := store.Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gauge store.Gauge
+		for iter := 0; iter < 15; iter++ {
+			g, tasks := layeredDAG(4, 6, fmt.Sprintf("ok-%d", iter))
+			e := &Engine{
+				Workers:              8,
+				MatWriters:           3,
+				Store:                st,
+				Policy:               opt.MaterializeAll{},
+				ReleaseIntermediates: true,
+				LiveBytes:            &gauge,
+			}
+			res, err := e.Execute(g, tasks, allCompute(g.Len()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var gauge store.Gauge
-			for iter := 0; iter < 15; iter++ {
-				g, tasks := layeredDAG(4, 6, fmt.Sprintf("ok-%s-%d", mode, iter))
-				e := &Engine{
-					Workers:              8,
-					MatWriters:           3,
-					Dispatch:             mode,
-					Store:                st,
-					Policy:               opt.MaterializeAll{},
-					ReleaseIntermediates: true,
-					LiveBytes:            &gauge,
-				}
-				res, err := e.Execute(g, tasks, allCompute(g.Len()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Only the output layer survives release.
-				if want := 6; len(res.Values) != want {
-					t.Fatalf("iter %d: %d values retained, want %d outputs", iter, len(res.Values), want)
-				}
-				// Every computed value must have reached the store despite release.
-				for i := range tasks {
-					if !st.Has(tasks[i].Key) {
-						t.Fatalf("iter %d: key %s missing: release raced the writer", iter, tasks[i].Key)
-					}
-				}
-				if gauge.Live() != 0 {
-					t.Fatalf("iter %d: gauge live = %d, want 0 after settlement", iter, gauge.Live())
+			// Only the output layer survives release.
+			if want := 6; len(res.Values) != want {
+				t.Fatalf("iter %d: %d values retained, want %d outputs", iter, len(res.Values), want)
+			}
+			// Every computed value must have reached the store despite release.
+			for i := range tasks {
+				if !st.Has(tasks[i].Key) {
+					t.Fatalf("iter %d: key %s missing: release raced the writer", iter, tasks[i].Key)
 				}
 			}
-		})
-	}
+			if gauge.Live() != 0 {
+				t.Fatalf("iter %d: gauge live = %d, want 0 after settlement", iter, gauge.Live())
+			}
+		}
+	})
 }
 
 // TestReleaseWriterErrorCancellationStress drives the error path of the
@@ -109,48 +99,45 @@ func TestReleaseWriterStress(t *testing.T) {
 // the gauge, and still report the failure.
 func TestReleaseWriterErrorCancellationStress(t *testing.T) {
 	boom := errors.New("boom")
-	for _, mode := range dispatchModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			var gauge store.Gauge
-			for iter := 0; iter < 15; iter++ {
-				st, err := store.Open(t.TempDir(), 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				g, tasks := layeredDAG(4, 6, fmt.Sprintf("err-%s-%d", mode, iter))
-				// Fail one second-layer node; stagger it slightly so first-layer
-				// writes and releases are mid-flight when the cancellation lands.
-				victim := g.Lookup("n1_3")
-				tasks[victim] = Task{Key: tasks[victim].Key, Run: func(ctx context.Context, in []any) (any, error) {
-					time.Sleep(time.Duration(iter%3) * 100 * time.Microsecond)
-					return nil, boom
-				}}
-				e := &Engine{
-					Workers:              8,
-					MatWriters:           3,
-					Dispatch:             mode,
-					Store:                st,
-					Policy:               opt.MaterializeAll{},
-					ReleaseIntermediates: true,
-					LiveBytes:            &gauge,
-				}
-				res, err := e.Execute(g, tasks, allCompute(g.Len()))
-				if !errors.Is(err, boom) {
-					t.Fatalf("iter %d: err = %v, want boom", iter, err)
-				}
-				// Whatever completed must be fully accounted: a value present in
-				// the result and marked materialized must really be in the store.
-				for id, nr := range res.Nodes {
-					if nr.Materialized && !st.Has(tasks[id].Key) {
-						t.Fatalf("iter %d: node %d marked materialized but not stored", iter, id)
-					}
-				}
-				if gauge.Live() != 0 {
-					t.Fatalf("iter %d: gauge live = %d, want 0 after error settlement", iter, gauge.Live())
+	t.Run("worksteal", func(t *testing.T) {
+		var gauge store.Gauge
+		for iter := 0; iter < 15; iter++ {
+			st, err := store.Open(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, tasks := layeredDAG(4, 6, fmt.Sprintf("err-%d", iter))
+			// Fail one second-layer node; stagger it slightly so first-layer
+			// writes and releases are mid-flight when the cancellation lands.
+			victim := g.Lookup("n1_3")
+			tasks[victim] = Task{Key: tasks[victim].Key, Run: func(ctx context.Context, in []any) (any, error) {
+				time.Sleep(time.Duration(iter%3) * 100 * time.Microsecond)
+				return nil, boom
+			}}
+			e := &Engine{
+				Workers:              8,
+				MatWriters:           3,
+				Store:                st,
+				Policy:               opt.MaterializeAll{},
+				ReleaseIntermediates: true,
+				LiveBytes:            &gauge,
+			}
+			res, err := e.Execute(g, tasks, allCompute(g.Len()))
+			if !errors.Is(err, boom) {
+				t.Fatalf("iter %d: err = %v, want boom", iter, err)
+			}
+			// Whatever completed must be fully accounted: a value present in
+			// the result and marked materialized must really be in the store.
+			for id, nr := range res.Nodes {
+				if nr.Materialized && !st.Has(tasks[id].Key) {
+					t.Fatalf("iter %d: node %d marked materialized but not stored", iter, id)
 				}
 			}
-		})
-	}
+			if gauge.Live() != 0 {
+				t.Fatalf("iter %d: gauge live = %d, want 0 after error settlement", iter, gauge.Live())
+			}
+		}
+	})
 }
 
 // TestReweightStealStress forces a re-prioritization pass on effectively
@@ -160,61 +147,58 @@ func TestReleaseWriterErrorCancellationStress(t *testing.T) {
 // epoch-fenced re-sort. Values are checked against a single-worker
 // reference run, and the run must actually have re-prioritized.
 func TestReweightStealStress(t *testing.T) {
-	for _, mode := range dispatchModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			for iter := 0; iter < 8; iter++ {
-				g, tasks := layeredDAG(5, 8, fmt.Sprintf("rw-%s-%d", mode, iter))
-				// Uneven durations keep workers out of lockstep so passes
-				// overlap pops, pushes, steals and parks instead of landing
-				// in quiet gaps.
-				for i := range tasks {
-					run := tasks[i].Run
-					delay := time.Duration((i*13+iter)%5) * 40 * time.Microsecond
-					tasks[i] = Task{Key: tasks[i].Key, Run: func(ctx context.Context, in []any) (any, error) {
-						time.Sleep(delay)
-						return run(ctx, in)
-					}}
-				}
-				ref := &Engine{Workers: 1, Reweight: ReweightOff}
-				want, err := ref.Execute(g, tasks, allCompute(g.Len()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				st, err := store.Open(t.TempDir(), 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e := &Engine{
-					Workers:               8,
-					MatWriters:            3,
-					Dispatch:              mode,
-					Store:                 st,
-					Policy:                opt.MaterializeAll{},
-					ReleaseIntermediates:  true,
-					Reweight:              Adaptive,
-					ReweightInterval:      1,
-					ReweightMinDivergence: time.Nanosecond,
-				}
-				res, err := e.Execute(g, tasks, allCompute(g.Len()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Reweights == 0 {
-					t.Fatalf("iter %d: no re-prioritization passes despite forced trigger", iter)
-				}
-				for id, v := range res.Values {
-					if v != want.Values[id] {
-						t.Fatalf("iter %d: node %d = %v, reference %v", iter, id, v, want.Values[id])
-					}
-				}
-				for i := range tasks {
-					if !st.Has(tasks[i].Key) {
-						t.Fatalf("iter %d: key %s missing under reweight stress", iter, tasks[i].Key)
-					}
+	t.Run("worksteal", func(t *testing.T) {
+		for iter := 0; iter < 8; iter++ {
+			g, tasks := layeredDAG(5, 8, fmt.Sprintf("rw-%d", iter))
+			// Uneven durations keep workers out of lockstep so passes
+			// overlap pops, pushes, steals and parks instead of landing
+			// in quiet gaps.
+			for i := range tasks {
+				run := tasks[i].Run
+				delay := time.Duration((i*13+iter)%5) * 40 * time.Microsecond
+				tasks[i] = Task{Key: tasks[i].Key, Run: func(ctx context.Context, in []any) (any, error) {
+					time.Sleep(delay)
+					return run(ctx, in)
+				}}
+			}
+			ref := &Engine{Workers: 1, Reweight: ReweightOff}
+			want, err := ref.Execute(g, tasks, allCompute(g.Len()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := store.Open(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := &Engine{
+				Workers:               8,
+				MatWriters:            3,
+				Store:                 st,
+				Policy:                opt.MaterializeAll{},
+				ReleaseIntermediates:  true,
+				Reweight:              Adaptive,
+				ReweightInterval:      1,
+				ReweightMinDivergence: time.Nanosecond,
+			}
+			res, err := e.Execute(g, tasks, allCompute(g.Len()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Reweights == 0 {
+				t.Fatalf("iter %d: no re-prioritization passes despite forced trigger", iter)
+			}
+			for id, v := range res.Values {
+				if v != want.Values[id] {
+					t.Fatalf("iter %d: node %d = %v, reference %v", iter, id, v, want.Values[id])
 				}
 			}
-		})
-	}
+			for i := range tasks {
+				if !st.Has(tasks[i].Key) {
+					t.Fatalf("iter %d: key %s missing under reweight stress", iter, tasks[i].Key)
+				}
+			}
+		}
+	})
 }
 
 // TestReweightErrorCancellationStress drives forced re-prioritization into
@@ -224,29 +208,26 @@ func TestReweightStealStress(t *testing.T) {
 // queue sweep and the cancellation broadcast.
 func TestReweightErrorCancellationStress(t *testing.T) {
 	boom := errors.New("boom")
-	for _, mode := range dispatchModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			for iter := 0; iter < 8; iter++ {
-				g, tasks := layeredDAG(4, 6, fmt.Sprintf("rwerr-%s-%d", mode, iter))
-				victim := g.Lookup("n1_3")
-				tasks[victim] = Task{Key: tasks[victim].Key, Run: func(ctx context.Context, in []any) (any, error) {
-					time.Sleep(time.Duration(iter%3) * 100 * time.Microsecond)
-					return nil, boom
-				}}
-				e := &Engine{
-					Workers:               8,
-					Dispatch:              mode,
-					ReleaseIntermediates:  true,
-					Reweight:              Adaptive,
-					ReweightInterval:      1,
-					ReweightMinDivergence: time.Nanosecond,
-				}
-				if _, err := e.Execute(g, tasks, allCompute(g.Len())); !errors.Is(err, boom) {
-					t.Fatalf("iter %d: err = %v, want boom", iter, err)
-				}
+	t.Run("worksteal", func(t *testing.T) {
+		for iter := 0; iter < 8; iter++ {
+			g, tasks := layeredDAG(4, 6, fmt.Sprintf("rwerr-%d", iter))
+			victim := g.Lookup("n1_3")
+			tasks[victim] = Task{Key: tasks[victim].Key, Run: func(ctx context.Context, in []any) (any, error) {
+				time.Sleep(time.Duration(iter%3) * 100 * time.Microsecond)
+				return nil, boom
+			}}
+			e := &Engine{
+				Workers:               8,
+				ReleaseIntermediates:  true,
+				Reweight:              Adaptive,
+				ReweightInterval:      1,
+				ReweightMinDivergence: time.Nanosecond,
 			}
-		})
-	}
+			if _, err := e.Execute(g, tasks, allCompute(g.Len())); !errors.Is(err, boom) {
+				t.Fatalf("iter %d: err = %v, want boom", iter, err)
+			}
+		}
+	})
 }
 
 // TestSpillPromoteReleaseStress hammers the tiered store under everything
@@ -258,91 +239,88 @@ func TestReweightErrorCancellationStress(t *testing.T) {
 // land in exactly one tier, and the hot tier must never exceed its budget.
 func TestSpillPromoteReleaseStress(t *testing.T) {
 	const hotBudget = 150 // a couple of encoded ints; everything else spills
-	for _, mode := range dispatchModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			for iter := 0; iter < 8; iter++ {
-				g, tasks := layeredDAG(5, 8, fmt.Sprintf("spill-%s-%d", mode, iter))
-				for i := range tasks {
-					run := tasks[i].Run
-					delay := time.Duration((i*11+iter)%5) * 40 * time.Microsecond
-					tasks[i] = Task{Key: tasks[i].Key, Run: func(ctx context.Context, in []any) (any, error) {
-						time.Sleep(delay)
-						return run(ctx, in)
-					}}
-				}
-				ref := &Engine{Workers: 1}
-				want, err := ref.Execute(g, tasks, allCompute(g.Len()))
+	t.Run("worksteal", func(t *testing.T) {
+		for iter := 0; iter < 8; iter++ {
+			g, tasks := layeredDAG(5, 8, fmt.Sprintf("spill-%d", iter))
+			for i := range tasks {
+				run := tasks[i].Run
+				delay := time.Duration((i*11+iter)%5) * 40 * time.Microsecond
+				tasks[i] = Task{Key: tasks[i].Key, Run: func(ctx context.Context, in []any) (any, error) {
+					time.Sleep(delay)
+					return run(ctx, in)
+				}}
+			}
+			ref := &Engine{Workers: 1}
+			want, err := ref.Execute(g, tasks, allCompute(g.Len()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hot, err := store.Open(t.TempDir(), hotBudget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := store.OpenSpill(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Pre-populate every third key through the tiered admission
+			// path and plan those nodes as loads, so cold hits and their
+			// promotions and demotions run concurrently with computes,
+			// spills, releases and reweight passes.
+			tiers := store.NewTiered(hot, cold)
+			plan := allCompute(g.Len())
+			for i := 0; i < g.Len(); i += 3 {
+				raw, err := store.Encode(want.Values[dag.NodeID(i)])
 				if err != nil {
 					t.Fatal(err)
 				}
-				hot, err := store.Open(t.TempDir(), hotBudget)
-				if err != nil {
+				if _, err := tiers.PutBytes(tasks[i].Key, raw); err != nil {
 					t.Fatal(err)
 				}
-				cold, err := store.OpenSpill(t.TempDir(), 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Pre-populate every third key through the tiered admission
-				// path and plan those nodes as loads, so cold hits and their
-				// promotions and demotions run concurrently with computes,
-				// spills, releases and reweight passes.
-				tiers := store.NewTiered(hot, cold)
-				plan := allCompute(g.Len())
-				for i := 0; i < g.Len(); i += 3 {
-					raw, err := store.Encode(want.Values[dag.NodeID(i)])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := tiers.PutBytes(tasks[i].Key, raw); err != nil {
-						t.Fatal(err)
-					}
-					plan.States[i] = opt.Load
-				}
-				var gauge store.Gauge
-				e := &Engine{
-					Workers:               8,
-					MatWriters:            3,
-					Dispatch:              mode,
-					Store:                 hot,
-					Spill:                 cold,
-					Policy:                opt.MaterializeAll{},
-					ReleaseIntermediates:  true,
-					Reweight:              Adaptive,
-					ReweightInterval:      1,
-					ReweightMinDivergence: time.Nanosecond,
-					LiveBytes:             &gauge,
-				}
-				res, err := e.Execute(g, tasks, plan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for id, v := range res.Values {
-					if v != want.Values[id] {
-						t.Fatalf("iter %d: node %d = %v, reference %v", iter, id, v, want.Values[id])
-					}
-				}
-				for i := range tasks {
-					inHot, inCold := hot.Has(tasks[i].Key), cold.Has(tasks[i].Key)
-					if !inHot && !inCold {
-						t.Fatalf("iter %d: key %s in no tier", iter, tasks[i].Key)
-					}
-					if inHot && inCold {
-						t.Fatalf("iter %d: key %s in both tiers", iter, tasks[i].Key)
-					}
-				}
-				if hot.Used() > hotBudget {
-					t.Fatalf("iter %d: hot tier used %d over its %d budget", iter, hot.Used(), hotBudget)
-				}
-				if res.Spills == 0 {
-					t.Fatalf("iter %d: no spills despite the %d-byte hot tier", iter, hotBudget)
-				}
-				if gauge.Live() != 0 {
-					t.Fatalf("iter %d: gauge live = %d, want 0 after settlement", iter, gauge.Live())
+				plan.States[i] = opt.Load
+			}
+			var gauge store.Gauge
+			e := &Engine{
+				Workers:               8,
+				MatWriters:            3,
+				Store:                 hot,
+				Spill:                 cold,
+				Policy:                opt.MaterializeAll{},
+				ReleaseIntermediates:  true,
+				Reweight:              Adaptive,
+				ReweightInterval:      1,
+				ReweightMinDivergence: time.Nanosecond,
+				LiveBytes:             &gauge,
+			}
+			res, err := e.Execute(g, tasks, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id, v := range res.Values {
+				if v != want.Values[id] {
+					t.Fatalf("iter %d: node %d = %v, reference %v", iter, id, v, want.Values[id])
 				}
 			}
-		})
-	}
+			for i := range tasks {
+				inHot, inCold := hot.Has(tasks[i].Key), cold.Has(tasks[i].Key)
+				if !inHot && !inCold {
+					t.Fatalf("iter %d: key %s in no tier", iter, tasks[i].Key)
+				}
+				if inHot && inCold {
+					t.Fatalf("iter %d: key %s in both tiers", iter, tasks[i].Key)
+				}
+			}
+			if hot.Used() > hotBudget {
+				t.Fatalf("iter %d: hot tier used %d over its %d budget", iter, hot.Used(), hotBudget)
+			}
+			if res.Spills == 0 {
+				t.Fatalf("iter %d: no spills despite the %d-byte hot tier", iter, hotBudget)
+			}
+			if gauge.Live() != 0 {
+				t.Fatalf("iter %d: gauge live = %d, want 0 after settlement", iter, gauge.Live())
+			}
+		}
+	})
 }
 
 // TestSpillErrorCancellationStress drives the tiered store into the error
@@ -353,47 +331,44 @@ func TestSpillPromoteReleaseStress(t *testing.T) {
 func TestSpillErrorCancellationStress(t *testing.T) {
 	boom := errors.New("boom")
 	const hotBudget = 150
-	for _, mode := range dispatchModes() {
-		t.Run(mode.String(), func(t *testing.T) {
-			for iter := 0; iter < 8; iter++ {
-				g, tasks := layeredDAG(4, 6, fmt.Sprintf("spillerr-%s-%d", mode, iter))
-				victim := g.Lookup("n1_3")
-				tasks[victim] = Task{Key: tasks[victim].Key, Run: func(ctx context.Context, in []any) (any, error) {
-					time.Sleep(time.Duration(iter%3) * 100 * time.Microsecond)
-					return nil, boom
-				}}
-				hot, err := store.Open(t.TempDir(), hotBudget)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cold, err := store.OpenSpill(t.TempDir(), 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e := &Engine{
-					Workers:              8,
-					MatWriters:           3,
-					Dispatch:             mode,
-					Store:                hot,
-					Spill:                cold,
-					Policy:               opt.MaterializeAll{},
-					ReleaseIntermediates: true,
-				}
-				res, err := e.Execute(g, tasks, allCompute(g.Len()))
-				if !errors.Is(err, boom) {
-					t.Fatalf("iter %d: err = %v, want boom", iter, err)
-				}
-				for id, nr := range res.Nodes {
-					if nr.Materialized && !hot.Has(tasks[id].Key) && !cold.Has(tasks[id].Key) {
-						t.Fatalf("iter %d: node %d marked materialized but in no tier", iter, id)
-					}
-				}
-				if hot.Used() > hotBudget {
-					t.Fatalf("iter %d: hot tier used %d over its %d budget", iter, hot.Used(), hotBudget)
+	t.Run("worksteal", func(t *testing.T) {
+		for iter := 0; iter < 8; iter++ {
+			g, tasks := layeredDAG(4, 6, fmt.Sprintf("spillerr-%d", iter))
+			victim := g.Lookup("n1_3")
+			tasks[victim] = Task{Key: tasks[victim].Key, Run: func(ctx context.Context, in []any) (any, error) {
+				time.Sleep(time.Duration(iter%3) * 100 * time.Microsecond)
+				return nil, boom
+			}}
+			hot, err := store.Open(t.TempDir(), hotBudget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := store.OpenSpill(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := &Engine{
+				Workers:              8,
+				MatWriters:           3,
+				Store:                hot,
+				Spill:                cold,
+				Policy:               opt.MaterializeAll{},
+				ReleaseIntermediates: true,
+			}
+			res, err := e.Execute(g, tasks, allCompute(g.Len()))
+			if !errors.Is(err, boom) {
+				t.Fatalf("iter %d: err = %v, want boom", iter, err)
+			}
+			for id, nr := range res.Nodes {
+				if nr.Materialized && !hot.Has(tasks[id].Key) && !cold.Has(tasks[id].Key) {
+					t.Fatalf("iter %d: node %d marked materialized but in no tier", iter, id)
 				}
 			}
-		})
-	}
+			if hot.Used() > hotBudget {
+				t.Fatalf("iter %d: hot tier used %d over its %d budget", iter, hot.Used(), hotBudget)
+			}
+		}
+	})
 }
 
 // TestStealFinishReleaseStress is the work-stealing interleaving stress:

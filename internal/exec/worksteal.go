@@ -29,7 +29,7 @@ func (r *wsRand) next() uint64 {
 func (r *wsRand) intn(n int) int { return int(r.next() % uint64(n)) }
 
 // wsDeque is one worker's private ready queue: a priority heap (not a
-// classic ends-discipline deque — the intra-queue Ordering replaces the
+// classic ends-discipline deque — critical-path priority replaces the
 // LIFO/FIFO split) guarded by its own mutex. The owner pushes and pops
 // under a lock that is uncontended unless a thief is probing it, which is
 // what makes the dispatch happy path lock-light: no global lock is touched
@@ -60,10 +60,9 @@ type wsTop struct {
 	_ [56]byte
 }
 
-// wsDispatch is the work-stealing dispatcher of the dataflow scheduler.
-// Scheduling state that the GlobalHeap baseline keeps under one mutex is
-// decomposed here: pending-parent and consumer reference counts are
-// atomics (many finishers decrement concurrently; exactly one observes the
+// wsDispatch is the engine's work-stealing dispatcher. Scheduling state
+// is decomposed so no global lock sits on the per-node path:
+// pending-parent and consumer reference counts are atomics (many finishers decrement concurrently; exactly one observes the
 // zero-crossing), each worker owns a private priority deque, and a small
 // global overflow queue — sharing a mutex with the parking condition
 // variable — hands work to parked workers and carries shutdown and
@@ -72,7 +71,7 @@ type wsTop struct {
 type wsDispatch struct {
 	*runCtx
 
-	weight []int64 // critical-path priorities; nil selects min-ID
+	weight []int64 // critical-path priorities
 	deques []wsDeque
 	tops   []wsTop // published per-deque best weights (see wsTop)
 
@@ -321,11 +320,10 @@ func pickBest(weight []int64, ready []dag.NodeID) (dag.NodeID, []dag.NodeID) {
 // reached their first popLocal — and the overflow-empty gate keeps
 // steady-state chase loops (all deques drained, every finish chasing its
 // own child) from paying the global handoff lock for work their own
-// chase would consume anyway. Min-ID ordering publishes no tops and keeps
-// the waiters-only estimate.
+// chase would consume anyway.
 func (d *wsDispatch) idleConsumers(w int) int {
 	nw := int(d.waiters.Load())
-	if d.weight == nil || d.overflowTop.Load() != wsTopEmpty {
+	if d.overflowTop.Load() != wsTopEmpty {
 		return nw
 	}
 	empty := 0
@@ -445,11 +443,8 @@ func (d *wsDispatch) releasable(id dag.NodeID) []dag.NodeID {
 
 // publishTop publishes deque w's current best weight for the stranding
 // consult. Callers hold the deque's mutex (or are in single-threaded
-// setup). A no-op under min-ID ordering, which has no weights to compare.
+// setup).
 func (d *wsDispatch) publishTop(w int, h *nodeHeap) {
-	if d.weight == nil {
-		return
-	}
 	top := wsTopEmpty
 	if h.Len() > 0 {
 		top = h.weight[h.ids[0]]
@@ -458,11 +453,8 @@ func (d *wsDispatch) publishTop(w int, h *nodeHeap) {
 }
 
 // publishOverflowLocked publishes the overflow queue's current best weight.
-// Callers hold parkMu. A no-op under min-ID ordering.
+// Callers hold parkMu.
 func (d *wsDispatch) publishOverflowLocked() {
-	if d.weight == nil {
-		return
-	}
 	top := wsTopEmpty
 	if d.overflow.Len() > 0 {
 		top = d.overflow.weight[d.overflow.ids[0]]
@@ -568,7 +560,7 @@ func (d *wsDispatch) popLocal(w int, force bool) (id dag.NodeID, ok, stranded bo
 		return 0, false, false
 	}
 	d.fix(&dq.h)
-	if !force && d.weight != nil {
+	if !force {
 		if tw := dq.h.weight[dq.h.ids[0]]; d.globalBest(w) > 2*tw {
 			return 0, false, true
 		}
@@ -582,7 +574,7 @@ func (d *wsDispatch) popLocal(w int, force bool) (id dag.NodeID, ok, stranded bo
 // queue. The cross-worker transfer was already counted (Result.Handoffs)
 // when dispatchRest enqueued it.
 func (d *wsDispatch) popOverflow() (dag.NodeID, bool) {
-	if d.weight != nil && d.overflowTop.Load() == wsTopEmpty {
+	if d.overflowTop.Load() == wsTopEmpty {
 		return 0, false // published-empty fast path; skip the global lock
 	}
 	d.parkMu.Lock()
@@ -659,7 +651,7 @@ func (d *wsDispatch) stealFrom(w, v int, force bool) (id dag.NodeID, ok, strande
 	// "best half", which must mean best under the current weights, not the
 	// ones from before the last re-prioritization.
 	d.fix(&dq.h)
-	if !force && d.weight != nil {
+	if !force {
 		if tw := dq.h.weight[dq.h.ids[0]]; d.globalBest(w) > 2*tw {
 			dq.mu.Unlock()
 			return 0, false, true

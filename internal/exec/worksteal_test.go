@@ -2,11 +2,9 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -37,8 +35,7 @@ func wideSleepDAG(width int, d time.Duration) (*dag.Graph, []Task) {
 
 // TestWorkStealCrossWorkerTransfers: on a wide DAG with several workers,
 // work must actually move between workers — the Steals/Handoffs counters
-// are non-zero under work-stealing and exactly zero under GlobalHeap
-// (which has no deques to steal from).
+// are non-zero.
 func TestWorkStealCrossWorkerTransfers(t *testing.T) {
 	g, tasks := wideSleepDAG(32, 2*time.Millisecond)
 	e := &Engine{Workers: 4}
@@ -48,18 +45,6 @@ func TestWorkStealCrossWorkerTransfers(t *testing.T) {
 	}
 	if res.Steals+res.Handoffs == 0 {
 		t.Error("work-stealing run moved no work between workers (steals+handoffs = 0)")
-	}
-
-	gh := &Engine{Workers: 4, Dispatch: GlobalHeap}
-	ghRes, err := gh.Execute(g, tasks, allCompute(g.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ghRes.Steals != 0 || ghRes.Handoffs != 0 {
-		t.Errorf("global-heap run reported steals=%d handoffs=%d, want 0/0", ghRes.Steals, ghRes.Handoffs)
-	}
-	if !reflect.DeepEqual(res.Values, ghRes.Values) {
-		t.Error("values differ between dispatch modes")
 	}
 }
 
@@ -111,65 +96,6 @@ func TestStealPassesOverStrandedVictim(t *testing.T) {
 	rng := wsRand(0)
 	if id, ok := d.stealBatch(0, &rng, -1); !ok || id != 0 {
 		t.Fatalf("with only the stranded node takeable, stole (%d, %v), want node 0", id, ok)
-	}
-}
-
-// TestGlobalHeapFailureCancelsPending mirrors the dataflow failure-
-// semantics test under the GlobalHeap dispatcher, which no longer runs by
-// default: in-flight errors are joined, descendants of a failed node never
-// run.
-func TestGlobalHeapFailureCancelsPending(t *testing.T) {
-	g := dag.New()
-	fastBoom := g.MustAddNode("fast-boom", "x")
-	slowBoom := g.MustAddNode("slow-boom", "x")
-	child := g.MustAddNode("child", "x")
-	g.MustAddEdge(fastBoom, child)
-	g.Node(child).Output = true
-	g.Node(slowBoom).Output = true
-
-	errFast := errors.New("fast failure")
-	errSlow := errors.New("slow failure")
-	var childRan int32
-	tasks := make([]Task, g.Len())
-	tasks[fastBoom] = Task{Run: func(context.Context, []any) (any, error) {
-		time.Sleep(10 * time.Millisecond)
-		return nil, errFast
-	}}
-	tasks[slowBoom] = Task{Run: func(context.Context, []any) (any, error) {
-		time.Sleep(40 * time.Millisecond)
-		return nil, errSlow
-	}}
-	tasks[child] = Task{Run: func(context.Context, []any) (any, error) {
-		atomic.AddInt32(&childRan, 1)
-		return 0, nil
-	}}
-
-	e := &Engine{Workers: 4, Dispatch: GlobalHeap}
-	_, err := e.Execute(g, tasks, allCompute(g.Len()))
-	if !errors.Is(err, errFast) || !errors.Is(err, errSlow) {
-		t.Errorf("joined errors incomplete: %v", err)
-	}
-	if atomic.LoadInt32(&childRan) != 0 {
-		t.Error("descendant of failed node was dispatched")
-	}
-}
-
-// TestGlobalHeapEquivalentOnMixedPlan runs the mixed load/compute/prune
-// equivalence DAG under the GlobalHeap dispatcher and compares values with
-// the work-stealing default.
-func TestGlobalHeapEquivalentOnMixedPlan(t *testing.T) {
-	run := func(mode DispatchMode) *Result {
-		g, tasks, plan := equivalenceDAG(t)
-		e := &Engine{Workers: 4, Dispatch: mode}
-		res, err := e.Execute(g, tasks, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	ws, gh := run(WorkSteal), run(GlobalHeap)
-	if !reflect.DeepEqual(ws.Values, gh.Values) {
-		t.Errorf("values differ: worksteal %v, global-heap %v", ws.Values, gh.Values)
 	}
 }
 
@@ -253,7 +179,7 @@ func TestColdWeightsUseStructuralFloor(t *testing.T) {
 		g.Node(id).Output = true
 		tasks = append(tasks, task(fmt.Sprintf("leaf%d", i)))
 	}
-	e := &Engine{Workers: 1, Order: CriticalPath}
+	e := &Engine{Workers: 1}
 	if _, err := e.Execute(g, tasks, allCompute(g.Len())); err != nil {
 		t.Fatal(err)
 	}

@@ -49,10 +49,6 @@ type Config struct {
 	// sizing unset (defaults 2000 rows, seed 2018).
 	DefaultRows int
 	DefaultSeed int64
-	// Dispatch selects every run's dispatch mode (zero = work-stealing;
-	// exec.GlobalHeap for the A/B reference — the loadgen benchmark
-	// measures the daemon under both).
-	Dispatch exec.DispatchMode
 }
 
 // Service is the daemon core: the shared tiered store, the shared runtime
@@ -196,7 +192,6 @@ func (s *Service) Submit(ctx context.Context, req *SubmitRequest) (*SubmitRespon
 	o.SharedHistory = s.history
 	o.Tenant = req.Tenant
 	o.Workers = s.cfg.Workers
-	o.Dispatch = s.cfg.Dispatch
 
 	// Fast-path budget refusal before the submission ever queues.
 	if apiErr := s.overBudget(req.Tenant); apiErr != nil {

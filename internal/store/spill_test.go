@@ -452,3 +452,49 @@ func encBytes(t *testing.T, b []byte) []byte {
 	}
 	return raw
 }
+
+// TestSpillColdReadPaths: a cold hit decodes to the stored value through
+// both read paths — OpenSpill's buffered read and, where the platform maps
+// files, OpenSpillMmap's zero-copy mapping — and each read is counted
+// under the path that served it.
+func TestSpillColdReadPaths(t *testing.T) {
+	for _, mmap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("mmap=%v", mmap), func(t *testing.T) {
+			openSpill := OpenSpill
+			if mmap {
+				openSpill = OpenSpillMmap
+			}
+			hot, err := Open(t.TempDir(), 1) // rejects everything: values stay cold
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := openSpill(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tv := NewTiered(hot, cold)
+			raw, err := Encode("cold payload")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tier, err := tv.PutBytes("k", raw); err != nil || tier != TierCold {
+				t.Fatalf("PutBytes = %v, %v; want the cold tier", tier, err)
+			}
+			for i := 0; i < 2; i++ {
+				v, tier, err := tv.Get("k")
+				if err != nil || tier != TierCold || v != "cold payload" {
+					t.Fatalf("read %d: Get = %v, %v, %v", i, v, tier, err)
+				}
+			}
+			c := tv.Counters()
+			wantMmap := int64(0)
+			if mmap && mmapAvailable {
+				wantMmap = 2
+			}
+			if c.MmapColdReads != wantMmap || c.MmapColdReads+c.BufferedColdReads != 2 {
+				t.Errorf("mmap/buffered cold reads = %d/%d, want %d of 2 mapped",
+					c.MmapColdReads, c.BufferedColdReads, wantMmap)
+			}
+		})
+	}
+}
