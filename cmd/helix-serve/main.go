@@ -42,7 +42,6 @@ func run() error {
 	dir := flag.String("dir", "", "shared store directory (default: a fresh temp dir)")
 	budget := flag.Int64("budget", 0, "hot-tier budget in bytes (0 = unlimited)")
 	spillBudget := flag.Int64("spill-budget", -1, "cold spill-tier budget in bytes (0 disables tiering, <0 unbudgeted)")
-	mmapCold := flag.Bool("mmap", false, "serve cold-tier reads via mmap")
 	workers := flag.Int("workers", 2, "workers per run")
 	maxConcurrent := flag.Int("max-concurrent", 2, "concurrently executing runs across all tenants")
 	tenantInflight := flag.Int("tenant-inflight", 1, "concurrently executing runs per tenant")
@@ -66,7 +65,6 @@ func run() error {
 		Dir:               base,
 		HotBudgetBytes:    *budget,
 		SpillBudgetBytes:  *spillBudget,
-		MmapCold:          *mmapCold,
 		Workers:           *workers,
 		MaxConcurrent:     *maxConcurrent,
 		TenantMaxInFlight: *tenantInflight,

@@ -39,8 +39,7 @@ func codecExampleSet(seed, examples, features int) *data.ExampleSet {
 // (after sleeping d, so scheduling noise doesn't swamp the serialization
 // signal) joining into one scalar output. With a materialize-everything
 // policy every producer value rides store.EncodeValue on the persist
-// path — the workload MeasureCodecStore drives through buffered and mmap
-// cold reads.
+// path — the workload MeasureCodecStore drives through the cold tier.
 func CodecDAG(producers, examples, features int, d time.Duration) *SchedDAG {
 	g := dag.New()
 	root := g.MustAddNode("root", "scan")
@@ -101,44 +100,36 @@ func DefaultCodecDAG() *SchedDAG {
 	return CodecDAG(16, 48, 24, time.Millisecond)
 }
 
-// CodecMeasurement is one data point of a cold-read comparison: buffered or
-// mmap cold reads driven through two store-backed iterations of the codec
-// shape (materialize-all with a spill-forcing hot budget, then the
+// CodecMeasurement is the outcome of two store-backed iterations of the
+// codec shape (materialize-all with a spill-forcing hot budget, then the
 // optimizer's plan over the measured cost model).
 type CodecMeasurement struct {
-	Mmap        bool    `json:"mmap"`
 	Iter1WallMS float64 `json:"iter1_wall_ms"`
 	Iter2WallMS float64 `json:"iter2_wall_ms"`
 	// BinaryEncodes counts encodes across both iterations: the encode-once
 	// contract means it equals the number of persisted values.
 	BinaryEncodes int64 `json:"binary_encodes"`
-	// Cold-read counters across both iterations: under mmap every cold hit
-	// should be MmapColdReads, without mmap every one BufferedColdReads.
-	MmapColdReads     int64 `json:"mmap_cold_reads"`
-	BufferedColdReads int64 `json:"buffered_cold_reads"`
-	Spills            int64 `json:"spills"`
-	Promotions        int64 `json:"promotions"`
-	Loaded2           int   `json:"loaded_2"`
-	Computed2         int   `json:"computed_2"`
+	// ColdReads counts cold-tier loads across both iterations.
+	ColdReads  int64 `json:"cold_reads"`
+	Spills     int64 `json:"spills"`
+	Promotions int64 `json:"promotions"`
+	Loaded2    int   `json:"loaded_2"`
+	Computed2  int   `json:"computed_2"`
 }
 
 // MeasureCodecStore drives the codec shape through two iterations rooted at
-// dir, with buffered or mmap cold reads: iteration 1 all-compute through a
-// spill-forcing tiered store (hot budget below the materialized footprint so
-// cold reads actually happen), iteration 2 on the optimizer's plan over the
-// measured per-tier cost model. Both Results are returned for value checks.
-func MeasureCodecStore(sd *SchedDAG, dir string, mmap bool, hotBudget, spillBudget int64, workers int) (CodecMeasurement, [2]*exec.Result, error) {
+// dir: iteration 1 all-compute through a spill-forcing tiered store (hot
+// budget below the materialized footprint so cold reads actually happen),
+// iteration 2 on the optimizer's plan over the measured per-tier cost
+// model. Both Results are returned for value checks.
+func MeasureCodecStore(sd *SchedDAG, dir string, hotBudget, spillBudget int64, workers int) (CodecMeasurement, [2]*exec.Result, error) {
 	var out [2]*exec.Result
-	m := CodecMeasurement{Mmap: mmap}
+	var m CodecMeasurement
 	st, err := store.Open(filepath.Join(dir, "hot"), hotBudget)
 	if err != nil {
 		return m, out, err
 	}
-	openSpill := store.OpenSpill
-	if mmap {
-		openSpill = store.OpenSpillMmap
-	}
-	sp, err := openSpill(filepath.Join(dir, "cold"), spillBudget)
+	sp, err := store.OpenSpill(filepath.Join(dir, "cold"), spillBudget)
 	if err != nil {
 		return m, out, err
 	}
@@ -169,8 +160,7 @@ func MeasureCodecStore(sd *SchedDAG, dir string, mmap bool, hotBudget, spillBudg
 	m.Iter1WallMS = float64(res1.Wall.Microseconds()) / 1000
 	m.Iter2WallMS = float64(res2.Wall.Microseconds()) / 1000
 	m.BinaryEncodes = res1.BinaryEncodes + res2.BinaryEncodes
-	m.MmapColdReads = res1.MmapColdReads + res2.MmapColdReads
-	m.BufferedColdReads = res1.BufferedColdReads + res2.BufferedColdReads
+	m.ColdReads = res1.BufferedColdReads + res2.BufferedColdReads
 	m.Spills = res1.Spills + res2.Spills
 	m.Promotions = res1.Promotions + res2.Promotions
 	for _, s := range plan2.States {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -299,17 +298,17 @@ func TestRandomizedSpillEquivalence(t *testing.T) {
 	}
 }
 
-// TestRandomizedCodecEquivalence adds the cold-read path as a harness axis:
-// the same seeded graphs and mixed plans as the spill harness, each run
-// with buffered and with mmap cold reads, spill-forced through a tiny hot
-// tier so most materializations land in the cold tier and most loads cross
-// the codec's decode path. Every configuration must agree with the
-// sequential reference over an unbudgeted single tier on state counts and
-// byte-identical values — the read path is a pure transport change.
+// TestRandomizedCodecEquivalence puts the cold-read path under the harness:
+// the same seeded graphs and mixed plans as the spill harness, spill-forced
+// through a tiny hot tier so most materializations land in the cold tier
+// and most loads cross the cold read and the codec's decode path. Every
+// run must agree with the sequential reference over an unbudgeted single
+// tier on state counts and byte-identical values — the read path is a pure
+// transport change.
 func TestRandomizedCodecEquivalence(t *testing.T) {
 	const graphs = 8
 	const tinyHot = 64
-	var totalSpills, totalMmapReads, totalBufferedReads int64
+	var totalSpills, totalColdReads int64
 	for seed := int64(300); seed < 300+graphs; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -359,54 +358,43 @@ func TestRandomizedCodecEquivalence(t *testing.T) {
 			ref := sequentialRun(sd.G, sd.Tasks, plan, refStore)
 			refC, refL, refP := stateCounts(ref)
 
-			for _, mmap := range []bool{false, true} {
-				name := "buffered"
-				openSpill := store.OpenSpill
-				if mmap {
-					name, openSpill = "mmap", store.OpenSpillMmap
+			hot, err := store.Open(t.TempDir(), tinyHot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := store.OpenSpill(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prepopulate(store.NewTiered(hot, cold))
+			e := &exec.Engine{
+				Workers:  4,
+				Store:    hot,
+				Spill:    cold,
+				Policy:   opt.MaterializeAll{},
+				Reweight: exec.ReweightOff,
+			}
+			res, err := e.Execute(sd.G, sd.Tasks, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			totalSpills += res.Spills
+			totalColdReads += res.BufferedColdReads
+			gotC, gotL, gotP := stateCounts(res)
+			if gotC != refC || gotL != refL || gotP != refP {
+				t.Errorf("counts computed/loaded/pruned = %d/%d/%d, reference %d/%d/%d",
+					gotC, gotL, gotP, refC, refL, refP)
+			}
+			for i := 0; i < n; i++ {
+				id := dag.NodeID(i)
+				refV, refOK := ref.Values[id]
+				gotV, gotOK := res.Values[id]
+				if gotOK != refOK {
+					t.Errorf("node %d present=%v, reference %v", i, gotOK, refOK)
+					continue
 				}
-				hot, err := store.Open(t.TempDir(), tinyHot)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cold, err := openSpill(t.TempDir(), 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				prepopulate(store.NewTiered(hot, cold))
-				e := &exec.Engine{
-					Workers:  4,
-					Store:    hot,
-					Spill:    cold,
-					Policy:   opt.MaterializeAll{},
-					Reweight: exec.ReweightOff,
-				}
-				res, err := e.Execute(sd.G, sd.Tasks, plan)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !mmap && res.MmapColdReads != 0 {
-					t.Errorf("%s: %d cold reads used mmap", name, res.MmapColdReads)
-				}
-				totalSpills += res.Spills
-				totalMmapReads += res.MmapColdReads
-				totalBufferedReads += res.BufferedColdReads
-				gotC, gotL, gotP := stateCounts(res)
-				if gotC != refC || gotL != refL || gotP != refP {
-					t.Errorf("%s: counts computed/loaded/pruned = %d/%d/%d, reference %d/%d/%d",
-						name, gotC, gotL, gotP, refC, refL, refP)
-				}
-				for i := 0; i < n; i++ {
-					id := dag.NodeID(i)
-					refV, refOK := ref.Values[id]
-					gotV, gotOK := res.Values[id]
-					if gotOK != refOK {
-						t.Errorf("%s: node %d present=%v, reference %v", name, i, gotOK, refOK)
-						continue
-					}
-					if gotOK && !bytes.Equal(encodeValue(t, gotV), encodeValue(t, refV)) {
-						t.Errorf("%s: node %d value differs from reference", name, i)
-					}
+				if gotOK && !bytes.Equal(encodeValue(t, gotV), encodeValue(t, refV)) {
+					t.Errorf("node %d value differs from reference", i)
 				}
 			}
 		})
@@ -414,11 +402,8 @@ func TestRandomizedCodecEquivalence(t *testing.T) {
 	if totalSpills == 0 {
 		t.Error("no run in the whole harness spilled despite the tiny hot tier")
 	}
-	if totalBufferedReads == 0 {
-		t.Error("no buffered-config run served a cold read")
-	}
-	if runtime.GOOS == "linux" && totalMmapReads == 0 {
-		t.Error("no mmap-config run served a zero-copy cold read")
+	if totalColdReads == 0 {
+		t.Error("no run served a cold read")
 	}
 }
 
@@ -533,7 +518,7 @@ func TestRandomizedEvictionEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					totalEvictions += cold.Evictions()
+					totalEvictions += res.ColdEvictions
 					totalRetries += res.Retries
 					gotC, gotL, gotP := stateCounts(res)
 					if gotC != refC || gotL != refL || gotP != refP {

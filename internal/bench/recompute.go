@@ -205,7 +205,7 @@ func MeasureEviction(sd *SchedDAG, dir string, coldBudget int64, workers int) (E
 		ColdBudget:    coldBudget,
 		Iter1WallMS:   float64(res1.Wall.Microseconds()) / 1000,
 		Iter2WallMS:   float64(res2.Wall.Microseconds()) / 1000,
-		Evictions:     sp.Evictions(),
+		Evictions:     res1.ColdEvictions + res2.ColdEvictions,
 		ColdUsed:      sp.Used(),
 		CrownRetained: crown,
 	}

@@ -109,7 +109,7 @@ func TestSpillUnderHotBudgetPressure(t *testing.T) {
 // assertTierUnionMatches checks that the union of the hot and cold tiers
 // holds exactly the reference store's keys at exactly its sizes, with no
 // key duplicated across tiers.
-func assertTierUnionMatches(t *testing.T, ref *store.Store, hot *store.Store, cold *store.Spill) {
+func assertTierUnionMatches(t *testing.T, ref, hot, cold *store.Store) {
 	t.Helper()
 	union := make(map[string]int64)
 	for _, e := range hot.Entries() {
@@ -204,10 +204,11 @@ func TestSpillEvictionLosesOnlyColdest(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := &exec.Engine{Workers: 4, Store: hot, Spill: cold, Policy: opt.MaterializeAll{}, History: exec.NewHistory()}
-	if _, err := e.Execute(sd.G, sd.Tasks, sd.Plan()); err != nil {
+	res, err := e.Execute(sd.G, sd.Tasks, sd.Plan())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Evictions() == 0 {
+	if res.ColdEvictions == 0 {
 		t.Fatal("undersized cold tier performed no evictions")
 	}
 	if cold.Used() > cold.Budget() {

@@ -166,7 +166,7 @@ func EncodeValue(w *Writer, v any) error {
 
 // DecodeValue reads one value written by EncodeValue. Decoded values never
 // alias the input buffer (strings and byte slices copy), so callers may
-// decode straight out of an mmap'd frame and release it afterwards.
+// reuse the buffer afterwards.
 func DecodeValue(r *Reader) (any, error) {
 	tag, err := r.Uvarint()
 	if err != nil {

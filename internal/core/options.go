@@ -26,10 +26,10 @@ type Options struct {
 	StoreDir string
 	// BudgetBytes caps the store (<=0 = unlimited).
 	BudgetBytes int64
-	// SpillDir is the cold-tier spill directory: values the hot store's
-	// budget rejects are admitted there instead of being dropped, and cold
-	// hits are promoted back on load. Empty disables tiering. Requires
-	// StoreDir.
+	// SpillDir is the cold-tier spill directory, opened as a framed
+	// store (store.OpenSpill): values the hot store's budget rejects are
+	// admitted there instead of being dropped, and cold hits are promoted
+	// back on load. Empty disables tiering. Requires StoreDir.
 	SpillDir string
 	// SpillBudgetBytes caps the spill tier (<=0 = unlimited). The spill
 	// tier deletes its cheapest-to-lose entries (smallest recompute saving
@@ -81,12 +81,6 @@ type Options struct {
 	//
 	// Deprecated: see store.Codec.
 	Codec store.Codec
-	// MmapCold serves cold-tier reads zero-copy from a read-only memory
-	// mapping instead of a buffered file read (store.OpenSpillMmap).
-	// Requires SpillDir; buffered fallback applies per-file and on
-	// platforms without mmap support.
-	MmapCold bool
-
 	// Tenant labels every value this session materializes with an owning
 	// tenant (store.Entry.Owner) for per-tenant budget accounting in a
 	// shared store. Empty for single-user sessions.
@@ -114,13 +108,8 @@ func (o *Options) Validate() error {
 	if o.SpillDir != "" && o.StoreDir == "" {
 		return fmt.Errorf("core: SpillDir %q configured without a StoreDir hot tier", o.SpillDir)
 	}
-	if o.SharedTiers != nil {
-		if o.StoreDir != "" {
-			return fmt.Errorf("core: SharedTiers and StoreDir %q are mutually exclusive", o.StoreDir)
-		}
-		if o.MmapCold {
-			return fmt.Errorf("core: MmapCold is fixed at SharedTiers open time; set it on the shared store instead")
-		}
+	if o.SharedTiers != nil && o.StoreDir != "" {
+		return fmt.Errorf("core: SharedTiers and StoreDir %q are mutually exclusive", o.StoreDir)
 	}
 	return nil
 }
@@ -147,15 +136,9 @@ func Open(o Options) (*Session, error) {
 		}
 		s.store = st
 		if o.SpillDir != "" {
-			openSpill := store.OpenSpill
-			if o.MmapCold {
-				openSpill = store.OpenSpillMmap
-			}
-			sp, err := openSpill(o.SpillDir, o.SpillBudgetBytes)
-			if err != nil {
+			if s.spill, err = store.OpenSpill(o.SpillDir, o.SpillBudgetBytes); err != nil {
 				return nil, err
 			}
-			s.spill = sp
 		}
 		if o.SharedHistory == nil {
 			if err := s.history.Load(s.historyPath()); err != nil {

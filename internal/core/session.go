@@ -23,7 +23,7 @@ import (
 type Session struct {
 	cfg     Options
 	store   *store.Store
-	spill   *store.Spill
+	spill   *store.Store
 	engine  *exec.Engine
 	history *exec.History
 	live    store.Gauge
@@ -39,8 +39,9 @@ const historyFile = "helix-history.json"
 // spill tier is configured (nil if disabled).
 func (s *Session) Store() *store.Store { return s.store }
 
-// Spill exposes the session's cold spill tier (nil if tiering is disabled).
-func (s *Session) Spill() *store.Spill { return s.spill }
+// Spill exposes the session's cold spill tier, a framed store opened with
+// store.OpenSpill (nil if tiering is disabled).
+func (s *Session) Spill() *store.Store { return s.spill }
 
 // TierCounters snapshots the session's cumulative cross-tier traffic
 // (spills, promotions, evictions) across all iterations run so far; all

@@ -5,9 +5,10 @@ package exec
 // Version 1 is the pre-Counters layout with ad-hoc per-counter fields;
 // version 2 introduced the consolidated counter block; version 3 adds the
 // single-flight counters (inflight_dedup_hits, inflight_waits) and the
-// service's queued/failed status fields. Readers should accept every
+// service's queued/failed status fields; version 4 adds cold_evictions, and
+// buffered_cold_reads counts every cold read. Readers should accept every
 // version up to this one and treat an absent field as its zero.
-const ReportSchemaVersion = 3
+const ReportSchemaVersion = 4
 
 // Counters is the consolidated execution-counter block shared by every
 // surface that reports engine activity: exec.Result embeds it (per-run
@@ -43,6 +44,10 @@ type Counters struct {
 	// Evictions counts hot-tier entries demoted to the spill tier to make
 	// room for promotions.
 	Evictions int64 `json:"evictions"`
+	// ColdEvictions counts spill-tier entries deleted outright to make room
+	// for new cold admissions. Those values are gone: a later iteration that
+	// needs one recomputes it.
+	ColdEvictions int64 `json:"cold_evictions"`
 	// Retries counts operator attempts repeated after a transient fault
 	// (Engine.Faults); the node retried in place on its worker.
 	Retries int64 `json:"retries"`
@@ -67,11 +72,14 @@ type Counters struct {
 	// BinaryEncodes counts values serialized for materialization through
 	// the store's binary codec (store.EncodeValue).
 	BinaryEncodes int64 `json:"binary_encodes"`
-	// MmapColdReads counts cold-tier loads served zero-copy from a memory
-	// mapping (store.OpenSpillMmap; always 0 otherwise).
+	// MmapColdReads is always 0: the cold tier has no memory-mapped read
+	// path any more. The field stays only so readers of the counter block
+	// keep compiling.
+	//
+	// Deprecated: use BufferedColdReads, which counts every cold read.
 	MmapColdReads int64 `json:"mmap_cold_reads"`
-	// BufferedColdReads counts cold-tier loads that took the buffered
-	// os.ReadFile path.
+	// BufferedColdReads counts cold-tier loads (every cold read is a
+	// buffered file read).
 	BufferedColdReads int64 `json:"buffered_cold_reads"`
 	// CrossSessionHits counts planned loads served from materializations a
 	// *different* tenant produced — the cross-user sub-DAG dedup the shared
@@ -103,12 +111,12 @@ func (c *Counters) Add(o Counters) {
 	c.Spills += o.Spills
 	c.Promotions += o.Promotions
 	c.Evictions += o.Evictions
+	c.ColdEvictions += o.ColdEvictions
 	c.Retries += o.Retries
 	c.Recomputes += o.Recomputes
 	c.CorruptFrames += o.CorruptFrames
 	c.TierDisabled = c.TierDisabled || o.TierDisabled
 	c.BinaryEncodes += o.BinaryEncodes
-	c.MmapColdReads += o.MmapColdReads
 	c.BufferedColdReads += o.BufferedColdReads
 	c.CrossSessionHits += o.CrossSessionHits
 	c.InflightDedupHits += o.InflightDedupHits

@@ -26,9 +26,10 @@
 // pipeline — also on error — before returning. Each materialized value is
 // encoded exactly once: the size probe for the policy decision is the
 // same (pooled) encoding that Store.PutEncoded persists. With a spill tier
-// configured (Engine.Spill), a hot-budget rejection admits that encoding to
-// the cold tier instead of dropping it, loads fall back to cold and promote
-// (see docs/store.md) — still without ever re-encoding.
+// configured (Engine.Spill, a framed store from store.OpenSpill, composed
+// with Store by store.Tiered), a hot-budget rejection admits that encoding
+// to the cold tier instead of dropping it, loads fall back to cold and
+// promote (see docs/store.md) — still without ever re-encoding.
 //
 // The paper executes on Spark; here nodes run on goroutines and the
 // materialization store is local disk. All costs the optimizers consume
@@ -265,12 +266,14 @@ type Engine struct {
 	// Store is the materialization store — the hot tier when Spill is also
 	// set; nil disables loads and stores.
 	Store *store.Store
-	// Spill is the optional cold second-tier store: values the hot tier's
-	// budget rejects are admitted here instead of being dropped, loads fall
-	// back to it, and cold hits are promoted back into the hot tier
-	// (demoting the hot tier's cheapest-to-lose entries). Nil disables
-	// tiering; ignored without Store.
-	Spill *store.Spill
+	// Spill is the optional cold second-tier store, opened with
+	// store.OpenSpill: values the hot tier's budget rejects are admitted
+	// here instead of being dropped (evicting the tier's cheapest-to-lose
+	// entries to make room), loads fall back to it, and cold hits are
+	// promoted back into the hot tier (demoting the hot tier's
+	// cheapest-to-lose entries). Nil disables tiering; ignored without
+	// Store.
+	Spill *store.Store
 	// Policy decides online materialization; nil means never materialize.
 	Policy opt.MatPolicy
 	// Workers bounds node-level parallelism; <=0 means 4.
@@ -516,9 +519,9 @@ func (e *Engine) ExecuteCtx(ctx context.Context, g *dag.Graph, tasks []Task, pla
 		res.Spills = after.Spills - before.Spills
 		res.Promotions = after.Promotions - before.Promotions
 		res.Evictions = after.Evictions - before.Evictions
+		res.ColdEvictions = after.ColdEvictions - before.ColdEvictions
 		res.CorruptFrames = after.CorruptFrames - before.CorruptFrames
-		res.MmapColdReads = after.MmapColdReads - before.MmapColdReads
-		res.BufferedColdReads = after.BufferedColdReads - before.BufferedColdReads
+		res.BufferedColdReads = after.ColdReads - before.ColdReads
 		res.TierDisabled = after.BreakerTrips > before.BreakerTrips || e.tiers().TierDisabled()
 	}
 	return res, err

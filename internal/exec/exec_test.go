@@ -274,6 +274,54 @@ func TestExecuteBudgetExhaustionDegrades(t *testing.T) {
 	}
 }
 
+// TestExecuteCountsColdEvictions: under cold-budget pressure every value
+// spills (the hot tier admits nothing) into a cold tier that holds two of
+// them, so each later spill deletes one earlier value. The run's counter
+// block must report those deletions, matching the tier's own count.
+func TestExecuteCountsColdEvictions(t *testing.T) {
+	const n = 5
+	g := dag.New()
+	tasks := make([]Task, n)
+	for i := range tasks {
+		id := g.MustAddNode(fmt.Sprintf("v%d", i), "scan")
+		g.Node(id).Output = true
+		val := strings.Repeat(string(rune('a'+i)), 100)
+		tasks[i] = Task{Key: fmt.Sprintf("k%d", i), Run: func(context.Context, []any) (any, error) { return val, nil }}
+	}
+	raw, err := store.Encode(strings.Repeat("a", 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, err := store.Open(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := store.OpenSpill(t.TempDir(), 2*int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &Engine{Workers: 2, Store: hot, Spill: cold, Policy: opt.MaterializeAll{}}
+	res, err := e.Execute(g, tasks, allCompute(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Spills != n || res.ColdEvictions != n-2 {
+		t.Errorf("spills %d, cold evictions %d; want %d and %d", res.Spills, res.ColdEvictions, n, n-2)
+	}
+	if got := len(cold.Entries()); got != 2 {
+		t.Errorf("cold tier holds %d values, want 2", got)
+	}
+	if tc := e.TierCounters(); tc.ColdEvictions != res.ColdEvictions {
+		t.Errorf("tier counts %d cold evictions, run reports %d", tc.ColdEvictions, res.ColdEvictions)
+	}
+	var total Counters
+	total.Add(res.Counters)
+	total.Add(res.Counters)
+	if total.ColdEvictions != 2*res.ColdEvictions {
+		t.Errorf("Counters.Add summed %d cold evictions, want %d", total.ColdEvictions, 2*res.ColdEvictions)
+	}
+}
+
 func TestExecuteParallelLevels(t *testing.T) {
 	// A wide level of slow nodes should run concurrently: with 8 workers,
 	// 8 nodes sleeping 30ms each must finish well under 8*30ms.

@@ -29,8 +29,6 @@ type Config struct {
 	// tiering entirely (hot-only store, no cross-session pinning), <0
 	// leaves the cold tier unbudgeted.
 	SpillBudgetBytes int64
-	// MmapCold serves cold-tier reads through a read-only memory mapping.
-	MmapCold bool
 	// Workers bounds each run's intra-workflow parallelism (default 2).
 	Workers int
 	// MaxConcurrent bounds concurrently executing runs across all tenants
@@ -133,17 +131,9 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cold *store.Spill
+	var cold *store.Store
 	if cfg.SpillBudgetBytes != 0 {
-		budget := cfg.SpillBudgetBytes
-		if budget < 0 {
-			budget = 0
-		}
-		openSpill := store.OpenSpill
-		if cfg.MmapCold {
-			openSpill = store.OpenSpillMmap
-		}
-		if cold, err = openSpill(filepath.Join(cfg.Dir, "cold"), budget); err != nil {
+		if cold, err = store.OpenSpill(filepath.Join(cfg.Dir, "cold"), max(cfg.SpillBudgetBytes, 0)); err != nil {
 			return nil, err
 		}
 	}

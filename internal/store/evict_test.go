@@ -140,25 +140,25 @@ func TestAdoptedSameMtimeTieBreaksByKey(t *testing.T) {
 // destructive-eviction bug.
 func TestSpillFullyPinnedFastFails(t *testing.T) {
 	sp := openSpillTemp(t, 600)
-	if err := sp.PutBytes("k1", bytes.Repeat([]byte{'p'}, 400)); err != nil {
+	tv := spillOnly(t, sp)
+	if _, err := tv.PutBytes("k1", bytes.Repeat([]byte{'p'}, 400)); err != nil {
 		t.Fatal(err)
 	}
-	tv := NewTiered(openTemp(t, 1), sp)
 	tv.Pin("k1")
 	defer tv.Unpin("k1")
-	err := sp.PutBytes("k2", bytes.Repeat([]byte{'q'}, 300))
+	_, err := tv.PutBytes("k2", bytes.Repeat([]byte{'q'}, 300))
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
 	if !sp.Has("k1") {
 		t.Error("pinned entry destroyed by a doomed admission")
 	}
-	if n := sp.Evictions(); n != 0 {
+	if n := tv.Counters().ColdEvictions; n != 0 {
 		t.Errorf("%d evictions during a fast-failed admission, want 0", n)
 	}
 	// Unpinned, the same admission succeeds by evicting k1.
 	tv.Unpin("k1")
-	if err := sp.PutBytes("k2", bytes.Repeat([]byte{'q'}, 300)); err != nil {
+	if _, err := tv.PutBytes("k2", bytes.Repeat([]byte{'q'}, 300)); err != nil {
 		t.Fatalf("post-unpin admission: %v", err)
 	}
 	if sp.Has("k1") || !sp.Has("k2") {

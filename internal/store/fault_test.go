@@ -326,16 +326,17 @@ func TestBreakerBudgetRejectionIsHealthy(t *testing.T) {
 func TestPinExemptsFromColdEviction(t *testing.T) {
 	// Budget fits two 8-byte entries; admitting a third must evict the LRU.
 	sp := openSpillTemp(t, 16)
+	tv := spillOnly(t, sp)
 	val := []byte("12345678")
-	if err := sp.PutBytes("a", val); err != nil {
+	if _, err := tv.PutBytes("a", val); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(2 * time.Millisecond) // order LRU recency
-	if err := sp.PutBytes("b", val); err != nil {
+	if _, err := tv.PutBytes("b", val); err != nil {
 		t.Fatal(err)
 	}
-	sp.s.Pin("a")
-	if err := sp.PutBytes("c", val); err != nil {
+	tv.Pin("a")
+	if _, err := tv.PutBytes("c", val); err != nil {
 		t.Fatal(err)
 	}
 	if !sp.Has("a") {
@@ -344,8 +345,8 @@ func TestPinExemptsFromColdEviction(t *testing.T) {
 	if sp.Has("b") {
 		t.Fatal("eviction did not fall through to the unpinned victim")
 	}
-	sp.s.Unpin("a")
-	if err := sp.PutBytes("d", val); err != nil {
+	tv.Unpin("a")
+	if _, err := tv.PutBytes("d", val); err != nil {
 		t.Fatal(err)
 	}
 	if sp.Has("a") {
@@ -379,6 +380,7 @@ func TestPinRefcounted(t *testing.T) {
 // interleaving.
 func TestPinVsEvictRace(t *testing.T) {
 	sp := openSpillTemp(t, 64)
+	tv := spillOnly(t, sp)
 	val := []byte("12345678")
 	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	var wg sync.WaitGroup
@@ -387,10 +389,10 @@ func TestPinVsEvictRace(t *testing.T) {
 		go func(k string) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				sp.s.Pin(k)
-				_ = sp.PutBytes(k, val)
+				tv.Pin(k)
+				_, _ = tv.PutBytes(k, val)
 				_, _ = sp.GetBytes(k)
-				sp.s.Unpin(k)
+				tv.Unpin(k)
 			}
 		}(k)
 	}
@@ -399,7 +401,7 @@ func TestPinVsEvictRace(t *testing.T) {
 		t.Fatalf("spill tier used %d over its %d budget", used, budget)
 	}
 	for _, k := range keys {
-		if sp.s.Pinned(k) {
+		if sp.Pinned(k) {
 			t.Fatalf("key %s still pinned after all releases", k)
 		}
 	}

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"sync"
 	"testing"
 	"time"
 )
 
-func openSpillTemp(t *testing.T, budget int64) *Spill {
+func openSpillTemp(t *testing.T, budget int64) *Store {
 	t.Helper()
 	sp, err := OpenSpill(t.TempDir(), budget)
 	if err != nil {
@@ -142,18 +144,26 @@ func TestEvictColdestLRU(t *testing.T) {
 	}
 }
 
-// TestSpillAdmissionEvictsColdest: the spill tier deletes its own
-// least-recently-accessed entries to admit new values, counts the
-// deletions, and rejects only values bigger than its whole budget.
+// spillOnly wraps cold in a Tiered whose 1-byte hot tier rejects every
+// value, so each PutBytes is a cold-tier admission through admitCold.
+func spillOnly(t *testing.T, cold *Store) *Tiered {
+	t.Helper()
+	return NewTiered(openTemp(t, 1), cold)
+}
+
+// TestSpillAdmissionEvictsColdest: a cold-tier admission deletes the tier's
+// least-recently-accessed entries to make room, counts the deletions, and
+// rejects only values bigger than the tier's whole budget.
 func TestSpillAdmissionEvictsColdest(t *testing.T) {
 	sp := openSpillTemp(t, 2500)
+	tv := spillOnly(t, sp)
 	for i := 0; i < 2; i++ {
-		if err := sp.PutBytes(fmt.Sprintf("k%d", i), bytes.Repeat([]byte{byte('a' + i)}, 1000)); err != nil {
+		if _, err := tv.PutBytes(fmt.Sprintf("k%d", i), bytes.Repeat([]byte{byte('a' + i)}, 1000)); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if err := sp.PutBytes("k2", bytes.Repeat([]byte{'c'}, 1000)); err != nil {
+	if _, err := tv.PutBytes("k2", bytes.Repeat([]byte{'c'}, 1000)); err != nil {
 		t.Fatal(err)
 	}
 	if sp.Has("k0") {
@@ -162,10 +172,10 @@ func TestSpillAdmissionEvictsColdest(t *testing.T) {
 	if !sp.Has("k1") || !sp.Has("k2") {
 		t.Fatal("k1/k2 missing after admission")
 	}
-	if got := sp.Evictions(); got != 1 {
+	if got := tv.Counters().ColdEvictions; got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
-	if err := sp.PutBytes("huge", make([]byte, 4000)); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := tv.PutBytes("huge", make([]byte, 4000)); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("over-budget admission err = %v, want ErrBudgetExceeded", err)
 	}
 	if sp.Used() > sp.Budget() {
@@ -173,15 +183,23 @@ func TestSpillAdmissionEvictsColdest(t *testing.T) {
 	}
 	// Idempotent re-admission of a present key must not evict anything,
 	// even with the tier at capacity.
-	before := sp.Evictions()
-	if err := sp.PutBytes("k2", bytes.Repeat([]byte{'c'}, 1000)); err != nil {
+	before := tv.Counters().ColdEvictions
+	if _, err := tv.PutBytes("k2", bytes.Repeat([]byte{'c'}, 1000)); err != nil {
 		t.Fatal(err)
 	}
-	if got := sp.Evictions(); got != before {
+	if got := tv.Counters().ColdEvictions; got != before {
 		t.Fatalf("re-admitting a present key evicted %d entries", got-before)
 	}
 	if !sp.Has("k1") || !sp.Has("k2") {
 		t.Fatal("entries lost to an idempotent re-admission")
+	}
+	// A write made on the cold store directly, not through Tiered, never
+	// evicts: the full tier rejects it and keeps its entries.
+	if err := sp.PutBytes("direct", bytes.Repeat([]byte{'d'}, 1000)); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("direct write to a full cold store err = %v, want ErrBudgetExceeded", err)
+	}
+	if !sp.Has("k1") || !sp.Has("k2") {
+		t.Fatal("a direct write evicted entries")
 	}
 }
 
@@ -454,46 +472,131 @@ func encBytes(t *testing.T, b []byte) []byte {
 }
 
 // TestSpillColdReadPaths: a cold hit decodes to the stored value through
-// both read paths — OpenSpill's buffered read and, where the platform maps
-// files, OpenSpillMmap's zero-copy mapping — and each read is counted
-// under the path that served it.
+// the cold tier's buffered read, and each read is counted.
 func TestSpillColdReadPaths(t *testing.T) {
-	for _, mmap := range []bool{false, true} {
-		t.Run(fmt.Sprintf("mmap=%v", mmap), func(t *testing.T) {
-			openSpill := OpenSpill
-			if mmap {
-				openSpill = OpenSpillMmap
+	t.Run("mmap=false", func(t *testing.T) {
+		tv := spillOnly(t, openSpillTemp(t, 0)) // values stay cold
+		raw, err := Encode("cold payload")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tier, err := tv.PutBytes("k", raw); err != nil || tier != TierCold {
+			t.Fatalf("PutBytes = %v, %v; want the cold tier", tier, err)
+		}
+		for i := 0; i < 2; i++ {
+			v, tier, err := tv.Get("k")
+			if err != nil || tier != TierCold || v != "cold payload" {
+				t.Fatalf("read %d: Get = %v, %v, %v", i, v, tier, err)
 			}
-			hot, err := Open(t.TempDir(), 1) // rejects everything: values stay cold
-			if err != nil {
-				t.Fatal(err)
-			}
-			cold, err := openSpill(t.TempDir(), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+		}
+		if c := tv.Counters(); c.ColdReads != 2 {
+			t.Errorf("cold reads = %d, want 2", c.ColdReads)
+		}
+	})
+}
+
+// TestTieredColdAdmissionRace drives every cold-admission path — spills,
+// demotions made room for by promotions, idempotent re-puts — together with
+// pin traffic from eight goroutines against a cold tier of a few entries.
+// Tiered's movement lock is all that serializes those admissions against
+// each other's evictions, so after quiescence each tier's bookkeeping must
+// agree with its entries and with the bytes on disk, the cold tier must be
+// within budget, and no pin may be left behind. Run it under -race.
+func TestTieredColdAdmissionRace(t *testing.T) {
+	const nkeys = 16
+	keys := make([]string, nkeys)
+	vals := make(map[string][]byte, nkeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%02d", i)
+		vals[keys[i]] = encBytes(t, bytes.Repeat([]byte{byte('a' + i)}, 200))
+	}
+	size := int64(len(vals[keys[0]]))
+	for _, tc := range []struct {
+		name string
+		hot  int64
+	}{
+		{"spill-only", 1},     // every admission spills; promotion never fits
+		{"promote", 2 * size}, // promotions demote into the cold tier
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hot := openTemp(t, tc.hot)
+			cold := openSpillTemp(t, 4*size)
 			tv := NewTiered(hot, cold)
-			raw, err := Encode("cold payload")
-			if err != nil {
-				t.Fatal(err)
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 150; i++ {
+						k := keys[(g*7+i)%nkeys]
+						hint := RewardHint{RecomputeNanos: int64(1+i%5) * int64(time.Millisecond)}
+						switch i % 4 {
+						case 0:
+							_, _ = tv.PutBytesHint(k, vals[k], hint)
+						case 1:
+							_, _, _ = tv.Get(k)
+						case 2:
+							tv.Pin(k)
+							_, _ = tv.PutBytes(k, vals[k])
+							_, _, _ = tv.Get(k)
+							tv.Unpin(k)
+						case 3:
+							_, _ = tv.PutBytes(k, vals[k])
+							_, _ = tv.PutBytes(k, vals[k]) // idempotent re-put
+						}
+					}
+				}(g)
 			}
-			if tier, err := tv.PutBytes("k", raw); err != nil || tier != TierCold {
-				t.Fatalf("PutBytes = %v, %v; want the cold tier", tier, err)
+			wg.Wait()
+
+			for _, tier := range []struct {
+				name string
+				s    *Store
+			}{{"hot", hot}, {"cold", cold}} {
+				var entrySum int64
+				want := make(map[string]int64)
+				for _, e := range tier.s.Entries() {
+					entrySum += e.Size
+					want[e.Key] = e.Size
+				}
+				files, err := os.ReadDir(tier.s.dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var diskSum int64
+				for _, f := range files {
+					info, err := f.Info()
+					if err != nil {
+						t.Fatal(err)
+					}
+					n := info.Size()
+					if tier.s.framed {
+						n -= frameHeaderSize
+					}
+					if got, ok := want[f.Name()]; !ok || got != n {
+						t.Errorf("%s: file %s holds %d payload bytes, entry %d (present %v)", tier.name, f.Name(), n, got, ok)
+					}
+					diskSum += n
+				}
+				if used := tier.s.Used(); used != entrySum || used != diskSum || len(files) != len(want) {
+					t.Errorf("%s: Used %d, entries sum %d over %d, disk sum %d over %d files",
+						tier.name, used, entrySum, len(want), diskSum, len(files))
+				}
 			}
-			for i := 0; i < 2; i++ {
-				v, tier, err := tv.Get("k")
-				if err != nil || tier != TierCold || v != "cold payload" {
-					t.Fatalf("read %d: Get = %v, %v, %v", i, v, tier, err)
+			if used, budget := cold.Used(), cold.Budget(); used > budget {
+				t.Errorf("cold tier used %d over its %d budget", used, budget)
+			}
+			for _, k := range keys {
+				if cold.Pinned(k) {
+					t.Errorf("key %s still pinned after all releases", k)
 				}
 			}
 			c := tv.Counters()
-			wantMmap := int64(0)
-			if mmap && mmapAvailable {
-				wantMmap = 2
+			if c.Spills == 0 || c.ColdEvictions == 0 {
+				t.Errorf("counters %+v: want spills and cold evictions", c)
 			}
-			if c.MmapColdReads != wantMmap || c.MmapColdReads+c.BufferedColdReads != 2 {
-				t.Errorf("mmap/buffered cold reads = %d/%d, want %d of 2 mapped",
-					c.MmapColdReads, c.BufferedColdReads, wantMmap)
+			if tc.hot > 1 && (c.Promotions == 0 || c.Evictions == 0) {
+				t.Errorf("counters %+v: want promotions and demotions", c)
 			}
 		})
 	}

@@ -80,11 +80,12 @@ type RewardHint struct {
 	Owner string
 }
 
-// Store is a budgeted, content-addressed disk store. Safe for concurrent
-// use: metadata reads share a read lock, and writes reserve budget under the
-// exclusive lock but perform file I/O unlocked, so the execution engine's
-// background materialization writers neither serialize behind each other nor
-// stall readers.
+// Store is a budgeted, content-addressed disk store, and the one store type
+// behind both tiers of a Tiered store: Open makes a hot tier, OpenSpill a
+// framed cold tier. Safe for concurrent use: metadata reads share a read
+// lock, and writes reserve budget under the exclusive lock but perform file
+// I/O unlocked, so the execution engine's background materialization
+// writers neither serialize behind each other nor stall readers.
 type Store struct {
 	mu      sync.RWMutex
 	dir     string
@@ -107,18 +108,11 @@ type Store struct {
 	writing map[string]*RewardHint
 
 	// framed stores (the cold spill tier) wrap every file in a
-	// length+checksum header (see frame.go) and verify it on read; reads of
-	// a damaged frame return ErrCorrupt. syncWrites additionally fsyncs the
-	// temp file before the rename, so a crash mid-write can never leave a
-	// half-written file that later parses as valid.
-	framed     bool
-	syncWrites bool
-
-	// mmapEnabled serves framed reads through readFrame from a read-only
-	// memory mapping (zero intermediate copy) instead of os.ReadFile.
-	// Set once at open; falls back to buffered reads per-file on mapping
-	// errors and on platforms without mmap support.
-	mmapEnabled bool
+	// length+checksum header (see frame.go), verify it on read and fsync
+	// the temp file before the rename: reads of a damaged frame return
+	// ErrCorrupt, and a crash mid-write can never leave a half-written file
+	// that later parses as valid.
+	framed bool
 
 	// failReads is the test-only read fault hook: keys with a non-zero
 	// count fail their next reads with an injected I/O error (<0 =
@@ -136,28 +130,47 @@ type Store struct {
 // measured: 500 MB/s, a conservative figure for buffered local disk reads.
 const DefaultThroughput = 500e6
 
+// ColdThroughput seeds the spill tier's load-cost estimate before any I/O
+// has been measured: 80 MB/s, modeling the slower medium a production cold
+// tier sits on (network or archival storage). Measured observations smooth
+// toward the tier's real throughput, but the asymmetric seed is what makes
+// cold-start recompute-vs-load decisions price a spilled value honestly
+// more expensive than a hot one.
+const ColdThroughput = 80e6
+
 // Open creates or reuses a store rooted at dir with the given budget in
 // bytes (<=0 disables the budget). Existing key files in dir are adopted;
 // temp files a crashed write left behind are deleted, and files other
 // components keep beside the values (a session's helix-history.json) are
 // left alone.
 func Open(dir string, budget int64) (*Store, error) {
-	return open(dir, budget, false, false)
+	return open(dir, budget, false, DefaultThroughput)
 }
 
-func open(dir string, budget int64, framed, syncWrites bool) (*Store, error) {
+// OpenSpill opens a store for the cold spill tier of a Tiered store: like
+// Open, but every file is framed — a length+CRC-32C header (see frame.go)
+// verified on read — and admissions fsync before the rename, so neither a
+// crash mid-write nor later on-disk damage can hand a later iteration
+// silently wrong bytes: both surface as ErrCorrupt, which the engine treats
+// as a cache miss. Load costs are seeded at ColdThroughput. The store
+// itself never evicts; Tiered deletes the tier's cheapest-to-lose entries
+// to admit spills and demotions.
+func OpenSpill(dir string, budget int64) (*Store, error) {
+	return open(dir, budget, true, ColdThroughput)
+}
+
+func open(dir string, budget int64, framed bool, seedBps float64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create dir: %w", err)
 	}
 	s := &Store{
-		dir:        dir,
-		budget:     budget,
-		entries:    make(map[string]*Entry),
-		pins:       make(map[string]int),
-		framed:     framed,
-		syncWrites: syncWrites,
-		readBps:    DefaultThroughput,
-		writeBps:   DefaultThroughput,
+		dir:      dir,
+		budget:   budget,
+		entries:  make(map[string]*Entry),
+		pins:     make(map[string]int),
+		framed:   framed,
+		readBps:  seedBps,
+		writeBps: seedBps,
 	}
 	files, err := os.ReadDir(dir)
 	if err != nil {
@@ -307,8 +320,7 @@ func Encode(value any) ([]byte, error) {
 }
 
 // Decode reverses Encode / EncodeValue. A payload that does not start with
-// the format tag is an error. Decoded values never alias raw, so callers
-// may decode straight out of a memory-mapped frame.
+// the format tag is an error. Decoded values never alias raw.
 func Decode(raw []byte) (any, error) {
 	if len(raw) == 0 {
 		return nil, errors.New("store: decode: empty payload")
@@ -429,22 +441,21 @@ func (s *Store) SetHint(key string, hint RewardHint) {
 }
 
 // writeFile writes one payload to path: framed stores prepend the
-// length+checksum header, and syncWrites stores fsync before returning so
-// the caller's rename publishes only fully-durable bytes (fsync-then-rename
-// — a crash mid-write leaves a .tmp that is never adopted, never a
-// half-written frame under the real key).
+// length+checksum header and fsync before returning, so the caller's rename
+// publishes only fully-durable bytes (fsync-then-rename — a crash mid-write
+// leaves a .tmp that is never adopted, never a half-written frame under the
+// real key).
 func (s *Store) writeFile(path string, payload []byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
 	if s.framed {
-		err = writeFrame(f, payload)
+		if err = writeFrame(f, payload); err == nil {
+			err = f.Sync()
+		}
 	} else {
 		_, err = f.Write(payload)
-	}
-	if err == nil && s.syncWrites {
-		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -524,6 +535,56 @@ func (s *Store) injectReadFault(key string, n int) {
 	s.faultMu.Unlock()
 }
 
+// FaultKind selects a fault for InjectFault, the store-level half of the
+// deterministic fault-injection harness.
+type FaultKind int
+
+const (
+	// FaultBitFlip flips one payload bit on disk; a framed store's checksum
+	// verify fails and reads return ErrCorrupt.
+	FaultBitFlip FaultKind = iota
+	// FaultTruncate cuts the file short; a framed store's length check
+	// fails and reads return ErrCorrupt.
+	FaultTruncate
+	// FaultEIO makes every subsequent read of the key fail with a synthetic
+	// I/O error (a failing device, not bad bytes). Cleared when the entry
+	// is deleted or overwritten by a fresh admission.
+	FaultEIO
+)
+
+// InjectFault damages key's stored file (or arms a read fault) for tests
+// and the chaos harness. Deterministic: the same fault on the same key
+// always produces the same failure mode.
+func (s *Store) InjectFault(key string, kind FaultKind) error {
+	if !s.Has(key) {
+		return fmt.Errorf("%w: %s", ErrNotFound, key)
+	}
+	path := s.path(key)
+	switch kind {
+	case FaultEIO:
+		s.injectReadFault(key, -1)
+		return nil
+	case FaultBitFlip:
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if len(raw) == 0 {
+			return fmt.Errorf("store: inject %s: empty file", key)
+		}
+		raw[len(raw)-1] ^= 0x01 // last byte is always payload (or a short frame)
+		return os.WriteFile(path, raw, 0o644)
+	case FaultTruncate:
+		info, err := os.Stat(path)
+		if err != nil {
+			return err
+		}
+		return os.Truncate(path, info.Size()/2)
+	default:
+		return fmt.Errorf("store: unknown fault kind %d", kind)
+	}
+}
+
 // takeReadFault consumes one armed read fault for key, if any.
 func (s *Store) takeReadFault(key string) bool {
 	s.faultMu.Lock()
@@ -572,53 +633,6 @@ func (s *Store) read(key string) ([]byte, time.Time, error) {
 		raw = payload
 	}
 	return raw, start, nil
-}
-
-// readFrame fetches key's payload bytes like read, but when mmap is enabled
-// on a framed store it serves them as an alias into a read-only memory
-// mapping — the CRC is verified once against the mapped pages and the
-// payload flows to promotion writes and decode with no intermediate heap
-// copy. The caller must invoke release exactly once when done with payload
-// (decoded values never alias it; see Decode). mapped reports whether the
-// payload aliases a mapping; buffered fallback is taken for unframed
-// stores, on platforms without mmap, and on any per-file mapping error.
-func (s *Store) readFrame(key string) (payload []byte, release func(), start time.Time, mapped bool, err error) {
-	s.mu.RLock()
-	_, ok := s.entries[key]
-	path := s.path(key)
-	tryMmap := s.mmapEnabled && s.framed && mmapAvailable
-	s.mu.RUnlock()
-	start = time.Now()
-	if !ok {
-		return nil, nil, start, false, fmt.Errorf("%w: %s", ErrNotFound, key)
-	}
-	if s.takeReadFault(key) {
-		return nil, nil, start, false, fmt.Errorf("store: read %s: %w", key, errInjectedRead)
-	}
-	if tryMmap {
-		if raw, rel, merr := mmapFile(path); merr == nil {
-			pl, ferr := verifyFrame(raw)
-			if ferr != nil {
-				rel()
-				return nil, nil, start, false, fmt.Errorf("store: read %s: %w", key, ferr)
-			}
-			return pl, rel, start, true, nil
-		}
-		// Mapping failed (e.g. empty or vanished file): fall through to the
-		// buffered path, which surfaces the definitive error.
-	}
-	raw, rerr := os.ReadFile(path)
-	if rerr != nil {
-		return nil, nil, start, false, fmt.Errorf("store: read %s: %w", key, rerr)
-	}
-	if s.framed {
-		pl, ferr := verifyFrame(raw)
-		if ferr != nil {
-			return nil, nil, start, false, fmt.Errorf("store: read %s: %w", key, ferr)
-		}
-		raw = pl
-	}
-	return raw, func() {}, start, false, nil
 }
 
 // recordRead lands a measured load on the entry: load cost, access
@@ -748,16 +762,16 @@ func (s *Store) VictimCandidates(need int64) []Entry {
 
 // EvictColdest removes the cheapest-to-lose entries (see victimOrder)
 // until the free budget reaches need bytes, deleting their files outright,
-// and returns the evicted entries. The spill tier uses it to admit new
-// values; an evicted value is gone. Pinned entries (keys the current run
+// and returns the evicted entries. Tiered uses it to admit values into the
+// cold tier; an evicted value is gone. Pinned entries (keys the current run
 // still plans to load) are never victims, so within-run eviction cannot
 // delete a value the plan depends on — if only pinned entries remain, the
 // admission simply fails its budget check instead. On an unbudgeted store,
 // or when need already fits, nothing is evicted.
 func (s *Store) EvictColdest(need int64) []Entry {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.budget <= 0 || s.budget-s.used >= need {
-		s.mu.Unlock()
 		return nil
 	}
 	var victims []Entry
@@ -770,19 +784,21 @@ func (s *Store) EvictColdest(need int64) []Entry {
 		}
 		delete(s.entries, e.Key)
 		s.used -= e.Size
+		// Unlink under the lock, like Delete: a re-admission of the key
+		// must not have its fresh file removed. A failed unlink leaves an
+		// orphan file, which the next open adopts as an entry again.
+		_ = os.Remove(s.path(e.Key))
 		victims = append(victims, *e)
-	}
-	s.mu.Unlock()
-	for _, v := range victims {
-		os.Remove(s.path(v.Key))
 	}
 	return victims
 }
 
-// evictableBytes sums the sizes of unpinned entries — the most an eviction
-// pass could possibly free. Callers must hold mu (read or write).
-func (s *Store) evictableBytes() int64 {
-	var total int64
+// freeable is the most free budget an EvictColdest pass could reach: the
+// current headroom plus every unpinned entry.
+func (s *Store) freeable() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	total := s.budget - s.used
 	for _, e := range s.entries {
 		if s.pins[e.Key] == 0 {
 			total += e.Size
@@ -809,7 +825,10 @@ func (s *Store) Lookup(key string) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Delete removes a stored entry, releasing its budget.
+// Delete removes a stored entry, releasing its budget. The file is
+// unlinked under the lock: unlinked after it, a concurrent re-admission of
+// the same key could publish a fresh file only to have it removed, leaving
+// an entry with no bytes behind it.
 func (s *Store) Delete(key string) error {
 	s.mu.Lock()
 	e, ok := s.entries[key]
@@ -819,10 +838,10 @@ func (s *Store) Delete(key string) error {
 	}
 	delete(s.entries, key)
 	s.used -= e.Size
-	path := s.path(key)
+	err := os.Remove(s.path(key))
 	s.mu.Unlock()
 	s.injectReadFault(key, 0) // a deleted entry's armed faults die with it
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("store: delete %s: %w", key, err)
 	}
 	return nil

@@ -162,13 +162,7 @@ func TestReopenAdoptsOnlyKeyFiles(t *testing.T) {
 		open func(dir string) (*Store, error)
 	}{
 		{"hot", func(dir string) (*Store, error) { return Open(dir, 1000) }},
-		{"cold", func(dir string) (*Store, error) {
-			sp, err := OpenSpill(dir, 1000)
-			if err != nil {
-				return nil, err
-			}
-			return sp.s, nil
-		}},
+		{"cold", func(dir string) (*Store, error) { return OpenSpill(dir, 1000) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -43,8 +43,9 @@ type TierCounters struct {
 	// room for a promotion.
 	Evictions int64
 	// ColdEvictions counts spill-tier entries deleted outright to make room
-	// for new admissions (those values are gone; the next iteration's cost
-	// model sees them as not loadable and recomputes).
+	// for new admissions — spills, demotions and re-admissions alike (those
+	// values are gone; the next iteration's cost model sees them as not
+	// loadable and recomputes).
 	ColdEvictions int64
 	// CorruptFrames counts loads whose stored bytes were unusable: cold-tier
 	// reads that failed frame verification (ErrCorrupt), and payloads in
@@ -55,13 +56,8 @@ type TierCounters struct {
 	// tripped the circuit breaker open (disabling the cold tier until its
 	// cooldown elapses).
 	BreakerTrips int64
-	// MmapColdReads counts cold-tier reads served zero-copy from a memory
-	// mapping (promotion and decode consumed the mapped pages directly,
-	// with no intermediate read buffer).
-	MmapColdReads int64
-	// BufferedColdReads counts cold-tier reads that took the buffered
-	// os.ReadFile path (mmap disabled, unsupported, or failed per-file).
-	BufferedColdReads int64
+	// ColdReads counts cold-tier reads that returned verified bytes.
+	ColdReads int64
 }
 
 // Tiered composes the budgeted hot store with an optional cold spill tier
@@ -76,8 +72,13 @@ type TierCounters struct {
 // With a nil cold tier every method degrades to the plain hot store, so the
 // execution engine runs one code path whether spilling is configured or not.
 //
-// Concurrency: cross-tier movement (promotion, demotion, the locked
-// re-check of a racing Get) serializes on mu, and every move is
+// The cold tier is a framed Store (OpenSpill) that never evicts on its own:
+// every admission into it — a spill, a demotion, a failed promotion's
+// re-admission — goes through admitCold, which deletes the tier's
+// cheapest-to-lose unpinned entries to make room.
+//
+// Concurrency: cross-tier movement (promotion, demotion, cold admission,
+// the locked re-check of a racing Get) serializes on mu, and every move is
 // copy-then-delete — the bytes land in the destination tier before the
 // source entry is removed — so a key mid-migration is always observable
 // in at least one tier, including to the engine's lock-free Has/Lookup
@@ -85,10 +86,12 @@ type TierCounters struct {
 // take mu.
 type Tiered struct {
 	hot  *Store
-	cold *Spill
+	cold *Store
 
 	// mu serializes cross-tier movement so no key is ever absent from both
-	// tiers while a locked reader looks for it.
+	// tiers while a locked reader looks for it, and serializes cold
+	// admissions so one admission's eviction pass cannot consume the room
+	// another admission just checked for.
 	mu sync.Mutex
 
 	// brk is the cold tier's circuit breaker: repeated cold I/O failures
@@ -101,9 +104,9 @@ type Tiered struct {
 	spills        atomic.Int64
 	promotions    atomic.Int64
 	evictions     atomic.Int64
+	coldEvictions atomic.Int64
 	corrupt       atomic.Int64
-	mmapReads     atomic.Int64
-	bufferedReads atomic.Int64
+	coldReads     atomic.Int64
 
 	// flightMu guards flights, the in-flight computation registry
 	// (BeginCompute/FinishCompute): one leader per key currently being
@@ -119,8 +122,9 @@ type Tiered struct {
 	glowOrder []string
 }
 
-// NewTiered combines a hot store with an optional (nil-able) spill tier.
-func NewTiered(hot *Store, cold *Spill) *Tiered {
+// NewTiered combines a hot store with an optional (nil-able) spill tier
+// opened with OpenSpill.
+func NewTiered(hot, cold *Store) *Tiered {
 	return &Tiered{hot: hot, cold: cold, brk: newBreaker()}
 }
 
@@ -152,14 +156,14 @@ func (t *Tiered) TierDisabled() bool {
 // survives the whole run. Pins are refcounted; no-op without a cold tier.
 func (t *Tiered) Pin(key string) {
 	if t.cold != nil {
-		t.cold.s.Pin(key)
+		t.cold.Pin(key)
 	}
 }
 
 // Unpin releases one Pin of key.
 func (t *Tiered) Unpin(key string) {
 	if t.cold != nil {
-		t.cold.s.Unpin(key)
+		t.cold.Unpin(key)
 	}
 }
 
@@ -177,23 +181,21 @@ func (t *Tiered) coldPutResult(err error) {
 // Hot exposes the hot tier.
 func (t *Tiered) Hot() *Store { return t.hot }
 
-// Cold exposes the spill tier (nil when tiering is disabled).
-func (t *Tiered) Cold() *Spill { return t.cold }
+// Cold exposes the spill tier (nil when tiering is disabled). Writes made
+// directly on it never evict; only Tiered's own admissions do.
+func (t *Tiered) Cold() *Store { return t.cold }
 
 // Counters snapshots the cumulative cross-tier traffic.
 func (t *Tiered) Counters() TierCounters {
 	c := TierCounters{
-		Spills:            t.spills.Load(),
-		Promotions:        t.promotions.Load(),
-		Evictions:         t.evictions.Load(),
-		CorruptFrames:     t.corrupt.Load(),
-		MmapColdReads:     t.mmapReads.Load(),
-		BufferedColdReads: t.bufferedReads.Load(),
+		Spills:        t.spills.Load(),
+		Promotions:    t.promotions.Load(),
+		Evictions:     t.evictions.Load(),
+		ColdEvictions: t.coldEvictions.Load(),
+		CorruptFrames: t.corrupt.Load(),
+		ColdReads:     t.coldReads.Load(),
 	}
 	c.BreakerTrips, _ = t.brk.snapshot()
-	if t.cold != nil {
-		c.ColdEvictions = t.cold.Evictions()
-	}
 	return c
 }
 
@@ -284,12 +286,18 @@ func (t *Tiered) PutBytesHint(key string, raw []byte, hint RewardHint) (Tier, er
 	existedHot := t.cold != nil && t.hot.Has(key)
 	err := t.hot.PutBytesHint(key, raw, hint)
 	if err == nil {
-		if t.cold != nil && !existedHot {
+		if t.cold != nil && !existedHot && t.cold.Has(key) {
 			// Keep the one-tier invariant: a stale cold copy (the key was
 			// spilled in an earlier run and the hot tier has room now)
 			// would double-count the key in union views and waste cold
-			// budget.
-			_ = t.cold.Delete(key)
+			// budget. Re-check hot under the movement lock: a demotion
+			// may have moved the fresh hot entry into cold meanwhile, and
+			// then the cold copy is the only one.
+			t.mu.Lock()
+			if t.hot.Has(key) {
+				_ = t.cold.Delete(key)
+			}
+			t.mu.Unlock()
 		}
 		return TierHot, nil
 	}
@@ -307,13 +315,37 @@ func (t *Tiered) PutBytesHint(key string, raw []byte, hint RewardHint) (Tier, er
 		// stands — the value is simply not materialized this run.
 		return TierNone, err
 	}
-	if cerr := t.cold.PutBytesHint(key, raw, hint); cerr != nil {
+	if cerr := t.admitCold(key, raw, hint); cerr != nil {
 		t.coldPutResult(cerr)
 		return TierNone, fmt.Errorf("store: spill %s: %w", key, cerr)
 	}
 	t.coldPutResult(nil)
 	t.spills.Add(1)
 	return TierCold, nil
+}
+
+// admitCold admits raw into the cold tier, deleting the tier's
+// cheapest-to-lose unpinned entries (see Store.EvictColdest) as needed to
+// make room. Re-admitting a present key only refreshes its hint and evicts
+// nothing. A value that cannot fit even after evicting every unpinned entry
+// — larger than the whole budget, or crowded out by pinned planned-load
+// keys — is rejected up front with ErrBudgetExceeded and evicts nothing: a
+// doomed admission must not destroy values to make room it can never have.
+// Callers hold t.mu, which serializes every cold admission, so no other
+// admission can take the room this one checks for and frees.
+func (t *Tiered) admitCold(key string, raw []byte, hint RewardHint) error {
+	if t.cold.Has(key) {
+		t.cold.SetHint(key, hint)
+		return nil
+	}
+	size := int64(len(raw))
+	if b := t.cold.Budget(); b > 0 {
+		if reachable := t.cold.freeable(); size > reachable {
+			return fmt.Errorf("%w: need %d, at most %d freeable of %d", ErrBudgetExceeded, size, reachable, b)
+		}
+	}
+	t.coldEvictions.Add(int64(len(t.cold.EvictColdest(size))))
+	return t.cold.PutBytesHint(key, raw, hint)
 }
 
 // PutEncoded admits an already-encoded value (the caller keeps ownership of
@@ -372,7 +404,7 @@ func (t *Tiered) Get(key string) (any, Tier, error) {
 		// a recompute.
 		return nil, TierNone, hotErr
 	}
-	payload, release, start, mapped, err := t.cold.s.readFrame(key)
+	payload, start, err := t.cold.read(key)
 	if err != nil {
 		if errors.Is(err, ErrCorrupt) {
 			// Damaged bytes are unrecoverable: count and delete the frame
@@ -396,22 +428,11 @@ func (t *Tiered) Get(key string) (any, Tier, error) {
 		return nil, TierNone, err
 	}
 	t.brk.success()
-	if mapped {
-		t.mmapReads.Add(1)
-	} else {
-		t.bufferedReads.Add(1)
-	}
+	t.coldReads.Add(1)
 	readDur := time.Since(start)
-	// The payload may alias a memory mapping: the promotion write and the
-	// decode below both consume the mapped pages directly, and nothing they
-	// produce retains a reference (PutBytesHint writes to a file, Decode
-	// copies every string/byte slice), so the mapping is released as soon as
-	// the decode lands.
 	t.promoteLocked(key, payload)
 	t.mu.Unlock()
-	v, served, derr := t.decodeAndRecord(t.cold.s, key, payload, readDur, TierCold)
-	release()
-	return v, served, derr
+	return t.decodeAndRecord(t.cold, key, payload, readDur, TierCold)
 }
 
 // decodeAndRecord finishes a load outside the movement lock: decode the raw
@@ -460,7 +481,7 @@ func (t *Tiered) promoteLocked(key string, raw []byte) {
 	// the recency-neutral read() — could be the cold tier's own eviction
 	// victim. Capture its recompute hint too, so promotion carries it into
 	// the hot tier (and a failed promotion re-admits it unchanged).
-	t.cold.s.Touch(key)
+	t.cold.Touch(key)
 	var hint RewardHint
 	if ce, ok := t.cold.Lookup(key); ok {
 		hint.RecomputeNanos = ce.Recompute
@@ -474,7 +495,7 @@ func (t *Tiered) promoteLocked(key string, raw []byte) {
 		// The demoted entry keeps its recompute hint and owner: the cold
 		// tier's reward-aware eviction ranks it by the same saving it had
 		// hot, and per-tenant accounting follows the bytes across tiers.
-		if err := t.cold.PutBytesHint(v.Key, vraw, RewardHint{RecomputeNanos: v.Recompute, Owner: v.Owner}); err != nil {
+		if err := t.admitCold(v.Key, vraw, RewardHint{RecomputeNanos: v.Recompute, Owner: v.Owner}); err != nil {
 			t.coldPutResult(err)
 			continue // cold cannot hold it (whole-budget overflow); stays hot
 		}
@@ -490,7 +511,7 @@ func (t *Tiered) promoteLocked(key string, raw []byte) {
 		// have evicted the key's cold entry, and returning with the key in
 		// no tier would break the always-in-some-tier invariant.
 		if !t.cold.Has(key) {
-			t.coldPutResult(t.cold.PutBytesHint(key, raw, hint))
+			t.coldPutResult(t.admitCold(key, raw, hint))
 		}
 		return
 	}
