@@ -344,7 +344,7 @@ func TestSessionIdenticalRerunLoadsOutputsOnly(t *testing.T) {
 func TestSessionNoReuseRecomputesEverything(t *testing.T) {
 	s, err := Open(Options{
 		SystemName: "keystoneml", StoreDir: t.TempDir(),
-		Policy: opt.MaterializeNone{}, Reuse: false,
+		Reuse: false,
 	})
 	if err != nil {
 		t.Fatal(err)

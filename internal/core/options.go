@@ -36,7 +36,9 @@ type Options struct {
 	// per byte) to admit new values, so unlike BudgetBytes this cap bounds
 	// retention, not admission.
 	SpillBudgetBytes int64
-	// Policy is the online materialization policy; nil = never materialize.
+	// Policy is the online materialization policy: opt.OnlineHeuristic
+	// (helix) or opt.MaterializeAll (deepdive). nil never materializes —
+	// the helix-unopt and keystoneml setting.
 	Policy opt.MatPolicy
 	// Reuse enables cross-iteration reuse (the recomputation optimizer may
 	// choose load states). Without it every iteration recomputes its full

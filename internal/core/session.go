@@ -142,7 +142,6 @@ func (s *Session) RunCtx(ctx context.Context, w *Workflow) (*Report, error) {
 	var changes []sig.Change
 	if s.prev != nil {
 		changes = sig.Diff(s.prev.Graph, compiled.Graph)
-		s.feedReuseObservations(compiled, changes)
 	}
 	outputs := make(map[string]any)
 	for _, o := range compiled.Graph.Outputs() {
@@ -202,33 +201,6 @@ func (s *Session) Close() error {
 // hex-signature keys.
 func (s *Session) historyPath() string {
 	return filepath.Join(s.cfg.StoreDir, historyFile)
-}
-
-// feedReuseObservations teaches a reuse-probability-learning policy which
-// operator categories survived this iteration's edit (their result
-// signatures stayed valid) — the feedback loop behind the paper's
-// "predicting reuse probability" future-work extension.
-func (s *Session) feedReuseObservations(compiled *Compiled, changes []sig.Change) {
-	ph, ok := s.cfg.Policy.(*opt.ProbabilisticHeuristic)
-	if !ok {
-		return
-	}
-	changedCats := make(map[string]bool)
-	for _, ch := range changes {
-		if ch.Kind == sig.Removed {
-			continue // not present in the new graph; nothing to survive
-		}
-		if id := compiled.Graph.Lookup(ch.Name); id != dag.InvalidNode {
-			changedCats[string(compiled.Category(id))] = true
-		}
-	}
-	present := make(map[string]bool)
-	for i := 0; i < compiled.Graph.Len(); i++ {
-		present[string(compiled.Category(dag.NodeID(i)))] = true
-	}
-	for cat := range present {
-		ph.Observe(cat, !changedCats[cat])
-	}
 }
 
 // RenderPlan renders the executed plan as the text analogue of Figure 1b:

@@ -6,9 +6,10 @@ package exec
 // version 2 introduced the consolidated counter block; version 3 adds the
 // single-flight counters (inflight_dedup_hits, inflight_waits) and the
 // service's queued/failed status fields; version 4 adds cold_evictions, and
-// buffered_cold_reads counts every cold read. Readers should accept every
-// version up to this one and treat an absent field as its zero.
-const ReportSchemaVersion = 4
+// buffered_cold_reads counts every cold read; version 5 adds
+// unregistered_values. Readers should accept every version up to this one
+// and treat an absent field as its zero.
+const ReportSchemaVersion = 5
 
 // Counters is the consolidated execution-counter block shared by every
 // surface that reports engine activity: exec.Result embeds it (per-run
@@ -72,6 +73,10 @@ type Counters struct {
 	// BinaryEncodes counts values serialized for materialization through
 	// the store's binary codec (store.EncodeValue).
 	BinaryEncodes int64 `json:"binary_encodes"`
+	// UnregisteredValues counts materialization encodes that failed because
+	// the value's type (or a nested value's) has no registered binary codec
+	// (codec.ErrUnregistered); such a value is never stored.
+	UnregisteredValues int64 `json:"unregistered_values"`
 	// MmapColdReads is always 0: the cold tier has no memory-mapped read
 	// path any more. The field stays only so readers of the counter block
 	// keep compiling.
@@ -117,6 +122,7 @@ func (c *Counters) Add(o Counters) {
 	c.CorruptFrames += o.CorruptFrames
 	c.TierDisabled = c.TierDisabled || o.TierDisabled
 	c.BinaryEncodes += o.BinaryEncodes
+	c.UnregisteredValues += o.UnregisteredValues
 	c.BufferedColdReads += o.BufferedColdReads
 	c.CrossSessionHits += o.CrossSessionHits
 	c.InflightDedupHits += o.InflightDedupHits

@@ -40,12 +40,14 @@ package exec
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/dag"
 	"repro/internal/opt"
 	"repro/internal/store"
@@ -78,7 +80,8 @@ type NodeRun struct {
 	Size int64
 	// Materialized reports whether the result was persisted this run.
 	Materialized bool
-	// MatReward is the online heuristic's r_i (0 for other policies).
+	// MatReward is the online heuristic's r_i (always 0 under
+	// MaterializeAll, which decides on budget alone).
 	MatReward int64
 	// MatDuration is the measured time spent on the materialization
 	// decision, serialization and write. This work happens on a background
@@ -274,7 +277,9 @@ type Engine struct {
 	// cheapest-to-lose entries). Nil disables tiering; ignored without
 	// Store.
 	Spill *store.Store
-	// Policy decides online materialization; nil means never materialize.
+	// Policy decides online materialization; nil means never materialize
+	// (the helix-unopt and keystoneml setting): the writer pool never
+	// starts and no value is encoded.
 	Policy opt.MatPolicy
 	// Workers bounds node-level parallelism; <=0 means 4.
 	Workers int
@@ -359,6 +364,9 @@ type Engine struct {
 	// (not the store package's process-wide counter) so concurrent engines
 	// in one process cannot misattribute each other's encodes in Result.
 	binaryEncs atomic.Int64
+	// unregistered counts this engine's values the codec had no encoder
+	// for, per materialization encode attempt.
+	unregistered atomic.Int64
 }
 
 // UseTiers injects a pre-built (typically shared) tiered store view: the
@@ -494,7 +502,7 @@ func (e *Engine) ExecuteCtx(ctx context.Context, g *dag.Graph, tasks []Task, pla
 	if e.Store != nil {
 		before = e.tiers().Counters()
 	}
-	binBefore := e.binaryEncs.Load()
+	binBefore, unregBefore := e.binaryEncs.Load(), e.unregistered.Load()
 	stats := &faultStats{}
 	// Pin every planned-load key before dispatch so the spill tier's
 	// within-run eviction cannot delete a value the plan depends on; each
@@ -513,6 +521,7 @@ func (e *Engine) ExecuteCtx(ctx context.Context, g *dag.Graph, tasks []Task, pla
 		res.InflightDedupHits = stats.inflightHits.Load()
 		res.InflightWaits = stats.inflightWaits.Load()
 		res.BinaryEncodes = e.binaryEncs.Load() - binBefore
+		res.UnregisteredValues = e.unregistered.Load() - unregBefore
 	}
 	if res != nil && e.Store != nil {
 		after := e.tiers().Counters()
@@ -541,17 +550,13 @@ func (e *Engine) historySize(name string) (int64, bool) {
 // materialized" on unencodable values, budget races and I/O failures.
 // The value is encoded at most once: a probe encoding is kept and
 // handed straight to Store.PutEncoded on a yes, and the pooled buffer is
-// released before returning either way.
-// ancestorCost is a callback so the O(ancestors) walk is paid lazily: it
-// is evaluated at most once per decision, and only when the policy
-// declares (NeedsAncestorCost) that it reads the term or a spill tier is
-// attached (the term doubles as the persisted entry's recompute-saving
-// eviction hint) — for cost-insensitive policies without a spill tier the
-// walk never happens and MatContext carries a zero.
+// released before returning either way. computeNanos is c_i and ancNanos
+// Σ_{a∈A(i)} c_a; their sum doubles as the persisted entry's
+// recompute-saving eviction hint.
 // Callers guarantee Policy and Store are set, key is non-empty and not yet
 // stored. Returns the elapsed decision+write time, the serialized size (0
 // if never encoded), whether the value was stored, and the policy reward.
-func (e *Engine) decideAndPersist(g *dag.Graph, id dag.NodeID, name, key string, v any, computeDur time.Duration, ancestorCost func() int64) (time.Duration, int64, bool, int64) {
+func (e *Engine) decideAndPersist(name, key string, v any, computeNanos, ancNanos int64) (time.Duration, int64, bool, int64) {
 	start := time.Now()
 	var enc *store.Encoded
 	defer func() {
@@ -559,62 +564,45 @@ func (e *Engine) decideAndPersist(g *dag.Graph, id dag.NodeID, name, key string,
 			enc.Release()
 		}
 	}()
-	var size int64
-	if e.Policy.NeedsSize() {
-		// Prefer the history estimate (same node name, previous iteration)
-		// over serializing now: the paper's cost model must stay "cheap to
-		// compute", and sizes of a node's results are stable across
-		// iterations. Cold nodes are encoded once to learn their size, and
-		// that probe encoding is reused for the persist below.
-		if hsize, ok := e.historySize(name); ok {
-			size = hsize
-		} else {
-			probe, err := store.EncodeValue(v)
-			if err != nil {
-				// Unencodable values (unregistered types) are simply not
-				// materialization candidates.
-				return time.Since(start), 0, false, 0
-			}
-			e.binaryEncs.Add(1)
-			enc = probe
-			size = enc.Size()
+	// Prefer the history estimate (same node name, previous iteration) over
+	// serializing now: the paper's cost model must stay "cheap to compute",
+	// and sizes of a node's results are stable across iterations. Cold
+	// nodes are encoded once to learn their size, and that probe encoding
+	// is reused for the persist below.
+	size, ok := e.historySize(name)
+	if !ok {
+		probe, err := e.encode(v)
+		if err != nil {
+			// Unencodable values are not materialization candidates.
+			return time.Since(start), 0, false, 0
 		}
-	}
-	var ancCost int64
-	if e.Policy.NeedsAncestorCost() || e.Spill != nil {
-		// With a spill tier the term is needed even by cost-insensitive
-		// policies: compute + ancestor cost is the entry's recompute-saving
-		// hint, the reward the cold tier's eviction ranks victims by.
-		ancCost = ancestorCost()
+		enc = probe
+		size = enc.Size()
 	}
 	// Both terms are tier-aware: the load estimate is priced at the tier
 	// the value would land in (the slower cold tier once it would spill),
 	// and the remaining budget includes the spill tier's admission
 	// capacity, so a policy keeps materializing past the hot budget.
 	tv := e.tiers()
-	ctx := opt.MatContext{
-		Graph:               g,
-		Node:                id,
-		ComputeCost:         computeDur.Nanoseconds(),
-		AncestorComputeCost: ancCost,
+	dec := e.Policy.Decide(opt.MatContext{
+		ComputeCost:         computeNanos,
+		AncestorComputeCost: ancNanos,
 		LoadCost:            tv.EstimateLoad(size).Nanoseconds(),
 		Size:                size,
 		BudgetRemaining:     tv.Remaining(),
-	}
-	dec := e.Policy.Decide(ctx)
+	})
 	if !dec.Materialize {
 		return time.Since(start), size, false, dec.Reward
 	}
 	if enc == nil {
-		encoded, err := store.EncodeValue(v)
+		encoded, err := e.encode(v)
 		if err != nil {
 			return time.Since(start), size, false, dec.Reward
 		}
-		e.binaryEncs.Add(1)
 		enc = encoded
 		size = enc.Size()
 	}
-	hint := store.RewardHint{RecomputeNanos: computeDur.Nanoseconds() + ancCost, Owner: e.Tenant}
+	hint := store.RewardHint{RecomputeNanos: computeNanos + ancNanos, Owner: e.Tenant}
 	if _, err := tv.PutEncodedHint(key, enc, hint); err != nil {
 		// Budget races (the value fits no tier) and I/O failures degrade to
 		// "not materialized"; with a spill tier attached a plain hot-budget
@@ -622,4 +610,19 @@ func (e *Engine) decideAndPersist(g *dag.Graph, id dag.NodeID, name, key string,
 		return time.Since(start), size, false, dec.Reward
 	}
 	return time.Since(start), size, true, dec.Reward
+}
+
+// encode serializes v for materialization, counting the encode, or — when
+// v's type (or a nested value's) has no registered codec — the
+// unregistered value, which is then never stored.
+func (e *Engine) encode(v any) (*store.Encoded, error) {
+	enc, err := store.EncodeValue(v)
+	if err != nil {
+		if errors.Is(err, codec.ErrUnregistered) {
+			e.unregistered.Add(1)
+		}
+		return nil, err
+	}
+	e.binaryEncs.Add(1)
+	return enc, nil
 }

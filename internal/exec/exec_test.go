@@ -185,13 +185,15 @@ func TestExecuteMaterializesWithPolicy(t *testing.T) {
 	}
 }
 
-func TestExecuteMaterializeNoneSkipsEncoding(t *testing.T) {
+// TestExecuteNilPolicySkipsEncoding: a nil Policy never materializes, even
+// with a store attached — no entries, no learned sizes, no encodes.
+func TestExecuteNilPolicySkipsEncoding(t *testing.T) {
 	g, tasks := buildChain(t)
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Store: st, Policy: opt.MaterializeNone{}}
+	e := &Engine{Store: st}
 	res, err := e.Execute(g, tasks, allCompute(3))
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +204,10 @@ func TestExecuteMaterializeNoneSkipsEncoding(t *testing.T) {
 		}
 	}
 	if len(st.Entries()) != 0 {
-		t.Error("materialize-none stored entries")
+		t.Error("nil policy stored entries")
+	}
+	if res.BinaryEncodes != 0 {
+		t.Errorf("BinaryEncodes = %d, want 0", res.BinaryEncodes)
 	}
 }
 
@@ -231,25 +236,38 @@ func TestExecuteSkipsAlreadyStoredKeys(t *testing.T) {
 	}
 }
 
+// TestExecuteUnencodableValueNotMaterialized: a value with no registered
+// codec is never stored and is counted in UnregisteredValues at either
+// encode site — the size probe of a node with no size history, and the
+// persist after a history-sized yes — while its encodable sibling persists.
 func TestExecuteUnencodableValueNotMaterialized(t *testing.T) {
-	g, tasks := buildChain(t)
-	st, err := store.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	type unregistered struct{ X int }
-	tasks[0].Run = func(context.Context, []any) (any, error) { return unregistered{1}, nil }
-	tasks[1].Run = func(_ context.Context, in []any) (any, error) { return "b", nil }
-	e := &Engine{Store: st, Policy: opt.MaterializeAll{}}
-	res, err := e.Execute(g, tasks, allCompute(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Nodes[0].Materialized {
-		t.Error("unencodable value materialized")
-	}
-	if !res.Nodes[1].Materialized {
-		t.Error("encodable sibling not materialized")
+	for _, withHistory := range []bool{false, true} {
+		g, tasks := buildChain(t)
+		st, err := store.Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks[0].Run = func(context.Context, []any) (any, error) { return unregistered{1}, nil }
+		tasks[1].Run = func(_ context.Context, in []any) (any, error) { return "b", nil }
+		e := &Engine{Store: st, Policy: opt.MaterializeAll{}}
+		if withHistory {
+			e.History = NewHistory()
+			e.History.ObserveSize("a", 8)
+		}
+		res, err := e.Execute(g, tasks, allCompute(3))
+		if err != nil {
+			t.Fatalf("history=%v: %v", withHistory, err)
+		}
+		if res.Nodes[0].Materialized || st.Has("ka") {
+			t.Errorf("history=%v: unencodable value materialized", withHistory)
+		}
+		if res.UnregisteredValues != 1 {
+			t.Errorf("history=%v: UnregisteredValues = %d, want 1", withHistory, res.UnregisteredValues)
+		}
+		if !res.Nodes[1].Materialized {
+			t.Errorf("history=%v: encodable sibling not materialized", withHistory)
+		}
 	}
 }
 

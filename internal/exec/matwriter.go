@@ -57,7 +57,6 @@ type matJob struct {
 // decisions may be concurrent rather than strictly ordered by completion.
 type matWriter struct {
 	e        *Engine
-	g        *dag.Graph
 	res      *Result
 	resMu    *sync.Mutex
 	durs     []atomic.Int64 // the run's lock-free duration plane (runCtx.durs)
@@ -71,25 +70,18 @@ type matWriter struct {
 	queued keyDedupe
 }
 
-// newMatWriter starts the writer pool for one Execute call. The ancestor
-// closures exist only when something reads the recomputation-chain term —
-// a policy that declares NeedsAncestorCost, or an attached spill tier
-// (the term becomes the entry's reward-aware eviction hint);
-// decideAndPersist never invokes the cost callback otherwise, so the nil
-// slice is never indexed.
+// newMatWriter starts the writer pool for one Execute call, snapshotting
+// the ancestor closures every decision's recomputation-chain term walks.
 func newMatWriter(rc *runCtx) *matWriter {
 	e, g := rc.e, rc.g
 	w := &matWriter{
-		e:      e,
-		g:      g,
-		res:    rc.res,
-		resMu:  &rc.resMu,
-		durs:   rc.durs,
-		jobs:   make(chan matJob, g.Len()),
-		queued: keyDedupe{keys: make(map[string]bool)},
-	}
-	if e.Policy.NeedsAncestorCost() || e.Spill != nil {
-		w.closures = opt.AncestorClosures(g)
+		e:        e,
+		res:      rc.res,
+		resMu:    &rc.resMu,
+		durs:     rc.durs,
+		closures: opt.AncestorClosures(g),
+		jobs:     make(chan matJob, g.Len()),
+		queued:   keyDedupe{keys: make(map[string]bool)},
 	}
 	for i := 0; i < e.matWriters(); i++ {
 		w.wg.Add(1)
@@ -128,9 +120,7 @@ func (w *matWriter) flush() {
 // process consults the policy and persists the value when told to, on a
 // background goroutine.
 func (w *matWriter) process(j matJob) {
-	matDur, size, materialized, reward := w.e.decideAndPersist(w.g, j.id, j.name, j.key, j.value, j.computeDur, func() int64 {
-		return w.ancestorCost(w.closures[j.id])
-	})
+	matDur, size, materialized, reward := w.e.decideAndPersist(j.name, j.key, j.value, j.computeDur.Nanoseconds(), w.ancestorCost(w.closures[j.id]))
 	if j.finish {
 		// Resolve the single-flight after the publish decision: when the
 		// policy materialized, waiters load the bytes; when it declined,

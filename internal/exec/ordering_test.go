@@ -119,60 +119,6 @@ func TestCriticalPathTieBreakDeterministic(t *testing.T) {
 	}
 }
 
-// TestDecideAndPersistAncestorWalkGated instruments the ancestor-cost
-// callback and checks the NeedsAncestorCost contract end to end: policies
-// that declare the term unread never trigger the walk, policies that read
-// it trigger it exactly once per decision.
-func TestDecideAndPersistAncestorWalkGated(t *testing.T) {
-	g := dag.New()
-	a := g.MustAddNode("a", "scan")
-	st, err := store.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		policy    opt.MatPolicy
-		wantWalks int
-	}{
-		{opt.MaterializeAll{}, 0},
-		{opt.MaterializeNone{}, 0},
-		{opt.OnlineHeuristic{}, 1},
-	} {
-		e := &Engine{Store: st, Policy: tc.policy}
-		walks := 0
-		key := fmt.Sprintf("k-%s", tc.policy.Name())
-		e.decideAndPersist(g, a, "a", key, "v", time.Millisecond, func() int64 {
-			walks++
-			return 0
-		})
-		if walks != tc.wantWalks {
-			t.Errorf("%s: ancestor walk ran %d times, want %d", tc.policy.Name(), walks, tc.wantWalks)
-		}
-	}
-}
-
-// TestDataflowSkipsClosurePrecompute: with a cost-insensitive policy the
-// matwriter must not precompute ancestor closures at all — the
-// decideAndPersist gate makes the nil slice safe, and decisions still
-// happen (the budget-only policy materializes everything).
-func TestDataflowSkipsClosurePrecompute(t *testing.T) {
-	g, tasks := buildChain(t)
-	st, err := store.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := &Engine{Store: st, Policy: opt.MaterializeAll{}}
-	res, err := e.Execute(g, tasks, allCompute(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, nr := range res.Nodes {
-		if !nr.Materialized {
-			t.Errorf("node %d not materialized under gated closures: %+v", i, nr)
-		}
-	}
-}
-
 // TestLiveBytesGauge pins the gauge accounting on a single-worker chain
 // with known sizes: a and b overlap (peak = both) until b's completion
 // releases a, c never coexists with a, and the end-of-run settlement

@@ -247,7 +247,7 @@ func TestSingleFlightDisabledByDefault(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e := &Engine{Workers: 2, Store: hot, Policy: opt.MaterializeNone{}}
+			e := &Engine{Workers: 2, Store: hot}
 			e.UseTiers(tv)
 			if _, err := e.Execute(g, tasks, plan); err != nil {
 				t.Errorf("run: %v", err)

@@ -20,8 +20,6 @@ type MatDecision struct {
 // available. The decision must be made immediately ("online constraint",
 // §2.3): HELIX cannot buffer intermediates for deferred decisions.
 type MatContext struct {
-	Graph *dag.Graph
-	Node  dag.NodeID
 	// ComputeCost is the measured c_i of this node in the current run.
 	ComputeCost int64
 	// AncestorComputeCost is Σ_{a∈A(i)} c_a for the current run (cost to
@@ -39,19 +37,6 @@ type MatContext struct {
 // MatPolicy decides, at the moment a node's result becomes available,
 // whether to persist it for future iterations.
 type MatPolicy interface {
-	// Name identifies the policy in benchmark output.
-	Name() string
-	// NeedsSize reports whether Decide consults ctx.Size; when false the
-	// execution engine skips serializing results it will never persist
-	// (KeystoneML-style systems pay no materialization overhead at all).
-	NeedsSize() bool
-	// NeedsAncestorCost reports whether Decide consults
-	// ctx.AncestorComputeCost; when false the execution engine skips the
-	// O(ancestors) cost walk over shared result state entirely (like
-	// NeedsSize, but for the recomputation-chain term). Cost-insensitive
-	// policies (materialize-all, materialize-none) pay nothing for a term
-	// they never read.
-	NeedsAncestorCost() bool
 	// Decide is called once per computed node, in completion order.
 	Decide(ctx MatContext) MatDecision
 }
@@ -62,15 +47,6 @@ type MatPolicy interface {
 // change r_i = 2*l_i − (c_i + Σ_{a∈A(i)} c_a). Materialize iff r_i < 0 and
 // the serialized size fits the remaining budget.
 type OnlineHeuristic struct{}
-
-// Name implements MatPolicy.
-func (OnlineHeuristic) Name() string { return "helix-online" }
-
-// NeedsSize implements MatPolicy.
-func (OnlineHeuristic) NeedsSize() bool { return true }
-
-// NeedsAncestorCost implements MatPolicy: r_i depends on Σ_{a∈A(i)} c_a.
-func (OnlineHeuristic) NeedsAncestorCost() bool { return true }
 
 // Decide implements MatPolicy.
 func (OnlineHeuristic) Decide(ctx MatContext) MatDecision {
@@ -86,36 +62,10 @@ func (OnlineHeuristic) Decide(ctx MatContext) MatDecision {
 // engineering steps").
 type MaterializeAll struct{}
 
-// Name implements MatPolicy.
-func (MaterializeAll) Name() string { return "materialize-all" }
-
-// NeedsSize implements MatPolicy.
-func (MaterializeAll) NeedsSize() bool { return true }
-
-// NeedsAncestorCost implements MatPolicy: the decision is budget-only.
-func (MaterializeAll) NeedsAncestorCost() bool { return false }
-
 // Decide implements MatPolicy.
 func (MaterializeAll) Decide(ctx MatContext) MatDecision {
 	return MatDecision{Materialize: ctx.Size <= ctx.BudgetRemaining}
 }
-
-// MaterializeNone never persists anything, modeling KeystoneML's one-shot
-// execution ("for a never-materialize system ... the rerun time is
-// constantly large").
-type MaterializeNone struct{}
-
-// Name implements MatPolicy.
-func (MaterializeNone) Name() string { return "materialize-none" }
-
-// NeedsSize implements MatPolicy.
-func (MaterializeNone) NeedsSize() bool { return false }
-
-// NeedsAncestorCost implements MatPolicy: there is no decision to inform.
-func (MaterializeNone) NeedsAncestorCost() bool { return false }
-
-// Decide implements MatPolicy.
-func (MaterializeNone) Decide(MatContext) MatDecision { return MatDecision{} }
 
 // MatItem is one candidate for the offline knapsack solver.
 type MatItem struct {

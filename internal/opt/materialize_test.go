@@ -61,27 +61,6 @@ func TestMaterializeAllRespectsBudgetOnly(t *testing.T) {
 	}
 }
 
-func TestMaterializeNoneNever(t *testing.T) {
-	if (MaterializeNone{}).Decide(matCtx(1, 1000, 1000, 1, 1<<40)).Materialize {
-		t.Error("materialize-none materialized")
-	}
-}
-
-func TestPolicyNames(t *testing.T) {
-	for _, tc := range []struct {
-		p    MatPolicy
-		want string
-	}{
-		{OnlineHeuristic{}, "helix-online"},
-		{MaterializeAll{}, "materialize-all"},
-		{MaterializeNone{}, "materialize-none"},
-	} {
-		if tc.p.Name() != tc.want {
-			t.Errorf("Name() = %q, want %q", tc.p.Name(), tc.want)
-		}
-	}
-}
-
 func TestKnapsackOfflineBasic(t *testing.T) {
 	items := []MatItem{
 		{Node: 0, Benefit: 100, Cost: 10, Size: 60}, // net 90
@@ -235,50 +214,9 @@ func TestAncestorClosures(t *testing.T) {
 	}
 }
 
-// TestNeedsAncestorCostHints pins the NeedsAncestorCost declaration of
-// every built-in policy: only the cost-model policies read the
-// recomputation-chain term, so only they may make the engine pay for the
-// O(ancestors) walk.
-func TestNeedsAncestorCostHints(t *testing.T) {
-	cases := []struct {
-		policy MatPolicy
-		want   bool
-	}{
-		{OnlineHeuristic{}, true},
-		{NewProbabilisticHeuristic(), true},
-		{MaterializeAll{}, false},
-		{MaterializeNone{}, false},
-	}
-	for _, c := range cases {
-		if got := c.policy.NeedsAncestorCost(); got != c.want {
-			t.Errorf("%s.NeedsAncestorCost() = %v, want %v", c.policy.Name(), got, c.want)
-		}
-	}
-}
-
-// TestCostInsensitiveDecisionsIgnoreAncestorTerm: a policy that declares
-// NeedsAncestorCost()==false must decide identically whether the term is
-// zeroed (as the engine now passes it) or fully populated — the hint is
-// only sound if skipping the walk cannot change behaviour.
-func TestCostInsensitiveDecisionsIgnoreAncestorTerm(t *testing.T) {
-	base := MatContext{ComputeCost: 1000, LoadCost: 50, Size: 1 << 10, BudgetRemaining: 1 << 20}
-	for _, p := range []MatPolicy{MaterializeAll{}, MaterializeNone{}} {
-		for _, size := range []int64{1 << 10, 1 << 30} { // within and over budget
-			with, without := base, base
-			with.Size, without.Size = size, size
-			with.AncestorComputeCost = 1 << 40
-			without.AncestorComputeCost = 0
-			if p.Decide(with) != p.Decide(without) {
-				t.Errorf("%s: decision depends on ancestor term it claims not to read", p.Name())
-			}
-		}
-	}
-}
-
 // TestCostSensitiveDecisionsUseAncestorTerm: the online heuristic's
 // r_i = 2*l_i − (c_i + Σ ancestors) must flip from "don't" to "do"
-// materialize as the ancestor chain grows — the behaviour the
-// NeedsAncestorCost()==true declaration protects.
+// materialize as the ancestor chain grows.
 func TestCostSensitiveDecisionsUseAncestorTerm(t *testing.T) {
 	ctx := MatContext{ComputeCost: 10, LoadCost: 100, Size: 1, BudgetRemaining: 1 << 20}
 	if d := (OnlineHeuristic{}).Decide(ctx); d.Materialize {

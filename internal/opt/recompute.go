@@ -14,8 +14,8 @@
 //     intermediates to persist under a storage budget to minimize future
 //     iteration latency. NP-hard (knapsack), so HELIX uses an online cost
 //     heuristic; this package provides that heuristic plus the
-//     materialize-all (DeepDive), materialize-none (KeystoneML) and offline
-//     knapsack policies used as comparators.
+//     materialize-all (DeepDive) policy and the offline knapsack used as
+//     comparators. Never materializing (KeystoneML) is a nil policy.
 package opt
 
 import (

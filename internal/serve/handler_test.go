@@ -50,6 +50,7 @@ func TestHandlerErrors(t *testing.T) {
 		{"missing tenant", `{"app":"census"}`, 400, CodeBadRequest},
 		{"unknown app", `{"tenant":"a","app":"nonsense"}`, 400, CodeUnknownApp},
 		{"unknown system", `{"tenant":"a","app":"census","system":"spark"}`, 400, CodeUnknownSystem},
+		{"retired system", `{"tenant":"a","app":"census","system":"helix-prob"}`, 400, CodeUnknownSystem},
 		{"over budget", `{"tenant":"greedy","app":"census"}`, 403, CodeOverBudget},
 	}
 	for _, tc := range cases {

@@ -32,15 +32,7 @@ const (
 	HelixUnopt Kind = "helix-unopt"
 	DeepDive   Kind = "deepdive"
 	KeystoneML Kind = "keystoneml"
-	// HelixProb is HELIX with the reuse-probability-learning extension of
-	// the paper's future work (§2.3): the materialization model discounts
-	// the recomputation saving by each operator category's observed
-	// survival rate across iterations.
-	HelixProb Kind = "helix-prob"
 )
-
-// All lists every system in presentation order.
-var All = []Kind{Helix, HelixProb, HelixUnopt, DeepDive, KeystoneML}
 
 // Preset returns the named system's canonical core.Options: policy, reuse
 // rules, and store layout filled in, everything else at its documented
@@ -59,21 +51,14 @@ func Preset(kind Kind, baseDir string) (core.Options, error) {
 		o.StoreDir = filepath.Join(baseDir, "helix-store")
 		o.Policy = opt.OnlineHeuristic{}
 		o.Reuse = true
-	case HelixProb:
-		o.StoreDir = filepath.Join(baseDir, "helix-prob-store")
-		o.Policy = opt.NewProbabilisticHeuristic()
-		o.Reuse = true
-	case HelixUnopt:
-		// No store directory at all: the unoptimized toggle disables both
-		// reuse and materialization.
-		o.Policy = opt.MaterializeNone{}
+	case HelixUnopt, KeystoneML:
+		// No store and a nil policy: neither reuses nor materializes (the
+		// unoptimized toggle; KeystoneML's one-shot optimizer).
 	case DeepDive:
 		o.StoreDir = filepath.Join(baseDir, "deepdive-store")
 		o.Policy = opt.MaterializeAll{}
 		o.Reuse = true
 		o.NeverReuse = []core.Category{core.CatML, core.CatEval}
-	case KeystoneML:
-		o.Policy = opt.MaterializeNone{}
 	default:
 		return core.Options{}, fmt.Errorf("systems: unknown system %q", kind)
 	}
