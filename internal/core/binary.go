@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/codec"
 	"repro/internal/data"
 	"repro/internal/ml"
@@ -47,7 +50,12 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return CollectionPair{Train: train.(*data.Collection), Test: test.(*data.Collection)}, nil
+			tr, ok1 := train.(*data.Collection)
+			te, ok2 := test.(*data.Collection)
+			if !ok1 || !ok2 {
+				return nil, fmt.Errorf("core: collection pair holds %T and %T", train, test)
+			}
+			return CollectionPair{Train: tr, Test: te}, nil
 		})
 	codec.RegisterValue(FittedExtractor{}, "core.FittedExtractor",
 		func(w *codec.Writer, v any) error {
@@ -64,31 +72,17 @@ func init() {
 			}
 			return FittedExtractor{Ex: e}, nil
 		})
-	codec.RegisterValue(FeatureColumn{}, "core.FeatureColumn",
-		func(w *codec.Writer, v any) error {
-			fc := v.(FeatureColumn)
-			table := codec.NewStringTable()
-			data.EncodeFeatureMapsSorted(w, table, fc.Train)
-			data.EncodeFeatureMapsSorted(w, table, fc.Test)
-			return nil
-		},
-		func(r *codec.Reader) (any, error) {
-			table := codec.NewReadStringTable()
-			train, err := data.DecodeFeatureMapsSorted(r, table)
-			if err != nil {
-				return nil, err
-			}
-			test, err := data.DecodeFeatureMapsSorted(r, table)
-			if err != nil {
-				return nil, err
-			}
-			return FeatureColumn{Train: train, Test: test}, nil
-		})
-	codec.RegisterValue(VecPair{}, "core.VecPair",
+	// The columnar census layouts name their layout: a payload written
+	// under an older layout's name finds no decoder, so the store drops it
+	// and the engine recomputes the value instead of misreading it.
+	codec.RegisterValue(FeatureColumn{}, "core.CSRFeatureColumn",
+		func(w *codec.Writer, v any) error { encodeFeatureColumn(w, v.(FeatureColumn)); return nil },
+		func(r *codec.Reader) (any, error) { return decodeFeatureColumn(r) })
+	codec.RegisterValue(VecPair{}, "core.ColumnarVecPair",
 		func(w *codec.Writer, v any) error {
 			vp := v.(VecPair)
-			data.EncodeLabeled(w, vp.Train)
-			data.EncodeLabeled(w, vp.Test)
+			encodeLabeledCols(w, vp.Train)
+			encodeLabeledCols(w, vp.Test)
 			w.Int(vp.Dim)
 			w.Len(len(vp.Names))
 			for _, n := range vp.Names {
@@ -99,10 +93,10 @@ func init() {
 		func(r *codec.Reader) (any, error) {
 			var vp VecPair
 			var err error
-			if vp.Train, err = data.DecodeLabeled(r); err != nil {
+			if vp.Train, err = decodeLabeledCols(r); err != nil {
 				return nil, err
 			}
-			if vp.Test, err = data.DecodeLabeled(r); err != nil {
+			if vp.Test, err = decodeLabeledCols(r); err != nil {
 				return nil, err
 			}
 			if vp.Dim, err = r.Int(); err != nil {
@@ -111,6 +105,12 @@ func init() {
 			nn, err := r.Len()
 			if err != nil {
 				return nil, err
+			}
+			// Learners size their weights by Dim; it is the dictionary
+			// length, so a payload whose Dim disagrees with its names is
+			// corrupt rather than a huge allocation to attempt.
+			if vp.Dim != nn {
+				return nil, fmt.Errorf("core: vectorized dataset has Dim %d but %d feature names", vp.Dim, nn)
 			}
 			vp.Names = make([]string, nn)
 			for i := range vp.Names {
@@ -312,4 +312,168 @@ func decodeKMeans(r *codec.Reader) (*ml.KMeans, error) {
 		centers[i] = c
 	}
 	return &ml.KMeans{Centers: centers}, nil
+}
+
+// encodeFeatureColumn writes the names, then per half: the row count, each
+// row's feature count, the total, every name id, every value.
+func encodeFeatureColumn(w *codec.Writer, fc FeatureColumn) {
+	w.Len(len(fc.Names))
+	for _, n := range fc.Names {
+		w.String(n)
+	}
+	for _, rows := range []FeatureRows{fc.Train, fc.Test} {
+		n := rows.Len()
+		w.Len(n)
+		for i := 0; i < n; i++ {
+			w.Len(int(rows.Start[i+1] - rows.Start[i]))
+		}
+		w.Len(len(rows.ID))
+		for _, id := range rows.ID {
+			w.Uvarint(uint64(id))
+		}
+		for _, x := range rows.Val {
+			w.Float64(x)
+		}
+	}
+}
+
+// decodeFeatureColumn reverses encodeFeatureColumn into exact-size slabs.
+// It rejects a payload whose row counts do not sum to its total or whose
+// name ids fall outside the names, so featurize never indexes out of range.
+func decodeFeatureColumn(r *codec.Reader) (FeatureColumn, error) {
+	nn, err := r.Len()
+	if err != nil {
+		return FeatureColumn{}, err
+	}
+	fc := FeatureColumn{Names: make([]string, nn)}
+	for i := range fc.Names {
+		if fc.Names[i], err = r.String(); err != nil {
+			return FeatureColumn{}, err
+		}
+	}
+	for _, dst := range []*FeatureRows{&fc.Train, &fc.Test} {
+		n, err := r.Len()
+		if err != nil {
+			return FeatureColumn{}, err
+		}
+		start := make([]int32, n+1)
+		for i := 0; i < n; i++ {
+			k, err := r.Len()
+			if err != nil {
+				return FeatureColumn{}, err
+			}
+			end := int(start[i]) + k
+			if end > math.MaxInt32 {
+				return FeatureColumn{}, fmt.Errorf("core: feature column row %d ends at %d, past int32", i, end)
+			}
+			start[i+1] = int32(end)
+		}
+		total, err := r.Len()
+		if err != nil {
+			return FeatureColumn{}, err
+		}
+		if total != int(start[n]) {
+			return FeatureColumn{}, fmt.Errorf("core: feature column rows hold %d features, total says %d", start[n], total)
+		}
+		ids := make([]int32, total)
+		for k := range ids {
+			id, err := r.Uvarint()
+			if err != nil {
+				return FeatureColumn{}, err
+			}
+			if id >= uint64(nn) {
+				return FeatureColumn{}, fmt.Errorf("core: feature column name id %d out of range (%d names)", id, nn)
+			}
+			ids[k] = int32(id)
+		}
+		vals := make([]float64, total)
+		for k := range vals {
+			if vals[k], err = r.Float64(); err != nil {
+				return FeatureColumn{}, err
+			}
+		}
+		*dst = FeatureRows{Start: start, ID: ids, Val: vals}
+	}
+	return fc, nil
+}
+
+// encodeLabeledCols writes one half of a VecPair column by column: the row
+// count, every label, each row's nnz, the total, every index, every value.
+func encodeLabeledCols(w *codec.Writer, set []data.Labeled) {
+	w.Len(len(set))
+	for _, ex := range set {
+		w.Float64(ex.Y)
+	}
+	total := 0
+	for _, ex := range set {
+		w.Len(len(ex.X.Indices))
+		total += len(ex.X.Indices)
+	}
+	w.Len(total)
+	for _, ex := range set {
+		for _, i := range ex.X.Indices {
+			w.Int(i)
+		}
+	}
+	for _, ex := range set {
+		for _, x := range ex.X.Values {
+			w.Float64(x)
+		}
+	}
+}
+
+// decodeLabeledCols reverses encodeLabeledCols. Indices and values land in
+// one exact-size slab each, and every row is a capped window of them, so
+// the decode costs a fixed handful of allocations however many rows there
+// are. A row whose indices are negative or not strictly increasing is
+// rejected.
+func decodeLabeledCols(r *codec.Reader) ([]data.Labeled, error) {
+	n, err := r.Len()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]data.Labeled, n)
+	for i := range out {
+		if out[i].Y, err = r.Float64(); err != nil {
+			return nil, err
+		}
+	}
+	ends := make([]int, n)
+	sum := 0
+	for i := range ends {
+		k, err := r.Len()
+		if err != nil {
+			return nil, err
+		}
+		sum += k
+		ends[i] = sum
+	}
+	total, err := r.Len()
+	if err != nil {
+		return nil, err
+	}
+	if total != sum {
+		return nil, fmt.Errorf("core: vectorized rows hold %d features, total says %d", sum, total)
+	}
+	idx := make([]int, total)
+	for k := range idx {
+		if idx[k], err = r.Int(); err != nil {
+			return nil, err
+		}
+	}
+	vals := make([]float64, total)
+	for k := range vals {
+		if vals[k], err = r.Float64(); err != nil {
+			return nil, err
+		}
+	}
+	start := 0
+	for i, end := range ends {
+		out[i].X = data.Vector{Indices: idx[start:end:end], Values: vals[start:end:end]}
+		if err := out[i].X.Validate(); err != nil {
+			return nil, fmt.Errorf("core: vectorized row %d: %w", i, err)
+		}
+		start = end
+	}
+	return out, nil
 }

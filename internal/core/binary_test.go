@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -25,20 +26,20 @@ func roundTrip(t *testing.T, v any) any {
 }
 
 func TestFeatureColumnRoundTrip(t *testing.T) {
-	fc := FeatureColumn{
-		Train: []data.FeatureMap{{"age": 39, "occ=Sales": 1}, {"age": 20}},
-		Test:  []data.FeatureMap{{"age": 50}},
-	}
+	fc := columnFromMaps(
+		[]data.FeatureMap{{"age": 39, "occ=Sales": 1}, {"age": 20}},
+		[]data.FeatureMap{{"age": 50}, {}},
+	)
 	got := roundTrip(t, fc).(FeatureColumn)
 	if !reflect.DeepEqual(got, fc) {
-		t.Errorf("round trip:\n%v\n%v", got, fc)
+		t.Errorf("round trip:\n%+v\n%+v", got, fc)
 	}
 }
 
 func TestFeatureColumnEmpty(t *testing.T) {
 	got := roundTrip(t, FeatureColumn{}).(FeatureColumn)
-	if len(got.Train) != 0 || len(got.Test) != 0 {
-		t.Errorf("empty round trip: %v", got)
+	if got.Train.Len() != 0 || got.Test.Len() != 0 || len(got.Names) != 0 {
+		t.Errorf("empty round trip: %+v", got)
 	}
 }
 
@@ -127,7 +128,8 @@ func TestQuickFeatureColumnRoundTrip(t *testing.T) {
 			}
 			return out
 		}
-		fc := FeatureColumn{Train: gen(rng.Intn(20)), Test: gen(rng.Intn(10))}
+		train, test := gen(rng.Intn(20)), gen(rng.Intn(10))
+		fc := columnFromMaps(train, test)
 		raw, err := store.Encode(fc)
 		if err != nil {
 			return false
@@ -136,7 +138,13 @@ func TestQuickFeatureColumnRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(got.(FeatureColumn), fc)
+		again, err := store.Encode(got)
+		if err != nil || !bytes.Equal(again, raw) {
+			return false
+		}
+		dec := got.(FeatureColumn)
+		return reflect.DeepEqual(rowMaps(dec, dec.Train), train) &&
+			reflect.DeepEqual(rowMaps(dec, dec.Test), test)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

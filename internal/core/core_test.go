@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -291,9 +292,29 @@ func TestSessionSpillTierKeepsReuseUnderPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The ML iteration reuses data prep: nothing upstream of income is
+	// recomputed. income itself is loaded or re-featurized from the hot
+	// columns, whichever the optimizer prices lower; with featurize at
+	// ~70 µs against a 12 KB cold load both choices occur, and
+	// re-featurizing is the faster one (a cold load pays its promotion).
 	g := rep2.Graph
-	if st := rep2.Plan.States[g.Lookup("income")]; st == opt.Compute {
-		t.Errorf("income recomputed on ML iteration despite tiered store (state=%v)", st)
+	for _, name := range []string{"data", "rows", "age", "edu", "ageBucket", "occ"} {
+		if st := rep2.Plan.States[g.Lookup(name)]; st == opt.Compute {
+			t.Errorf("%s recomputed on ML iteration despite tiered store", name)
+		}
+	}
+	// Either way the tiers still hold the vectorized dataset, byte for
+	// byte what the unbudgeted probe stored.
+	income := rep2.Keys[g.Lookup("income")]
+	held, err := s.Store().GetBytes(income)
+	if err != nil {
+		held, err = s.Spill().GetBytes(income)
+	}
+	if err != nil {
+		t.Fatalf("income dropped by the tiered store: %v", err)
+	}
+	if want, err := probe.Store().GetBytes(income); err != nil || !bytes.Equal(held, want) {
+		t.Errorf("tiered income differs from the probe's (%d vs %d bytes, err=%v)", len(held), len(want), err)
 	}
 	c := s.TierCounters()
 	if c.Spills == 0 || c.Spills != rep1.Spills+rep2.Spills {

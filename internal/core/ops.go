@@ -5,9 +5,10 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/data"
 	"repro/internal/ml"
@@ -132,26 +133,63 @@ func (e *extractorOp) Apply(inputs []any) (any, error) {
 	if err := ex.Fit(cp.Train); err != nil {
 		return nil, err
 	}
-	extract := func(c *data.Collection) ([]data.FeatureMap, error) {
-		out := make([]data.FeatureMap, c.Len())
-		for i := 0; i < c.Len(); i++ {
-			fm := make(data.FeatureMap, 2)
-			if err := ex.Extract(c, i, fm); err != nil {
-				return nil, fmt.Errorf("core: %s row %d: %w", e.typ, i, err)
-			}
-			out[i] = fm
+	b := columnBuilder{ids: make(map[string]int32), fm: make(data.FeatureMap, 2)}
+	train, err := b.extract(e.typ, ex, cp.Train)
+	if err != nil {
+		return nil, err
+	}
+	test, err := b.extract(e.typ, ex, cp.Test)
+	if err != nil {
+		return nil, err
+	}
+	return FeatureColumn{Names: b.names, Train: train, Test: test}, nil
+}
+
+// columnBuilder lays an extractor's rows out as a FeatureColumn: one scratch
+// map receives each row, and names are interned into ids on first sight, so
+// a row allocates nothing once its names are known.
+type columnBuilder struct {
+	names    []string
+	ids      map[string]int32
+	fm       data.FeatureMap
+	rowNames []string
+}
+
+// extract runs ex over every row of c.
+func (b *columnBuilder) extract(op string, ex data.Extractor, c *data.Collection) (FeatureRows, error) {
+	n := c.Len()
+	rows := FeatureRows{Start: make([]int32, 1, n+1), ID: make([]int32, 0, n), Val: make([]float64, 0, n)}
+	for i := 0; i < n; i++ {
+		clear(b.fm)
+		if err := ex.Extract(c, i, b.fm); err != nil {
+			return FeatureRows{}, fmt.Errorf("core: %s row %d: %w", op, i, err)
 		}
-		return out, nil
+		b.appendRow(&rows, b.fm)
+		if len(rows.ID) > math.MaxInt32 {
+			return FeatureRows{}, fmt.Errorf("core: %s: more than %d features in one column", op, math.MaxInt32)
+		}
 	}
-	train, err := extract(cp.Train)
-	if err != nil {
-		return nil, err
+	return rows, nil
+}
+
+// appendRow adds fm as the next row, its names in sorted order.
+func (b *columnBuilder) appendRow(rows *FeatureRows, fm data.FeatureMap) {
+	b.rowNames = b.rowNames[:0]
+	for name := range fm {
+		b.rowNames = append(b.rowNames, name)
 	}
-	test, err := extract(cp.Test)
-	if err != nil {
-		return nil, err
+	slices.Sort(b.rowNames)
+	for _, name := range b.rowNames {
+		id, ok := b.ids[name]
+		if !ok {
+			id = int32(len(b.names))
+			b.ids[name] = id
+			b.names = append(b.names, name)
+		}
+		rows.ID = append(rows.ID, id)
+		rows.Val = append(rows.Val, fm[name])
 	}
-	return FeatureColumn{Train: train, Test: test}, nil
+	rows.Start = append(rows.Start, int32(len(rows.ID)))
 }
 
 // Field declares a FieldExtractor node (paper: `age refers_to
@@ -231,27 +269,46 @@ func (cl *Clean) Apply(inputs []any) (any, error) {
 		modes[j] = best
 	}
 	cleanSide := func(c *data.Collection) *data.Collection {
-		out := data.NewCollection(c.Schema)
-		out.Rows = make([]data.Row, len(c.Rows))
+		out := &data.Collection{Schema: c.Schema, Rows: make([]data.Row, len(c.Rows))}
+		slab := make([]string, 0, len(c.Rows)*ncols)
 		for i, row := range c.Rows {
-			fields := make([]string, len(row.Fields))
+			start := len(slab)
 			for j, f := range row.Fields {
 				v := normalizeField(f)
 				if isMissing(v) {
 					v = modes[j]
 				}
-				fields[j] = v
+				slab = append(slab, v)
 			}
-			out.Rows[i] = data.Row{Fields: fields}
+			out.Rows[i] = data.Row{Fields: slab[start:len(slab):len(slab)]}
 		}
 		return out
 	}
 	return CollectionPair{Train: cleanSide(cp.Train), Test: cleanSide(cp.Test)}, nil
 }
 
-// normalizeField trims outer whitespace and collapses internal runs.
+// normalizeField trims outer whitespace and collapses internal runs. A cell
+// that is already normal is returned as is.
 func normalizeField(s string) string {
+	if isNormalASCII(s) {
+		return s
+	}
 	return strings.Join(strings.Fields(s), " ")
+}
+
+// isNormalASCII reports whether strings.Fields/Join would return s
+// unchanged for a reason cheap to see: s is ASCII, holds no whitespace but
+// single spaces, and neither starts nor ends with one.
+func isNormalASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= utf8.RuneSelf, c == '\t', c == '\n', c == '\v', c == '\f', c == '\r':
+			return false
+		case c == ' ' && (i == 0 || i == len(s)-1 || s[i+1] == ' '):
+			return false
+		}
+	}
+	return true
 }
 
 // isMissing recognizes the missing-value markers census extracts use.
@@ -299,52 +356,63 @@ func (f *Featurize) Apply(inputs []any) (any, error) {
 	}
 	label := &data.BinaryLabel{Col: f.labelCol, Positive: f.positive}
 	dict := data.NewDictionary()
-	vectorize := func(c *data.Collection, side func(FeatureColumn) []data.FeatureMap) ([]data.Labeled, error) {
-		out := make([]data.Labeled, c.Len())
-		scratch := make(map[int]float64, 2*len(columns))
-		rowNames := make([]string, 0, 4)
-		for i := 0; i < c.Len(); i++ {
-			clear(scratch)
+	// dictIdx[ci][id] is column ci's name id in dict: unresolved until the
+	// name is first seen, -1 once the frozen test dictionary dropped it.
+	const unresolved = -2
+	dictIdx := make([][]int, len(columns))
+	for ci, col := range columns {
+		dictIdx[ci] = make([]int, len(col.Names))
+		for id := range dictIdx[ci] {
+			dictIdx[ci][id] = unresolved
+		}
+	}
+	vectorize := func(c *data.Collection, side func(FeatureColumn) FeatureRows) ([]data.Labeled, error) {
+		n := c.Len()
+		bound := 0
+		for ci, col := range columns {
+			rows := side(col)
+			if rows.Len() != n {
+				return nil, fmt.Errorf("core: featurize: column %d has %d rows, collection has %d", ci, rows.Len(), n)
+			}
+			bound += len(rows.ID)
+		}
+		// One slab per half; each row is a capped window of it, sorted by
+		// dictionary index, and a name two columns emit keeps the later
+		// column's value.
+		idx := make([]int, 0, bound)
+		val := make([]float64, 0, bound)
+		out := make([]data.Labeled, n)
+		for i := 0; i < n; i++ {
+			start := len(idx)
 			for ci, col := range columns {
-				maps := side(col)
-				if len(maps) != c.Len() {
-					return nil, fmt.Errorf("core: featurize: column %d has %d rows, collection has %d", ci, len(maps), c.Len())
-				}
-				// Deterministic dictionary order: sort this row's names
-				// within the column (maps are tiny, 1–2 entries).
-				rowNames = rowNames[:0]
-				for name := range maps[i] {
-					rowNames = append(rowNames, name)
-				}
-				sort.Strings(rowNames)
-				for _, name := range rowNames {
-					if idx := dict.Add(name); idx >= 0 {
-						scratch[idx] = maps[i][name]
+				rows, tbl := side(col), dictIdx[ci]
+				for k := rows.Start[i]; k < rows.Start[i+1]; k++ {
+					id := rows.ID[k]
+					d := tbl[id]
+					if d == unresolved {
+						d = dict.Add(col.Names[id])
+						tbl[id] = d
+					}
+					if d >= 0 {
+						idx, val = insertFeature(idx, val, start, d, rows.Val[k])
 					}
 				}
-			}
-			v := data.Vector{Indices: make([]int, 0, len(scratch)), Values: make([]float64, 0, len(scratch))}
-			for idx := range scratch {
-				v.Indices = append(v.Indices, idx)
-			}
-			sort.Ints(v.Indices)
-			for _, idx := range v.Indices {
-				v.Values = append(v.Values, scratch[idx])
 			}
 			y, err := label.ExtractLabel(c, i)
 			if err != nil {
 				return nil, err
 			}
-			out[i] = data.Labeled{X: v, Y: y}
+			end := len(idx)
+			out[i] = data.Labeled{X: data.Vector{Indices: idx[start:end:end], Values: val[start:end:end]}, Y: y}
 		}
 		return out, nil
 	}
-	train, err := vectorize(cp.Train, func(fc FeatureColumn) []data.FeatureMap { return fc.Train })
+	train, err := vectorize(cp.Train, func(fc FeatureColumn) FeatureRows { return fc.Train })
 	if err != nil {
 		return nil, fmt.Errorf("core: featurize train: %w", err)
 	}
 	dict.Freeze()
-	test, err := vectorize(cp.Test, func(fc FeatureColumn) []data.FeatureMap { return fc.Test })
+	test, err := vectorize(cp.Test, func(fc FeatureColumn) FeatureRows { return fc.Test })
 	if err != nil {
 		return nil, fmt.Errorf("core: featurize test: %w", err)
 	}
@@ -363,6 +431,21 @@ func (f *Featurize) Apply(inputs []any) (any, error) {
 		Dim:   dict.Len(),
 		Names: names,
 	}, nil
+}
+
+// insertFeature adds (d, v) to the row occupying idx[start:], keeping it
+// sorted by index; an index already present takes the new value. Rows hold
+// a handful of features, so insertion is a short shift.
+func insertFeature(idx []int, val []float64, start, d int, v float64) ([]int, []float64) {
+	k := len(idx)
+	for k > start && idx[k-1] > d {
+		k--
+	}
+	if k > start && idx[k-1] == d {
+		val[k-1] = v
+		return idx, val
+	}
+	return slices.Insert(idx, k, d), slices.Insert(val, k, v)
 }
 
 // scaleMaxAbs divides every feature by its maximum absolute value on the

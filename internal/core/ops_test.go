@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -82,14 +83,22 @@ func TestExtractorOpProducesColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	fc := out.(FeatureColumn)
-	if len(fc.Train) != 2 || len(fc.Test) != 1 {
-		t.Fatalf("column sizes: %d/%d", len(fc.Train), len(fc.Test))
+	if fc.Train.Len() != 2 || fc.Test.Len() != 1 {
+		t.Fatalf("column sizes: %d/%d", fc.Train.Len(), fc.Test.Len())
 	}
-	if fc.Train[0]["occ=Sales"] != 1 || fc.Train[1]["occ=Tech"] != 1 {
-		t.Errorf("train features: %v", fc.Train)
+	train, test := rowMaps(fc, fc.Train), rowMaps(fc, fc.Test)
+	if train[0]["occ=Sales"] != 1 || train[1]["occ=Tech"] != 1 {
+		t.Errorf("train features: %v", train)
 	}
-	if fc.Test[0]["occ=Sales"] != 1 {
-		t.Errorf("test features: %v", fc.Test)
+	if test[0]["occ=Sales"] != 1 {
+		t.Errorf("test features: %v", test)
+	}
+	// Names are interned in first-seen order; the test row reuses an id.
+	if want := []string{"occ=Sales", "occ=Tech"}; !reflect.DeepEqual(fc.Names, want) {
+		t.Errorf("names = %v, want %v", fc.Names, want)
+	}
+	if !reflect.DeepEqual(fc.Test.ID, []int32{0}) {
+		t.Errorf("test ids = %v", fc.Test.ID)
 	}
 }
 
@@ -105,8 +114,8 @@ func TestBucketOpFitsOnTrainOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	fc := out.(FeatureColumn)
-	if fc.Test[0]["age_bucket=3"] != 1 {
-		t.Errorf("test bucket: %v", fc.Test[0])
+	if test := rowMaps(fc, fc.Test); test[0]["age_bucket=3"] != 1 {
+		t.Errorf("test bucket: %v", test[0])
 	}
 }
 

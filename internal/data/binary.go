@@ -213,6 +213,15 @@ func encodeCollection(w *codec.Writer, c *Collection) {
 	}
 }
 
+// maxPrealloc caps the cells decodeCollection reserves up front. Row and
+// column counts are each checked against the buffer, but their product is
+// not, so a corrupt payload could otherwise ask for a huge slab before the
+// truncation that rejects it; larger collections grow past the cap.
+const maxPrealloc = 1 << 20
+
+// decodeCollection rebuilds a collection whose rows all share one backing
+// []string. A row whose arity differs from the schema's is rejected:
+// operators index fields by schema position.
 func decodeCollection(r *codec.Reader) (*Collection, error) {
 	schema, err := decodeSchema(r)
 	if err != nil {
@@ -222,20 +231,27 @@ func decodeCollection(r *codec.Reader) (*Collection, error) {
 	if err != nil {
 		return nil, err
 	}
+	ncols := schema.Len()
 	rows := make([]Row, nrows)
+	slab := make([]string, 0, min(nrows*ncols, maxPrealloc))
 	table := codec.NewReadStringTable()
 	for i := range rows {
 		nf, err := r.Len()
 		if err != nil {
 			return nil, err
 		}
-		fields := make([]string, nf)
-		for j := range fields {
-			if fields[j], err = table.Read(r); err != nil {
+		if nf != ncols {
+			return nil, fmt.Errorf("data: row %d has %d fields, schema has %d", i, nf, ncols)
+		}
+		start := len(slab)
+		for j := 0; j < nf; j++ {
+			f, err := table.Read(r)
+			if err != nil {
 				return nil, err
 			}
+			slab = append(slab, f)
 		}
-		rows[i] = Row{Fields: fields}
+		rows[i] = Row{Fields: slab[start:len(slab):len(slab)]}
 	}
 	return &Collection{Schema: schema, Rows: rows}, nil
 }
@@ -312,32 +328,6 @@ func decodeFeatureMap(r *codec.Reader, table *codec.ReadStringTable) (FeatureMap
 		fm[name] = val
 	}
 	return fm, nil
-}
-
-// EncodeFeatureMapsSorted writes a slice of feature maps, each in sorted key
-// order, with names interned through a shared string table. Exposed for the
-// composite value types in internal/core.
-func EncodeFeatureMapsSorted(w *codec.Writer, table *codec.StringTable, maps []FeatureMap) {
-	w.Len(len(maps))
-	var keys []string
-	for _, fm := range maps {
-		keys = encodeFeatureMapReuse(w, table, fm, keys)
-	}
-}
-
-// DecodeFeatureMapsSorted reverses EncodeFeatureMapsSorted.
-func DecodeFeatureMapsSorted(r *codec.Reader, table *codec.ReadStringTable) ([]FeatureMap, error) {
-	n, err := r.Len()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]FeatureMap, n)
-	for i := range out {
-		if out[i], err = decodeFeatureMap(r, table); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 func encodeExampleSet(w *codec.Writer, s *ExampleSet) {
@@ -430,53 +420,9 @@ func decodeVector(r *codec.Reader) (Vector, error) {
 			return Vector{}, err
 		}
 	}
-	return Vector{Indices: idx, Values: vals}, nil
-}
-
-// EncodeLabeled writes vectorized examples as flat arrays.
-func EncodeLabeled(w *codec.Writer, set []Labeled) {
-	w.Len(len(set))
-	for _, ex := range set {
-		w.Float64(ex.Y)
-		w.Len(len(ex.X.Indices))
-		for _, i := range ex.X.Indices {
-			w.Int(i)
-		}
-		for _, v := range ex.X.Values {
-			w.Float64(v)
-		}
+	v := Vector{Indices: idx, Values: vals}
+	if err := v.Validate(); err != nil {
+		return Vector{}, err
 	}
-}
-
-// DecodeLabeled reverses EncodeLabeled.
-func DecodeLabeled(r *codec.Reader) ([]Labeled, error) {
-	n, err := r.Len()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Labeled, n)
-	for i := range out {
-		y, err := r.Float64()
-		if err != nil {
-			return nil, err
-		}
-		nnz, err := r.Len()
-		if err != nil {
-			return nil, err
-		}
-		idx := make([]int, nnz)
-		for k := range idx {
-			if idx[k], err = r.Int(); err != nil {
-				return nil, err
-			}
-		}
-		vals := make([]float64, nnz)
-		for k := range vals {
-			if vals[k], err = r.Float64(); err != nil {
-				return nil, err
-			}
-		}
-		out[i] = Labeled{X: Vector{Indices: idx, Values: vals}, Y: y}
-	}
-	return out, nil
+	return v, nil
 }

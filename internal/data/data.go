@@ -59,6 +59,14 @@ func (s *Schema) Index(name string) int {
 	return -1
 }
 
+// column is Index with an error naming an unknown column.
+func (s *Schema) column(name string) (int, error) {
+	if i, ok := s.index[name]; ok {
+		return i, nil
+	}
+	return -1, fmt.Errorf("data: unknown column %q", name)
+}
+
 // Collection is HELIX's DataCollection: a schema plus rows. Collections are
 // value-like: operators produce new collections rather than mutating inputs,
 // which is what makes materialized intermediates safe to reuse.
@@ -81,10 +89,16 @@ func (c *Collection) Append(fields ...string) error {
 
 // Get returns row i's value for the named column.
 func (c *Collection) Get(i int, col string) (string, error) {
-	idx := c.Schema.Index(col)
-	if idx < 0 {
-		return "", fmt.Errorf("data: unknown column %q", col)
+	idx, err := c.Schema.column(col)
+	if err != nil {
+		return "", err
 	}
+	return c.At(i, idx)
+}
+
+// At returns row i's value at column position idx, for callers that
+// resolved the column once instead of by name per row.
+func (c *Collection) At(i, idx int) (string, error) {
 	if i < 0 || i >= len(c.Rows) {
 		return "", fmt.Errorf("data: row %d out of range (%d rows)", i, len(c.Rows))
 	}
@@ -149,24 +163,47 @@ func ParseCSVLine(line string) []string {
 
 // ScanCSV parses CSV text (one record per line, no header) into a collection
 // over the given schema. Blank lines are skipped; arity mismatches error
-// with the line number.
+// with the line number. Every row's fields are sub-slices of one backing
+// []string, and a line without quotes yields substrings of text rather than
+// copies.
 func ScanCSV(text string, schema *Schema) (*Collection, error) {
-	c := NewCollection(schema)
-	for lineNo, line := range strings.Split(text, "\n") {
+	ncols := schema.Len()
+	maxRows := strings.Count(text, "\n") + 1
+	slab := make([]string, 0, maxRows*ncols)
+	c := &Collection{Schema: schema, Rows: make([]Row, 0, maxRows)}
+	for lineNo, rest := 1, text; ; lineNo++ {
+		line, tail, more := strings.Cut(rest, "\n")
 		line = strings.TrimRight(line, "\r")
-		if strings.TrimSpace(line) == "" {
-			continue
+		if strings.TrimSpace(line) != "" {
+			start := len(slab)
+			if strings.IndexByte(line, '"') < 0 {
+				if n := strings.Count(line, ",") + 1; n != ncols {
+					return nil, fmt.Errorf("data: line %d has %d fields, want %d", lineNo, n, ncols)
+				}
+				for {
+					field, after, found := strings.Cut(line, ",")
+					slab = append(slab, strings.TrimSpace(field))
+					if !found {
+						break
+					}
+					line = after
+				}
+			} else {
+				fields := ParseCSVLine(line)
+				if len(fields) != ncols {
+					return nil, fmt.Errorf("data: line %d has %d fields, want %d", lineNo, len(fields), ncols)
+				}
+				for _, f := range fields {
+					slab = append(slab, strings.TrimSpace(f))
+				}
+			}
+			c.Rows = append(c.Rows, Row{Fields: slab[start:len(slab):len(slab)]})
 		}
-		fields := ParseCSVLine(line)
-		if len(fields) != schema.Len() {
-			return nil, fmt.Errorf("data: line %d has %d fields, want %d", lineNo+1, len(fields), schema.Len())
+		if !more {
+			return c, nil
 		}
-		for i := range fields {
-			fields[i] = strings.TrimSpace(fields[i])
-		}
-		c.Rows = append(c.Rows, Row{Fields: fields})
+		rest = tail
 	}
-	return c, nil
 }
 
 // ToCSV renders the collection back to CSV (no header), quoting fields that
@@ -298,6 +335,24 @@ func (v Vector) Dot(w []float64) float64 {
 		}
 	}
 	return s
+}
+
+// Validate checks the invariant the learners rely on: as many values as
+// indices, and indices non-negative and strictly increasing. Consumers
+// guard only the upper bound (an index beyond the weights contributes
+// zero), so a decoded vector must pass this before it is used.
+func (v Vector) Validate() error {
+	if len(v.Indices) != len(v.Values) {
+		return fmt.Errorf("data: vector has %d indices and %d values", len(v.Indices), len(v.Values))
+	}
+	prev := -1
+	for _, i := range v.Indices {
+		if i <= prev {
+			return fmt.Errorf("data: vector index %d after %d: indices must be non-negative and strictly increasing", i, prev)
+		}
+		prev = i
+	}
+	return nil
 }
 
 // L2 returns the squared Euclidean norm.

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/codec"
 )
 
 func TestSchemaBasics(t *testing.T) {
@@ -381,5 +383,104 @@ func TestQuickVectorizePreservesValues(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
+	}
+}
+
+// decodeNamed round-trips v through the value codec and returns the decode
+// error.
+func decodeNamed(t *testing.T, v any) error {
+	t.Helper()
+	var w codec.Writer
+	if err := codec.EncodeValue(&w, v); err != nil {
+		t.Fatal(err)
+	}
+	_, err := codec.DecodeValue(codec.NewReader(w.Bytes()))
+	return err
+}
+
+// A decoded vector must have non-negative, strictly increasing indices:
+// the learners guard only the upper bound.
+func TestVectorDecodersRejectBadIndices(t *testing.T) {
+	for _, idx := range [][]int{{-1, 2}, {3, 3}, {4, 1}} {
+		v := Vector{Indices: idx, Values: []float64{1, 2}}
+		if err := decodeNamed(t, v); err == nil {
+			t.Errorf("Vector with indices %v decoded", idx)
+		}
+		if err := decodeNamed(t, Labeled{X: v, Y: 1}); err == nil {
+			t.Errorf("Labeled with indices %v decoded", idx)
+		}
+	}
+	if err := decodeNamed(t, Vector{Indices: []int{0, 5}, Values: []float64{1, 2}}); err != nil {
+		t.Errorf("valid vector rejected: %v", err)
+	}
+}
+
+// A decoded collection whose row is shorter or longer than its schema is
+// rejected: operators index fields by schema position.
+func TestDecodeCollectionRejectsArity(t *testing.T) {
+	s := MustSchema("a", "b", "c")
+	for _, fields := range [][]string{{"1"}, {"1", "2", "3", "4"}} {
+		c := &Collection{Schema: s, Rows: []Row{{Fields: []string{"x", "y", "z"}}, {Fields: fields}}}
+		if err := decodeNamed(t, c); err == nil {
+			t.Errorf("collection with a %d-field row decoded", len(fields))
+		}
+	}
+}
+
+// Decoded rows share one backing slab, each capped so an append to one row
+// cannot overwrite the next.
+func TestDecodeCollectionSlab(t *testing.T) {
+	c := NewCollection(MustSchema("a", "b"))
+	for _, r := range [][]string{{"1", "x"}, {"2", "y"}, {"1", "x"}} {
+		if err := c.Append(r...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var w codec.Writer
+	if err := codec.EncodeValue(&w, c); err != nil {
+		t.Fatal(err)
+	}
+	v, err := codec.DecodeValue(codec.NewReader(w.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := v.(*Collection)
+	if !reflect.DeepEqual(got.Rows, c.Rows) {
+		t.Fatalf("rows %v, want %v", got.Rows, c.Rows)
+	}
+	for i, r := range got.Rows {
+		if cap(r.Fields) != len(r.Fields) {
+			t.Errorf("row %d not capped", i)
+		}
+	}
+}
+
+// ScanCSV yields the same rows as splitting every line with ParseCSVLine,
+// for quoted and unquoted lines alike, and reports arity errors with the
+// same line numbers.
+func TestScanCSVMatchesParseCSVLine(t *testing.T) {
+	s := MustSchema("a", "b", "c")
+	text := "1, x ,y\r\n\n\"q,1\",\"say \"\"hi\"\"\" , z\n  \n,,\nlast,row,here"
+	got, err := ScanCSV(text, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{{"1", "x", "y"}, {"q,1", `say "hi"`, "z"}, {"", "", ""}, {"last", "row", "here"}}
+	if len(got.Rows) != len(want) {
+		t.Fatalf("rows %v, want %v", got.Rows, want)
+	}
+	for i, r := range got.Rows {
+		if !reflect.DeepEqual(r.Fields, want[i]) || cap(r.Fields) != len(r.Fields) {
+			t.Errorf("row %d = %q (cap %d), want %q", i, r.Fields, cap(r.Fields), want[i])
+		}
+	}
+	for bad, want := range map[string]string{
+		"1,2,3\n\n1,2\n":       "data: line 3 has 2 fields, want 3",
+		"1,2,3\n\"a,b\",c\n":   "data: line 2 has 2 fields, want 3",
+		"1,2,3\r\n1,2,3,4\r\n": "data: line 2 has 4 fields, want 3",
+	} {
+		if _, err := ScanCSV(bad, s); err == nil || err.Error() != want {
+			t.Errorf("ScanCSV(%q) error = %v, want %q", bad, err, want)
+		}
 	}
 }

@@ -4,21 +4,42 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
 // Extractor turns one row into features, mirroring the paper's extractor
 // operators (FieldExtractor, Bucketizer, InteractionFeature). Extractors are
-// pure and deterministic; some (Bucketizer) need a Fit pass over the
-// training collection first.
+// deterministic; some (Bucketizer) need a Fit pass over the training
+// collection first. An extractor caches its column positions (per schema)
+// and the feature names it emits, so one instance is not safe for
+// concurrent use.
 type Extractor interface {
 	// Name identifies the extractor (used for signatures and provenance).
 	Name() string
 	// Fit observes the training collection to learn any statistics
 	// (bucket boundaries etc.). Stateless extractors return nil immediately.
 	Fit(c *Collection) error
-	// Extract appends this extractor's features for row i into fm.
+	// Extract adds this extractor's features for row i into fm.
 	Extract(c *Collection, i int, fm FeatureMap) error
+}
+
+// colRef resolves a named column once per schema instead of once per row.
+type colRef struct {
+	schema *Schema
+	idx    int
+}
+
+// get returns row i's value of col, with Collection.Get's errors.
+func (r *colRef) get(c *Collection, i int, col string) (string, error) {
+	if r.schema != c.Schema {
+		idx, err := c.Schema.column(col)
+		if err != nil {
+			return "", err
+		}
+		r.schema, r.idx = c.Schema, idx
+	}
+	return c.At(i, r.idx)
 }
 
 // FieldExtractor emits one feature per row from a single column: numeric
@@ -29,6 +50,10 @@ type FieldExtractor struct {
 	// Numeric forces numeric interpretation; parse failures become errors
 	// instead of falling back to one-hot.
 	Numeric bool
+
+	ref colRef
+	// oneHot caches "<col>=<value>" by value.
+	oneHot map[string]string
 }
 
 // Name implements Extractor.
@@ -37,9 +62,23 @@ func (f *FieldExtractor) Name() string { return "field(" + f.Col + ")" }
 // Fit implements Extractor (stateless).
 func (f *FieldExtractor) Fit(*Collection) error { return nil }
 
+// mayParse reports whether strconv.ParseFloat can accept a trimmed cell
+// starting with b: a digit, a sign, a point, or the first letter of "inf",
+// "infinity" or "nan" in either case. Every other cell is categorical
+// without a parse attempt.
+func mayParse(b byte) bool {
+	switch {
+	case b >= '0' && b <= '9':
+		return true
+	case b == '+' || b == '-' || b == '.' || b == 'i' || b == 'I' || b == 'n' || b == 'N':
+		return true
+	}
+	return false
+}
+
 // Extract implements Extractor.
 func (f *FieldExtractor) Extract(c *Collection, i int, fm FeatureMap) error {
-	v, err := c.Get(i, f.Col)
+	v, err := f.ref.get(c, i, f.Col)
 	if err != nil {
 		return err
 	}
@@ -51,11 +90,21 @@ func (f *FieldExtractor) Extract(c *Collection, i int, fm FeatureMap) error {
 		fm[f.Col] = x
 		return nil
 	}
-	if x, err := ParseFloat(v, f.Col); err == nil {
-		fm[f.Col] = x
-		return nil
+	name, known := f.oneHot[v]
+	if s := strings.TrimSpace(v); !known && s != "" && mayParse(s[0]) {
+		if x, err := strconv.ParseFloat(s, 64); err == nil {
+			fm[f.Col] = x
+			return nil
+		}
 	}
-	fm[f.Col+"="+v] = 1
+	if !known {
+		if f.oneHot == nil {
+			f.oneHot = make(map[string]string)
+		}
+		name = f.Col + "=" + v
+		f.oneHot[v] = name
+	}
+	fm[name] = 1
 	return nil
 }
 
@@ -70,6 +119,10 @@ type Bucketizer struct {
 	// the materialization store.
 	Lo, Width float64
 	Fitted    bool
+
+	ref colRef
+	// names[k] is "<col>_bucket=<k>", built on first use.
+	names []string
 }
 
 // Name implements Extractor.
@@ -82,7 +135,7 @@ func (b *Bucketizer) Fit(c *Collection) error {
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i := range c.Rows {
-		v, err := c.Get(i, b.Col)
+		v, err := b.ref.get(c, i, b.Col)
 		if err != nil {
 			return err
 		}
@@ -111,7 +164,7 @@ func (b *Bucketizer) Extract(c *Collection, i int, fm FeatureMap) error {
 	if !b.Fitted {
 		return fmt.Errorf("data: bucketizer %s used before Fit", b.Col)
 	}
-	v, err := c.Get(i, b.Col)
+	v, err := b.ref.get(c, i, b.Col)
 	if err != nil {
 		return err
 	}
@@ -126,7 +179,13 @@ func (b *Bucketizer) Extract(c *Collection, i int, fm FeatureMap) error {
 	if k >= b.Bins {
 		k = b.Bins - 1
 	}
-	fm[fmt.Sprintf("%s_bucket=%d", b.Col, k)] = 1
+	if len(b.names) != b.Bins {
+		b.names = make([]string, b.Bins)
+		for j := range b.names {
+			b.names[j] = b.Col + "_bucket=" + strconv.Itoa(j)
+		}
+	}
+	fm[b.names[k]] = 1
 	return nil
 }
 
@@ -135,6 +194,12 @@ func (b *Bucketizer) Extract(c *Collection, i int, fm FeatureMap) error {
 // paper's `InteractionFeature(Array(edu, occ))`.
 type InteractionFeature struct {
 	Cols []string
+
+	refs []colRef
+	// key is a scratch buffer for "v1|v2|..."; names caches the full
+	// feature name by that key.
+	key   []byte
+	names map[string]string
 }
 
 // Name implements Extractor.
@@ -148,15 +213,29 @@ func (x *InteractionFeature) Extract(c *Collection, i int, fm FeatureMap) error 
 	if len(x.Cols) < 2 {
 		return fmt.Errorf("data: interaction needs >=2 columns, got %d", len(x.Cols))
 	}
-	parts := make([]string, len(x.Cols))
+	if len(x.refs) != len(x.Cols) {
+		x.refs = make([]colRef, len(x.Cols))
+	}
+	x.key = x.key[:0]
 	for k, col := range x.Cols {
-		v, err := c.Get(i, col)
+		v, err := x.refs[k].get(c, i, col)
 		if err != nil {
 			return err
 		}
-		parts[k] = v
+		if k > 0 {
+			x.key = append(x.key, '|')
+		}
+		x.key = append(x.key, v...)
 	}
-	fm[strings.Join(x.Cols, "x")+"="+strings.Join(parts, "|")] = 1
+	name, ok := x.names[string(x.key)]
+	if !ok {
+		if x.names == nil {
+			x.names = make(map[string]string)
+		}
+		name = strings.Join(x.Cols, "x") + "=" + string(x.key)
+		x.names[name[len(name)-len(x.key):]] = name
+	}
+	fm[name] = 1
 	return nil
 }
 
@@ -165,11 +244,13 @@ func (x *InteractionFeature) Extract(c *Collection, i int, fm FeatureMap) error 
 type BinaryLabel struct {
 	Col      string
 	Positive string
+
+	ref colRef
 }
 
 // ExtractLabel returns the 0/1 label for row i.
 func (l *BinaryLabel) ExtractLabel(c *Collection, i int) (float64, error) {
-	v, err := c.Get(i, l.Col)
+	v, err := l.ref.get(c, i, l.Col)
 	if err != nil {
 		return 0, err
 	}

@@ -2,10 +2,13 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/store"
 )
 
@@ -36,6 +39,22 @@ func TestConcurrentIdenticalSubmissionsSingleFlight(t *testing.T) {
 
 	const n = 3
 	svc := newTestService(t, Config{SpillBudgetBytes: -1, MaxConcurrent: n})
+
+	// Barrier: hold the flight of the workflow's root node until all n
+	// runs have planned and parked on it. Without it a fast run can
+	// finish before the others plan, and they load its values instead of
+	// racing it. Releasing the hold as a failed leader hands leadership to
+	// one parked run, which computes the root itself; the other n-1 stay
+	// parked on that run's flight.
+	compiled, err := core.Compile(svc.workflow(&SubmitRequest{App: "census", Variant: variant}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := compiled.Tasks[compiled.Graph.Lookup("data")].Key
+	if leader, _ := svc.Tiers().BeginCompute(root); !leader {
+		t.Fatal("root node already in flight before any submission")
+	}
+
 	responses := make([]*SubmitResponse, n)
 	apiErrs := make([]*APIError, n)
 	var wg sync.WaitGroup
@@ -48,6 +67,15 @@ func TestConcurrentIdenticalSubmissionsSingleFlight(t *testing.T) {
 			})
 		}(i)
 	}
+	for deadline := time.Now().Add(5 * time.Second); svc.Tiers().InflightWaiters(root) < n; {
+		if time.Now().After(deadline) {
+			svc.Tiers().FinishCompute(root, nil, errors.New("barrier abandoned"))
+			wg.Wait()
+			t.Fatalf("only %d of %d runs parked on the root node", svc.Tiers().InflightWaiters(root), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	svc.Tiers().FinishCompute(root, nil, errors.New("barrier released"))
 	wg.Wait()
 
 	var computed, hits, recomputes int64

@@ -75,14 +75,15 @@ func exemplars(t *testing.T) map[string]any {
 			Test:  &data.Collection{Schema: schema, Rows: []data.Row{{Fields: []string{"1", "2", "3"}}}},
 		},
 		"core.FittedExtractor": core.FittedExtractor{Ex: &data.FieldExtractor{Col: "hours", Numeric: true}},
-		"core.FeatureColumn": core.FeatureColumn{
-			Train: []data.FeatureMap{{"age": 39}, {"age": 50}},
-			Test:  []data.FeatureMap{{"age": 22}},
+		"core.CSRFeatureColumn": core.FeatureColumn{
+			Names: []string{"occ=Sales", "age", "occ=Tech"},
+			Train: core.FeatureRows{Start: []int32{0, 2, 3}, ID: []int32{1, 0, 2}, Val: []float64{39, 1, 1}},
+			Test:  core.FeatureRows{Start: []int32{0, 1}, ID: []int32{1}, Val: []float64{22}},
 		},
-		"core.VecPair": core.VecPair{
-			Train: []data.Labeled{{X: vec, Y: 1}},
+		"core.ColumnarVecPair": core.VecPair{
+			Train: []data.Labeled{{X: vec, Y: 1}, {X: data.Vector{Indices: []int{2}, Values: []float64{4}}, Y: 0}},
 			Test:  []data.Labeled{{X: vec, Y: 0}},
-			Dim:   8,
+			Dim:   2,
 			Names: []string{"age", "hours"},
 		},
 		"core.Predictions": core.Predictions{
