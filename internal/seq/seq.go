@@ -7,6 +7,7 @@
 package seq
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 )
@@ -34,7 +35,8 @@ func TagName(t int) string {
 	}
 }
 
-// Instance is one sentence: per-token sparse feature indices and gold tags.
+// Instance is one sentence in nested form: per-token sparse feature indices
+// and gold tags. The learner reads the packed form, Corpus.
 type Instance struct {
 	// Feats[i] holds the active feature indices for token i (emission
 	// features, already mapped through a dictionary).
@@ -45,6 +47,75 @@ type Instance struct {
 
 // Len returns the number of tokens.
 func (in *Instance) Len() int { return len(in.Feats) }
+
+// Corpus is a batch of sentences in CSR form, one pointer-free slab per
+// level: sentence s is tokens Sent[s] to Sent[s+1], token k fires the
+// feature ids ID[Tok[k]:Tok[k+1]], and Tags[k] is token k's gold tag. An
+// unlabeled corpus has no Tags.
+type Corpus struct {
+	Sent []int32
+	Tok  []int32
+	ID   []int32
+	Tags []uint8
+}
+
+// Len returns the number of sentences.
+func (c *Corpus) Len() int { return max(len(c.Sent)-1, 0) }
+
+// Tokens returns the number of tokens.
+func (c *Corpus) Tokens() int { return max(len(c.Tok)-1, 0) }
+
+// Validate checks the layout: each offset slab starts at 0, never
+// decreases and ends at the length of the slab it indexes (an empty slab
+// may have no offsets at all), every id lies in [0, dim), and tags, if
+// any, are one per token and below NumTags.
+func (c *Corpus) Validate(dim int) error {
+	if err := checkOffsets(c.Sent, c.Tokens()); err != nil {
+		return fmt.Errorf("seq: sentence offsets: %w", err)
+	}
+	if err := checkOffsets(c.Tok, len(c.ID)); err != nil {
+		return fmt.Errorf("seq: token offsets: %w", err)
+	}
+	for _, id := range c.ID {
+		if id < 0 || int(id) >= dim {
+			return fmt.Errorf("seq: feature id %d outside [0, %d)", id, dim)
+		}
+	}
+	if c.Tags == nil {
+		return nil
+	}
+	if len(c.Tags) != c.Tokens() {
+		return fmt.Errorf("seq: %d tags for %d tokens", len(c.Tags), c.Tokens())
+	}
+	for _, t := range c.Tags {
+		if t >= NumTags {
+			return fmt.Errorf("seq: invalid tag %d", t)
+		}
+	}
+	return nil
+}
+
+// checkOffsets reports whether off indexes a slab of n elements.
+func checkOffsets(off []int32, n int) error {
+	if len(off) == 0 {
+		if n != 0 {
+			return fmt.Errorf("no offsets for %d elements", n)
+		}
+		return nil
+	}
+	if off[0] != 0 {
+		return fmt.Errorf("first offset is %d", off[0])
+	}
+	for i := 1; i < len(off); i++ {
+		if off[i] < off[i-1] {
+			return fmt.Errorf("offset %d decreases", i)
+		}
+	}
+	if int(off[len(off)-1]) != n {
+		return fmt.Errorf("offsets end at %d, slab holds %d", off[len(off)-1], n)
+	}
+	return nil
+}
 
 // Model is a linear sequence model: per-tag emission weights over the
 // feature space plus a tag-transition matrix. Exported fields for the
@@ -67,37 +138,58 @@ func NewModel(dim int) *Model {
 	return m
 }
 
-// emitScore sums emission weights for tag t over the active features.
-func (m *Model) emitScore(feats []int, t int) float64 {
-	var s float64
-	w := m.Emit[t]
-	for _, f := range feats {
-		if f >= 0 && f < len(w) {
-			s += w[f]
+// emitScores sums each tag's emission weights over the active features in
+// one pass, each tag in feature order. Features outside a tag's weights
+// are skipped.
+func (m *Model) emitScores(ids []int32) (e [NumTags]float64) {
+	w0, w1, w2 := m.Emit[TagO], m.Emit[TagB], m.Emit[TagI]
+	for _, f := range ids {
+		if uint(f) < uint(len(w0)) {
+			e[TagO] += w0[f]
+		}
+		if uint(f) < uint(len(w1)) {
+			e[TagB] += w1[f]
+		}
+		if uint(f) < uint(len(w2)) {
+			e[TagI] += w2[f]
 		}
 	}
-	return s
+	return e
 }
 
-// Decode runs Viterbi, returning the highest-scoring tag sequence under the
-// structural constraint that I may only follow B or I (a standard BIO
-// validity constraint, enforced with a -inf transition at decode time).
-func (m *Model) Decode(feats [][]int) []int {
-	n := len(feats)
+// Decoder is Viterbi scratch, reused across sentences so decoding
+// allocates only when a sentence is longer than any before it. The zero
+// value is ready to use; a Decoder is not safe for concurrent use.
+type Decoder struct {
+	score [][NumTags]float64
+	back  [][NumTags]uint8
+	tags  []uint8
+}
+
+// Decode runs Viterbi over sentence s of c, returning the highest-scoring
+// tag sequence under the structural constraint that I may only follow B or
+// I (a standard BIO validity constraint, enforced with a -inf transition at
+// decode time). The result is d's scratch, valid until the next call.
+func (d *Decoder) Decode(m *Model, c *Corpus, s int) []uint8 {
+	lo, hi := int(c.Sent[s]), int(c.Sent[s+1])
+	n := hi - lo
+	if n > len(d.tags) {
+		d.score = make([][NumTags]float64, n)
+		d.back = make([][NumTags]uint8, n)
+		d.tags = make([]uint8, n)
+	}
 	if n == 0 {
-		return nil
+		return d.tags[:0]
 	}
+	score, back, tags := d.score[:n], d.back[:n], d.tags[:n]
 	const negInf = -1e18
-	score := make([][NumTags]float64, n)
-	back := make([][NumTags]int, n)
+	e := m.emitScores(c.ID[c.Tok[lo]:c.Tok[lo+1]])
 	for t := 0; t < NumTags; t++ {
-		s := m.Trans[NumTags][t] + m.emitScore(feats[0], t)
-		if t == TagI { // I cannot start a sentence
-			s = negInf
-		}
-		score[0][t] = s
+		score[0][t] = m.Trans[NumTags][t] + e[t]
 	}
+	score[0][TagI] = negInf // I cannot start a sentence
 	for i := 1; i < n; i++ {
+		e := m.emitScores(c.ID[c.Tok[lo+i]:c.Tok[lo+i+1]])
 		for t := 0; t < NumTags; t++ {
 			best, bestP := negInf, 0
 			for p := 0; p < NumTags; p++ {
@@ -108,8 +200,8 @@ func (m *Model) Decode(feats [][]int) []int {
 					best, bestP = s, p
 				}
 			}
-			score[i][t] = best + m.emitScore(feats[i], t)
-			back[i][t] = bestP
+			score[i][t] = best + e[t]
+			back[i][t] = uint8(bestP)
 		}
 	}
 	// Trace back from the best final tag.
@@ -119,8 +211,7 @@ func (m *Model) Decode(feats [][]int) []int {
 			bestT, bestS = t, score[n-1][t]
 		}
 	}
-	tags := make([]int, n)
-	tags[n-1] = bestT
+	tags[n-1] = uint8(bestT)
 	for i := n - 1; i > 0; i-- {
 		tags[i-1] = back[i][tags[i]]
 	}
@@ -134,70 +225,60 @@ type TrainConfig struct {
 	Dim    int
 }
 
-// Train fits a structured perceptron with weight averaging. Each update adds
-// the gold feature vector and subtracts the predicted one, for both emission
-// and transition weights.
-func Train(insts []Instance, cfg TrainConfig) (*Model, error) {
+// Train fits a structured perceptron with weight averaging over a labeled
+// corpus. Each update adds the gold feature vector and subtracts the
+// predicted one, for both emission and transition weights.
+func Train(c Corpus, cfg TrainConfig) (*Model, error) {
 	if cfg.Dim <= 0 {
 		return nil, fmt.Errorf("seq: dimension must be positive, got %d", cfg.Dim)
 	}
 	if cfg.Epochs <= 0 {
 		return nil, fmt.Errorf("seq: epochs must be positive, got %d", cfg.Epochs)
 	}
-	if len(insts) == 0 {
+	if c.Len() == 0 {
 		return nil, fmt.Errorf("seq: empty training set")
 	}
-	for k, in := range insts {
-		if len(in.Tags) != len(in.Feats) {
-			return nil, fmt.Errorf("seq: instance %d has %d tags for %d tokens", k, len(in.Tags), len(in.Feats))
-		}
-		for _, t := range in.Tags {
-			if t < 0 || t >= NumTags {
-				return nil, fmt.Errorf("seq: instance %d has invalid tag %d", k, t)
-			}
-		}
+	if err := c.Validate(cfg.Dim); err != nil {
+		return nil, err
+	}
+	if c.Tags == nil && c.Tokens() > 0 {
+		return nil, fmt.Errorf("seq: training corpus has no tags")
 	}
 	m := NewModel(cfg.Dim)
 	sum := NewModel(cfg.Dim) // running sum for averaging
 	var steps float64 = 1
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	order := make([]int, len(insts))
+	order := make([]int, c.Len())
 	for i := range order {
 		order[i] = i
 	}
-	update := func(feats [][]int, tags []int, sign float64) {
+	// update adds sign to every weight that tags fire, tags[i] being the
+	// tag of token lo+i.
+	update := func(lo int, tags []uint8, sign float64) {
 		prev := NumTags
-		for i, fs := range feats {
-			t := tags[i]
-			for _, f := range fs {
-				if f >= 0 && f < cfg.Dim {
-					m.Emit[t][f] += sign
-					sum.Emit[t][f] += sign * steps
-				}
+		for i, t := range tags {
+			k := lo + i
+			for _, f := range c.ID[c.Tok[k]:c.Tok[k+1]] {
+				m.Emit[t][f] += sign
+				sum.Emit[t][f] += sign * steps
 			}
 			m.Trans[prev][t] += sign
 			sum.Trans[prev][t] += sign * steps
-			prev = t
+			prev = int(t)
 		}
 	}
+	var dec Decoder
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, idx := range order {
-			in := insts[idx]
-			if in.Len() == 0 {
+		for _, s := range order {
+			lo, hi := int(c.Sent[s]), int(c.Sent[s+1])
+			if lo == hi {
 				continue
 			}
-			pred := m.Decode(in.Feats)
-			same := true
-			for i := range pred {
-				if pred[i] != in.Tags[i] {
-					same = false
-					break
-				}
-			}
-			if !same {
-				update(in.Feats, in.Tags, +1)
-				update(in.Feats, pred, -1)
+			pred := dec.Decode(m, &c, s)
+			if gold := c.Tags[lo:hi]; !bytes.Equal(pred, gold) {
+				update(lo, gold, +1)
+				update(lo, pred, -1)
 			}
 			steps++
 		}
@@ -221,16 +302,15 @@ type Span struct {
 	Start, End int
 }
 
-// SpansFromTags converts a BIO tag sequence to mention spans. An I without a
-// preceding B or I is treated as B (standard lenient decoding).
-func SpansFromTags(tags []int) []Span {
-	var out []Span
+// SpansFromTags appends the mention spans of a BIO tag sequence to dst. An
+// I without a preceding B or I is treated as B (standard lenient decoding).
+func SpansFromTags(dst []Span, tags []uint8) []Span {
 	start := -1
 	for i, t := range tags {
 		switch t {
 		case TagB:
 			if start >= 0 {
-				out = append(out, Span{start, i})
+				dst = append(dst, Span{start, i})
 			}
 			start = i
 		case TagI:
@@ -239,28 +319,29 @@ func SpansFromTags(tags []int) []Span {
 			}
 		default:
 			if start >= 0 {
-				out = append(out, Span{start, i})
+				dst = append(dst, Span{start, i})
 				start = -1
 			}
 		}
 	}
 	if start >= 0 {
-		out = append(out, Span{start, len(tags)})
+		dst = append(dst, Span{start, len(tags)})
 	}
-	return out
+	return dst
 }
 
-// TagsFromSpans converts mention spans back to a BIO sequence of length n.
-// Overlapping spans are a caller bug and produce an error.
-func TagsFromSpans(spans []Span, n int) ([]int, error) {
-	tags := make([]int, n)
+// TagsFromSpans writes the BIO tags of mention spans over tags, which must
+// be all TagO. Spans outside tags or overlapping each other are a caller
+// bug and produce an error.
+func TagsFromSpans(tags []uint8, spans []Span) error {
+	n := len(tags)
 	for _, s := range spans {
 		if s.Start < 0 || s.End > n || s.Start >= s.End {
-			return nil, fmt.Errorf("seq: invalid span [%d,%d) for length %d", s.Start, s.End, n)
+			return fmt.Errorf("seq: invalid span [%d,%d) for length %d", s.Start, s.End, n)
 		}
 		for i := s.Start; i < s.End; i++ {
 			if tags[i] != TagO {
-				return nil, fmt.Errorf("seq: overlapping span at token %d", i)
+				return fmt.Errorf("seq: overlapping span at token %d", i)
 			}
 			if i == s.Start {
 				tags[i] = TagB
@@ -269,7 +350,7 @@ func TagsFromSpans(spans []Span, n int) ([]int, error) {
 			}
 		}
 	}
-	return tags, nil
+	return nil
 }
 
 // SpanF1 computes exact-match span precision/recall/F1 over a corpus:
@@ -331,19 +412,22 @@ func (d *FeatureDict) Add(name string) int {
 	return i
 }
 
+// AddBytes is Add for a name held in a byte slice. Looking up a known name
+// does not allocate; only a new name is copied into the dictionary.
+func (d *FeatureDict) AddBytes(name []byte) int {
+	if i, ok := d.index[string(name)]; ok {
+		return i
+	}
+	if d.frozen {
+		return -1
+	}
+	i := len(d.index)
+	d.index[string(name)] = i
+	return i
+}
+
 // Freeze stops growth.
 func (d *FeatureDict) Freeze() { d.frozen = true }
 
 // Len returns the number of features.
 func (d *FeatureDict) Len() int { return len(d.index) }
-
-// Map converts feature strings to indices, dropping unseen-when-frozen.
-func (d *FeatureDict) Map(names []string) []int {
-	out := make([]int, 0, len(names))
-	for _, n := range names {
-		if i := d.Add(n); i >= 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}

@@ -17,47 +17,51 @@ func TestTagName(t *testing.T) {
 
 func TestSpansFromTags(t *testing.T) {
 	cases := []struct {
-		tags []int
+		tags []uint8
 		want []Span
 	}{
-		{[]int{TagO, TagB, TagI, TagO}, []Span{{1, 3}}},
-		{[]int{TagB, TagB}, []Span{{0, 1}, {1, 2}}},
-		{[]int{TagB, TagI, TagI}, []Span{{0, 3}}},
-		{[]int{TagO, TagO}, nil},
-		{[]int{TagI, TagI, TagO}, []Span{{0, 2}}}, // lenient I-start
+		{[]uint8{TagO, TagB, TagI, TagO}, []Span{{1, 3}}},
+		{[]uint8{TagB, TagB}, []Span{{0, 1}, {1, 2}}},
+		{[]uint8{TagB, TagI, TagI}, []Span{{0, 3}}},
+		{[]uint8{TagO, TagO}, nil},
+		{[]uint8{TagI, TagI, TagO}, []Span{{0, 2}}}, // lenient I-start
 		{nil, nil},
 	}
 	for _, tc := range cases {
-		if got := SpansFromTags(tc.tags); !reflect.DeepEqual(got, tc.want) {
+		if got := SpansFromTags(nil, tc.tags); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("SpansFromTags(%v) = %v, want %v", tc.tags, got, tc.want)
 		}
+	}
+	// Appending keeps what dst held.
+	if got := SpansFromTags([]Span{{7, 8}}, []uint8{TagB}); !reflect.DeepEqual(got, []Span{{7, 8}, {0, 1}}) {
+		t.Errorf("SpansFromTags onto a prefix = %v", got)
 	}
 }
 
 func TestTagsFromSpansRoundTrip(t *testing.T) {
 	spans := []Span{{1, 3}, {4, 5}}
-	tags, err := TagsFromSpans(spans, 6)
-	if err != nil {
+	tags := make([]uint8, 6)
+	if err := TagsFromSpans(tags, spans); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{TagO, TagB, TagI, TagO, TagB, TagO}
+	want := []uint8{TagO, TagB, TagI, TagO, TagB, TagO}
 	if !reflect.DeepEqual(tags, want) {
 		t.Errorf("tags = %v, want %v", tags, want)
 	}
-	back := SpansFromTags(tags)
+	back := SpansFromTags(nil, tags)
 	if !reflect.DeepEqual(back, spans) {
 		t.Errorf("round trip = %v, want %v", back, spans)
 	}
 }
 
 func TestTagsFromSpansErrors(t *testing.T) {
-	if _, err := TagsFromSpans([]Span{{2, 1}}, 5); err == nil {
+	if err := TagsFromSpans(make([]uint8, 5), []Span{{2, 1}}); err == nil {
 		t.Error("inverted span accepted")
 	}
-	if _, err := TagsFromSpans([]Span{{0, 9}}, 5); err == nil {
+	if err := TagsFromSpans(make([]uint8, 5), []Span{{0, 9}}); err == nil {
 		t.Error("out-of-range span accepted")
 	}
-	if _, err := TagsFromSpans([]Span{{0, 3}, {2, 4}}, 5); err == nil {
+	if err := TagsFromSpans(make([]uint8, 5), []Span{{0, 3}, {2, 4}}); err == nil {
 		t.Error("overlap accepted")
 	}
 }
@@ -118,20 +122,77 @@ func TestFeatureDict(t *testing.T) {
 	if d.Len() != 2 {
 		t.Errorf("Len = %d", d.Len())
 	}
+	if d.AddBytes([]byte("y")) != 1 || d.AddBytes([]byte("w")) != 2 {
+		t.Error("AddBytes disagrees with Add")
+	}
 	d.Freeze()
-	if d.Add("z") != -1 {
+	if d.Add("z") != -1 || d.AddBytes([]byte("z")) != -1 {
 		t.Error("frozen dict grew")
 	}
-	got := d.Map([]string{"x", "z", "y"})
-	if len(got) != 2 {
-		t.Errorf("Map = %v", got)
+	if d.AddBytes([]byte("x")) != a || d.Len() != 3 {
+		t.Error("frozen dict lost a name")
 	}
+	name := []byte("x")
+	if allocs := testing.AllocsPerRun(10, func() { d.AddBytes(name) }); allocs != 0 {
+		t.Errorf("AddBytes of a known name: %v allocs", allocs)
+	}
+}
+
+// pack lays nested instances out as a corpus; tags are kept only when
+// every instance has them.
+func pack(insts []Instance) Corpus {
+	c := Corpus{Sent: []int32{0}, Tok: []int32{0}}
+	labeled := true
+	for _, in := range insts {
+		for _, fs := range in.Feats {
+			for _, f := range fs {
+				c.ID = append(c.ID, int32(f))
+			}
+			c.Tok = append(c.Tok, int32(len(c.ID)))
+		}
+		c.Sent = append(c.Sent, int32(len(c.Tok)-1))
+		labeled = labeled && len(in.Tags) > 0
+		for _, tg := range in.Tags {
+			c.Tags = append(c.Tags, uint8(tg))
+		}
+	}
+	if !labeled {
+		c.Tags = nil
+	}
+	return c
+}
+
+// decode runs Viterbi over one sentence's nested features.
+func decode(m *Model, feats [][]int) []uint8 {
+	c := pack([]Instance{{Feats: feats}})
+	var d Decoder
+	return d.Decode(m, &c, 0)
 }
 
 func TestDecodeEmpty(t *testing.T) {
 	m := NewModel(4)
-	if got := m.Decode(nil); got != nil {
-		t.Errorf("Decode(nil) = %v", got)
+	if got := decode(m, nil); len(got) != 0 {
+		t.Errorf("decode of an empty sentence = %v", got)
+	}
+}
+
+// A Decoder reused across sentences of different lengths gives what a
+// fresh one gives.
+func TestDecoderReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	dict := NewFeatureDict()
+	insts := synthCorpus(40, dict, rng)
+	m, err := Train(pack(insts), TrainConfig{Epochs: 2, Seed: 3, Dim: dict.Len()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := pack(insts)
+	var reused Decoder
+	for s := c.Len() - 1; s >= 0; s-- {
+		got := append([]uint8(nil), reused.Decode(m, &c, s)...)
+		if want := decode(m, insts[s].Feats); !reflect.DeepEqual(got, want) {
+			t.Fatalf("sentence %d: reused decoder %v, fresh %v", s, got, want)
+		}
 	}
 }
 
@@ -142,7 +203,7 @@ func TestDecodeBIOValidity(t *testing.T) {
 	m.Emit[TagI][0] = 100
 	m.Emit[TagO][0] = 99 // competitive O
 	feats := [][]int{{0}, {0}, {0}}
-	tags := m.Decode(feats)
+	tags := decode(m, feats)
 	if tags[0] == TagI {
 		t.Errorf("sentence-initial I: %v", tags)
 	}
@@ -190,7 +251,7 @@ func TestTrainLearnsSynthetic(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	dict := NewFeatureDict()
 	insts := synthCorpus(200, dict, rng)
-	m, err := Train(insts, TrainConfig{Epochs: 5, Seed: 1, Dim: dict.Len()})
+	m, err := Train(pack(insts), TrainConfig{Epochs: 5, Seed: 1, Dim: dict.Len()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +259,9 @@ func TestTrainLearnsSynthetic(t *testing.T) {
 	test := synthCorpus(50, dict, rng)
 	correct, total := 0, 0
 	for _, in := range test {
-		pred := m.Decode(in.Feats)
+		pred := decode(m, in.Feats)
 		for i := range pred {
-			if pred[i] == in.Tags[i] {
+			if int(pred[i]) == in.Tags[i] {
 				correct++
 			}
 			total++
@@ -213,30 +274,39 @@ func TestTrainLearnsSynthetic(t *testing.T) {
 }
 
 func TestTrainValidation(t *testing.T) {
-	good := Instance{Feats: [][]int{{0}}, Tags: []int{TagO}}
-	if _, err := Train([]Instance{good}, TrainConfig{Epochs: 1, Dim: 0}); err == nil {
+	good := pack([]Instance{{Feats: [][]int{{0}}, Tags: []int{TagO}}})
+	if _, err := Train(good, TrainConfig{Epochs: 1, Dim: 1}); err != nil {
+		t.Errorf("valid corpus rejected: %v", err)
+	}
+	if _, err := Train(good, TrainConfig{Epochs: 1, Dim: 0}); err == nil {
 		t.Error("dim=0 accepted")
 	}
-	if _, err := Train([]Instance{good}, TrainConfig{Epochs: 0, Dim: 1}); err == nil {
+	if _, err := Train(good, TrainConfig{Epochs: 0, Dim: 1}); err == nil {
 		t.Error("epochs=0 accepted")
 	}
-	if _, err := Train(nil, TrainConfig{Epochs: 1, Dim: 1}); err == nil {
+	if _, err := Train(Corpus{}, TrainConfig{Epochs: 1, Dim: 1}); err == nil {
 		t.Error("empty corpus accepted")
 	}
-	bad := Instance{Feats: [][]int{{0}}, Tags: []int{TagO, TagB}}
-	if _, err := Train([]Instance{bad}, TrainConfig{Epochs: 1, Dim: 1}); err == nil {
-		t.Error("tag/token mismatch accepted")
-	}
-	badTag := Instance{Feats: [][]int{{0}}, Tags: []int{9}}
-	if _, err := Train([]Instance{badTag}, TrainConfig{Epochs: 1, Dim: 1}); err == nil {
-		t.Error("invalid tag accepted")
+	for name, c := range map[string]Corpus{
+		"tag/token mismatch":   {Sent: []int32{0, 1}, Tok: []int32{0, 1}, ID: []int32{0}, Tags: []uint8{TagO, TagB}},
+		"invalid tag":          {Sent: []int32{0, 1}, Tok: []int32{0, 1}, ID: []int32{0}, Tags: []uint8{9}},
+		"no tags":              {Sent: []int32{0, 1}, Tok: []int32{0, 1}, ID: []int32{0}},
+		"id past dim":          {Sent: []int32{0, 1}, Tok: []int32{0, 1}, ID: []int32{1}, Tags: []uint8{TagO}},
+		"negative id":          {Sent: []int32{0, 1}, Tok: []int32{0, 1}, ID: []int32{-1}, Tags: []uint8{TagO}},
+		"token offsets short":  {Sent: []int32{0, 1}, Tok: []int32{0, 0}, ID: []int32{0}, Tags: []uint8{TagO}},
+		"sentence offsets dip": {Sent: []int32{0, 1, 0, 1}, Tok: []int32{0, 1}, ID: []int32{0}, Tags: []uint8{TagO}},
+		"offsets not from 0":   {Sent: []int32{1, 1}, Tok: []int32{0, 1}, ID: []int32{0}, Tags: []uint8{TagO}},
+	} {
+		if _, err := Train(c, TrainConfig{Epochs: 1, Dim: 1}); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
 func TestTrainDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	dict := NewFeatureDict()
-	insts := synthCorpus(30, dict, rng)
+	insts := pack(synthCorpus(30, dict, rng))
 	cfg := TrainConfig{Epochs: 3, Seed: 7, Dim: dict.Len()}
 	m1, err := Train(insts, cfg)
 	if err != nil {
@@ -261,11 +331,11 @@ func TestQuickSpansWellFormed(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := r.Intn(20)
-		tags := make([]int, n)
+		tags := make([]uint8, n)
 		for i := range tags {
-			tags[i] = r.Intn(NumTags)
+			tags[i] = uint8(r.Intn(NumTags))
 		}
-		spans := SpansFromTags(tags)
+		spans := SpansFromTags(nil, tags)
 		prevEnd := 0
 		for _, s := range spans {
 			if s.Start < prevEnd || s.End <= s.Start || s.End > n {
@@ -303,7 +373,7 @@ func TestQuickDecodeValid(t *testing.T) {
 				feats[i] = append(feats[i], r.Intn(dim))
 			}
 		}
-		tags := m.Decode(feats)
+		tags := decode(m, feats)
 		if len(tags) != n {
 			return false
 		}

@@ -8,6 +8,9 @@ package text
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
+
+	"repro/internal/seq"
 )
 
 // Token is one token with its character offsets in the source text.
@@ -19,9 +22,12 @@ type Token struct {
 
 // Tokenize splits text into word and punctuation tokens with offsets.
 // Contiguous letters/digits form one token; each punctuation rune is its own
-// token; whitespace separates.
-func Tokenize(text string) []Token {
-	var out []Token
+// token; whitespace separates. A byte that is not valid UTF-8 is a
+// one-byte punctuation token.
+func Tokenize(text string) []Token { return AppendTokens(nil, text) }
+
+// AppendTokens appends text's tokens to out, as Tokenize returns them.
+func AppendTokens(out []Token, text string) []Token {
 	start := -1
 	flush := func(end int) {
 		if start >= 0 {
@@ -39,7 +45,8 @@ func Tokenize(text string) []Token {
 			flush(i)
 		default: // punctuation
 			flush(i)
-			end := i + len(string(r))
+			_, n := utf8.DecodeRuneInString(text[i:])
+			end := i + n
 			out = append(out, Token{Text: text[i:end], Start: i, End: end})
 		}
 	}
@@ -52,14 +59,18 @@ type Sentence struct {
 	Tokens []Token
 }
 
+// EndsSentence reports whether a token with this text closes its sentence.
+func EndsSentence(tok string) bool { return tok == "." || tok == "!" || tok == "?" }
+
 // SplitSentences groups tokens into sentences at ., ! and ? boundaries.
-// The terminator stays with its sentence.
+// The terminator stays with its sentence, and the tokens after the last
+// terminator form a final sentence.
 func SplitSentences(tokens []Token) []Sentence {
 	var out []Sentence
 	var cur []Token
 	for _, t := range tokens {
 		cur = append(cur, t)
-		if t.Text == "." || t.Text == "!" || t.Text == "?" {
+		if EndsSentence(t.Text) {
 			out = append(out, Sentence{Tokens: cur})
 			cur = nil
 		}
@@ -72,11 +83,13 @@ func SplitSentences(tokens []Token) []Sentence {
 
 // Shape returns the orthographic shape of a token: uppercase→X,
 // lowercase→x, digit→d, other→p, with runs collapsed ("McDonald" → "XxXx").
-func Shape(s string) string {
-	var b strings.Builder
-	var prev rune
+func Shape(s string) string { return string(appendShape(nil, s)) }
+
+// appendShape appends s's shape to b.
+func appendShape(b []byte, s string) []byte {
+	var prev byte
 	for _, r := range s {
-		var c rune
+		var c byte
 		switch {
 		case unicode.IsUpper(r):
 			c = 'X'
@@ -88,11 +101,11 @@ func Shape(s string) string {
 			c = 'p'
 		}
 		if c != prev {
-			b.WriteRune(c)
+			b = append(b, c)
 			prev = c
 		}
 	}
-	return b.String()
+	return b
 }
 
 // IsCapitalized reports whether the token starts with an uppercase letter.
@@ -147,8 +160,32 @@ func DefaultFeatures() FeatureConfig {
 	return FeatureConfig{Word: true, Shape: true, Position: true}
 }
 
-// TokenFeatures emits feature strings for token i of a sentence under the
-// config. Feature strings feed the sequence model's sparse representation.
+// MaxFeatures is the most features one token can fire under the config:
+// the bound a caller sizes a feature-id slab by.
+func (c FeatureConfig) MaxFeatures() int {
+	n := 0
+	for _, t := range []struct {
+		on    bool
+		count int
+	}{
+		{c.Word, 1},
+		{c.Shape, 2}, // shape, cap
+		{c.Affixes, 6},
+		{c.Context, 2},
+		{c.Gazetteer, 1},
+		{c.Position, 1},
+	} {
+		if t.on {
+			n += t.count
+		}
+	}
+	return n
+}
+
+// TokenFeatures returns the feature names of token i of a sentence under the
+// config, in template order. It is the readable statement of the templates:
+// Featurizer.AppendIDs emits the ids of exactly these names, in this order,
+// without building them as strings.
 func TokenFeatures(sent []Token, i int, cfg FeatureConfig, gaz *Gazetteer) []string {
 	t := sent[i].Text
 	var fs []string
@@ -187,4 +224,98 @@ func TokenFeatures(sent []Token, i int, cfg FeatureConfig, gaz *Gazetteer) []str
 		fs = append(fs, "sent_start")
 	}
 	return fs
+}
+
+// Featurizer maps tokens to feature ids through a dictionary. It assembles
+// each feature name in one reused buffer and looks it up without building a
+// string, so a token costs no allocation unless it fires a name the
+// dictionary has not seen. It lowercases each distinct word once. A
+// Featurizer is not safe for concurrent use.
+type Featurizer struct {
+	cfg   FeatureConfig
+	gaz   *Gazetteer
+	dict  *seq.FeatureDict
+	lower map[string]string
+	name  []byte
+}
+
+// NewFeaturizer returns a featurizer that fires cfg's templates against gaz
+// (nil for none) and numbers feature names through dict. Once dict is
+// frozen, names it does not hold are dropped.
+func NewFeaturizer(cfg FeatureConfig, gaz *Gazetteer, dict *seq.FeatureDict) *Featurizer {
+	return &Featurizer{cfg: cfg, gaz: gaz, dict: dict, lower: make(map[string]string)}
+}
+
+// lowered returns strings.ToLower(w), computed once per distinct w.
+func (f *Featurizer) lowered(w string) string {
+	l, ok := f.lower[w]
+	if !ok {
+		l = strings.ToLower(w)
+		f.lower[w] = l
+	}
+	return l
+}
+
+// emit appends the id of the name in f.name to dst, unless the frozen
+// dictionary does not hold it.
+func (f *Featurizer) emit(dst []int32) []int32 {
+	if id := f.dict.AddBytes(f.name); id >= 0 {
+		dst = append(dst, int32(id))
+	}
+	return dst
+}
+
+// emitPrefixed sets f.name to prefix+s and emits it.
+func (f *Featurizer) emitPrefixed(dst []int32, prefix, s string) []int32 {
+	f.name = append(append(f.name[:0], prefix...), s...)
+	return f.emit(dst)
+}
+
+// AppendIDs appends the ids of TokenFeatures(sent, i, ...) to dst, in the
+// same order. Shape and affix names are written byte for byte as
+// TokenFeatures writes them; affixes slice the lowercased word by bytes.
+func (f *Featurizer) AppendIDs(dst []int32, sent []string, i int) []int32 {
+	cfg := f.cfg
+	t := sent[i]
+	var lower string
+	if cfg.Word || cfg.Affixes {
+		lower = f.lowered(t)
+	}
+	if cfg.Word {
+		dst = f.emitPrefixed(dst, "w=", lower)
+	}
+	if cfg.Shape {
+		f.name = appendShape(append(f.name[:0], "shape="...), t)
+		dst = f.emit(dst)
+		if IsCapitalized(t) {
+			dst = f.emitPrefixed(dst, "cap", "")
+		}
+	}
+	if cfg.Affixes {
+		for n := 1; n <= 3 && n <= len(lower); n++ {
+			f.name = append(append(f.name[:0], 'p', 'r', 'e', byte('0'+n), '='), lower[:n]...)
+			dst = f.emit(dst)
+			f.name = append(append(f.name[:0], 's', 'u', 'f', byte('0'+n), '='), lower[len(lower)-n:]...)
+			dst = f.emit(dst)
+		}
+	}
+	if cfg.Context {
+		if i > 0 {
+			dst = f.emitPrefixed(dst, "prev=", f.lowered(sent[i-1]))
+		} else {
+			dst = f.emitPrefixed(dst, "prev=<s>", "")
+		}
+		if i+1 < len(sent) {
+			dst = f.emitPrefixed(dst, "next=", f.lowered(sent[i+1]))
+		} else {
+			dst = f.emitPrefixed(dst, "next=</s>", "")
+		}
+	}
+	if cfg.Gazetteer && f.gaz != nil && f.gaz.Contains(t) {
+		dst = f.emitPrefixed(dst, "gaz", "")
+	}
+	if cfg.Position && i == 0 {
+		dst = f.emitPrefixed(dst, "sent_start", "")
+	}
+	return dst
 }

@@ -1,9 +1,13 @@
 package text
 
 import (
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/seq"
 )
 
 func tokenTexts(ts []Token) []string {
@@ -33,6 +37,26 @@ func TestTokenize(t *testing.T) {
 		got := tokenTexts(Tokenize(tc.in))
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("Tokenize(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}
+
+// A byte that is not valid UTF-8 is a one-byte punctuation token: it must
+// neither run past the end of the text nor overlap the next token.
+func TestTokenizeInvalidUTF8(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []Token
+	}{
+		{"ab\xff", []Token{{"ab", 0, 2}, {"\xff", 2, 3}}},
+		{"\xff", []Token{{"\xff", 0, 1}}},
+		{"a \xffbc", []Token{{"a", 0, 1}, {"\xff", 2, 3}, {"bc", 3, 5}}},
+		{"\xe2\x82", []Token{{"\xe2", 0, 1}, {"\x82", 1, 2}}},             // truncated 3-byte rune
+		{"x\uFFFDy", []Token{{"x", 0, 1}, {"\uFFFD", 1, 4}, {"y", 4, 5}}}, // a real U+FFFD is 3 bytes
+	}
+	for _, tc := range cases {
+		if got := Tokenize(tc.in); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Tokenize(%q) = %+v, want %+v", tc.in, got, tc.want)
 		}
 	}
 }
@@ -141,7 +165,7 @@ func TestTokenFeaturesMinimalConfig(t *testing.T) {
 // Property: tokenization offsets are monotone, non-overlapping, and each
 // token's text matches its span.
 func TestQuickTokenizeOffsets(t *testing.T) {
-	alphabet := []rune("ab C.!x 9,")
+	alphabet := []rune("ab C.!x 9,\uFFFDé")
 	f := func(seed int64) bool {
 		n := int(seed%97+97)%97 + 1
 		rs := make([]rune, n)
@@ -170,5 +194,101 @@ func TestQuickTokenizeOffsets(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// oracleIDs maps TokenFeatures' names through d one by one, dropping names
+// a frozen d does not hold: the string-per-feature path AppendIDs replaces.
+func oracleIDs(d *seq.FeatureDict, sent []string, i int, cfg FeatureConfig, gaz *Gazetteer) []int32 {
+	toks := make([]Token, len(sent))
+	for k, w := range sent {
+		toks[k] = Token{Text: w}
+	}
+	var out []int32
+	for _, n := range TokenFeatures(toks, i, cfg, gaz) {
+		if id := d.Add(n); id >= 0 {
+			out = append(out, int32(id))
+		}
+	}
+	return out
+}
+
+// configOf decodes the six template flags from the bits of k.
+func configOf(k int) FeatureConfig {
+	return FeatureConfig{
+		Word: k&1 != 0, Shape: k&2 != 0, Affixes: k&4 != 0,
+		Context: k&8 != 0, Gazetteer: k&16 != 0, Position: k&32 != 0,
+	}
+}
+
+// TestAppendIDsMatchesOracle: under every template combination, a
+// Featurizer gives every token the ids the string oracle gives, in order,
+// both while the dictionary grows (train) and once it is frozen (test).
+// The vocabulary has 1- and 2-byte tokens, gazetteer names, words whose
+// lowercase changes byte length so byte-sliced affixes cut a rune, and
+// words that occur only in the frozen half.
+func TestAppendIDsMatchesOracle(t *testing.T) {
+	vocab := []string{"a", "I", "of", "Mc", ".", ",", "Mary", "Smith", "mary", "the", "Merger",
+		"İ", "İstanbul", "Ärger", "ärger", "ÄÖÜ", "Σ", "naïve", "9", "3.14", "d'Arc", "\xff"}
+	testOnly := []string{"Zed", "zz", "Ωmega", "Unseen"}
+	gaz := NewGazetteer("Mary", "Smith", "İstanbul", "Zed")
+	sentences := func(rng *rand.Rand, n int, words []string) [][]string {
+		out := make([][]string, n)
+		for i := range out {
+			sent := make([]string, 1+rng.Intn(6)) // includes one-token sentences
+			for k := range sent {
+				sent[k] = words[rng.Intn(len(words))]
+			}
+			out[i] = sent
+		}
+		return out
+	}
+	for k := 0; k < 64; k++ {
+		cfg := configOf(k)
+		rng := rand.New(rand.NewSource(int64(k)))
+		train := sentences(rng, 30, vocab)
+		test := sentences(rng, 15, append(append([]string(nil), vocab...), testOnly...))
+		got, want := seq.NewFeatureDict(), seq.NewFeatureDict()
+		fz := NewFeaturizer(cfg, gaz, got)
+		check := func(half string, sents [][]string) {
+			for s, sent := range sents {
+				for i := range sent {
+					ids := fz.AppendIDs(nil, sent, i)
+					exp := oracleIDs(want, sent, i, cfg, gaz)
+					if len(ids) > cfg.MaxFeatures() {
+						t.Fatalf("%+v: %s sentence %d token %d fires %d ids, bound %d", cfg, half, s, i, len(ids), cfg.MaxFeatures())
+					}
+					if !reflect.DeepEqual(ids, exp) && len(ids)+len(exp) > 0 {
+						t.Fatalf("%+v: %s sentence %d token %d (%q): ids %v, oracle %v", cfg, half, s, i, sent[i], ids, exp)
+					}
+				}
+			}
+		}
+		check("train", train)
+		got.Freeze()
+		want.Freeze()
+		check("test", test)
+		if got.Len() != want.Len() {
+			t.Fatalf("%+v: dictionary has %d names, oracle's %d", cfg, got.Len(), want.Len())
+		}
+	}
+}
+
+// Once every name a sentence fires is in the dictionary, featurizing it
+// again allocates nothing.
+func TestAppendIDsAllocFree(t *testing.T) {
+	cfg := configOf(63)
+	sent := strings.Fields("Chief executive Mary Smith of Ärger Corp praised the merger .")
+	fz := NewFeaturizer(cfg, NewGazetteer("Mary"), seq.NewFeatureDict())
+	dst := make([]int32, 0, cfg.MaxFeatures()*len(sent))
+	featurize := func() {
+		dst = dst[:0]
+		for i := range sent {
+			dst = fz.AppendIDs(dst, sent, i)
+		}
+	}
+	featurize()
+	if allocs := testing.AllocsPerRun(20, featurize); allocs != 0 {
+		t.Errorf("featurizing a known sentence: %v allocs", allocs)
 	}
 }

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/codec"
 	"repro/internal/seq"
 )
@@ -13,62 +16,62 @@ func init() {
 	codec.RegisterValue(NewsData{}, "workload.NewsData",
 		func(w *codec.Writer, v any) error { encodeNewsData(w, v.(NewsData)); return nil },
 		func(r *codec.Reader) (any, error) { return decodeNewsData(r) })
-	codec.RegisterValue(TokenizedCorpus{}, "workload.TokenizedCorpus",
+	// The columnar IE layouts name their layout: a payload written under
+	// the slice-per-sentence names finds no decoder, so the store drops it
+	// and the engine recomputes the value instead of misreading it.
+	codec.RegisterValue(TokenizedCorpus{}, "workload.CSRTokenizedCorpus",
 		func(w *codec.Writer, v any) error {
 			tc := v.(TokenizedCorpus)
 			table := codec.NewStringTable()
-			encodeSents(w, table, tc.TrainSents)
-			encodeSents(w, table, tc.TestSents)
-			encodeSents(w, table, tc.TrainPersons)
-			encodeSents(w, table, tc.TestPersons)
+			for _, r := range []Ragged[string]{tc.TrainSents, tc.TestSents, tc.TrainPersons, tc.TestPersons} {
+				encodeWords(w, table, r)
+			}
 			return nil
 		},
 		func(r *codec.Reader) (any, error) {
 			var tc TokenizedCorpus
 			table := codec.NewReadStringTable()
-			var err error
-			if tc.TrainSents, err = decodeSents(r, table); err != nil {
-				return nil, err
+			for _, dst := range []*Ragged[string]{&tc.TrainSents, &tc.TestSents, &tc.TrainPersons, &tc.TestPersons} {
+				var err error
+				if *dst, err = decodeWords(r, table); err != nil {
+					return nil, err
+				}
 			}
-			if tc.TestSents, err = decodeSents(r, table); err != nil {
-				return nil, err
-			}
-			if tc.TrainPersons, err = decodeSents(r, table); err != nil {
-				return nil, err
-			}
-			if tc.TestPersons, err = decodeSents(r, table); err != nil {
-				return nil, err
+			// The aligner reads sentence i's persons from row i.
+			if tc.TrainPersons.Len() != tc.TrainSents.Len() || tc.TestPersons.Len() != tc.TestSents.Len() {
+				return nil, fmt.Errorf("workload: tokenized corpus has %d/%d person rows for %d/%d sentences",
+					tc.TrainPersons.Len(), tc.TestPersons.Len(), tc.TrainSents.Len(), tc.TestSents.Len())
 			}
 			return tc, nil
 		})
-	codec.RegisterValue(LabeledCorpus{}, "workload.LabeledCorpus",
+	codec.RegisterValue(LabeledCorpus{}, "workload.CSRLabeledCorpus",
 		func(w *codec.Writer, v any) error {
 			lc := v.(LabeledCorpus)
 			table := codec.NewStringTable()
-			encodeSents(w, table, lc.TrainSents)
-			encodeSents(w, table, lc.TestSents)
-			encodeInts2(w, lc.TrainTags)
-			encodeSpans2(w, lc.TrainGold)
-			encodeSpans2(w, lc.TestGold)
+			encodeWords(w, table, lc.TrainSents)
+			encodeWords(w, table, lc.TestSents)
+			w.ByteSlice(lc.TrainTags)
+			encodeSpanRows(w, lc.TrainGold)
+			encodeSpanRows(w, lc.TestGold)
 			return nil
 		},
 		func(r *codec.Reader) (any, error) {
 			var lc LabeledCorpus
 			table := codec.NewReadStringTable()
 			var err error
-			if lc.TrainSents, err = decodeSents(r, table); err != nil {
+			if lc.TrainSents, err = decodeWords(r, table); err != nil {
 				return nil, err
 			}
-			if lc.TestSents, err = decodeSents(r, table); err != nil {
+			if lc.TestSents, err = decodeWords(r, table); err != nil {
 				return nil, err
 			}
-			if lc.TrainTags, err = decodeInts2(r); err != nil {
+			if lc.TrainTags, err = decodeTags(r, len(lc.TrainSents.Vals)); err != nil {
 				return nil, err
 			}
-			if lc.TrainGold, err = decodeSpans2(r); err != nil {
+			if lc.TrainGold, err = decodeSpanRows(r, lc.TrainSents.Off); err != nil {
 				return nil, err
 			}
-			if lc.TestGold, err = decodeSpans2(r); err != nil {
+			if lc.TestGold, err = decodeSpanRows(r, lc.TestSents.Off); err != nil {
 				return nil, err
 			}
 			return lc, nil
@@ -95,54 +98,39 @@ func init() {
 			}
 			return GazValue{Entries: entries}, nil
 		})
-	codec.RegisterValue(SeqDataset{}, "workload.SeqDataset",
+	codec.RegisterValue(SeqDataset{}, "workload.CSRSeqDataset",
 		func(w *codec.Writer, v any) error {
 			ds := v.(SeqDataset)
-			w.Len(len(ds.TrainInsts))
-			for _, in := range ds.TrainInsts {
-				encodeInts2(w, in.Feats)
-				w.Len(len(in.Tags))
-				for _, t := range in.Tags {
-					w.Int(t)
-				}
-			}
-			encodeInts3(w, ds.TestFeats)
-			encodeSpans2(w, ds.TestGold)
 			w.Int(ds.Dim)
+			encodeCorpus(w, ds.Train)
+			w.ByteSlice(ds.Train.Tags)
+			encodeCorpus(w, ds.Test)
+			encodeSpanRows(w, ds.TestGold)
 			return nil
 		},
 		func(r *codec.Reader) (any, error) {
 			var ds SeqDataset
-			n, err := r.Len()
-			if err != nil {
-				return nil, err
-			}
-			insts := make([]seq.Instance, n)
-			for i := range insts {
-				feats, err := decodeInts2(r)
-				if err != nil {
-					return nil, err
-				}
-				k, err := r.Len()
-				if err != nil {
-					return nil, err
-				}
-				tags := make([]int, k)
-				for j := range tags {
-					if tags[j], err = r.Int(); err != nil {
-						return nil, err
-					}
-				}
-				insts[i] = seq.Instance{Feats: feats, Tags: tags}
-			}
-			ds.TrainInsts = insts
-			if ds.TestFeats, err = decodeInts3(r); err != nil {
-				return nil, err
-			}
-			if ds.TestGold, err = decodeSpans2(r); err != nil {
-				return nil, err
-			}
+			var err error
 			if ds.Dim, err = r.Int(); err != nil {
+				return nil, err
+			}
+			if ds.Train, err = decodeCorpus(r, ds.Dim); err != nil {
+				return nil, err
+			}
+			// Learners size their weights by Dim. Every dictionary entry
+			// was first fired by a training token, so a Dim past the
+			// number of training ids is corrupt rather than a huge
+			// allocation to attempt.
+			if ds.Dim < 0 || ds.Dim > len(ds.Train.ID) {
+				return nil, fmt.Errorf("workload: sequence dataset has Dim %d over %d training ids", ds.Dim, len(ds.Train.ID))
+			}
+			if ds.Train.Tags, err = decodeTags(r, ds.Train.Tokens()); err != nil {
+				return nil, err
+			}
+			if ds.Test, err = decodeCorpus(r, ds.Dim); err != nil {
+				return nil, err
+			}
+			if ds.TestGold, err = decodeSpanRows(r, ds.Test.Sent); err != nil {
 				return nil, err
 			}
 			return ds, nil
@@ -211,95 +199,167 @@ func decodeNewsData(r *codec.Reader) (NewsData, error) {
 	return nd, nil
 }
 
-// Columnar helpers for the IE values. Token text is heavily repetitive, so
-// sentences go through an interned string table; feature-index tensors
-// encode as flat varint arrays.
+// Columnar helpers for the IE values. A ragged value writes its row count,
+// each row's length and the total, then the values; offsets are rebuilt
+// from the lengths, so they are monotone by construction, and a decoder
+// rejects lengths that do not sum to the total. Token text is heavily
+// repetitive, so words go through an interned string table.
 
-func encodeSents(w *codec.Writer, table *codec.StringTable, sents [][]string) {
-	w.Len(len(sents))
-	for _, sent := range sents {
-		w.Len(len(sent))
-		for _, tok := range sent {
-			table.Write(w, tok)
-		}
+// encodeLens writes the row count and each row's length, then the total.
+func encodeLens(w *codec.Writer, off []int32) {
+	n := max(len(off)-1, 0)
+	w.Len(n)
+	total := 0
+	for i := 0; i < n; i++ {
+		k := int(off[i+1] - off[i])
+		w.Len(k)
+		total += k
 	}
+	w.Len(total)
 }
 
-func decodeSents(r *codec.Reader, table *codec.ReadStringTable) ([][]string, error) {
+// decodeLens reverses encodeLens into exact-size offsets and returns the
+// total they index.
+func decodeLens(r *codec.Reader) ([]int32, int, error) {
 	n, err := r.Len()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	out := make([][]string, n)
-	for i := range out {
+	off := make([]int32, n+1)
+	for i := 0; i < n; i++ {
 		k, err := r.Len()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		sent := make([]string, k)
-		for j := range sent {
-			if sent[j], err = table.Read(r); err != nil {
-				return nil, err
-			}
+		end := int(off[i]) + k
+		if end > math.MaxInt32 {
+			return nil, 0, fmt.Errorf("workload: row %d ends at %d, past int32", i, end)
 		}
-		out[i] = sent
+		off[i+1] = int32(end)
 	}
-	return out, nil
+	total, err := r.Len()
+	if err != nil {
+		return nil, 0, err
+	}
+	if total != int(off[n]) {
+		return nil, 0, fmt.Errorf("workload: rows hold %d values, total says %d", off[n], total)
+	}
+	return off, total, nil
 }
 
-func encodeInts2(w *codec.Writer, rows [][]int) {
-	w.Len(len(rows))
-	for _, row := range rows {
-		w.Len(len(row))
-		for _, v := range row {
-			w.Int(v)
-		}
+func encodeWords(w *codec.Writer, table *codec.StringTable, r Ragged[string]) {
+	encodeLens(w, r.Off)
+	for _, s := range r.Vals {
+		table.Write(w, s)
 	}
 }
 
-func decodeInts2(r *codec.Reader) ([][]int, error) {
-	n, err := r.Len()
+func decodeWords(r *codec.Reader, table *codec.ReadStringTable) (Ragged[string], error) {
+	off, total, err := decodeLens(r)
+	if err != nil {
+		return Ragged[string]{}, err
+	}
+	vals := make([]string, total)
+	for i := range vals {
+		if vals[i], err = table.Read(r); err != nil {
+			return Ragged[string]{}, err
+		}
+	}
+	return Ragged[string]{Off: off, Vals: vals}, nil
+}
+
+// decodeTags reads a tag slab that must hold one tag below seq.NumTags for
+// each of tokens tokens.
+func decodeTags(r *codec.Reader, tokens int) ([]uint8, error) {
+	tags, err := r.ByteSlice()
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]int, n)
-	for i := range out {
-		k, err := r.Len()
-		if err != nil {
-			return nil, err
+	if len(tags) != tokens {
+		return nil, fmt.Errorf("workload: %d tags for %d tokens", len(tags), tokens)
+	}
+	for _, t := range tags {
+		if t >= seq.NumTags {
+			return nil, fmt.Errorf("workload: invalid tag %d", t)
 		}
-		row := make([]int, k)
-		for j := range row {
-			if row[j], err = r.Int(); err != nil {
-				return nil, err
+	}
+	return tags, nil
+}
+
+func encodeSpanRows(w *codec.Writer, r Ragged[seq.Span]) {
+	encodeLens(w, r.Off)
+	for _, s := range r.Vals {
+		w.Int(s.Start)
+		w.Int(s.End)
+	}
+}
+
+// decodeSpanRows reads one row of spans per sentence of sentOff (token
+// offsets) and rejects a span that is empty or leaves its sentence.
+func decodeSpanRows(r *codec.Reader, sentOff []int32) (Ragged[seq.Span], error) {
+	off, total, err := decodeLens(r)
+	if err != nil {
+		return Ragged[seq.Span]{}, err
+	}
+	if len(off) != len(sentOff) {
+		return Ragged[seq.Span]{}, fmt.Errorf("workload: %d span rows for %d sentences", len(off)-1, len(sentOff)-1)
+	}
+	spans := make([]seq.Span, total)
+	for row := 0; row+1 < len(off); row++ {
+		n := int(sentOff[row+1] - sentOff[row])
+		for k := off[row]; k < off[row+1]; k++ {
+			s := &spans[k]
+			if s.Start, err = r.Int(); err != nil {
+				return Ragged[seq.Span]{}, err
+			}
+			if s.End, err = r.Int(); err != nil {
+				return Ragged[seq.Span]{}, err
+			}
+			if s.Start < 0 || s.Start >= s.End || s.End > n {
+				return Ragged[seq.Span]{}, fmt.Errorf("workload: span [%d,%d) outside sentence %d of %d tokens", s.Start, s.End, row, n)
 			}
 		}
-		out[i] = row
 	}
-	return out, nil
+	return Ragged[seq.Span]{Off: off, Vals: spans}, nil
 }
 
-func encodeInts3(w *codec.Writer, t [][][]int) {
-	w.Len(len(t))
-	for _, m := range t {
-		encodeInts2(w, m)
+// encodeCorpus writes a corpus's sentence lengths, token lengths and ids;
+// the tags, if any, are the caller's to write.
+func encodeCorpus(w *codec.Writer, c seq.Corpus) {
+	encodeLens(w, c.Sent)
+	encodeLens(w, c.Tok)
+	for _, id := range c.ID {
+		w.Uvarint(uint64(id))
 	}
 }
 
-func decodeInts3(r *codec.Reader) ([][][]int, error) {
-	n, err := r.Len()
+// decodeCorpus reverses encodeCorpus into exact-size slabs. The sentence
+// lengths must sum to the number of tokens, and every id must lie in
+// [0, dim).
+func decodeCorpus(r *codec.Reader, dim int) (seq.Corpus, error) {
+	sent, tokens, err := decodeLens(r)
 	if err != nil {
-		return nil, err
+		return seq.Corpus{}, err
 	}
-	out := make([][][]int, n)
-	for i := range out {
-		m, err := decodeInts2(r)
+	tok, total, err := decodeLens(r)
+	if err != nil {
+		return seq.Corpus{}, err
+	}
+	if len(tok)-1 != tokens {
+		return seq.Corpus{}, fmt.Errorf("workload: sentences hold %d tokens, %d token rows follow", tokens, len(tok)-1)
+	}
+	ids := make([]int32, total)
+	for k := range ids {
+		id, err := r.Uvarint()
 		if err != nil {
-			return nil, err
+			return seq.Corpus{}, err
 		}
-		out[i] = m
+		if id >= uint64(dim) {
+			return seq.Corpus{}, fmt.Errorf("workload: feature id %d outside [0, %d)", id, dim)
+		}
+		ids[k] = int32(id)
 	}
-	return out, nil
+	return seq.Corpus{Sent: sent, Tok: tok, ID: ids}, nil
 }
 
 func encodeSpans2(w *codec.Writer, spans [][]seq.Span) {
@@ -313,27 +373,30 @@ func encodeSpans2(w *codec.Writer, spans [][]seq.Span) {
 	}
 }
 
+// decodeSpans2 reverses encodeSpans2 into one span slab that every
+// sentence's spans are a capped window of.
 func decodeSpans2(r *codec.Reader) ([][]seq.Span, error) {
 	n, err := r.Len()
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]seq.Span, n)
-	for i := range out {
+	rows := newRagged[seq.Span](n, n)
+	for i := 0; i < n; i++ {
 		k, err := r.Len()
 		if err != nil {
 			return nil, err
 		}
-		ss := make([]seq.Span, k)
-		for j := range ss {
-			if ss[j].Start, err = r.Int(); err != nil {
+		for j := 0; j < k; j++ {
+			var s seq.Span
+			if s.Start, err = r.Int(); err != nil {
 				return nil, err
 			}
-			if ss[j].End, err = r.Int(); err != nil {
+			if s.End, err = r.Int(); err != nil {
 				return nil, err
 			}
+			rows.Vals = append(rows.Vals, s)
 		}
-		out[i] = ss
+		rows.endRow()
 	}
-	return out, nil
+	return rows.Nested(), nil
 }

@@ -26,55 +26,49 @@ func roundTrip(t *testing.T, v any) any {
 	return got
 }
 
+// ragged lays nested rows out as one slab.
+func ragged[T any](rows ...[]T) Ragged[T] {
+	r := newRagged[T](len(rows), 0)
+	for _, row := range rows {
+		r.Vals = append(r.Vals, row...)
+		r.endRow()
+	}
+	return r
+}
+
 func TestTokenizedCorpusRoundTrip(t *testing.T) {
 	tc := TokenizedCorpus{
-		TrainSents:   [][]string{{"Mary", "Smith", "spoke", "."}, {"Hello"}},
-		TestSents:    [][]string{{"Bob", "ran", "."}},
-		TrainPersons: [][]string{{"Mary Smith"}, nil},
-		TestPersons:  [][]string{{"Bob Jones"}},
+		TrainSents:   ragged([]string{"Mary", "Smith", "spoke", "."}, []string{"Hello"}),
+		TestSents:    ragged([]string{"Bob", "ran", "."}),
+		TrainPersons: ragged([]string{"Mary Smith"}, nil),
+		TestPersons:  ragged([]string{"Bob Jones"}),
 	}
-	got := roundTrip(t, tc).(TokenizedCorpus)
-	if !reflect.DeepEqual(got.TrainSents, tc.TrainSents) ||
-		!reflect.DeepEqual(got.TestSents, tc.TestSents) ||
-		!reflect.DeepEqual(got.TestPersons, tc.TestPersons) {
+	if got := roundTrip(t, tc).(TokenizedCorpus); !reflect.DeepEqual(got, tc) {
 		t.Errorf("round trip mismatch:\n%+v\n%+v", got, tc)
-	}
-	// nil inner slice decodes as empty — semantically identical.
-	if len(got.TrainPersons[1]) != 0 {
-		t.Errorf("persons[1] = %v", got.TrainPersons[1])
 	}
 }
 
 func TestLabeledCorpusRoundTrip(t *testing.T) {
 	lc := LabeledCorpus{
-		TrainSents: [][]string{{"Mary", "Smith", "spoke"}},
-		TestSents:  [][]string{{"Bob", "ran"}},
-		TrainTags:  [][]int{{seq.TagB, seq.TagI, seq.TagO}},
-		TrainGold:  [][]seq.Span{{{Start: 0, End: 2}}},
-		TestGold:   [][]seq.Span{{{Start: 0, End: 1}}},
+		TrainSents: ragged([]string{"Mary", "Smith", "spoke"}),
+		TestSents:  ragged([]string{"Bob", "ran"}),
+		TrainTags:  []uint8{seq.TagB, seq.TagI, seq.TagO},
+		TrainGold:  ragged([]seq.Span{{Start: 0, End: 2}}),
+		TestGold:   ragged([]seq.Span{{Start: 0, End: 1}}),
 	}
-	got := roundTrip(t, lc).(LabeledCorpus)
-	if !reflect.DeepEqual(got.TrainTags, lc.TrainTags) ||
-		!reflect.DeepEqual(got.TrainGold, lc.TrainGold) ||
-		!reflect.DeepEqual(got.TestGold, lc.TestGold) {
+	if got := roundTrip(t, lc).(LabeledCorpus); !reflect.DeepEqual(got, lc) {
 		t.Errorf("round trip mismatch:\n%+v\n%+v", got, lc)
 	}
 }
 
 func TestSeqDatasetRoundTrip(t *testing.T) {
 	ds := SeqDataset{
-		TrainInsts: []seq.Instance{
-			{Feats: [][]int{{1, 2}, {3}}, Tags: []int{seq.TagB, seq.TagO}},
-		},
-		TestFeats: [][][]int{{{4}, {5, 6}}},
-		TestGold:  [][]seq.Span{{{Start: 1, End: 2}}},
-		Dim:       7,
+		Train:    seq.Corpus{Sent: []int32{0, 2}, Tok: []int32{0, 2, 3}, ID: []int32{0, 1, 2}, Tags: []uint8{seq.TagB, seq.TagO}},
+		Test:     seq.Corpus{Sent: []int32{0, 2}, Tok: []int32{0, 1, 3}, ID: []int32{0, 2, 1}},
+		TestGold: ragged([]seq.Span{{Start: 1, End: 2}}),
+		Dim:      3,
 	}
-	got := roundTrip(t, ds).(SeqDataset)
-	if got.Dim != 7 ||
-		!reflect.DeepEqual(got.TrainInsts, ds.TrainInsts) ||
-		!reflect.DeepEqual(got.TestFeats, ds.TestFeats) ||
-		!reflect.DeepEqual(got.TestGold, ds.TestGold) {
+	if got := roundTrip(t, ds).(SeqDataset); !reflect.DeepEqual(got, ds) {
 		t.Errorf("round trip mismatch:\n%+v\n%+v", got, ds)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // codec, keyed by registration name. Every field is non-zero and every
 // slice/map non-empty, so a codec that drops or reorders anything fails the
 // deep-equal checks instead of hiding behind zero values.
-func exemplars(t *testing.T) map[string]any {
+func exemplars(t testing.TB) map[string]any {
 	t.Helper()
 	schema, err := data.NewSchema("age", "edu", "hours")
 	if err != nil {
@@ -108,25 +108,30 @@ func exemplars(t *testing.T) map[string]any {
 			Train: []Document{{Text: "Ann Smith spoke.", Persons: []string{"Ann Smith"}}},
 			Test:  []Document{{Text: "Bob Jones left.", Persons: []string{"Bob Jones"}}},
 		},
-		"workload.TokenizedCorpus": TokenizedCorpus{
-			TrainSents:   [][]string{{"Ann", "Smith", "spoke"}},
-			TestSents:    [][]string{{"Bob", "left"}},
-			TrainPersons: [][]string{{"Ann Smith"}},
-			TestPersons:  [][]string{{"Bob Jones"}},
+		"workload.CSRTokenizedCorpus": TokenizedCorpus{
+			TrainSents:   ragged([]string{"Ann", "Smith", "spoke", "."}, []string{"Ann", "left"}),
+			TestSents:    ragged([]string{"Bob", "left"}),
+			TrainPersons: ragged([]string{"Ann Smith"}, []string{"Ann Smith"}),
+			TestPersons:  ragged([]string{"Bob Jones"}),
 		},
-		"workload.LabeledCorpus": LabeledCorpus{
-			TrainSents: [][]string{{"Ann", "Smith", "spoke"}},
-			TestSents:  [][]string{{"Bob", "left"}},
-			TrainTags:  [][]int{{seq.TagB, seq.TagI, seq.TagO}},
-			TrainGold:  [][]seq.Span{{{Start: 0, End: 2}}},
-			TestGold:   [][]seq.Span{{{Start: 0, End: 1}}},
+		"workload.CSRLabeledCorpus": LabeledCorpus{
+			TrainSents: ragged([]string{"Ann", "Smith", "spoke"}, []string{"Ann", "left"}),
+			TestSents:  ragged([]string{"Bob", "left"}),
+			TrainTags:  []uint8{seq.TagB, seq.TagI, seq.TagO, seq.TagO, seq.TagO},
+			TrainGold:  ragged([]seq.Span{{Start: 0, End: 2}}, nil),
+			TestGold:   ragged([]seq.Span{{Start: 0, End: 1}}),
 		},
 		"workload.GazValue": GazValue{Entries: []string{"Ann Smith", "Bob Jones"}},
-		"workload.SeqDataset": SeqDataset{
-			TrainInsts: []seq.Instance{{Feats: [][]int{{0, 1}}, Tags: []int{seq.TagB}}},
-			TestFeats:  [][][]int{{{2}, {0, 3}}},
-			TestGold:   [][]seq.Span{{{Start: 1, End: 2}}},
-			Dim:        4,
+		"workload.CSRSeqDataset": SeqDataset{
+			Train: seq.Corpus{
+				Sent: []int32{0, 2, 3},
+				Tok:  []int32{0, 2, 3, 5},
+				ID:   []int32{0, 1, 2, 3, 1},
+				Tags: []uint8{seq.TagB, seq.TagI, seq.TagO},
+			},
+			Test:     seq.Corpus{Sent: []int32{0, 2}, Tok: []int32{0, 1, 3}, ID: []int32{2, 0, 3}},
+			TestGold: ragged([]seq.Span{{Start: 1, End: 2}}),
+			Dim:      4,
 		},
 		"workload.PredSpans": PredSpans{
 			Spans: [][]seq.Span{{{Start: 0, End: 2}}},

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -15,23 +16,62 @@ import (
 
 // Value types flowing through the IE pipeline. All are registered with the
 // store's binary codec (binary.go) so HELIX can materialize any
-// intermediate.
+// intermediate. Per-sentence and per-token data is laid out as one slab per
+// corpus half with int32 offsets, not as a slice per sentence or token.
 
-// TokenizedCorpus is the corpus after tokenization and sentence splitting.
-// Sentences are flattened across documents; PersonsOf[i] lists the gold
-// person names of the document sentence i came from.
-type TokenizedCorpus struct {
-	TrainSents, TestSents     [][]string
-	TrainPersons, TestPersons [][]string
+// Ragged holds many short rows in one slab: row i is Vals[Off[i]:Off[i+1]].
+// Off starts at 0 and has one more entry than there are rows.
+type Ragged[T any] struct {
+	Off  []int32
+	Vals []T
 }
 
-// LabeledCorpus adds gold BIO tags (train) and gold spans (both halves),
-// derived by aligning person-name strings against token sequences — the
-// distant-supervision ETL step.
+// newRagged returns an empty Ragged with room for rows rows of vals values
+// in total.
+func newRagged[T any](rows, vals int) Ragged[T] {
+	off := make([]int32, 1, rows+1)
+	return Ragged[T]{Off: off, Vals: make([]T, 0, vals)}
+}
+
+// Len returns the number of rows.
+func (r Ragged[T]) Len() int { return max(len(r.Off)-1, 0) }
+
+// Row returns row i, capped so that an append to it cannot overwrite the
+// next row.
+func (r Ragged[T]) Row(i int) []T {
+	lo, hi := r.Off[i], r.Off[i+1]
+	return r.Vals[lo:hi:hi]
+}
+
+// endRow closes the row that the values appended since the last endRow
+// form.
+func (r *Ragged[T]) endRow() { r.Off = append(r.Off, int32(len(r.Vals))) }
+
+// Nested returns every row, each a capped window of the slab.
+func (r Ragged[T]) Nested() [][]T {
+	out := make([][]T, r.Len())
+	for i := range out {
+		out[i] = r.Row(i)
+	}
+	return out
+}
+
+// TokenizedCorpus is the corpus after tokenization and sentence splitting.
+// Sentences are flattened across documents; row i of TrainPersons lists
+// the gold person names of the document train sentence i came from.
+type TokenizedCorpus struct {
+	TrainSents, TestSents     Ragged[string]
+	TrainPersons, TestPersons Ragged[string]
+}
+
+// LabeledCorpus adds gold BIO tags (train, one per token of TrainSents)
+// and gold spans (both halves, one row per sentence), derived by aligning
+// person-name strings against token sequences — the distant-supervision
+// ETL step.
 type LabeledCorpus struct {
-	TrainSents, TestSents [][]string
-	TrainTags             [][]int
-	TrainGold, TestGold   [][]seq.Span
+	TrainSents, TestSents Ragged[string]
+	TrainTags             []uint8
+	TrainGold, TestGold   Ragged[seq.Span]
 }
 
 // GazValue wraps gazetteer entries as a DAG value.
@@ -39,13 +79,13 @@ type GazValue struct {
 	Entries []string
 }
 
-// SeqDataset is the vectorized sequence-learning dataset.
+// SeqDataset is the vectorized sequence-learning dataset: both halves'
+// feature ids (and the train half's tags) as CSR corpora over one feature
+// dictionary of Dim entries.
 type SeqDataset struct {
-	TrainInsts []seq.Instance
-	// TestFeats holds per-sentence feature indices for the test half.
-	TestFeats [][][]int
-	TestGold  [][]seq.Span
-	Dim       int
+	Train, Test seq.Corpus
+	TestGold    Ragged[seq.Span]
+	Dim         int
 }
 
 // PredSpans carries decoded mention spans for the test half.
@@ -105,29 +145,57 @@ func featParams(cfg text.FeatureConfig) map[string]string {
 	}
 }
 
-// tokenizeDocs splits documents into per-sentence token lists, replicating
-// each document's person list onto its sentences.
-func tokenizeDocs(docs []Document) (sents [][]string, persons [][]string) {
+// tokenizeDocs splits documents into sentences, replicating each
+// document's person list onto each of its sentences.
+func tokenizeDocs(docs []Document) (sents, persons Ragged[string]) {
+	sents, persons = newRagged[string](len(docs), 0), newRagged[string](len(docs), 0)
+	var toks []text.Token
 	for _, doc := range docs {
-		toks := text.Tokenize(doc.Text)
-		for _, sent := range text.SplitSentences(toks) {
-			words := make([]string, len(sent.Tokens))
-			for i, tk := range sent.Tokens {
-				words[i] = tk.Text
+		toks = text.AppendTokens(toks[:0], doc.Text)
+		for i, tk := range toks {
+			sents.Vals = append(sents.Vals, tk.Text)
+			// text.SplitSentences' rule, without a slice per sentence.
+			if text.EndsSentence(tk.Text) || i == len(toks)-1 {
+				sents.endRow()
+				persons.Vals = append(persons.Vals, doc.Persons...)
+				persons.endRow()
 			}
-			sents = append(sents, words)
-			persons = append(persons, doc.Persons)
 		}
 	}
 	return sents, persons
 }
 
-// alignPersons finds token spans matching any "First Last" person string.
-func alignPersons(sent []string, persons []string) []seq.Span {
-	var spans []seq.Span
-	used := make([]bool, len(sent))
+// tokenizeCorpus is the tokenize operator.
+func tokenizeCorpus(nd NewsData) TokenizedCorpus {
+	var tc TokenizedCorpus
+	tc.TrainSents, tc.TrainPersons = tokenizeDocs(nd.Train)
+	tc.TestSents, tc.TestPersons = tokenizeDocs(nd.Test)
+	return tc
+}
+
+// aligner finds person mentions in sentences, caching each person string's
+// words and reusing its scratch across sentences.
+type aligner struct {
+	words map[string][]string
+	used  []bool
+}
+
+// appendSpans appends to dst the token spans of sent matching any
+// "First Last" person string, sorted by start; a token joins at most one
+// span.
+func (a *aligner) appendSpans(dst []seq.Span, sent, persons []string) []seq.Span {
+	if a.words == nil {
+		a.words = make(map[string][]string)
+	}
+	a.used = append(a.used[:0], make([]bool, len(sent))...)
+	used := a.used
+	first := len(dst)
 	for _, p := range persons {
-		parts := strings.Fields(p)
+		parts, ok := a.words[p]
+		if !ok {
+			parts = strings.Fields(p)
+			a.words[p] = parts
+		}
 		if len(parts) == 0 {
 			continue
 		}
@@ -140,7 +208,7 @@ func alignPersons(sent []string, persons []string) []seq.Span {
 				}
 			}
 			if match {
-				spans = append(spans, seq.Span{Start: i, End: i + len(parts)})
+				dst = append(dst, seq.Span{Start: i, End: i + len(parts)})
 				for j := i; j < i+len(parts); j++ {
 					used[j] = true
 				}
@@ -148,12 +216,97 @@ func alignPersons(sent []string, persons []string) []seq.Span {
 		}
 	}
 	// Sort by start for stable downstream comparison.
+	spans := dst[first:]
 	for i := 1; i < len(spans); i++ {
 		for j := i; j > 0 && spans[j].Start < spans[j-1].Start; j-- {
 			spans[j], spans[j-1] = spans[j-1], spans[j]
 		}
 	}
-	return spans
+	return dst
+}
+
+// alignHalf aligns every sentence of a half against its persons.
+func (a *aligner) alignHalf(sents, persons Ragged[string]) Ragged[seq.Span] {
+	gold := newRagged[seq.Span](sents.Len(), sents.Len())
+	for i := 0; i < sents.Len(); i++ {
+		gold.Vals = a.appendSpans(gold.Vals, sents.Row(i), persons.Row(i))
+		gold.endRow()
+	}
+	return gold
+}
+
+// labelCorpus is the alignLabels operator.
+func labelCorpus(tc TokenizedCorpus) (LabeledCorpus, error) {
+	var a aligner
+	lc := LabeledCorpus{
+		TrainSents: tc.TrainSents,
+		TestSents:  tc.TestSents,
+		TrainTags:  make([]uint8, len(tc.TrainSents.Vals)),
+		TrainGold:  a.alignHalf(tc.TrainSents, tc.TrainPersons),
+		TestGold:   a.alignHalf(tc.TestSents, tc.TestPersons),
+	}
+	for i := 0; i < lc.TrainSents.Len(); i++ {
+		lo, hi := lc.TrainSents.Off[i], lc.TrainSents.Off[i+1]
+		if err := seq.TagsFromSpans(lc.TrainTags[lo:hi], lc.TrainGold.Row(i)); err != nil {
+			return LabeledCorpus{}, fmt.Errorf("alignLabels: train sentence %d: %w", i, err)
+		}
+	}
+	return lc, nil
+}
+
+// featurizeHalf numbers the features of every token of sents through fz
+// into a corpus whose id slab is allocated once, at the bound of perToken
+// features per token.
+func featurizeHalf(fz *text.Featurizer, sents Ragged[string], perToken int) (seq.Corpus, error) {
+	words := sents.Vals
+	if bound := perToken * len(words); bound > math.MaxInt32 {
+		return seq.Corpus{}, fmt.Errorf("tokenFeatures: %d tokens can fire %d features, past int32", len(words), bound)
+	}
+	c := seq.Corpus{
+		Sent: sents.Off,
+		Tok:  make([]int32, len(words)+1),
+		ID:   make([]int32, 0, perToken*len(words)),
+	}
+	for s := 0; s < sents.Len(); s++ {
+		lo := int(sents.Off[s])
+		sent := sents.Row(s)
+		for i := range sent {
+			c.ID = fz.AppendIDs(c.ID, sent, i)
+			c.Tok[lo+i+1] = int32(len(c.ID))
+		}
+	}
+	c.ID = c.ID[:len(c.ID):len(c.ID)]
+	return c, nil
+}
+
+// featurize is the tokenFeatures operator: the train half grows the
+// feature dictionary, the test half maps through it frozen.
+func featurize(lc LabeledCorpus, gv GazValue, cfg text.FeatureConfig) (SeqDataset, error) {
+	dict := seq.NewFeatureDict()
+	fz := text.NewFeaturizer(cfg, text.NewGazetteer(gv.Entries...), dict)
+	train, err := featurizeHalf(fz, lc.TrainSents, cfg.MaxFeatures())
+	if err != nil {
+		return SeqDataset{}, err
+	}
+	train.Tags = lc.TrainTags
+	dict.Freeze()
+	test, err := featurizeHalf(fz, lc.TestSents, cfg.MaxFeatures())
+	if err != nil {
+		return SeqDataset{}, err
+	}
+	return SeqDataset{Train: train, Test: test, TestGold: lc.TestGold, Dim: dict.Len()}, nil
+}
+
+// predictSpans is the decode operator: Viterbi over every test sentence
+// with one reused scratch, the spans landing in one slab.
+func predictSpans(m *seq.Model, ds SeqDataset) PredSpans {
+	pred := newRagged[seq.Span](ds.Test.Len(), ds.TestGold.Len())
+	var dec seq.Decoder
+	for s := 0; s < ds.Test.Len(); s++ {
+		pred.Vals = seq.SpansFromTags(pred.Vals, dec.Decode(m, &ds.Test, s))
+		pred.endRow()
+	}
+	return PredSpans{Spans: pred.Nested(), Gold: ds.TestGold.Nested()}
 }
 
 // Build constructs the IE workflow for the current parameters. Every
@@ -174,9 +327,7 @@ func (p IEParams) Build() *core.Workflow {
 			if !ok {
 				return nil, fmt.Errorf("tokenize: want NewsData, got %T", in[0])
 			}
-			trS, trP := tokenizeDocs(nd.Train)
-			teS, teP := tokenizeDocs(nd.Test)
-			return TokenizedCorpus{TrainSents: trS, TestSents: teS, TrainPersons: trP, TestPersons: teP}, nil
+			return tokenizeCorpus(nd), nil
 		}), "corpus")
 
 	wf.Apply("labels", core.NewUDF("alignLabels", core.CatPrep, nil, "v1",
@@ -185,20 +336,7 @@ func (p IEParams) Build() *core.Workflow {
 			if !ok {
 				return nil, fmt.Errorf("alignLabels: want TokenizedCorpus, got %T", in[0])
 			}
-			lc := LabeledCorpus{TrainSents: tc.TrainSents, TestSents: tc.TestSents}
-			for i, sent := range tc.TrainSents {
-				gold := alignPersons(sent, tc.TrainPersons[i])
-				tags, err := seq.TagsFromSpans(gold, len(sent))
-				if err != nil {
-					return nil, fmt.Errorf("alignLabels: train sentence %d: %w", i, err)
-				}
-				lc.TrainGold = append(lc.TrainGold, gold)
-				lc.TrainTags = append(lc.TrainTags, tags)
-			}
-			for i, sent := range tc.TestSents {
-				lc.TestGold = append(lc.TestGold, alignPersons(sent, tc.TestPersons[i]))
-			}
-			return lc, nil
+			return labelCorpus(tc)
 		}), "tokens")
 
 	gazFrac := p.GazFrac
@@ -219,32 +357,7 @@ func (p IEParams) Build() *core.Workflow {
 			if !ok {
 				return nil, fmt.Errorf("tokenFeatures: want GazValue, got %T", in[1])
 			}
-			gaz := text.NewGazetteer(gv.Entries...)
-			dict := seq.NewFeatureDict()
-			featurize := func(sent []string) [][]int {
-				toks := make([]text.Token, len(sent))
-				for i, w := range sent {
-					toks[i] = text.Token{Text: w}
-				}
-				out := make([][]int, len(sent))
-				for i := range sent {
-					out[i] = dict.Map(text.TokenFeatures(toks, i, cfg, gaz))
-				}
-				return out
-			}
-			ds := SeqDataset{TestGold: lc.TestGold}
-			for i, sent := range lc.TrainSents {
-				ds.TrainInsts = append(ds.TrainInsts, seq.Instance{
-					Feats: featurize(sent),
-					Tags:  lc.TrainTags[i],
-				})
-			}
-			dict.Freeze()
-			for _, sent := range lc.TestSents {
-				ds.TestFeats = append(ds.TestFeats, featurize(sent))
-			}
-			ds.Dim = dict.Len()
-			return ds, nil
+			return featurize(lc, gv, cfg)
 		}), "labels", "gaz")
 
 	epochs, seed := p.Epochs, p.Seed
@@ -255,7 +368,7 @@ func (p IEParams) Build() *core.Workflow {
 			if !ok {
 				return nil, fmt.Errorf("seqLearner: want SeqDataset, got %T", in[0])
 			}
-			return seq.Train(ds.TrainInsts, seq.TrainConfig{Epochs: epochs, Seed: seed, Dim: ds.Dim})
+			return seq.Train(ds.Train, seq.TrainConfig{Epochs: epochs, Seed: seed, Dim: ds.Dim})
 		}), "feats")
 
 	wf.Apply("spans", core.NewUDF("decode", core.CatML, nil, "v1",
@@ -268,11 +381,7 @@ func (p IEParams) Build() *core.Workflow {
 			if !ok {
 				return nil, fmt.Errorf("decode: want SeqDataset, got %T", in[1])
 			}
-			out := PredSpans{Gold: ds.TestGold}
-			for _, feats := range ds.TestFeats {
-				out.Spans = append(out.Spans, seq.SpansFromTags(m.Decode(feats)))
-			}
-			return out, nil
+			return predictSpans(m, ds), nil
 		}), "model", "feats")
 
 	metric := p.Metric

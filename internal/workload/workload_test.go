@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -127,8 +128,10 @@ func TestGenerateNewsDeterministic(t *testing.T) {
 }
 
 func TestAlignPersons(t *testing.T) {
+	var a aligner
+	alignPersons := func(sent, persons []string) []seq.Span { return a.appendSpans(nil, sent, persons) }
 	sent := []string{"Chief", "executive", "Mary", "Smith", "praised", "John", "Lee", "."}
-	spans := alignPersons(sent, []string{"Mary Smith", "John Lee"})
+	spans := alignPersons(sent, []string{"John Lee", "Mary Smith"})
 	if len(spans) != 2 {
 		t.Fatalf("spans = %v", spans)
 	}
@@ -142,6 +145,11 @@ func TestAlignPersons(t *testing.T) {
 	// Same name twice in persons list doesn't double-count tokens.
 	if got := alignPersons(sent, []string{"Mary Smith", "Mary Smith"}); len(got) != 1 {
 		t.Errorf("duplicate name spans: %v", got)
+	}
+	// Spans append after what dst held, and are sorted among themselves.
+	got := a.appendSpans([]seq.Span{{Start: 9, End: 10}}, sent, []string{"John Lee", "Mary Smith"})
+	if want := []seq.Span{{Start: 9, End: 10}, {Start: 2, End: 4}, {Start: 5, End: 7}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("appended spans = %v, want %v", got, want)
 	}
 }
 
