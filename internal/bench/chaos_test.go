@@ -105,7 +105,6 @@ func TestChaosEquivalence(t *testing.T) {
 					Store:                hot,
 					Spill:                cold,
 					Policy:               opt.MaterializeAll{},
-					Reweight:             exec.ReweightOff,
 					Faults:               fp.Policy(),
 				}
 				res, err := e.Execute(faulted.G, faulted.Tasks, plan)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/dag"
 	"repro/internal/exec"
@@ -18,32 +17,13 @@ import (
 type schedConfig struct {
 	name    string
 	release bool
-	// reweight forces online re-prioritization passes (Adaptive with a
-	// 1-completion interval and a 1ns divergence floor, so every graph
-	// actually re-sorts mid-run); false pins the initial weights
-	// (ReweightOff).
-	reweight bool
 }
 
 // equivConfigs are the engine configurations that must agree with the
 // sequential reference: with and without refcounted release of consumed
-// intermediates × with re-prioritization passes forced on every
-// completion and pinned off.
+// intermediates.
 func equivConfigs() []schedConfig {
-	var out []schedConfig
-	for _, release := range []bool{false, true} {
-		for _, reweight := range []bool{false, true} {
-			name := "engine"
-			if release {
-				name += "-release"
-			}
-			if reweight {
-				name += "-reweight"
-			}
-			out = append(out, schedConfig{name, release, reweight})
-		}
-	}
-	return out
+	return []schedConfig{{"engine", false}, {"engine-release", true}}
 }
 
 // stateCounts tallies the executed node states.
@@ -207,9 +187,6 @@ func TestRandomizedSpillEquivalence(t *testing.T) {
 			refC, refL, refP := stateCounts(ref)
 
 			for _, c := range equivConfigs() {
-				if c.reweight {
-					continue // reweight × spill churn is the stress tests' job
-				}
 				hot, err := store.Open(t.TempDir(), tinyHot)
 				if err != nil {
 					t.Fatal(err)
@@ -225,7 +202,6 @@ func TestRandomizedSpillEquivalence(t *testing.T) {
 					Store:                hot,
 					Spill:                cold,
 					Policy:               opt.MaterializeAll{},
-					Reweight:             exec.ReweightOff,
 				}
 				res, err := e.Execute(sd.G, sd.Tasks, plan)
 				if err != nil {
@@ -368,11 +344,10 @@ func TestRandomizedCodecEquivalence(t *testing.T) {
 			}
 			prepopulate(store.NewTiered(hot, cold))
 			e := &exec.Engine{
-				Workers:  4,
-				Store:    hot,
-				Spill:    cold,
-				Policy:   opt.MaterializeAll{},
-				Reweight: exec.ReweightOff,
+				Workers: 4,
+				Store:   hot,
+				Spill:   cold,
+				Policy:  opt.MaterializeAll{},
 			}
 			res, err := e.Execute(sd.G, sd.Tasks, plan)
 			if err != nil {
@@ -408,11 +383,11 @@ func TestRandomizedCodecEquivalence(t *testing.T) {
 }
 
 // TestRandomizedEvictionEquivalence puts the cold tier's eviction under the
-// harness: across seeded random graphs with mixed plans, every combination
-// of forced re-prioritization × injected transient faults runs against a
-// cold tier sized to just hold the prepopulated loadable keys — so every
-// fresh materialization during the run must evict — and must still agree
-// with the sequential reference over an unbudgeted single tier on state
+// harness: across seeded random graphs with mixed plans, a clean run and a
+// run with injected transient faults each execute against a cold tier
+// sized to just hold the prepopulated loadable keys — so every fresh
+// materialization during the run must evict — and must still agree with
+// the sequential reference over an unbudgeted single tier on state
 // counts and byte-identical values. Eviction is pure cache policy: it may
 // change what survives the run (not asserted here), never what the run
 // computes.
@@ -484,61 +459,53 @@ func TestRandomizedEvictionEquivalence(t *testing.T) {
 			ref := sequentialRun(sd.G, sd.Tasks, plan, refStore)
 			refC, refL, refP := stateCounts(ref)
 
-			for _, reweight := range []bool{false, true} {
-				for _, faults := range []bool{false, true} {
-					name := fmt.Sprintf("rw%v-f%v", reweight, faults)
-					hot, err := store.Open(t.TempDir(), tinyHot)
-					if err != nil {
-						t.Fatal(err)
+			for _, faults := range []bool{false, true} {
+				name := fmt.Sprintf("f%v", faults)
+				hot, err := store.Open(t.TempDir(), tinyHot)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cold, err := store.OpenSpill(t.TempDir(), coldBudget)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prepopulate(store.NewTiered(hot, cold))
+				run := sd
+				e := &exec.Engine{
+					Workers: 4,
+					Store:   hot,
+					Spill:   cold,
+					Policy:  opt.MaterializeAll{},
+				}
+				if faults {
+					fp := DefaultFaultPlan(seed)
+					run, _ = WithFaults(sd, fp)
+					e.Faults = fp.Policy()
+				}
+				res, err := e.Execute(run.G, run.Tasks, plan)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				totalEvictions += res.ColdEvictions
+				totalRetries += res.Retries
+				gotC, gotL, gotP := stateCounts(res)
+				if gotC != refC || gotL != refL || gotP != refP {
+					t.Errorf("%s: counts computed/loaded/pruned = %d/%d/%d, reference %d/%d/%d",
+						name, gotC, gotL, gotP, refC, refL, refP)
+				}
+				if cold.Used() > coldBudget {
+					t.Errorf("%s: cold tier used %d over its %d budget", name, cold.Used(), coldBudget)
+				}
+				for i := 0; i < n; i++ {
+					id := dag.NodeID(i)
+					refV, refOK := ref.Values[id]
+					gotV, gotOK := res.Values[id]
+					if gotOK != refOK {
+						t.Errorf("%s: node %d present=%v, reference %v", name, i, gotOK, refOK)
+						continue
 					}
-					cold, err := store.OpenSpill(t.TempDir(), coldBudget)
-					if err != nil {
-						t.Fatal(err)
-					}
-					prepopulate(store.NewTiered(hot, cold))
-					run := sd
-					e := &exec.Engine{
-						Workers:  4,
-						Store:    hot,
-						Spill:    cold,
-						Policy:   opt.MaterializeAll{},
-						Reweight: exec.ReweightOff,
-					}
-					if reweight {
-						e.Reweight = exec.Adaptive
-						e.ReweightInterval = 1
-						e.ReweightMinDivergence = time.Nanosecond
-					}
-					if faults {
-						fp := DefaultFaultPlan(seed)
-						run, _ = WithFaults(sd, fp)
-						e.Faults = fp.Policy()
-					}
-					res, err := e.Execute(run.G, run.Tasks, plan)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					totalEvictions += res.ColdEvictions
-					totalRetries += res.Retries
-					gotC, gotL, gotP := stateCounts(res)
-					if gotC != refC || gotL != refL || gotP != refP {
-						t.Errorf("%s: counts computed/loaded/pruned = %d/%d/%d, reference %d/%d/%d",
-							name, gotC, gotL, gotP, refC, refL, refP)
-					}
-					if cold.Used() > coldBudget {
-						t.Errorf("%s: cold tier used %d over its %d budget", name, cold.Used(), coldBudget)
-					}
-					for i := 0; i < n; i++ {
-						id := dag.NodeID(i)
-						refV, refOK := ref.Values[id]
-						gotV, gotOK := res.Values[id]
-						if gotOK != refOK {
-							t.Errorf("%s: node %d present=%v, reference %v", name, i, gotOK, refOK)
-							continue
-						}
-						if gotOK && !bytes.Equal(encodeValue(t, gotV), encodeValue(t, refV)) {
-							t.Errorf("%s: node %d value differs from reference", name, i)
-						}
+					if gotOK && !bytes.Equal(encodeValue(t, gotV), encodeValue(t, refV)) {
+						t.Errorf("%s: node %d value differs from reference", name, i)
 					}
 				}
 			}
@@ -554,11 +521,10 @@ func TestRandomizedEvictionEquivalence(t *testing.T) {
 
 // TestRandomizedSchedulerEquivalence is the property harness of the
 // engine: across ≥50 seeded random graphs with mixed load/compute/prune
-// plans, every configuration (with and without ReleaseIntermediates, with
-// re-prioritization forced and pinned off) must agree with the sequential
-// reference on byte-identical values, per-node states and
-// computed/loaded/pruned counts, materialization outcomes, and final
-// store contents. Each run executes against its own identically
+// plans, every configuration (with and without ReleaseIntermediates) must
+// agree with the sequential reference on byte-identical values, per-node
+// states and computed/loaded/pruned counts, materialization outcomes, and
+// final store contents. Each run executes against its own identically
 // pre-populated store, so runs cannot influence each other.
 func TestRandomizedSchedulerEquivalence(t *testing.T) {
 	const graphs = 52
@@ -614,12 +580,6 @@ func TestRandomizedSchedulerEquivalence(t *testing.T) {
 					ReleaseIntermediates: c.release,
 					Store:                st,
 					Policy:               opt.MaterializeAll{},
-					Reweight:             exec.ReweightOff,
-				}
-				if c.reweight {
-					e.Reweight = exec.Adaptive
-					e.ReweightInterval = 1
-					e.ReweightMinDivergence = time.Nanosecond
 				}
 				res, err := e.Execute(sd.G, sd.Tasks, plan)
 				if err != nil {

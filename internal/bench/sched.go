@@ -260,180 +260,6 @@ func CPUFanoutDAG(short, depth int, spin time.Duration) *SchedDAG {
 	return fanoutChain("cpu-fanout", short, depth, spin, spinTask)
 }
 
-// LiarDAG is the deceptive-estimate shape the online re-prioritizer is
-// measured on. Off one root hang three groups, joining into one output:
-//
-//   - `starters` short sleep nodes (op "decoy"): the completions that
-//     reveal the lie within the first couple of milliseconds.
-//   - `fats` long sleep nodes (op "decoy"), a multiple of the worker count
-//     so they drain in full waves with no idle worker until the very end.
-//   - one chain of `chainDepth` spin-then-sleep nodes (op "liar") — the
-//     run's true long pole, serial by construction.
-//
-// Paired with LiarHistory — which claims every decoy is expensive and
-// every chain link cheap — static critical-path dispatch buries the chain
-// behind all the decoys and pays it as a serial tail (wall ≈ decoy-drain +
-// chain). Adaptive re-weighting sees the starters' measured durations
-// diverge from their claims, corrects the whole "decoy" group's costs,
-// and the chain outranks the remaining decoys after the first pass (wall
-// ≈ max(decoy-drain, chain)).
-//
-// Each chain link spins for an eighth of its duration and sleeps the
-// rest: the spin loop is what makes the lie expensive on real silicon,
-// but capping it keeps the ordering effect visible on single-core hosts,
-// where a pure spinner would starve the sleeping decoy workers of the one
-// P and serialize the run regardless of dispatch order.
-func LiarDAG(starters, fats, chainDepth int, starterDur, fatDur, chainDur time.Duration) *SchedDAG {
-	g := dag.New()
-	root := g.MustAddNode("root", "scan")
-	tasks := []exec.Task{sleepTask(0, 0)}
-	join := g.MustAddNode("join", "agg")
-	tasks = append(tasks, sleepTask(1, 0))
-	for s := 0; s < starters; s++ {
-		id := g.MustAddNode(fmt.Sprintf("decoy_s%d", s), "decoy")
-		g.MustAddEdge(root, id)
-		g.MustAddEdge(id, join)
-		tasks = append(tasks, sleepTask(int(id), starterDur))
-	}
-	for s := 0; s < fats; s++ {
-		id := g.MustAddNode(fmt.Sprintf("decoy_f%d", s), "decoy")
-		g.MustAddEdge(root, id)
-		g.MustAddEdge(id, join)
-		tasks = append(tasks, sleepTask(int(id), fatDur))
-	}
-	prev := root
-	for l := 0; l < chainDepth; l++ {
-		id := g.MustAddNode(fmt.Sprintf("liar%d", l), "liar")
-		g.MustAddEdge(prev, id)
-		tasks = append(tasks, spinSleepTask(int(id), chainDur/8, chainDur-chainDur/8))
-		prev = id
-	}
-	g.MustAddEdge(prev, join)
-	g.Node(join).Output = true
-	return &SchedDAG{Name: "liar", G: g, Tasks: tasks}
-}
-
-// LiarHistory returns a fresh deceptive history for one run of a LiarDAG:
-// every "decoy" node is claimed to cost decoyClaim, every "liar" chain
-// node chainClaim. It must be rebuilt per run — the engine writes the
-// truth back into the history as nodes finish, so a reused instance stops
-// lying after the first execution.
-func LiarHistory(sd *SchedDAG, decoyClaim, chainClaim time.Duration) *exec.History {
-	h := exec.NewHistory()
-	for i := 0; i < sd.G.Len(); i++ {
-		n := sd.G.Node(dag.NodeID(i))
-		switch n.Op {
-		case "decoy":
-			h.ObserveCompute(n.Name, decoyClaim, 0)
-		case "liar":
-			h.ObserveCompute(n.Name, chainClaim, 0)
-		}
-	}
-	return h
-}
-
-// Canonical LiarDAG instance measured by TestLiarAdaptiveBeatsStatic: 12
-// starter decoys × 1.5ms + 16 fat decoys × 8ms (all claimed 30ms) against a
-// 10-link × 2ms chain (claimed 1ms per link, a claimed 10ms path — under a
-// third of the decoys' 30ms, so the lie buries the chain past the
-// work-stealing stranding consult's 2× threshold). Under static dispatch
-// the lie costs the run the whole ~20ms chain as a serial tail after the
-// decoy drain, while adaptive re-weighting starts the chain within a few
-// ms of the starters' reveal and overlaps it with the drain.
-const (
-	liarStarters   = 12
-	liarFats       = 16
-	liarChainDepth = 10
-)
-
-// reweightMeasureInterval is the completion floor between re-prioritization
-// passes used by MeasureReweight's engines: low enough that the very first
-// revealed completion of a ~40-node shape can trigger the corrective pass
-// while every other worker still holds an uncommitted decoy. Noise
-// filtering is the divergence gates' job (≥1ms absolute and ≥50% relative
-// error before any pass fires), not the completion floor's — an honest run
-// still pays zero passes at this setting. See the MeasureReweight doc
-// comment.
-const reweightMeasureInterval = 2
-
-var (
-	liarStarterDur = 1500 * time.Microsecond
-	liarFatDur     = 8 * time.Millisecond
-	liarChainDur   = 2 * time.Millisecond
-	liarDecoyClaim = 30 * time.Millisecond
-	liarChainClaim = 1 * time.Millisecond
-)
-
-// DefaultLiarDAG returns the canonical deceptive-estimate shape.
-func DefaultLiarDAG() *SchedDAG {
-	return LiarDAG(liarStarters, liarFats, liarChainDepth, liarStarterDur, liarFatDur, liarChainDur)
-}
-
-// DefaultLiarHistory returns a fresh run's worth of lies for the canonical
-// shape.
-func DefaultLiarHistory(sd *SchedDAG) *exec.History {
-	return LiarHistory(sd, liarDecoyClaim, liarChainClaim)
-}
-
-// ReweightMeasurement is one data point of a reweight comparison: one
-// shape executed once under one reweight mode.
-type ReweightMeasurement struct {
-	Shape     string  `json:"shape"`
-	Nodes     int     `json:"nodes"`
-	Reweight  string  `json:"reweight"`
-	Workers   int     `json:"workers"`
-	WallMS    float64 `json:"wall_ms"`
-	Reweights int64   `json:"reweights"`
-}
-
-// MeasureReweight executes the shape once under the given reweight mode
-// with a fresh engine and the supplied history (pass a fresh LiarHistory
-// per call for deceptive runs; nil runs cold) and returns the measurement
-// with the run's Result for value checking.
-//
-// The engine is configured with reweightMeasureInterval rather than the
-// default completion floor: the default (8, tuned for graphs with
-// thousands of nodes) would hold the first corrective pass until most of
-// the canonical shape's starters have finished — by which point nearly
-// every worker has already committed to a multi-millisecond decoy — and
-// the measured gap would understate what re-weighting buys at a trigger
-// matched to the graph's scale.
-func MeasureReweight(sd *SchedDAG, h *exec.History, mode exec.Reweight, workers int) (ReweightMeasurement, *exec.Result, error) {
-	e := &exec.Engine{Workers: workers, History: h, Reweight: mode,
-		ReweightInterval: reweightMeasureInterval}
-	res, err := e.Execute(sd.G, sd.Tasks, sd.Plan())
-	if err != nil {
-		return ReweightMeasurement{}, nil, err
-	}
-	return ReweightMeasurement{
-		Shape:     sd.Name,
-		Nodes:     sd.G.Len(),
-		Reweight:  mode.String(),
-		Workers:   workers,
-		WallMS:    float64(res.Wall.Microseconds()) / 1000,
-		Reweights: res.Reweights,
-	}, res, nil
-}
-
-// spinSleepTask returns a deterministic task that busy-loops for spin and
-// then sleeps for rest — a CPU-flavoured long-pole operator whose wall
-// cost stays measurable on hosts without a spare core (see LiarDAG).
-func spinSleepTask(idx int, spin, rest time.Duration) exec.Task {
-	return exec.Task{Run: func(ctx context.Context, in []any) (any, error) {
-		if err := spinCtx(ctx, spin); err != nil {
-			return nil, err
-		}
-		if err := sleepCtx(ctx, rest); err != nil {
-			return nil, err
-		}
-		sum := idx
-		for _, v := range in {
-			sum += v.(int)
-		}
-		return sum, nil
-	}}
-}
-
 // busyTask returns a deterministic dispatch-overhead probe: no sleep, no
 // spin — just the input mix. With tasks this fine the wall time of a run is
 // dominated by the scheduler itself, which is exactly what the contention

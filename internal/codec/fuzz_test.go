@@ -43,7 +43,12 @@ func fuzzSeedValues() []any {
 		}},
 		data.Vector{Indices: []int{0, 2}, Values: []float64{1, -1}},
 		seq.Span{Start: 1, End: 4},
-		seq.Instance{Feats: [][]int{{0, 1}}, Tags: []int{seq.TagB}},
+		workload.SeqDataset{
+			Train:    seq.Corpus{Sent: []int32{0, 2}, Tok: []int32{0, 2, 3}, ID: []int32{0, 1, 2}, Tags: []uint8{seq.TagB, seq.TagI}},
+			Test:     seq.Corpus{Sent: []int32{0, 1}, Tok: []int32{0, 1}, ID: []int32{2}},
+			TestGold: workload.Ragged[seq.Span]{Off: []int32{0, 1}, Vals: []seq.Span{{Start: 0, End: 1}}},
+			Dim:      3,
+		},
 		workload.GazValue{Entries: []string{"Ann Smith"}},
 		workload.PredSpans{
 			Spans: [][]seq.Span{{{Start: 0, End: 2}}},

@@ -172,7 +172,11 @@ func TestRetiredCodecNamesDoNotDecode(t *testing.T) {
 
 // A store holding census values under the retired names: every such load
 // fails, is counted in CorruptFrames, recovers by recompute and is
-// re-materialized, so the next iteration loads the new layout.
+// re-materialized, so the next iteration loads the new layout. Each layout
+// is relabelled just before the edit that plans its load: a failed load's
+// recovery probes the store for every ancestor, so a retired ancestor
+// present earlier would be dropped as undecodable before any edit planned
+// to load it.
 func TestSessionRecomputesRetiredLayouts(t *testing.T) {
 	s, err := Open(Options{StoreDir: t.TempDir(), Policy: opt.MaterializeAll{}, Reuse: true, Workers: 2})
 	if err != nil {
@@ -185,11 +189,17 @@ func TestSessionRecomputesRetiredLayouts(t *testing.T) {
 	}
 	hit := map[string]bool{}
 	retired := map[string]string{} // key -> the retired name its bytes carry
-	for _, edit := range []*Workflow{
-		censusWorkflow(0.3, "accuracy", false), // ML edit: loads the vectorized dataset
-		censusWorkflow(0.3, "accuracy", true),  // prep edit: loads the unchanged feature columns
+	for _, step := range []struct {
+		edit        *Workflow
+		layout, old string // stored values of layout are relabelled old first
+	}{
+		// ML edit: loads the vectorized dataset.
+		{censusWorkflow(0.3, "accuracy", false), "core.ColumnarVecPair", "core.VecPair"},
+		// Prep edit: loads the unchanged feature columns.
+		{censusWorkflow(0.3, "accuracy", true), "core.CSRFeatureColumn", "core.FeatureColumn"},
 	} {
-		// Relabel every stored census value with its retired name.
+		edit := step.edit
+		// Relabel every stored value of the layout with its retired name.
 		for _, key := range rep.Keys {
 			raw, err := s.Store().GetBytes(key)
 			if err != nil {
@@ -199,17 +209,16 @@ func TestSessionRecomputesRetiredLayouts(t *testing.T) {
 			if err != nil {
 				continue // relabelled for an earlier edit that did not load it
 			}
-			old := map[string]string{"core.CSRFeatureColumn": "core.FeatureColumn", "core.ColumnarVecPair": "core.VecPair"}[codecName(v)]
-			if old == "" {
+			if codecName(v) != step.layout {
 				continue
 			}
 			if err := s.Store().Delete(key); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Store().PutBytes(key, retire(t, v, old)); err != nil {
+			if err := s.Store().PutBytes(key, retire(t, v, step.old)); err != nil {
 				t.Fatal(err)
 			}
-			retired[key] = old
+			retired[key] = step.old
 		}
 		want := storeless(t, edit)
 		if rep, err = s.Run(edit); err != nil {

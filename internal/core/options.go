@@ -16,7 +16,8 @@ import (
 //
 // The zero value is a valid in-memory session: no persistence, no reuse,
 // and the engine's one scheduler (dependency-counting dataflow,
-// work-stealing dispatch, critical-path ordering, adaptive reweighting).
+// work-stealing dispatch, critical-path ordering with weights computed once
+// per run).
 type Options struct {
 	// SystemName labels reports ("helix", "deepdive", ...). Defaults to
 	// "helix" when empty.
@@ -62,10 +63,9 @@ type Options struct {
 	//
 	// Deprecated: see exec.DispatchMode.
 	Dispatch exec.DispatchMode
-	// Reweight is ignored: sessions always re-prioritize adaptively
-	// (exec.Adaptive). Engine.Reweight remains for direct engine callers.
+	// Reweight is ignored.
 	//
-	// Deprecated: no session entry point selects anything else.
+	// Deprecated: see exec.Reweight.
 	Reweight exec.Reweight
 	// KeepIntermediates retains every non-pruned value in memory for the
 	// whole iteration. By default the session releases a non-output value

@@ -176,107 +176,3 @@ func TestCriticalPathOrderedMatchesCriticalPath(t *testing.T) {
 		t.Error("mis-sized order accepted")
 	}
 }
-
-// TestCriticalPathFromRecomputesUnfinishedSubgraph: with a and b finished
-// (skipped), the incremental recompute corrects only c and d under the new
-// costs, carries a's and b's previous weights through untouched, and
-// ignores finished children when propagating.
-func TestCriticalPathFromRecomputesUnfinishedSubgraph(t *testing.T) {
-	g, a, b, c, d := diamond(t)
-	cost := []int64{1, 1, 1, 1}
-	prev, err := g.CriticalPath(cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	order, err := g.Topo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Measurements revealed c and d are 10× the estimate.
-	newCost := []int64{1, 1, 10, 10}
-	done := map[NodeID]bool{a: true, b: true}
-	got, err := g.CriticalPathFrom(newCost, order, func(id NodeID) bool { return done[id] }, prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[a] != prev[a] || got[b] != prev[b] {
-		t.Errorf("finished weights changed: a %d->%d, b %d->%d", prev[a], got[a], prev[b], got[b])
-	}
-	if got[d] != 10 {
-		t.Errorf("weight[d] = %d, want 10", got[d])
-	}
-	if got[c] != 20 {
-		t.Errorf("weight[c] = %d, want 20 (cost 10 + unfinished child d 10)", got[c])
-	}
-	// prev must not be mutated.
-	if prev[c] != 2 || prev[d] != 1 {
-		t.Errorf("previous weights mutated: c=%d d=%d", prev[c], prev[d])
-	}
-}
-
-// TestCriticalPathFromSkipsFinishedChildren: a finished child gates no
-// remaining work — its stale weight must not inflate an unfinished parent.
-func TestCriticalPathFromSkipsFinishedChildren(t *testing.T) {
-	g := New()
-	a := g.MustAddNode("a", "op")
-	load := g.MustAddNode("load-child", "op")
-	slow := g.MustAddNode("slow-child", "op")
-	g.MustAddEdge(a, load)
-	g.MustAddEdge(a, slow)
-	order, err := g.Topo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost := []int64{1, 100, 5}
-	prev, err := g.CriticalPathOrdered(cost, order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prev[a] != 101 {
-		t.Fatalf("initial weight[a] = %d, want 101", prev[a])
-	}
-	// The expensive child already ran (a load dispatched independently):
-	// a's remaining path is only the slow-child branch.
-	done := map[NodeID]bool{load: true}
-	got, err := g.CriticalPathFrom(cost, order, func(id NodeID) bool { return done[id] }, prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[a] != 6 {
-		t.Errorf("weight[a] = %d, want 6 (finished child excluded)", got[a])
-	}
-}
-
-// TestCriticalPathFromNilSkipMatchesOrdered: skipping nothing degenerates
-// to a full recompute, and mis-sized inputs are rejected.
-func TestCriticalPathFromNilSkipMatchesOrdered(t *testing.T) {
-	g, _, _, _, _ := diamond(t)
-	cost := []int64{3, 5, 7, 2}
-	order, err := g.Topo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := g.CriticalPathOrdered(cost, order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := make([]int64, len(cost))
-	got, err := g.CriticalPathFrom(cost, order, nil, prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("weight[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	if _, err := g.CriticalPathFrom(cost[:2], order, nil, prev); err == nil {
-		t.Error("mis-sized cost accepted")
-	}
-	if _, err := g.CriticalPathFrom(cost, order[:1], nil, prev); err == nil {
-		t.Error("mis-sized order accepted")
-	}
-	if _, err := g.CriticalPathFrom(cost, order, nil, prev[:1]); err == nil {
-		t.Error("mis-sized prev accepted")
-	}
-}

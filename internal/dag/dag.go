@@ -276,48 +276,6 @@ func (g *Graph) CriticalPathOrdered(cost []int64, order []NodeID) ([]int64, erro
 	return weight, nil
 }
 
-// CriticalPathFrom is the incremental form of CriticalPathOrdered for
-// mid-run re-prioritization: it recomputes heaviest-downstream-path weights
-// only for the nodes where skip returns false (the not-yet-dispatched
-// subgraph of an executing run), reusing a topological order the caller
-// already holds and carrying the previous weight of every skipped node
-// through unchanged. A recomputed node sums its cost with the best weight
-// among its *non-skipped* children only: a child that already ran gates no
-// remaining work, so its (stale) weight must not inflate the ancestors
-// still waiting to be ordered. prev is never mutated; the returned slice is
-// fresh, so an executor can publish it atomically while readers still hold
-// the old one.
-func (g *Graph) CriticalPathFrom(cost []int64, order []NodeID, skip func(NodeID) bool, prev []int64) ([]int64, error) {
-	if len(cost) != len(g.nodes) {
-		return nil, fmt.Errorf("dag: %d costs for %d nodes", len(cost), len(g.nodes))
-	}
-	if len(order) != len(g.nodes) {
-		return nil, fmt.Errorf("dag: order covers %d of %d nodes", len(order), len(g.nodes))
-	}
-	if len(prev) != len(g.nodes) {
-		return nil, fmt.Errorf("dag: %d previous weights for %d nodes", len(prev), len(g.nodes))
-	}
-	weight := make([]int64, len(g.nodes))
-	copy(weight, prev)
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		if skip != nil && skip(v) {
-			continue
-		}
-		var best int64
-		for _, c := range g.childs[v] {
-			if skip != nil && skip(c) {
-				continue
-			}
-			if weight[c] > best {
-				best = weight[c]
-			}
-		}
-		weight[v] = cost[v] + best
-	}
-	return weight, nil
-}
-
 // StructuralCosts returns a cheap per-node cost estimate for graphs (or
 // nodes) that have never been measured: cost(v) = unit × (1 + out-degree).
 // The intuition is purely structural — a result consumed by more downstream

@@ -33,8 +33,10 @@ type Counters struct {
 	// one-node-per-parked-worker, left where their freshly computed inputs
 	// are warm.
 	AffinityKeeps int64 `json:"affinity_keeps"`
-	// Reweights counts online re-prioritization passes (Adaptive
-	// reweighting only; always 0 under ReweightOff).
+	// Reweights is always 0: the engine no longer re-prioritizes mid-run.
+	// The field stays only so readers of the counter block keep compiling.
+	//
+	// Deprecated: dispatch weights are computed once per run.
 	Reweights int64 `json:"reweights"`
 	// Spills counts values admitted to the cold spill tier after the hot
 	// tier's budget rejected them (always 0 without a spill tier).
@@ -112,7 +114,6 @@ func (c *Counters) Add(o Counters) {
 	c.Steals += o.Steals
 	c.Handoffs += o.Handoffs
 	c.AffinityKeeps += o.AffinityKeeps
-	c.Reweights += o.Reweights
 	c.Spills += o.Spills
 	c.Promotions += o.Promotions
 	c.Evictions += o.Evictions

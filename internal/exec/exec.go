@@ -264,6 +264,13 @@ type Ordering struct{}
 // Deprecated: kept only so existing field assignments compile.
 type DispatchMode struct{}
 
+// Reweight is an inert placeholder: ready nodes are ordered by the
+// critical-path weights computed once at the top of each run, which never
+// change while it executes.
+//
+// Deprecated: kept only so existing field assignments compile.
+type Reweight struct{}
+
 // Engine executes plans. Configure once, reuse across iterations.
 type Engine struct {
 	// Store is the materialization store — the hot tier when Spill is also
@@ -304,19 +311,10 @@ type Engine struct {
 	// attempt, no deadline). Applies to every node run and to lineage
 	// recomputes after failed loads.
 	Faults FaultPolicy
-	// Reweight selects online re-prioritization of the remaining DAG as
-	// measured durations diverge from the estimates behind the initial
-	// critical-path weights; the zero value is Adaptive. ReweightOff pins
-	// the weights computed at the top of Execute for A/B benchmarks.
+	// Reweight is ignored: the dispatch weights are computed once per run.
+	//
+	// Deprecated: see the Reweight type.
 	Reweight Reweight
-	// ReweightInterval overrides the minimum number of node completions
-	// between re-prioritization passes; <=0 selects the default (8, scaled
-	// up with graph size). Exposed for tests that must force passes.
-	ReweightInterval int
-	// ReweightMinDivergence overrides the absolute measured-vs-estimated
-	// divergence a trigger window must accumulate before a pass runs; <=0
-	// selects the default (1ms). Exposed for tests that must force passes.
-	ReweightMinDivergence time.Duration
 	// MatWriters bounds the background materialization writers; <=0
 	// means 2.
 	MatWriters int

@@ -129,10 +129,10 @@ type faultStats struct {
 // runTask executes one node's operator under the engine's fault policy:
 // each attempt runs under the per-node deadline (when configured), a
 // transient failure retries in place on the calling worker — the node never
-// re-enters a ready queue, so retry is invisible to dispatch, stealing and
-// re-prioritization — and a fatal failure (or an exhausted attempt budget)
-// returns the error to the caller's first-error cancellation. The backoff
-// sleep is interruptible by run cancellation.
+// re-enters a ready queue, so retry is invisible to dispatch and stealing —
+// and a fatal failure (or an exhausted attempt budget) returns the error to
+// the caller's first-error cancellation. The backoff sleep is interruptible
+// by run cancellation.
 func (e *Engine) runTask(ctx context.Context, id dag.NodeID, run func(context.Context, []any) (any, error), inputs []any, stats *faultStats) (any, error) {
 	p := e.Faults
 	attempts := p.attempts()

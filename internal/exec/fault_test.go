@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -294,6 +295,63 @@ func TestRecomputeAfterVanishedFile(t *testing.T) {
 			t.Fatalf("Recomputes = %d, want >= 1", res.Recomputes)
 		}
 	})
+}
+
+// TestRecoveryLoadsStoredPrunedAncestor: when a planned load fails, its
+// recovery loads every ancestor that is intact in the store — a pruned one
+// too — instead of recomputing it, so one damaged value costs one operator
+// run.
+func TestRecoveryLoadsStoredPrunedAncestor(t *testing.T) {
+	g, tasks := buildChain(t)
+	ref, err := (&Engine{Workers: 1}).Execute(g, tasks, allCompute(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var aCalls atomic.Int32
+	innerA := tasks[0].Run
+	tasks[0].Run = func(ctx context.Context, in []any) (any, error) {
+		aCalls.Add(1)
+		return innerA(ctx, in)
+	}
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("ka", ref.Values[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutBytes("kb", append([]byte{'G'}, "legacy gob payload"...)); err != nil {
+		t.Fatal(err)
+	}
+	plan := allCompute(3)
+	plan.States[0] = opt.Prune
+	plan.States[1] = opt.Load
+	res, err := (&Engine{Workers: 2, Store: st}).Execute(g, tasks, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Recomputes != 1 || res.CorruptFrames != 1 {
+		t.Errorf("recomputes %d, corrupt %d; want 1 and 1", res.Recomputes, res.CorruptFrames)
+	}
+	if n := aCalls.Load(); n != 0 {
+		t.Errorf("stored pruned ancestor a recomputed %d times", n)
+	}
+	got, ok := res.Value(g, "c")
+	if !ok {
+		t.Fatal("c missing")
+	}
+	want, _ := ref.Value(g, "c")
+	gotRaw, err := store.Encode(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRaw, err := store.Encode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotRaw, wantRaw) {
+		t.Errorf("c = %v, reference %v", got, want)
+	}
 }
 
 // TestUndecodableLoadsDroppedAndRematerialized: a stored payload that fails

@@ -38,13 +38,12 @@ func withTransients(tasks []Task) ([]Task, int) {
 	return out, injected
 }
 
-// TestRetryStealReweightReleaseStress runs retried transient faults
-// concurrently with everything else the scheduler does between
-// completions — steal-half victims, adaptive reweight passes forced every
-// completion, refcounted release. Run with -race
-// in CI; correctness here is that every run completes with the clean
-// reference's output values and accounts for every injected fault.
-func TestRetryStealReweightReleaseStress(t *testing.T) {
+// TestRetryStealReleaseStress runs retried transient faults concurrently
+// with everything else the scheduler does between completions — steal-half
+// victims, refcounted release. Run with -race in CI; correctness here is
+// that every run completes with the clean reference's output values and
+// accounts for every injected fault.
+func TestRetryStealReleaseStress(t *testing.T) {
 	refG, refTasks := layeredDAG(4, 6, "fault-ref")
 	ref := &Engine{Workers: 1}
 	refRes, err := ref.Execute(refG, refTasks, allCompute(refG.Len()))
@@ -62,10 +61,8 @@ func TestRetryStealReweightReleaseStress(t *testing.T) {
 			g, tasks := layeredDAG(4, 6, fmt.Sprintf("fault-%d", iter))
 			faulted, injected := withTransients(tasks)
 			e := &Engine{
-				Workers:               8,
-				ReleaseIntermediates:  true,
-				ReweightInterval:      1,
-				ReweightMinDivergence: 1,
+				Workers:              8,
+				ReleaseIntermediates: true,
 				Faults: FaultPolicy{
 					MaxAttempts: 4,
 					BaseBackoff: time.Microsecond,

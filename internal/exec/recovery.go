@@ -16,19 +16,19 @@ import (
 // recompute path is known, so storage damage degrades to a cache miss
 // instead of a run failure.
 //
-// Recovery is deliberately LOCAL to the recovering worker: it recomputes the
-// failing node from its ancestors through its own memo table, re-loading
-// intact Load-state ancestors from the store but never reading the run's
-// shared value slots. Ancestors the plan pruned were never dispatched, and
-// ancestors the plan computes may be running concurrently (their slots are
-// plain, release may clear them, and waiting on them could deadlock a
-// single-worker run) — duplicating a little compute is the price of a
-// recovery that is race-free under every dispatcher and worker count.
+// Recovery is deliberately LOCAL to the recovering worker: it rebuilds the
+// failing node from its ancestors through its own memo table, loading every
+// ancestor that is intact in the store — whatever the plan chose for it —
+// and recomputing the rest, but never reading the run's shared value slots.
+// Ancestors the plan pruned were never dispatched, and ancestors the plan
+// computes may be running concurrently (their slots are plain, release may
+// clear them, and waiting on them could deadlock a single-worker run) —
+// duplicating a little compute is the price of a recovery that is race-free
+// under every worker count.
 type recomputer struct {
 	e     *Engine
 	g     *dag.Graph
 	tasks []Task
-	plan  *opt.Plan
 	stats *faultStats
 }
 
@@ -45,22 +45,22 @@ func (r *recomputer) recoverLoad(ctx context.Context, id dag.NodeID, loadErr err
 	return v, nil
 }
 
-// recompute returns node id's value, memoized per recovery: intact
-// Load-state ancestors are served from the store (root already failed its
-// load and always recomputes), everything else runs its operator — under
-// the engine's fault policy, so transient faults retry here too — over
-// recursively recovered parent values.
+// recompute returns node id's value, memoized per recovery: an ancestor
+// with a key is served from the store when it is stored and decodable
+// (root already failed its load and always recomputes), everything else
+// runs its operator — under the engine's fault policy, so transient faults
+// retry here too — over recursively recovered parent values.
 func (r *recomputer) recompute(ctx context.Context, id dag.NodeID, memo map[dag.NodeID]any, root bool) (any, error) {
 	if v, ok := memo[id]; ok {
 		return v, nil
 	}
-	if !root && r.plan.States[id] == opt.Load && r.e.Store != nil && r.tasks[id].Key != "" {
+	if !root && r.e.Store != nil && r.tasks[id].Key != "" {
 		if v, _, err := r.e.tiers().Get(r.tasks[id].Key); err == nil {
 			memo[id] = v
 			return v, nil
 		}
-		// A damaged frame in the lineage degrades the same way: fall
-		// through and recompute this ancestor too.
+		// A missing entry or a damaged frame in the lineage degrades
+		// the same way: fall through and recompute this ancestor too.
 	}
 	parents := r.g.Parents(id)
 	inputs := make([]any, len(parents))

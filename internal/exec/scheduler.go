@@ -80,10 +80,6 @@ type runCtx struct {
 	coldSizes []int64
 
 	writer *matWriter // nil when materialization is disabled
-
-	// rw is the online re-prioritization state; nil when reweighting is
-	// off.
-	rw *reweighter
 }
 
 // executeDataflow runs the plan with dependency-counting scheduling: no
@@ -117,12 +113,9 @@ func (e *Engine) executeDataflow(ctx context.Context, g *dag.Graph, tasks []Task
 	// the gauge. The error path is unreachable (the units are positive
 	// constants).
 	structural, _ := g.StructuralCosts(1)
-	weight, cost, err := e.pathWeights(g, tasks, plan, order, structural)
+	weight, err := e.pathWeights(g, tasks, plan, order, structural)
 	if err != nil {
 		return nil, err
-	}
-	if e.Reweight == Adaptive {
-		rc.rw = newReweighter(rc, order, cost, weight)
 	}
 	if e.LiveBytes != nil {
 		rc.liveSize = make([]int64, g.Len())
@@ -172,9 +165,6 @@ func (e *Engine) executeDataflow(ctx context.Context, g *dag.Graph, tasks []Task
 			res.Nodes[i].Duration = time.Duration(d)
 		}
 	}
-	if rc.rw != nil {
-		res.Reweights = rc.rw.passes.Load()
-	}
 	if e.LiveBytes != nil {
 		// Values still retained (outputs, and everything else when release
 		// is off) stop being execution-live once the run is over; settle
@@ -219,11 +209,6 @@ func (rc *runCtx) applyRelease(release []dag.NodeID) {
 func (rc *runCtx) runNode(id dag.NodeID) error {
 	e, g := rc.e, rc.g
 	name := g.Node(id).Name
-	if rc.rw != nil {
-		// Out of every ready queue from here on: re-prioritization passes
-		// stop touching this node's weight.
-		rc.rw.markStarted(id)
-	}
 	nodeStart := time.Now()
 	switch rc.plan.States[id] {
 	case opt.Load:
@@ -236,7 +221,7 @@ func (rc *runCtx) runNode(id dag.NodeID) error {
 			// A failed load — corrupt frame, read I/O error, vanished
 			// entry — degrades to a lineage recompute, local to this
 			// worker (see recomputer).
-			rec := &recomputer{e: e, g: g, tasks: rc.tasks, plan: rc.plan, stats: rc.stats}
+			rec := &recomputer{e: e, g: g, tasks: rc.tasks, stats: rc.stats}
 			if v, err = rec.recoverLoad(rc.ctx, id, err); err != nil {
 				return fmt.Errorf("exec: load %s: %w", name, err)
 			}
@@ -336,12 +321,11 @@ func (rc *runCtx) gather(id dag.NodeID) ([]any, error) {
 // heaviest-downstream-path weights. Pruned nodes cost 0; weight flowing
 // through a pruned node toward a load descendant slightly overstates its
 // ancestors, which is harmless for an ordering heuristic (pruned nodes
-// themselves never enter a ready queue). The per-node cost estimates are
-// returned alongside the weights: they seed the online re-prioritizer,
-// which measures divergence against exactly what the weights were built
-// from. order must be a valid topological order of g (from g.Topo), so the
-// only error is an internal invariant violation.
-func (e *Engine) pathWeights(g *dag.Graph, tasks []Task, plan *opt.Plan, order []dag.NodeID, structural []int64) ([]int64, []int64, error) {
+// themselves never enter a ready queue). The weights are computed once per
+// run and never change while it executes. order must be a valid
+// topological order of g (from g.Topo), so the only error is an internal
+// invariant violation.
+func (e *Engine) pathWeights(g *dag.Graph, tasks []Task, plan *opt.Plan, order []dag.NodeID, structural []int64) ([]int64, error) {
 	cost := make([]int64, g.Len())
 	for i := range cost {
 		id := dag.NodeID(i)
@@ -364,9 +348,9 @@ func (e *Engine) pathWeights(g *dag.Graph, tasks []Task, plan *opt.Plan, order [
 	}
 	w, err := g.CriticalPathOrdered(cost, order)
 	if err != nil {
-		return nil, nil, fmt.Errorf("exec: critical-path weights over a topological order: %w", err)
+		return nil, fmt.Errorf("exec: critical-path weights over a topological order: %w", err)
 	}
-	return w, cost, nil
+	return w, nil
 }
 
 // noteLive charges id's freshly published value to the engine's live-bytes
@@ -405,13 +389,7 @@ func (rc *runCtx) noteLive(id dag.NodeID) {
 // sift step — measurable churn at fine-grained-node scale.
 type nodeHeap struct {
 	ids    []dag.NodeID
-	weight []int64 // critical-path priorities, indexed by node ID
-	// epoch is the re-prioritization version this heap was last sorted
-	// with (reweighter.fix compares it against the global counter and
-	// re-heapifies with the fresh weights on mismatch). Guarded by
-	// whatever lock guards the heap itself; always 0 when reweighting is
-	// off.
-	epoch uint64
+	weight []int64 // the run's critical-path priorities, indexed by node ID
 }
 
 func (h *nodeHeap) Len() int { return len(h.ids) }
@@ -431,23 +409,16 @@ func (h *nodeHeap) push(id dag.NodeID) {
 	}
 }
 
-// pop removes and returns the highest-priority node (sift down). The heap
-// must be non-empty.
+// pop removes and returns the highest-priority node, restoring the heap
+// invariant (sift down). The heap must be non-empty.
 func (h *nodeHeap) pop() dag.NodeID {
-	ids := h.ids
+	ids, w := h.ids, h.weight
 	top := ids[0]
 	n := len(ids) - 1
 	ids[0] = ids[n]
-	h.ids = ids[:n]
-	h.siftDown(0)
-	return top
-}
-
-// siftDown restores the heap invariant below index i.
-func (h *nodeHeap) siftDown(i int) {
-	ids, w := h.ids, h.weight
-	n := len(ids)
-	for {
+	ids = ids[:n]
+	h.ids = ids
+	for i := 0; ; {
 		l := 2*i + 1
 		if l >= n {
 			break
@@ -462,15 +433,7 @@ func (h *nodeHeap) siftDown(i int) {
 		ids[i], ids[best] = ids[best], ids[i]
 		i = best
 	}
-}
-
-// heapify re-establishes the invariant over the whole heap after the
-// weight slice changed (a re-prioritization pass): bottom-up sift-down,
-// O(n) for the queue sizes dispatch ever holds.
-func (h *nodeHeap) heapify() {
-	for i := len(h.ids)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
+	return top
 }
 
 // nodeBefore reports whether a dispatches before b: larger critical-path

@@ -140,101 +140,11 @@ func TestReleaseWriterErrorCancellationStress(t *testing.T) {
 	})
 }
 
-// TestReweightStealStress forces a re-prioritization pass on effectively
-// every completion (1-completion interval, 1ns divergence floor) while
-// steals, direct-run chaining, overflow handoffs, refcounted release and
-// the writer pipeline are all in flight — the -race coverage of the
-// epoch-fenced re-sort. Values are checked against a single-worker
-// reference run, and the run must actually have re-prioritized.
-func TestReweightStealStress(t *testing.T) {
-	t.Run("worksteal", func(t *testing.T) {
-		for iter := 0; iter < 8; iter++ {
-			g, tasks := layeredDAG(5, 8, fmt.Sprintf("rw-%d", iter))
-			// Uneven durations keep workers out of lockstep so passes
-			// overlap pops, pushes, steals and parks instead of landing
-			// in quiet gaps.
-			for i := range tasks {
-				run := tasks[i].Run
-				delay := time.Duration((i*13+iter)%5) * 40 * time.Microsecond
-				tasks[i] = Task{Key: tasks[i].Key, Run: func(ctx context.Context, in []any) (any, error) {
-					time.Sleep(delay)
-					return run(ctx, in)
-				}}
-			}
-			ref := &Engine{Workers: 1, Reweight: ReweightOff}
-			want, err := ref.Execute(g, tasks, allCompute(g.Len()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := store.Open(t.TempDir(), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := &Engine{
-				Workers:               8,
-				MatWriters:            3,
-				Store:                 st,
-				Policy:                opt.MaterializeAll{},
-				ReleaseIntermediates:  true,
-				Reweight:              Adaptive,
-				ReweightInterval:      1,
-				ReweightMinDivergence: time.Nanosecond,
-			}
-			res, err := e.Execute(g, tasks, allCompute(g.Len()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Reweights == 0 {
-				t.Fatalf("iter %d: no re-prioritization passes despite forced trigger", iter)
-			}
-			for id, v := range res.Values {
-				if v != want.Values[id] {
-					t.Fatalf("iter %d: node %d = %v, reference %v", iter, id, v, want.Values[id])
-				}
-			}
-			for i := range tasks {
-				if !st.Has(tasks[i].Key) {
-					t.Fatalf("iter %d: key %s missing under reweight stress", iter, tasks[i].Key)
-				}
-			}
-		}
-	})
-}
-
-// TestReweightErrorCancellationStress drives forced re-prioritization into
-// the error path: a mid-graph node fails while passes, steals and releases
-// are mid-flight. Execute must still cancel undispatched work, flush the
-// writer, and report the failure — with no deadlock between the pass's
-// queue sweep and the cancellation broadcast.
-func TestReweightErrorCancellationStress(t *testing.T) {
-	boom := errors.New("boom")
-	t.Run("worksteal", func(t *testing.T) {
-		for iter := 0; iter < 8; iter++ {
-			g, tasks := layeredDAG(4, 6, fmt.Sprintf("rwerr-%d", iter))
-			victim := g.Lookup("n1_3")
-			tasks[victim] = Task{Key: tasks[victim].Key, Run: func(ctx context.Context, in []any) (any, error) {
-				time.Sleep(time.Duration(iter%3) * 100 * time.Microsecond)
-				return nil, boom
-			}}
-			e := &Engine{
-				Workers:               8,
-				ReleaseIntermediates:  true,
-				Reweight:              Adaptive,
-				ReweightInterval:      1,
-				ReweightMinDivergence: time.Nanosecond,
-			}
-			if _, err := e.Execute(g, tasks, allCompute(g.Len())); !errors.Is(err, boom) {
-				t.Fatalf("iter %d: err = %v, want boom", iter, err)
-			}
-		}
-	})
-}
-
 // TestSpillPromoteReleaseStress hammers the tiered store under everything
 // at once: a hot tier small enough that almost every materialization
 // spills and almost every load hits cold and promotes (demoting hot
-// entries back out), concurrent with refcounted release, forced
-// re-prioritization passes, steals/chaining and the async writer pipeline.
+// entries back out), concurrent with refcounted release, steals/chaining
+// and the async writer pipeline.
 // Values must match a single-worker reference, every materialized key must
 // land in exactly one tier, and the hot tier must never exceed its budget.
 func TestSpillPromoteReleaseStress(t *testing.T) {
@@ -266,7 +176,7 @@ func TestSpillPromoteReleaseStress(t *testing.T) {
 			// Pre-populate every third key through the tiered admission
 			// path and plan those nodes as loads, so cold hits and their
 			// promotions and demotions run concurrently with computes,
-			// spills, releases and reweight passes.
+			// spills and releases.
 			tiers := store.NewTiered(hot, cold)
 			plan := allCompute(g.Len())
 			for i := 0; i < g.Len(); i += 3 {
@@ -281,16 +191,13 @@ func TestSpillPromoteReleaseStress(t *testing.T) {
 			}
 			var gauge store.Gauge
 			e := &Engine{
-				Workers:               8,
-				MatWriters:            3,
-				Store:                 hot,
-				Spill:                 cold,
-				Policy:                opt.MaterializeAll{},
-				ReleaseIntermediates:  true,
-				Reweight:              Adaptive,
-				ReweightInterval:      1,
-				ReweightMinDivergence: time.Nanosecond,
-				LiveBytes:             &gauge,
+				Workers:              8,
+				MatWriters:           3,
+				Store:                hot,
+				Spill:                cold,
+				Policy:               opt.MaterializeAll{},
+				ReleaseIntermediates: true,
+				LiveBytes:            &gauge,
 			}
 			res, err := e.Execute(g, tasks, plan)
 			if err != nil {

@@ -71,7 +71,7 @@ type wsTop struct {
 type wsDispatch struct {
 	*runCtx
 
-	weight []int64 // critical-path priorities
+	weight []int64 // the run's critical-path priorities, shared by every queue
 	deques []wsDeque
 	tops   []wsTop // published per-deque best weights (see wsTop)
 
@@ -122,27 +122,6 @@ func runWorkSteal(rc *runCtx, weight []int64, pending, consumers []int, remainin
 	for i := range d.deques {
 		d.deques[i].h.weight = weight
 		d.tops[i].w.Store(wsTopEmpty)
-	}
-	if rc.rw != nil {
-		// Eager sweep of a re-prioritization pass: re-sort each deque and
-		// the overflow queue, one lock at a time (the pass holds no lock of
-		// its own, so the dispatch lock order is untouched). Queues the
-		// sweep misses — or that are pushed to with a stale slice after it
-		// passed — catch up lazily through fix() on their next locked
-		// access.
-		rc.rw.resort = func() {
-			for i := range d.deques {
-				dq := &d.deques[i]
-				dq.mu.Lock()
-				rc.rw.fix(&dq.h)
-				d.publishTop(i, &dq.h)
-				dq.mu.Unlock()
-			}
-			d.parkMu.Lock()
-			rc.rw.fix(&d.overflow)
-			d.publishOverflowLocked()
-			d.parkMu.Unlock()
-		}
 	}
 	d.pending = make([]atomic.Int32, len(pending))
 	for i, p := range pending {
@@ -227,13 +206,6 @@ func (d *wsDispatch) finish(w int, id dag.NodeID, err error) (dag.NodeID, bool) 
 		d.errMu.Unlock()
 		d.cancelled.Store(true)
 	} else {
-		// Feed the re-prioritizer before dispatching children: no lock is
-		// held here, and a pass triggered now orders the children below
-		// with the corrected weights.
-		if d.rw != nil {
-			d.rw.observe(id, d.durs[id].Load())
-			d.rw.maybePass()
-		}
 		// Settle release reference counts before any child can be
 		// dispatched: the self-check below (consumers[id] == 0) is only
 		// race-free while no child of id is running, and children become
@@ -254,7 +226,7 @@ func (d *wsDispatch) finish(w int, id dag.NodeID, err error) (dag.NodeID, bool) 
 	var next dag.NodeID
 	keep := false
 	if len(ready) > 0 && !d.cancelled.Load() {
-		next, ready = pickBest(d.curWeight(), ready)
+		next, ready = pickBest(d.weight, ready)
 		keep = true
 		if len(ready) > 0 {
 			d.dispatchRest(w, ready)
@@ -272,27 +244,6 @@ func (d *wsDispatch) finish(w int, id dag.NodeID, err error) (dag.NodeID, bool) 
 		return next, true
 	}
 	return 0, false
-}
-
-// curWeight returns the live priority slice: the re-prioritizer's current
-// publication when reweighting is on, the run's initial weights otherwise.
-// Snapshots may lag a concurrent pass by one publication — weights order
-// work, they never gate correctness, so a stale snapshot costs at most one
-// suboptimal pick.
-func (d *wsDispatch) curWeight() []int64 {
-	if d.rw == nil {
-		return d.weight
-	}
-	w, _ := d.rw.current()
-	return w
-}
-
-// fix re-sorts h with the current weights if a re-prioritization pass has
-// published since h was last sorted. Callers hold the lock guarding h.
-func (d *wsDispatch) fix(h *nodeHeap) {
-	if d.rw != nil {
-		d.rw.fix(h)
-	}
 }
 
 // pickBest removes the highest-priority node from ready and returns it
@@ -354,14 +305,12 @@ func (d *wsDispatch) dispatchRest(w int, rest []dag.NodeID) {
 		handoff := rest
 		var local []dag.NodeID
 		if len(rest) > nw {
-			wts := d.curWeight()
-			sort.Slice(rest, func(i, j int) bool { return nodeBefore(wts, rest[i], rest[j]) })
+			sort.Slice(rest, func(i, j int) bool { return nodeBefore(d.weight, rest[i], rest[j]) })
 			handoff, local = rest[:nw], rest[nw:]
 			d.affinityKeeps.Add(int64(len(local)))
 		}
 		d.handoffs.Add(int64(len(handoff)))
 		d.parkMu.Lock()
-		d.fix(&d.overflow)
 		for _, c := range handoff {
 			d.overflow.push(c)
 		}
@@ -382,7 +331,6 @@ func (d *wsDispatch) dispatchRest(w int, rest []dag.NodeID) {
 func (d *wsDispatch) pushLocal(w int, nodes []dag.NodeID) {
 	dq := &d.deques[w]
 	dq.mu.Lock()
-	d.fix(&dq.h)
 	for _, c := range nodes {
 		dq.h.push(c)
 	}
@@ -559,7 +507,6 @@ func (d *wsDispatch) popLocal(w int, force bool) (id dag.NodeID, ok, stranded bo
 	if dq.h.Len() == 0 {
 		return 0, false, false
 	}
-	d.fix(&dq.h)
 	if !force {
 		if tw := dq.h.weight[dq.h.ids[0]]; d.globalBest(w) > 2*tw {
 			return 0, false, true
@@ -582,7 +529,6 @@ func (d *wsDispatch) popOverflow() (dag.NodeID, bool) {
 	if d.overflow.Len() == 0 {
 		return 0, false
 	}
-	d.fix(&d.overflow)
 	id := d.overflow.pop()
 	d.publishOverflowLocked()
 	return id, true
@@ -647,10 +593,6 @@ func (d *wsDispatch) stealFrom(w, v int, force bool) (id dag.NodeID, ok, strande
 		dq.mu.Unlock()
 		return 0, false, false
 	}
-	// Re-sort before splitting: the thief is about to take the victim's
-	// "best half", which must mean best under the current weights, not the
-	// ones from before the last re-prioritization.
-	d.fix(&dq.h)
 	if !force {
 		if tw := dq.h.weight[dq.h.ids[0]]; d.globalBest(w) > 2*tw {
 			dq.mu.Unlock()
@@ -668,7 +610,6 @@ func (d *wsDispatch) stealFrom(w, v int, force bool) (id dag.NodeID, ok, strande
 	if len(batch) > 1 {
 		own := &d.deques[w]
 		own.mu.Lock()
-		d.fix(&own.h)
 		for _, id := range batch[1:] {
 			own.h.push(id)
 		}
@@ -712,7 +653,6 @@ func (d *wsDispatch) park(w int) (dag.NodeID, bool) {
 // hold parkMu (lock order: parkMu, then one deque mutex at a time).
 func (d *wsDispatch) scanLocked(w int) (dag.NodeID, bool) {
 	if d.overflow.Len() > 0 {
-		d.fix(&d.overflow)
 		id := d.overflow.pop()
 		d.publishOverflowLocked()
 		return id, true
@@ -722,7 +662,6 @@ func (d *wsDispatch) scanLocked(w int) (dag.NodeID, bool) {
 		dq := &d.deques[v]
 		dq.mu.Lock()
 		if dq.h.Len() > 0 {
-			d.fix(&dq.h)
 			id := dq.h.pop()
 			d.publishTop(v, &dq.h)
 			dq.mu.Unlock()

@@ -11,9 +11,6 @@ import (
 // bytes are deterministic.
 
 func init() {
-	codec.RegisterValue(Instance{}, "seq.Instance",
-		func(w *codec.Writer, v any) error { encodeInstance(w, v.(Instance)); return nil },
-		func(r *codec.Reader) (any, error) { return decodeInstance(r) })
 	codec.RegisterValue(&Model{}, "seq.*Model",
 		func(w *codec.Writer, v any) error { encodeModel(w, v.(*Model)); return nil },
 		func(r *codec.Reader) (any, error) { return decodeModel(r) })
@@ -38,52 +35,6 @@ func init() {
 	codec.RegisterValue(&FeatureDict{}, "seq.*FeatureDict",
 		func(w *codec.Writer, v any) error { return encodeFeatureDict(w, v.(*FeatureDict)) },
 		func(r *codec.Reader) (any, error) { return decodeFeatureDict(r) })
-}
-
-func encodeInstance(w *codec.Writer, in Instance) {
-	w.Len(len(in.Feats))
-	for _, fs := range in.Feats {
-		w.Len(len(fs))
-		for _, f := range fs {
-			w.Int(f)
-		}
-	}
-	w.Len(len(in.Tags))
-	for _, t := range in.Tags {
-		w.Int(t)
-	}
-}
-
-func decodeInstance(r *codec.Reader) (Instance, error) {
-	n, err := r.Len()
-	if err != nil {
-		return Instance{}, err
-	}
-	feats := make([][]int, n)
-	for i := range feats {
-		k, err := r.Len()
-		if err != nil {
-			return Instance{}, err
-		}
-		fs := make([]int, k)
-		for j := range fs {
-			if fs[j], err = r.Int(); err != nil {
-				return Instance{}, err
-			}
-		}
-		feats[i] = fs
-	}
-	nt, err := r.Len()
-	if err != nil {
-		return Instance{}, err
-	}
-	tags := make([]int, nt)
-	for i := range tags {
-		if tags[i], err = r.Int(); err != nil {
-			return Instance{}, err
-		}
-	}
-	return Instance{Feats: feats, Tags: tags}, nil
 }
 
 func encodeModel(w *codec.Writer, m *Model) {

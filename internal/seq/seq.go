@@ -35,19 +35,6 @@ func TagName(t int) string {
 	}
 }
 
-// Instance is one sentence in nested form: per-token sparse feature indices
-// and gold tags. The learner reads the packed form, Corpus.
-type Instance struct {
-	// Feats[i] holds the active feature indices for token i (emission
-	// features, already mapped through a dictionary).
-	Feats [][]int
-	// Tags[i] is the gold BIO tag, empty for unlabeled instances.
-	Tags []int
-}
-
-// Len returns the number of tokens.
-func (in *Instance) Len() int { return len(in.Feats) }
-
 // Corpus is a batch of sentences in CSR form, one pointer-free slab per
 // level: sentence s is tokens Sent[s] to Sent[s+1], token k fires the
 // feature ids ID[Tok[k]:Tok[k+1]], and Tags[k] is token k's gold tag. An

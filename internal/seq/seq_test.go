@@ -138,6 +138,14 @@ func TestFeatureDict(t *testing.T) {
 	}
 }
 
+// Instance is one sentence in nested form, the shape tests build corpora
+// in: Feats[i] holds token i's feature indices, Tags[i] its gold BIO tag
+// (empty for unlabeled instances).
+type Instance struct {
+	Feats [][]int
+	Tags  []int
+}
+
 // pack lays nested instances out as a corpus; tags are kept only when
 // every instance has them.
 func pack(insts []Instance) Corpus {

@@ -62,14 +62,10 @@ func exemplars(t testing.TB) map[string]any {
 		"data.*FieldExtractor":     &data.FieldExtractor{Col: "age", Numeric: true},
 		"data.*Bucketizer":         &data.Bucketizer{Col: "age", Bins: 10, Lo: 17, Width: 7.3, Fitted: true},
 		"data.*InteractionFeature": &data.InteractionFeature{Cols: []string{"age", "edu"}},
-		"seq.Instance": seq.Instance{
-			Feats: [][]int{{0, 2}, {1}},
-			Tags:  []int{seq.TagB, seq.TagO},
-		},
-		"seq.*Model":       model,
-		"seq.Span":         seq.Span{Start: 2, End: 5},
-		"seq.*FeatureDict": fdict,
-		"core.TextPair":    core.TextPair{Train: "train text", Test: "test text"},
+		"seq.*Model":               model,
+		"seq.Span":                 seq.Span{Start: 2, End: 5},
+		"seq.*FeatureDict":         fdict,
+		"core.TextPair":            core.TextPair{Train: "train text", Test: "test text"},
 		"core.CollectionPair": core.CollectionPair{
 			Train: coll,
 			Test:  &data.Collection{Schema: schema, Rows: []data.Row{{Fields: []string{"1", "2", "3"}}}},

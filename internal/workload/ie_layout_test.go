@@ -69,7 +69,10 @@ func TestRetiredIENamesDoNotDecode(t *testing.T) {
 
 // A store holding IE values under the retired names: every such load fails,
 // is counted in CorruptFrames, recovers by recompute and is re-materialized,
-// and the outputs equal a store-less run's.
+// and the outputs equal a store-less run's. Each layout is relabelled just
+// before the edit that plans its load: a failed load's recovery probes the
+// store for every ancestor, so a retired ancestor present earlier would be
+// dropped as undecodable before any edit planned to load it.
 func TestSessionRecomputesRetiredIELayouts(t *testing.T) {
 	s, err := core.Open(core.Options{StoreDir: t.TempDir(), Policy: opt.MaterializeAll{}, Reuse: true, Workers: 2})
 	if err != nil {
@@ -81,35 +84,49 @@ func TestSessionRecomputesRetiredIELayouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	retired := map[string]string{} // key -> the retired name its bytes carry
+	layoutKey := map[string]string{} // columnar codec name -> the key stored under it
 	for _, key := range rep.Keys {
 		raw, err := s.Store().GetBytes(key)
 		if err != nil {
 			continue
 		}
-		old := retiredIENames[storedName(raw)]
-		if old == "" {
-			continue
+		if name := storedName(raw); retiredIENames[name] != "" {
+			layoutKey[name] = key
+		}
+	}
+	if len(layoutKey) != len(retiredIENames) {
+		t.Fatalf("found %d stored values, want one per columnar layout (%d)", len(layoutKey), len(retiredIENames))
+	}
+	retired := map[string]string{} // key -> the retired name its bytes carry
+	retire := func(name string) {
+		key := layoutKey[name]
+		raw, err := s.Store().GetBytes(key)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if err := s.Store().Delete(key); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Store().PutBytes(key, relabel(t, raw, old)); err != nil {
+		if err := s.Store().PutBytes(key, relabel(t, raw, retiredIENames[name])); err != nil {
 			t.Fatal(err)
 		}
-		retired[key] = old
-	}
-	if len(retired) != len(retiredIENames) {
-		t.Fatalf("relabelled %d stored values, want one per columnar layout (%d)", len(retired), len(retiredIENames))
+		retired[key] = retiredIENames[name]
 	}
 	labelsKey := rep.Keys[rep.Graph.Lookup("labels")]
 	hit := map[string]bool{}
 	for _, edit := range []func(){
-		func() { p.Epochs = 6 },              // ML edit: loads the feature dataset
-		func() { p.Features.Affixes = true }, // prep edit: loads the labeled corpus
+		func() { // ML edit: loads the feature dataset
+			retire("workload.CSRSeqDataset")
+			p.Epochs = 6
+		},
+		func() { // prep edit: loads the labeled corpus
+			retire("workload.CSRLabeledCorpus")
+			p.Features.Affixes = true
+		},
 		func() {
 			// Without a stored labeled corpus, the next prep edit loads
 			// the tokenized one to recompute it.
+			retire("workload.CSRTokenizedCorpus")
 			p.Features.Context = true
 			if err := s.Store().Delete(labelsKey); err != nil {
 				t.Fatal(err)
