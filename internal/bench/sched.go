@@ -277,10 +277,10 @@ func busyTask(idx int) exec.Task {
 // ContentionDAG is the dispatch-contention worst case: `chains` independent
 // chains of `depth` fine-grained nodes hang off one root and join into one
 // output — a wide DAG of tiny tasks where every node completion is a
-// dispatch event. A dispatcher with one shared ready queue would take its
-// mutex on each of the chains×depth transitions; under work-stealing a
-// chain link hands off to its child on the finishing worker's own deque,
-// so the steady state touches no shared lock at all. Tasks are pure
+// dispatch event. A dispatcher that queued every ready node would take its
+// mutex on each of the chains×depth transitions; with the chase a finishing
+// worker runs its chain's next link itself, so the steady state touches no
+// shared lock at all. Tasks are pure
 // dispatch probes (no sleep, no spin), so wall time ≈ scheduler overhead.
 func ContentionDAG(chains, depth int) *SchedDAG {
 	g := dag.New()

@@ -53,9 +53,9 @@ func TestSchedShapesEquivalentAcrossStrategies(t *testing.T) {
 	}
 }
 
-// TestDispatchModesEquivalentOnShapes: the work-stealing dispatcher
-// matches the sequential reference on every shape at worker counts that
-// change who steals what (1, 2 and 8). The 4-worker run is
+// TestDispatchModesEquivalentOnShapes: the dispatcher matches the
+// sequential reference on every shape at worker counts that change who
+// runs what (1, 2 and 8). The 4-worker run is
 // TestSchedShapesEquivalentAcrossStrategies.
 func TestDispatchModesEquivalentOnShapes(t *testing.T) {
 	for _, sd := range schedShapes() {

@@ -77,18 +77,6 @@ func RegisterValue(prototype any, name string, enc EncodeFunc, dec DecodeFunc) {
 	valueByName[name] = vc
 }
 
-// Registered reports whether v's dynamic type has a binary codec (either a
-// builtin kind or a registered named type).
-func Registered(v any) bool {
-	switch v.(type) {
-	case string, int, int64, float64, bool, []byte, []string, []int, []float64, map[string]float64:
-		return true
-	}
-	valueMu.RLock()
-	defer valueMu.RUnlock()
-	return valueByType[reflect.TypeOf(v)] != nil
-}
-
 // RegisteredNames returns the sorted names of every registered named value
 // codec — the exhaustiveness oracle for the round-trip equivalence tests.
 func RegisteredNames() []string {

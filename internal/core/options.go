@@ -16,7 +16,7 @@ import (
 //
 // The zero value is a valid in-memory session: no persistence, no reuse,
 // and the engine's one scheduler (dependency-counting dataflow,
-// work-stealing dispatch, critical-path ordering with weights computed once
+// one shared ready heap, critical-path ordering with weights computed once
 // per run).
 type Options struct {
 	// SystemName labels reports ("helix", "deepdive", ...). Defaults to

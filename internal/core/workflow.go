@@ -126,15 +126,6 @@ func (w *Workflow) Names() []string {
 	return out
 }
 
-// Operators returns the declared operator for each name, for inspection.
-func (w *Workflow) Operators() map[string]Operator {
-	out := make(map[string]Operator, len(w.decls))
-	for _, d := range w.decls {
-		out[d.name] = d.op
-	}
-	return out
-}
-
 // SourceText renders the workflow as pseudo-DSL source — the version store
 // keeps it so the demo's version browser can show git-style code diffs.
 func (w *Workflow) SourceText() string {

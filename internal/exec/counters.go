@@ -22,16 +22,19 @@ const ReportSchemaVersion = 5
 // embedding surface documents otherwise (the service's status endpoint
 // reports daemon-lifetime totals).
 type Counters struct {
-	// Steals counts ready nodes an idle worker took from another worker's
-	// deque.
+	// Steals is always 0: the dispatcher has no per-worker queues to steal
+	// from. The field stays only so readers of the counter block keep
+	// compiling.
+	//
+	// Deprecated: every ready node waits in one shared heap.
 	Steals int64 `json:"steals"`
-	// Handoffs counts ready nodes a finishing worker routed through the
-	// global overflow queue to parked workers.
+	// Handoffs is always 0, for the same reason as Steals.
+	//
+	// Deprecated: every ready node waits in one shared heap.
 	Handoffs int64 `json:"handoffs"`
-	// AffinityKeeps counts newly-ready children the dispatcher kept on the
-	// producing worker's deque instead of handing off — the surplus beyond
-	// one-node-per-parked-worker, left where their freshly computed inputs
-	// are warm.
+	// AffinityKeeps is always 0, for the same reason as Steals.
+	//
+	// Deprecated: every ready node waits in one shared heap.
 	AffinityKeeps int64 `json:"affinity_keeps"`
 	// Reweights is always 0: the engine no longer re-prioritizes mid-run.
 	// The field stays only so readers of the counter block keep compiling.
@@ -111,9 +114,6 @@ type Counters struct {
 // any window saw the breaker open). The service's lifetime totals are built
 // with it.
 func (c *Counters) Add(o Counters) {
-	c.Steals += o.Steals
-	c.Handoffs += o.Handoffs
-	c.AffinityKeeps += o.AffinityKeeps
 	c.Spills += o.Spills
 	c.Promotions += o.Promotions
 	c.Evictions += o.Evictions

@@ -28,6 +28,7 @@ func materializedCount(res *Result) int {
 // encoding is threaded through to the persist instead of re-encoding.
 // Asserted via the instrumented codec counter.
 func TestEncodeOncePerMaterializedValue(t *testing.T) {
+	// "worksteal" is this subtest's historical name; it runs the shared-heap dispatcher.
 	t.Run("worksteal", func(t *testing.T) {
 		g, tasks := buildChain(t)
 		// Fresh keys so every value is a materialization candidate.

@@ -9,18 +9,15 @@
 // parent finishes, and a fixed worker pool drains the ready set until the
 // slice completes or the first error cancels all not-yet-dispatched work.
 // There are no level barriers, so a straggler delays only its own
-// descendants, never unrelated branches. Dispatch is work-stealing (see
-// docs/scheduler.md): each worker owns a private priority deque seeded by a
-// critical-path-aware partition of the initial ready set, a finishing
-// worker keeps its highest-priority newly-ready child to run directly and
-// queues the rest locally — no global lock on the happy path — while idle
-// workers steal batches from seeded-randomly probed victims and parked
-// workers are fed through a small global overflow queue. Ready nodes are
-// ordered by critical-path weight (each node's heaviest downstream cost
-// path, per dag.CriticalPath over the engine's history and store
-// estimates), so the run's long pole starts as early as a worker frees up.
+// descendants, never unrelated branches. Ready nodes wait in one shared
+// priority heap ordered by critical-path weight (each node's heaviest
+// downstream cost path, per dag.CriticalPath over the engine's history and
+// store estimates), so the run's long pole starts as early as a worker
+// frees up. A finishing worker runs its highest-priority newly-ready child
+// directly and pushes only the rest, so a dependency chain takes no lock;
+// see docs/scheduler.md.
 // Materialization runs off the critical path: each completed value is
-// handed to a bounded pool of background writers that decide, encode and
+// handed to a pool of two background writers that decide, encode and
 // persist it while downstream consumers are already executing;
 // NodeRun.MatDuration records the real write cost, and Execute flushes the
 // pipeline — also on error — before returning. Each materialized value is
@@ -106,9 +103,9 @@ type Result struct {
 	// Wall is the end-to-end latency of the iteration, including the flush
 	// of the background materialization pipeline.
 	Wall time.Duration
-	// Counters is this run's execution-counter block (steals, spills,
-	// retries, encode splits, ...); every count is a delta over this one
-	// Execute call. See Counters for per-field semantics.
+	// Counters is this run's execution-counter block (spills, retries,
+	// encodes, ...); every count is a delta over this one Execute call. See
+	// Counters for per-field semantics.
 	Counters
 }
 
@@ -259,7 +256,7 @@ type Strategy struct{}
 // Deprecated: kept only so existing field assignments compile.
 type Ordering struct{}
 
-// DispatchMode is an inert placeholder: dispatch is always work-stealing.
+// DispatchMode is an inert placeholder: Execute has one dispatcher.
 //
 // Deprecated: kept only so existing field assignments compile.
 type DispatchMode struct{}
@@ -315,9 +312,6 @@ type Engine struct {
 	//
 	// Deprecated: see the Reweight type.
 	Reweight Reweight
-	// MatWriters bounds the background materialization writers; <=0
-	// means 2.
-	MatWriters int
 	// ReleaseIntermediates drops a non-output node's value from
 	// Result.Values once its last consumer has run, cutting peak memory on
 	// wide DAGs. Off by default, so Result.Values holds every non-pruned
@@ -411,13 +405,6 @@ func (e *Engine) workers() int {
 		return 4
 	}
 	return e.Workers
-}
-
-func (e *Engine) matWriters() int {
-	if e.MatWriters <= 0 {
-		return 2
-	}
-	return e.MatWriters
 }
 
 // BuildCostModel assembles the recomputation optimizer's inputs for the

@@ -111,8 +111,17 @@ func (p FaultPolicy) backoff(id dag.NodeID, attempt int) time.Duration {
 	if half <= 0 {
 		return d
 	}
-	r := wsRand(uint64(p.JitterSeed) ^ (uint64(id)+1)*0x9E3779B97F4A7C15 ^ uint64(attempt)<<48)
-	return half + time.Duration(r.next()%uint64(half+1))
+	r := splitmix64(uint64(p.JitterSeed) ^ (uint64(id)+1)*0x9E3779B97F4A7C15 ^ uint64(attempt)<<48)
+	return half + time.Duration(r%uint64(half+1))
+}
+
+// splitmix64 returns the first output of the splitmix64 stream seeded with
+// seed (Steele et al.): two multiplies, no per-call source to initialize.
+func splitmix64(seed uint64) uint64 {
+	z := seed + 0x9E3779B97F4A7C15
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
 }
 
 // faultStats is one Execute call's fault accounting, shared by every worker
@@ -129,10 +138,10 @@ type faultStats struct {
 // runTask executes one node's operator under the engine's fault policy:
 // each attempt runs under the per-node deadline (when configured), a
 // transient failure retries in place on the calling worker — the node never
-// re-enters a ready queue, so retry is invisible to dispatch and stealing —
-// and a fatal failure (or an exhausted attempt budget) returns the error to
-// the caller's first-error cancellation. The backoff sleep is interruptible
-// by run cancellation.
+// re-enters the ready heap, so retry is invisible to dispatch — and a fatal
+// failure (or an exhausted attempt budget) returns the error to the
+// caller's first-error cancellation. The backoff sleep is interruptible by
+// run cancellation.
 func (e *Engine) runTask(ctx context.Context, id dag.NodeID, run func(context.Context, []any) (any, error), inputs []any, stats *faultStats) (any, error) {
 	p := e.Faults
 	attempts := p.attempts()

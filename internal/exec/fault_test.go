@@ -79,6 +79,7 @@ func TestBackoffZeroPolicyUsesDefaults(t *testing.T) {
 }
 
 func TestRetryTransientThenSucceed(t *testing.T) {
+	// "worksteal" is this subtest's historical name; it runs the shared-heap dispatcher.
 	t.Run("worksteal", func(t *testing.T) {
 		g, tasks := buildChain(t)
 		var calls atomic.Int32
@@ -266,6 +267,7 @@ func TestRetriesDuringRecompute(t *testing.T) {
 func TestRecomputeAfterVanishedFile(t *testing.T) {
 	// A planned load whose backing file vanished out from under the store
 	// (single tier, no spill) recovers by lineage recompute.
+	// "worksteal" is this subtest's historical name; it runs the shared-heap dispatcher.
 	t.Run("worksteal", func(t *testing.T) {
 		g, tasks := buildChain(t)
 		dir := t.TempDir()
@@ -411,6 +413,54 @@ func TestUndecodableLoadsDroppedAndRematerialized(t *testing.T) {
 		if v, _, err := e.tiers().Get(task.Key); err != nil || v != "value-"+g.Node(dag.NodeID(i)).Name {
 			t.Errorf("%s loads %v, %v", task.Key, v, err)
 		}
+	}
+}
+
+// TestRecoveryRematerializesRecomputedAncestors: when a planned load and
+// its stored parent both hold undecodable payloads, recovery recomputes
+// both, and both go back to the writer — not just the failed load — so the
+// next cost model plans both as loads instead of computing the parent
+// again.
+func TestRecoveryRematerializesRecomputedAncestors(t *testing.T) {
+	g, tasks := buildChain(t)
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := append([]byte{'G'}, "legacy gob payload"...)
+	for _, key := range []string{"ka", "kb"} {
+		if err := st.PutBytes(key, legacy); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan := allCompute(3)
+	plan.States[0] = opt.Prune
+	plan.States[1] = opt.Load
+	e := &Engine{Workers: 2, Store: st, Policy: opt.MaterializeAll{}}
+	res, err := e.Execute(g, tasks, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := res.Value(g, "c"); v != "abc" {
+		t.Fatalf("c = %v", v)
+	}
+	if res.Recomputes != 2 || res.CorruptFrames != 2 {
+		t.Errorf("recomputes %d, corrupt %d; want 2 and 2", res.Recomputes, res.CorruptFrames)
+	}
+	for i, want := range []string{"a", "ab"} {
+		if !res.Nodes[i].Materialized {
+			t.Errorf("%s: recomputed value not re-materialized", g.Node(dag.NodeID(i)).Name)
+		}
+		if v, _, err := e.tiers().Get(tasks[i].Key); err != nil || v != want {
+			t.Errorf("%s loads %v, %v; want %q", tasks[i].Key, v, err, want)
+		}
+	}
+	cm, err := e.BuildCostModel(g, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cm.Loadable[0] || !cm.Loadable[1] {
+		t.Errorf("loadable = %v, want ka and kb loadable", cm.Loadable)
 	}
 }
 

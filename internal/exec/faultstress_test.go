@@ -39,10 +39,11 @@ func withTransients(tasks []Task) ([]Task, int) {
 }
 
 // TestRetryStealReleaseStress runs retried transient faults concurrently
-// with everything else the scheduler does between completions — steal-half
-// victims, refcounted release. Run with -race in CI; correctness here is
-// that every run completes with the clean reference's output values and
-// accounts for every injected fault.
+// with everything else the scheduler does between completions — shared-heap
+// pushes and pops, refcounted release. Run with -race in CI; correctness
+// here is that every run completes with the clean reference's output
+// values and accounts for every injected fault. The test and subtest names
+// predate the shared-heap dispatcher and are kept so test ids stay stable.
 func TestRetryStealReleaseStress(t *testing.T) {
 	refG, refTasks := layeredDAG(4, 6, "fault-ref")
 	ref := &Engine{Workers: 1}
@@ -56,6 +57,7 @@ func TestRetryStealReleaseStress(t *testing.T) {
 			wantOut[refG.Node(id).Name] = v
 		}
 	}
+	// "worksteal" is this subtest's historical name; it runs the shared-heap dispatcher.
 	t.Run("worksteal", func(t *testing.T) {
 		for iter := 0; iter < 10; iter++ {
 			g, tasks := layeredDAG(4, 6, fmt.Sprintf("fault-%d", iter))
@@ -98,6 +100,7 @@ func TestRetryStealReleaseStress(t *testing.T) {
 // cancelled retry loops must not keep retrying after shutdown.
 func TestRetryErrorCancelStress(t *testing.T) {
 	boom := errors.New("fatal sibling")
+	// "worksteal" is this subtest's historical name; it runs the shared-heap dispatcher.
 	t.Run("worksteal", func(t *testing.T) {
 		for iter := 0; iter < 10; iter++ {
 			g, tasks := layeredDAG(3, 8, fmt.Sprintf("cancel-%d", iter))

@@ -27,6 +27,9 @@ func (d *keyDedupe) claim(key string) bool {
 	return !dup
 }
 
+// matWriterCount is the size of each run's background writer pool.
+const matWriterCount = 2
+
 // matJob carries one completed value into the background materialization
 // pipeline together with the measurements its policy decision needs. The
 // job owns a reference to the value, so the scheduler may release it from
@@ -83,7 +86,7 @@ func newMatWriter(rc *runCtx) *matWriter {
 		jobs:     make(chan matJob, g.Len()),
 		queued:   keyDedupe{keys: make(map[string]bool)},
 	}
-	for i := 0; i < e.matWriters(); i++ {
+	for i := 0; i < matWriterCount; i++ {
 		w.wg.Add(1)
 		go func() {
 			defer w.wg.Done()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/dag"
 	"repro/internal/opt"
@@ -25,11 +26,17 @@ import (
 // clear them, and waiting on them could deadlock a single-worker run) —
 // duplicating a little compute is the price of a recovery that is race-free
 // under every worker count.
+//
+// Every value recovery recomputes is handed to the run's materialization
+// writer (nil when materialization is off), so the store heals: a failed
+// frame was deleted on detection, and the policy decides, off the critical
+// path, whether to store the recomputed value again.
 type recomputer struct {
-	e     *Engine
-	g     *dag.Graph
-	tasks []Task
-	stats *faultStats
+	e      *Engine
+	g      *dag.Graph
+	tasks  []Task
+	stats  *faultStats
+	writer *matWriter
 }
 
 // recoverLoad recomputes the value node id's load should have produced.
@@ -74,11 +81,16 @@ func (r *recomputer) recompute(ctx context.Context, id dag.NodeID, memo map[dag.
 	if r.tasks[id].Run == nil {
 		return nil, fmt.Errorf("exec: recompute %s: node has no Run function", r.g.Node(id).Name)
 	}
+	name := r.g.Node(id).Name
+	start := time.Now()
 	v, err := r.e.runTask(ctx, id, r.tasks[id].Run, inputs, r.stats)
 	if err != nil {
-		return nil, fmt.Errorf("exec: recompute %s: %w", r.g.Node(id).Name, err)
+		return nil, fmt.Errorf("exec: recompute %s: %w", name, err)
 	}
 	r.stats.recomputes.Add(1)
+	if r.writer != nil {
+		r.writer.submit(id, name, r.tasks[id].Key, v, time.Since(start), false)
+	}
 	memo[id] = v
 	return v, nil
 }

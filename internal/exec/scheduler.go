@@ -20,11 +20,11 @@ import (
 // visible before any size has been learned.
 const coldSizeUnit = 1024
 
-// runCtx is the per-Execute state the work-stealing dispatcher runs nodes
-// against: the immutable run inputs, the shared result accounting, the
-// live-bytes bookkeeping and the background materialization writer.
-// Everything dispatch-specific (ready queues, counters, cancellation) lives
-// in the dispatcher.
+// runCtx is the per-Execute state the dispatcher runs nodes against: the
+// immutable run inputs, the shared result accounting, the live-bytes
+// bookkeeping and the background materialization writer. Everything
+// dispatch-specific (the ready heap, counters, cancellation) lives in the
+// dispatcher.
 type runCtx struct {
 	e     *Engine
 	g     *dag.Graph
@@ -87,7 +87,7 @@ type runCtx struct {
 // finishes, and completed values go to the background materialization
 // pipeline (flushed before return, also on error). Ready nodes dispatch
 // critical-path-first, so the run's long pole is never left waiting behind
-// cheap siblings, through the work-stealing dispatcher.
+// cheap siblings.
 func (e *Engine) executeDataflow(ctx context.Context, g *dag.Graph, tasks []Task, plan *opt.Plan, res *Result, stats *faultStats, pins *pinSet) (*Result, error) {
 	// Dependency counting never drains a cyclic graph; reject it up front
 	// with the same diagnostic the topological sort produces. The order is
@@ -147,7 +147,7 @@ func (e *Engine) executeDataflow(ctx context.Context, g *dag.Graph, tasks []Task
 	if e.Policy != nil && e.Store != nil {
 		rc.writer = newMatWriter(rc)
 	}
-	errs := runWorkSteal(rc, weight, pending, consumers, remaining, ready)
+	errs := runDispatch(rc, weight, pending, consumers, remaining, ready)
 	if rc.writer != nil {
 		rc.writer.flush()
 	}
@@ -216,28 +216,20 @@ func (rc *runCtx) runNode(id dag.NodeID) error {
 			return fmt.Errorf("exec: plan loads %s but engine has no store", name)
 		}
 		v, _, err := e.tiers().Get(rc.tasks[id].Key)
-		recovered := false
 		if err != nil {
 			// A failed load — corrupt frame, read I/O error, vanished
 			// entry — degrades to a lineage recompute, local to this
 			// worker (see recomputer).
-			rec := &recomputer{e: e, g: g, tasks: rc.tasks, stats: rc.stats}
+			rec := &recomputer{e: e, g: g, tasks: rc.tasks, stats: rc.stats, writer: rc.writer}
 			if v, err = rec.recoverLoad(rc.ctx, id, err); err != nil {
 				return fmt.Errorf("exec: load %s: %w", name, err)
 			}
-			recovered = true
 		}
 		rc.pins.release(id)
 		rc.vals[id] = v
 		rc.published[id] = true
 		rc.durs[id].Store(time.Since(nodeStart).Nanoseconds())
 		rc.noteLive(id)
-		if recovered && rc.writer != nil {
-			// Heal the store: the corrupt frame was deleted on detection,
-			// so re-submitting the recovered value lets the policy
-			// re-materialize it off the critical path.
-			rc.writer.submit(id, name, rc.tasks[id].Key, v, time.Since(nodeStart), false)
-		}
 		return nil
 
 	case opt.Compute:
@@ -377,11 +369,10 @@ func (rc *runCtx) noteLive(id dag.NodeID) {
 	rc.e.LiveBytes.Add(est)
 }
 
-// nodeHeap is the priority queue of ready nodes behind each per-worker
-// deque and the overflow queue: the largest critical-path weight
-// dispatches first and ties break on the smaller ID, matching the
-// deterministic tie-break of dag.Topo, so single-worker runs are a pure
-// function of the graph.
+// nodeHeap is the dispatcher's shared priority queue of ready nodes: the
+// largest critical-path weight dispatches first and ties break on the
+// smaller ID, matching the deterministic tie-break of dag.Topo, so
+// single-worker runs are a pure function of the graph.
 //
 // The heap is hand-rolled rather than container/heap: push and pop sit on
 // the per-node dispatch path, and the interface-based API boxes every

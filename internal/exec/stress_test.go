@@ -55,6 +55,7 @@ func layeredDAG(levels, width int, keyTag string) (*dag.Graph, []Task) {
 // for the value-ownership contract (jobs own a reference; release never
 // invalidates a pending write).
 func TestReleaseWriterStress(t *testing.T) {
+	// "worksteal" is this subtest's historical name; it runs the shared-heap dispatcher.
 	t.Run("worksteal", func(t *testing.T) {
 		st, err := store.Open(t.TempDir(), 0)
 		if err != nil {
@@ -65,7 +66,6 @@ func TestReleaseWriterStress(t *testing.T) {
 			g, tasks := layeredDAG(4, 6, fmt.Sprintf("ok-%d", iter))
 			e := &Engine{
 				Workers:              8,
-				MatWriters:           3,
 				Store:                st,
 				Policy:               opt.MaterializeAll{},
 				ReleaseIntermediates: true,
@@ -99,6 +99,7 @@ func TestReleaseWriterStress(t *testing.T) {
 // the gauge, and still report the failure.
 func TestReleaseWriterErrorCancellationStress(t *testing.T) {
 	boom := errors.New("boom")
+	// "worksteal" is this subtest's historical name; it runs the shared-heap dispatcher.
 	t.Run("worksteal", func(t *testing.T) {
 		var gauge store.Gauge
 		for iter := 0; iter < 15; iter++ {
@@ -116,7 +117,6 @@ func TestReleaseWriterErrorCancellationStress(t *testing.T) {
 			}}
 			e := &Engine{
 				Workers:              8,
-				MatWriters:           3,
 				Store:                st,
 				Policy:               opt.MaterializeAll{},
 				ReleaseIntermediates: true,
@@ -143,12 +143,13 @@ func TestReleaseWriterErrorCancellationStress(t *testing.T) {
 // TestSpillPromoteReleaseStress hammers the tiered store under everything
 // at once: a hot tier small enough that almost every materialization
 // spills and almost every load hits cold and promotes (demoting hot
-// entries back out), concurrent with refcounted release, steals/chaining
+// entries back out), concurrent with refcounted release, the chase
 // and the async writer pipeline.
 // Values must match a single-worker reference, every materialized key must
 // land in exactly one tier, and the hot tier must never exceed its budget.
 func TestSpillPromoteReleaseStress(t *testing.T) {
 	const hotBudget = 150 // a couple of encoded ints; everything else spills
+	// "worksteal" is this subtest's historical name; it runs the shared-heap dispatcher.
 	t.Run("worksteal", func(t *testing.T) {
 		for iter := 0; iter < 8; iter++ {
 			g, tasks := layeredDAG(5, 8, fmt.Sprintf("spill-%d", iter))
@@ -192,7 +193,6 @@ func TestSpillPromoteReleaseStress(t *testing.T) {
 			var gauge store.Gauge
 			e := &Engine{
 				Workers:              8,
-				MatWriters:           3,
 				Store:                hot,
 				Spill:                cold,
 				Policy:               opt.MaterializeAll{},
@@ -238,6 +238,7 @@ func TestSpillPromoteReleaseStress(t *testing.T) {
 func TestSpillErrorCancellationStress(t *testing.T) {
 	boom := errors.New("boom")
 	const hotBudget = 150
+	// "worksteal" is this subtest's historical name; it runs the shared-heap dispatcher.
 	t.Run("worksteal", func(t *testing.T) {
 		for iter := 0; iter < 8; iter++ {
 			g, tasks := layeredDAG(4, 6, fmt.Sprintf("spillerr-%d", iter))
@@ -256,7 +257,6 @@ func TestSpillErrorCancellationStress(t *testing.T) {
 			}
 			e := &Engine{
 				Workers:              8,
-				MatWriters:           3,
 				Store:                hot,
 				Spill:                cold,
 				Policy:               opt.MaterializeAll{},
@@ -278,17 +278,17 @@ func TestSpillErrorCancellationStress(t *testing.T) {
 	})
 }
 
-// TestStealFinishReleaseStress is the work-stealing interleaving stress:
-// many workers over a wide-and-deep layered graph with uneven task
-// durations, so steals, overflow handoffs, chases, refcounted release and
-// the writer pipeline all overlap. Values are checked against a
-// single-worker reference run; under -race this is the detector's coverage
-// of the deque/steal/park protocol.
-func TestStealFinishReleaseStress(t *testing.T) {
+// TestFinishReleaseStress is the dispatch interleaving stress: many workers
+// over a wide-and-deep layered graph with uneven task durations, so heap
+// pushes and pops, waits and wakeups, chases, refcounted release and the
+// writer pipeline all overlap. Values are checked against a single-worker
+// reference run; under -race this is the detector's coverage of the
+// shared-heap protocol.
+func TestFinishReleaseStress(t *testing.T) {
 	for iter := 0; iter < 8; iter++ {
-		g, tasks := layeredDAG(5, 8, fmt.Sprintf("steal%d", iter))
-		// Uneven durations shift which worker is ahead, forcing steal and
-		// handoff traffic instead of a lockstep drain.
+		g, tasks := layeredDAG(5, 8, fmt.Sprintf("finish%d", iter))
+		// Uneven durations shift which worker is ahead, forcing heap and
+		// wakeup traffic instead of a lockstep drain.
 		for i := range tasks {
 			run := tasks[i].Run
 			delay := time.Duration((i*7+iter)%5) * 50 * time.Microsecond

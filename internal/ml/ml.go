@@ -68,9 +68,6 @@ func Sigmoid(z float64) float64 {
 	return e / (1 + e)
 }
 
-// Probability returns P(y=1|x) under a logistic model.
-func (m *LinearModel) Probability(x data.Vector) float64 { return Sigmoid(m.Score(x)) }
-
 // LogisticConfig parameterizes logistic-regression training. The regParam
 // field is the workflow knob the paper's ML-iteration edits twiddle
 // (`Learner(modelType, regParam=0.1)`).

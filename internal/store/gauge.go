@@ -12,9 +12,9 @@ import "sync/atomic"
 // subtracts what it added), while Peak accumulates across runs until Reset.
 //
 // The counters are atomics, not a mutex: the engine charges the gauge on
-// every node completion, and under the work-stealing dispatcher that is
-// the only remaining shared write on the happy path — a lock here would
-// reintroduce the very serialization the dispatcher removes.
+// every node completion, and along a dispatch chase that is the only
+// shared write on the happy path — a lock here would reintroduce the very
+// serialization the chase avoids.
 type Gauge struct {
 	live atomic.Int64
 	peak atomic.Int64
