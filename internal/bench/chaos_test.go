@@ -31,12 +31,12 @@ func chaosConfigs() []schedConfig {
 // tier) with a seeded schedule of transient operator faults, must complete
 // with zero run failures and agree byte-identically with a clean
 // sequential reference on every surviving value. Aggregate retries,
-// spills and promotions must all be nonzero — proof the harness actually
+// spills and cold reads must all be nonzero — proof the harness actually
 // exercised the retry loop and both tiers rather than passing vacuously.
 func TestChaosEquivalence(t *testing.T) {
 	const graphs = 32
 	const tinyHot = 64
-	var totalRetries, totalSpills, totalPromotions int64
+	var totalRetries, totalSpills, totalColdReads int64
 	for i := 0; i < graphs; i++ {
 		seed := int64(700 + i)
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -120,7 +120,7 @@ func TestChaosEquivalence(t *testing.T) {
 				}
 				totalRetries += res.Retries
 				totalSpills += res.Spills
-				totalPromotions += res.Promotions
+				totalColdReads += res.BufferedColdReads
 				for j := 0; j < n; j++ {
 					id := dag.NodeID(j)
 					refV, refOK := ref.Values[id]
@@ -152,8 +152,8 @@ func TestChaosEquivalence(t *testing.T) {
 	if totalSpills == 0 {
 		t.Error("no run in the whole chaos harness spilled despite the tiny hot tier")
 	}
-	if totalPromotions == 0 {
-		t.Error("no run in the whole chaos harness promoted a cold hit")
+	if totalColdReads == 0 {
+		t.Error("no run in the whole chaos harness read a value from the cold tier")
 	}
 }
 

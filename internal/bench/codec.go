@@ -110,11 +110,10 @@ type CodecMeasurement struct {
 	// contract means it equals the number of persisted values.
 	BinaryEncodes int64 `json:"binary_encodes"`
 	// ColdReads counts cold-tier loads across both iterations.
-	ColdReads  int64 `json:"cold_reads"`
-	Spills     int64 `json:"spills"`
-	Promotions int64 `json:"promotions"`
-	Loaded2    int   `json:"loaded_2"`
-	Computed2  int   `json:"computed_2"`
+	ColdReads int64 `json:"cold_reads"`
+	Spills    int64 `json:"spills"`
+	Loaded2   int   `json:"loaded_2"`
+	Computed2 int   `json:"computed_2"`
 }
 
 // MeasureCodecStore drives the codec shape through two iterations rooted at
@@ -162,7 +161,6 @@ func MeasureCodecStore(sd *SchedDAG, dir string, hotBudget, spillBudget int64, w
 	m.BinaryEncodes = res1.BinaryEncodes + res2.BinaryEncodes
 	m.ColdReads = res1.BufferedColdReads + res2.BufferedColdReads
 	m.Spills = res1.Spills + res2.Spills
-	m.Promotions = res1.Promotions + res2.Promotions
 	for _, s := range plan2.States {
 		switch s {
 		case opt.Load:

@@ -296,7 +296,7 @@ func TestSessionSpillTierKeepsReuseUnderPressure(t *testing.T) {
 	// recomputed. income itself is loaded or re-featurized from the hot
 	// columns, whichever the optimizer prices lower; with featurize at
 	// ~70 µs against a 12 KB cold load both choices occur, and
-	// re-featurizing is the faster one (a cold load pays its promotion).
+	// re-featurizing is the faster one (a cold load pays a framed read).
 	g := rep2.Graph
 	for _, name := range []string{"data", "rows", "age", "edu", "ageBucket", "occ"} {
 		if st := rep2.Plan.States[g.Lookup(name)]; st == opt.Compute {

@@ -29,8 +29,9 @@ type Options struct {
 	BudgetBytes int64
 	// SpillDir is the cold-tier spill directory, opened as a framed
 	// store (store.OpenSpill): values the hot store's budget rejects are
-	// admitted there instead of being dropped, and cold hits are promoted
-	// back on load. Empty disables tiering. Requires StoreDir.
+	// admitted there instead of being dropped, and stay there: a cold hit
+	// is served from the spill tier. Empty disables tiering. Requires
+	// StoreDir.
 	SpillDir string
 	// SpillBudgetBytes caps the spill tier (<=0 = unlimited). The spill
 	// tier deletes its cheapest-to-lose entries (smallest recompute saving

@@ -43,9 +43,9 @@ func (s *Session) Store() *store.Store { return s.store }
 // store.OpenSpill (nil if tiering is disabled).
 func (s *Session) Spill() *store.Store { return s.spill }
 
-// TierCounters snapshots the session's cumulative cross-tier traffic
-// (spills, promotions, evictions) across all iterations run so far; all
-// zero without a spill tier.
+// TierCounters snapshots the session's cumulative tier traffic (spills,
+// cold evictions, cold reads) across all iterations run so far; all zero
+// without a spill tier.
 func (s *Session) TierCounters() store.TierCounters { return s.engine.TierCounters() }
 
 // History exposes the runtime-statistics history.
@@ -75,7 +75,7 @@ type Report struct {
 	// without a spill tier).
 	SpillUsed int64
 	// Counters consolidates this iteration's execution counters (spills,
-	// promotions, retries, codec splits, ...) under one embedded block;
+	// cold reads, retries, encodes, ...) under one embedded block;
 	// field promotion keeps the old rep.Spills-style selectors working.
 	exec.Counters
 	// Keys holds each node's content-address store key (the hex Merkle

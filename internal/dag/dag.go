@@ -10,7 +10,6 @@
 package dag
 
 import (
-	"container/heap"
 	"fmt"
 	"strings"
 )
@@ -146,28 +145,30 @@ func (g *Graph) Outputs() []NodeID {
 // the smallest ID is emitted first (Kahn's algorithm with a min-heap
 // frontier, O((V+E) log V) — the execution engine runs it per Execute, so
 // it must not re-sort the whole frontier per pop the way the original
-// sorted-slice version did).
+// sorted-slice version did). It allocates the same three slices whatever
+// the graph's size.
 func (g *Graph) Topo() ([]NodeID, error) {
 	n := len(g.nodes)
 	indeg := make([]int, n)
 	for v := 0; v < n; v++ {
 		indeg[v] = len(g.parents[v])
 	}
+	// Ascending IDs already satisfy the heap invariant; the frontier never
+	// holds more than n nodes, so pushes never reallocate.
 	frontier := make(minIDHeap, 0, n)
 	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
 			frontier = append(frontier, NodeID(v))
 		}
 	}
-	heap.Init(&frontier)
 	order := make([]NodeID, 0, n)
-	for frontier.Len() > 0 {
-		u := heap.Pop(&frontier).(NodeID)
+	for len(frontier) > 0 {
+		u := frontier.pop()
 		order = append(order, u)
 		for _, c := range g.childs[u] {
 			indeg[c]--
 			if indeg[c] == 0 {
-				heap.Push(&frontier, c)
+				frontier.push(c)
 			}
 		}
 	}
@@ -177,19 +178,50 @@ func (g *Graph) Topo() ([]NodeID, error) {
 	return order, nil
 }
 
-// minIDHeap is the Topo frontier: a min-heap of node IDs.
+// minIDHeap is the Topo frontier: a min-heap of node IDs. It is hand-rolled
+// rather than container/heap, whose interface API boxes every pushed and
+// popped NodeID into an allocation.
 type minIDHeap []NodeID
 
-func (h minIDHeap) Len() int           { return len(h) }
-func (h minIDHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h minIDHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *minIDHeap) Push(x any)        { *h = append(*h, x.(NodeID)) }
-func (h *minIDHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// push adds id, restoring the heap invariant (sift up).
+func (h *minIDHeap) push(id NodeID) {
+	s := append(*h, id)
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if s[parent] <= s[i] {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+	*h = s
+}
+
+// pop removes and returns the smallest ID, restoring the heap invariant
+// (sift down). The heap must be non-empty.
+func (h *minIDHeap) pop() NodeID {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		m := l
+		if r := l + 1; r < n && s[r] < s[l] {
+			m = r
+		}
+		if s[i] <= s[m] {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+	*h = s
+	return top
 }
 
 // Indegrees returns, for each node, the number of parents for which keep

@@ -90,6 +90,72 @@ func TestTopoCycle(t *testing.T) {
 	}
 }
 
+// TestTopoSmallestIDFirst: among ready nodes Topo always emits the smallest
+// ID, matching a reference Kahn's algorithm that scans the whole frontier
+// for its minimum on every step.
+func TestTopoSmallestIDFirst(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		g := randomDAG(r, 2+r.Intn(60), 0.15)
+		got, err := g.Topo()
+		if err != nil {
+			t.Fatal(err)
+		}
+		indeg := g.Indegrees(nil)
+		var frontier, want []NodeID
+		for v := range indeg {
+			if indeg[v] == 0 {
+				frontier = append(frontier, NodeID(v))
+			}
+		}
+		for len(frontier) > 0 {
+			m := 0
+			for i := range frontier {
+				if frontier[i] < frontier[m] {
+					m = i
+				}
+			}
+			u := frontier[m]
+			frontier = append(frontier[:m], frontier[m+1:]...)
+			want = append(want, u)
+			for _, c := range g.Children(u) {
+				if indeg[c]--; indeg[c] == 0 {
+					frontier = append(frontier, c)
+				}
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d nodes ordered, reference %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: position %d = %d, reference %d", trial, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestTopoAllocsIndependentOfSize: Topo's allocation count does not grow
+// with the number of nodes — the frontier pushes and pops no boxed IDs.
+func TestTopoAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(g *Graph) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := g.Topo(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	r := rand.New(rand.NewSource(5))
+	small := allocs(randomDAG(r, 20, 0.2))
+	large := allocs(randomDAG(r, 2000, 0.005))
+	if large > small {
+		t.Fatalf("Topo allocates %.0f times on 2000 nodes, %.0f on 20", large, small)
+	}
+	if large > 3 {
+		t.Fatalf("Topo allocates %.0f times, want at most its 3 slices", large)
+	}
+}
+
 func TestAncestorsDescendants(t *testing.T) {
 	g, a, b, c, d := diamond(t)
 	anc := g.Ancestors(d)

@@ -44,11 +44,16 @@ type Counters struct {
 	// Spills counts values admitted to the cold spill tier after the hot
 	// tier's budget rejected them (always 0 without a spill tier).
 	Spills int64 `json:"spills"`
-	// Promotions counts cold-tier loads whose value was moved back into the
-	// hot tier.
+	// Promotions is always 0: a cold hit is served from the cold tier and
+	// never moved into the hot one. The field stays only so readers of the
+	// counter block keep compiling.
+	//
+	// Deprecated: count cold loads with BufferedColdReads.
 	Promotions int64 `json:"promotions"`
-	// Evictions counts hot-tier entries demoted to the spill tier to make
-	// room for promotions.
+	// Evictions is always 0, for the same reason as Promotions: nothing
+	// demotes hot entries into the spill tier.
+	//
+	// Deprecated: see Promotions; ColdEvictions counts spill-tier deletions.
 	Evictions int64 `json:"evictions"`
 	// ColdEvictions counts spill-tier entries deleted outright to make room
 	// for new cold admissions. Those values are gone: a later iteration that
@@ -115,8 +120,6 @@ type Counters struct {
 // with it.
 func (c *Counters) Add(o Counters) {
 	c.Spills += o.Spills
-	c.Promotions += o.Promotions
-	c.Evictions += o.Evictions
 	c.ColdEvictions += o.ColdEvictions
 	c.Retries += o.Retries
 	c.Recomputes += o.Recomputes

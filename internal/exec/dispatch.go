@@ -107,11 +107,11 @@ func (d *dispatcher) next() (dag.NodeID, bool) {
 // records the error and cancels all not-yet-dispatched work; nodes already
 // in flight complete and their errors are collected too.
 func (d *dispatcher) finish(id dag.NodeID, err error) (dag.NodeID, bool) {
-	var release []dag.NodeID
-	// readyBuf keeps a handful of newly-ready children off the Go heap:
-	// finish runs once per node, so an allocation here is GC churn.
-	var readyBuf [8]dag.NodeID
-	ready := readyBuf[:0]
+	// readyBuf and releaseBuf keep a handful of newly-ready children and
+	// released values off the Go heap: finish runs once per node, so an
+	// allocation here is GC churn.
+	var readyBuf, releaseBuf [8]dag.NodeID
+	ready, release := readyBuf[:0], releaseBuf[:0]
 	if err != nil {
 		// Interrupt in-flight operators first: they may be long-running,
 		// and nothing below waits on them.
@@ -126,7 +126,7 @@ func (d *dispatcher) finish(id dag.NodeID, err error) (dag.NodeID, bool) {
 		// race-free while no child of id is running, and children become
 		// runnable only through the pending decrements that follow.
 		if d.e.ReleaseIntermediates {
-			release = d.releasable(id)
+			release = d.releasable(id, release)
 		}
 		for _, c := range d.g.Children(id) {
 			if d.plan.States[c] == opt.Compute && d.pending[c].Add(-1) == 0 {
@@ -177,12 +177,11 @@ func pickBest(weight []int64, ready []dag.NodeID) (dag.NodeID, []dag.NodeID) {
 }
 
 // releasable decrements the reference counts id's completion settles and
-// returns the non-output nodes whose values no remaining consumer needs:
-// exactly one decrement observes zero and owns each release. The self-check
-// is safe because finish calls releasable before any child of id is
-// made runnable.
-func (d *dispatcher) releasable(id dag.NodeID) []dag.NodeID {
-	var out []dag.NodeID
+// appends to out the non-output nodes whose values no remaining consumer
+// needs: exactly one decrement observes zero and owns each release. The
+// self-check is safe because finish calls releasable before any child of id
+// is made runnable.
+func (d *dispatcher) releasable(id dag.NodeID, out []dag.NodeID) []dag.NodeID {
 	if d.plan.States[id] == opt.Compute {
 		for _, p := range d.g.Parents(id) {
 			if d.plan.States[p] == opt.Prune {

@@ -25,8 +25,9 @@
 // same (pooled) encoding that Store.PutEncoded persists. With a spill tier
 // configured (Engine.Spill, a framed store from store.OpenSpill, composed
 // with Store by store.Tiered), a hot-budget rejection admits that encoding
-// to the cold tier instead of dropping it, loads fall back to cold and
-// promote (see docs/store.md) — still without ever re-encoding.
+// to the cold tier instead of dropping it, and loads fall back to cold,
+// where a spilled value stays (see docs/store.md) — still without ever
+// re-encoding.
 //
 // The paper executes on Spark; here nodes run on goroutines and the
 // materialization store is local disk. All costs the optimizers consume
@@ -276,10 +277,9 @@ type Engine struct {
 	// Spill is the optional cold second-tier store, opened with
 	// store.OpenSpill: values the hot tier's budget rejects are admitted
 	// here instead of being dropped (evicting the tier's cheapest-to-lose
-	// entries to make room), loads fall back to it, and cold hits are
-	// promoted back into the hot tier (demoting the hot tier's
-	// cheapest-to-lose entries). Nil disables tiering; ignored without
-	// Store.
+	// entries to make room), and loads fall back to it. A cold hit is
+	// served from the cold tier; nothing moves between tiers. Nil disables
+	// tiering; ignored without Store.
 	Spill *store.Store
 	// Policy decides online materialization; nil means never materialize
 	// (the helix-unopt and keystoneml setting): the writer pool never
@@ -363,9 +363,9 @@ type Engine struct {
 
 // UseTiers injects a pre-built (typically shared) tiered store view: the
 // engine's Store and Spill are re-pointed at the view's tiers and every
-// tiered operation — admissions, promotions, pinning, counters — goes
+// tiered operation — admissions, cold reads, pinning, counters — goes
 // through the one instance. This is how concurrent sessions share a store
-// safely: cross-tier movement serializes on the Tiered's own lock, so two
+// safely: cold admissions serialize on the Tiered's own lock, so two
 // sessions over the same directories MUST share one Tiered rather than
 // build private views. Call before the first Execute; it must not race an
 // in-flight run.
@@ -390,8 +390,8 @@ func (e *Engine) tiers() *store.Tiered {
 	return e.tierView.Load()
 }
 
-// TierCounters snapshots the engine's cumulative cross-tier traffic
-// (spills, promotions, evictions) across every Execute so far. Counters
+// TierCounters snapshots the engine's cumulative tier traffic (spills,
+// cold evictions, cold reads) across every Execute so far. Counters
 // are all zero without a Spill tier.
 func (e *Engine) TierCounters() store.TierCounters {
 	if e.Store == nil {
@@ -493,7 +493,7 @@ func (e *Engine) ExecuteCtx(ctx context.Context, g *dag.Graph, tasks []Task, pla
 	// within-run eviction cannot delete a value the plan depends on; each
 	// pin is released as its load completes, with an end-of-run sweep for
 	// error paths. Pointless without a cold tier (the hot tier never
-	// deletes destructively), so skipped.
+	// evicts), so skipped.
 	var pins *pinSet
 	if e.Store != nil && e.Spill != nil {
 		pins = newPinSet(e.tiers(), tasks, plan)
@@ -511,8 +511,6 @@ func (e *Engine) ExecuteCtx(ctx context.Context, g *dag.Graph, tasks []Task, pla
 	if res != nil && e.Store != nil {
 		after := e.tiers().Counters()
 		res.Spills = after.Spills - before.Spills
-		res.Promotions = after.Promotions - before.Promotions
-		res.Evictions = after.Evictions - before.Evictions
 		res.ColdEvictions = after.ColdEvictions - before.ColdEvictions
 		res.CorruptFrames = after.CorruptFrames - before.CorruptFrames
 		res.BufferedColdReads = after.ColdReads - before.ColdReads

@@ -326,6 +326,38 @@ func TestReleaseIntermediates(t *testing.T) {
 			t.Errorf("intermediate %s not released", name)
 		}
 	}
+
+	// Releasing allocates nothing per node: on a chain, where every finish
+	// releases its parent, the allocations release adds to a run stay the
+	// same however long the chain grows.
+	if short, long := releaseAllocs(t, 20), releaseAllocs(t, 400); long > short {
+		t.Errorf("release adds %.0f allocations to a 400-node chain, %.0f to a 20-node one", long, short)
+	}
+}
+
+// releaseAllocs returns how many more allocations an n-node chain's run
+// makes with ReleaseIntermediates on than with it off.
+func releaseAllocs(t *testing.T, n int) float64 {
+	g := dag.New()
+	tasks := make([]Task, n)
+	for i := 0; i < n; i++ {
+		id := g.MustAddNode(fmt.Sprintf("n%d", i), "x")
+		if i > 0 {
+			g.MustAddEdge(id-1, id)
+		}
+		tasks[i] = Task{Run: func(context.Context, []any) (any, error) { return i, nil }}
+	}
+	g.Node(dag.NodeID(n - 1)).Output = true
+	plan := allCompute(n)
+	allocs := func(release bool) float64 {
+		e := &Engine{Workers: 1, ReleaseIntermediates: release}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := e.Execute(g, tasks, plan); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	return allocs(true) - allocs(false)
 }
 
 // TestReleaseIntermediatesDiamond: a value consumed by several children is

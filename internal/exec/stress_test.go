@@ -142,9 +142,10 @@ func TestReleaseWriterErrorCancellationStress(t *testing.T) {
 
 // TestSpillPromoteReleaseStress hammers the tiered store under everything
 // at once: a hot tier small enough that almost every materialization
-// spills and almost every load hits cold and promotes (demoting hot
-// entries back out), concurrent with refcounted release, the chase
-// and the async writer pipeline.
+// spills and almost every load hits cold, concurrent with refcounted
+// release, the chase and the async writer pipeline. (The name predates
+// the rule that a cold hit is served from the cold tier; nothing is
+// promoted.)
 // Values must match a single-worker reference, every materialized key must
 // land in exactly one tier, and the hot tier must never exceed its budget.
 func TestSpillPromoteReleaseStress(t *testing.T) {
@@ -175,9 +176,8 @@ func TestSpillPromoteReleaseStress(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Pre-populate every third key through the tiered admission
-			// path and plan those nodes as loads, so cold hits and their
-			// promotions and demotions run concurrently with computes,
-			// spills and releases.
+			// path and plan those nodes as loads, so cold hits run
+			// concurrently with computes, spills and releases.
 			tiers := store.NewTiered(hot, cold)
 			plan := allCompute(g.Len())
 			for i := 0; i < g.Len(); i += 3 {
@@ -231,7 +231,7 @@ func TestSpillPromoteReleaseStress(t *testing.T) {
 }
 
 // TestSpillErrorCancellationStress drives the tiered store into the error
-// path: a mid-graph node fails while spills, promotions and releases are
+// path: a mid-graph node fails while spills, cold reads and releases are
 // mid-flight. Execute must cancel undispatched work, flush the writer —
 // landing every already-submitted write in some tier — and keep the hot
 // tier inside its budget.

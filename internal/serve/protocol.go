@@ -76,7 +76,7 @@ type SubmitResponse struct {
 	// Counters is this run's consolidated execution-counter block,
 	// including CrossSessionHits: how many of the plan's loads were served
 	// from bytes a different tenant materialized. On a shared store the
-	// tier-traffic counts (spills, promotions, evictions) are deltas over a
+	// tier-traffic counts (spills, cold evictions, cold reads) are deltas over a
 	// window other sessions were also active in — informational, not
 	// attributable to this run alone.
 	Counters exec.Counters `json:"counters"`

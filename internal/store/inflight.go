@@ -80,7 +80,7 @@ type inflight struct {
 //   - WaitPublished: the leader published; the returned value is the
 //     leader's result, and the key is in the store if the leader's policy
 //     materialized it. Prefer loading the stored bytes (the planned-load
-//     path, with its promotion and read accounting); the value is the
+//     path, with its per-tier read accounting); the value is the
 //     fallback when the policy declined or the entry was already evicted.
 //   - WaitLeader: the leader failed and this waiter inherited leadership —
 //     compute, then FinishCompute exactly once.

@@ -98,9 +98,8 @@ func TestEstimateLoadSmoothedByObservation(t *testing.T) {
 	}
 }
 
-// TestEvictColdestLRU: victim selection picks least-recently-accessed
-// entries first (VictimCandidates, without mutating), and eviction removes
-// exactly them, releasing their budget.
+// TestEvictColdestLRU: eviction removes the least-recently-accessed
+// entries first, exactly as many as the room needs, releasing their budget.
 func TestEvictColdestLRU(t *testing.T) {
 	s := openTemp(t, 3000)
 	for i := 0; i < 3; i++ {
@@ -113,13 +112,6 @@ func TestEvictColdestLRU(t *testing.T) {
 	if _, err := s.GetBytes("k0"); err != nil {
 		t.Fatal(err)
 	}
-	cands := s.VictimCandidates(1000)
-	if len(cands) != 1 || cands[0].Key != "k1" {
-		t.Fatalf("candidates %+v, want exactly k1 (the least recently accessed)", cands)
-	}
-	if !s.Has("k1") || s.Used() != 3000 {
-		t.Fatalf("VictimCandidates mutated the store: used %d", s.Used())
-	}
 	victims := s.EvictColdest(1000)
 	if len(victims) != 1 || victims[0].Key != "k1" {
 		t.Fatalf("evicted %+v, want exactly k1", victims)
@@ -127,10 +119,7 @@ func TestEvictColdestLRU(t *testing.T) {
 	if s.Has("k1") || s.Used() != 2000 {
 		t.Fatalf("k1 still present or budget not released: used %d", s.Used())
 	}
-	// Enough room already: selection and eviction are no-ops.
-	if v := s.VictimCandidates(500); len(v) != 0 {
-		t.Fatalf("candidates %+v with sufficient headroom", v)
-	}
+	// Enough room already: eviction is a no-op.
 	if v := s.EvictColdest(500); len(v) != 0 {
 		t.Fatalf("evicted %+v with sufficient headroom", v)
 	}
@@ -239,60 +228,8 @@ func TestTieredSpillOnRejection(t *testing.T) {
 	}
 }
 
-// TestTieredPromotionDemotesLRU: a cold hit is promoted into the hot tier,
-// demoting the hot tier's least-recently-accessed entries to cold to make
-// room — every migration observable in the counters, no value ever in both
-// tiers or in neither.
-func TestTieredPromotionDemotesLRU(t *testing.T) {
-	hot := openTemp(t, 2500)
-	cold := openSpillTemp(t, 0)
-	tiers := NewTiered(hot, cold)
-	// Fill hot with two values, then spill a third.
-	for i := 0; i < 2; i++ {
-		if tier, err := tiers.PutBytes(fmt.Sprintf("hot%d", i), encInt(t, 1000+i)); err != nil || tier != TierHot {
-			t.Fatalf("hot%d → %v, %v", i, tier, err)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	bigRaw := encBytes(t, bytes.Repeat([]byte{'z'}, 2400))
-	if tier, err := tiers.PutBytes("big", bigRaw); err != nil || tier != TierCold {
-		t.Fatalf("big → %v, %v; want cold", tier, err)
-	}
-	// Refresh hot1 so hot0 is the demotion victim.
-	if _, _, err := tiers.Get("hot1"); err != nil {
-		t.Fatal(err)
-	}
-	v, tier, err := tiers.Get("big")
-	if err != nil || tier != TierCold {
-		t.Fatalf("Get(big) → tier %v, err %v; want served from cold", tier, err)
-	}
-	if got, ok := v.([]byte); !ok || !bytes.Equal(got, bytes.Repeat([]byte{'z'}, 2400)) {
-		t.Fatalf("Get(big) decoded wrong value")
-	}
-	if !hot.Has("big") || cold.Has("big") {
-		t.Fatal("big not promoted hot-only")
-	}
-	if hot.Has("hot0") || !cold.Has("hot0") {
-		t.Fatal("hot0 (LRU victim) not demoted to cold")
-	}
-	c := tiers.Counters()
-	if c.Promotions != 1 || c.Evictions < 1 {
-		t.Fatalf("counters = %+v, want 1 promotion and ≥1 eviction", c)
-	}
-	if hot.Used() > hot.Budget() {
-		t.Fatalf("hot used %d over budget %d after promotion", hot.Used(), hot.Budget())
-	}
-	// The promoted value now serves hot, and the demoted one still loads.
-	if _, tier, err := tiers.Get("big"); err != nil || tier != TierHot {
-		t.Fatalf("re-Get(big) → %v, %v; want hot hit", tier, err)
-	}
-	if _, tier, err := tiers.Get("hot0"); err != nil || tier == TierNone {
-		t.Fatalf("Get(hot0) → %v, %v; want a hit from some tier", tier, err)
-	}
-}
-
 // TestTieredOversizedStaysCold: a value larger than the whole hot budget
-// is served from cold without promotion churn.
+// spills and is served from cold on every read.
 func TestTieredOversizedStaysCold(t *testing.T) {
 	hot := openTemp(t, 500)
 	cold := openSpillTemp(t, 0)
@@ -303,46 +240,57 @@ func TestTieredOversizedStaysCold(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		if _, tier, err := tiers.Get("big"); err != nil || tier != TierCold {
-			t.Fatalf("Get %d → %v, %v; want cold (no promotion possible)", i, tier, err)
+			t.Fatalf("Get %d → %v, %v; want cold", i, tier, err)
 		}
-	}
-	if c := tiers.Counters(); c.Promotions != 0 {
-		t.Fatalf("promotions = %d for an unpromotable value", c.Promotions)
 	}
 }
 
-// TestTieredDemotionFailureRestoresVictim: when a promotion's demotion
-// victim is bigger than the whole cold budget, the victim must be restored
-// to the hot tier — never destroyed — and the unpromotable value simply
-// stays cold. No key is ever lost from both tiers.
-func TestTieredDemotionFailureRestoresVictim(t *testing.T) {
+// TestTieredColdHitStaysCold: a cold hit is served from the cold tier and
+// moves nothing — the hot tier's usage is unchanged even with room to
+// spare, the key stays in exactly one tier, and the next Get is priced by
+// the cold entry's own measured load cost.
+func TestTieredColdHitStaysCold(t *testing.T) {
 	hot := openTemp(t, 2500)
-	cold := openSpillTemp(t, 2100)
+	cold := openSpillTemp(t, 0)
 	tiers := NewTiered(hot, cold)
-	victim := encBytes(t, bytes.Repeat([]byte{'v'}, 2400)) // > cold budget once encoded
-	if tier, err := tiers.PutBytes("victim", victim); err != nil || tier != TierHot {
-		t.Fatalf("victim → %v, %v; want hot", tier, err)
+	if tier, err := tiers.PutBytes("fill", encInt(t, 2000)); err != nil || tier != TierHot {
+		t.Fatalf("fill → %v, %v; want hot", tier, err)
 	}
-	spilled := encBytes(t, bytes.Repeat([]byte{'s'}, 2000))
-	if tier, err := tiers.PutBytes("spilled", spilled); err != nil || tier != TierCold {
+	want := bytes.Repeat([]byte{'z'}, 1000)
+	if tier, err := tiers.PutBytes("spilled", encBytes(t, want)); err != nil || tier != TierCold {
 		t.Fatalf("spilled → %v, %v; want cold", tier, err)
 	}
-	// Promotion must fail gracefully: the victim cannot demote (too big
-	// for cold), so it is restored and the cold value stays cold.
+	// Free the hot tier, so the cold hit below has room it must not use.
+	if err := hot.Delete("fill"); err != nil {
+		t.Fatal(err)
+	}
+	hotUsed := hot.Used()
+	seeded, _, _ := tiers.Lookup("spilled")
+	v, tier, err := tiers.Get("spilled")
+	if err != nil || tier != TierCold {
+		t.Fatalf("Get → %v, %v; want served from cold", tier, err)
+	}
+	if got, ok := v.([]byte); !ok || !bytes.Equal(got, want) {
+		t.Fatal("cold hit decoded the wrong value")
+	}
+	if got := hot.Used(); got != hotUsed {
+		t.Fatalf("hot used %d after a cold hit, want %d unchanged", got, hotUsed)
+	}
+	if hot.Has("spilled") || !cold.Has("spilled") {
+		t.Fatalf("after a cold hit: in hot %v, in cold %v; want cold only", hot.Has("spilled"), cold.Has("spilled"))
+	}
+	// The optimizer prices the next load from Lookup: the cold entry with
+	// the cost the read just measured, not its seeded estimate and not a
+	// hot-tier price.
+	measured, tier, ok := tiers.Lookup("spilled")
+	if !ok || tier != TierCold || measured.LoadCost <= 0 || measured.LoadCost == seeded.LoadCost {
+		t.Fatalf("Lookup → %+v, %v, %v; want the cold entry with a measured load cost (seeded %v)", measured, tier, ok, seeded.LoadCost)
+	}
 	if _, tier, err := tiers.Get("spilled"); err != nil || tier != TierCold {
-		t.Fatalf("Get(spilled) → %v, %v; want served from cold", tier, err)
+		t.Fatalf("second Get → %v, %v; want cold", tier, err)
 	}
-	if !hot.Has("victim") {
-		t.Fatal("victim destroyed: evicted from hot and rejected by cold")
-	}
-	if !cold.Has("spilled") {
-		t.Fatal("spilled value lost from cold")
-	}
-	if c := tiers.Counters(); c.Promotions != 0 || c.Evictions != 0 {
-		t.Fatalf("counters = %+v, want no completed promotion/eviction", c)
-	}
-	if hot.Used() > hot.Budget() {
-		t.Fatalf("hot used %d over budget %d after restore", hot.Used(), hot.Budget())
+	if c := tiers.Counters(); c.ColdReads != 2 || c.Spills != 1 {
+		t.Fatalf("counters %+v, want 2 cold reads and 1 spill", c)
 	}
 }
 
@@ -406,9 +354,9 @@ func TestTieredRemainingAndEstimate(t *testing.T) {
 }
 
 // TestTieredEncodeOncePerTier is the encode-once contract across the whole
-// tier lifecycle: one EncodeValue serializes the value, and spilling it,
-// loading it cold, promoting it and demoting its victims move only raw
-// bytes — the codec counter must not advance again anywhere in the cycle.
+// tier lifecycle: one EncodeValue serializes the value, and spilling it
+// and loading it cold, again and again, move only raw bytes — the codec
+// counter must not advance again anywhere in the cycle.
 func TestTieredEncodeOncePerTier(t *testing.T) {
 	hot := openTemp(t, 2500)
 	cold := openSpillTemp(t, 0)
@@ -433,24 +381,20 @@ func TestTieredEncodeOncePerTier(t *testing.T) {
 		t.Fatalf("spilled → %v, %v; want cold", tier, err)
 	}
 	enc2.Release()
-	// Cold load → promotion (demoting "fill"), then hot re-load: raw-byte
-	// movement only.
-	if _, tier, err := tiers.Get("spilled"); err != nil || tier != TierCold {
-		t.Fatalf("cold get → %v, %v", tier, err)
+	// Cold loads and a hot load: raw-byte reads only.
+	for i := 0; i < 2; i++ {
+		if _, tier, err := tiers.Get("spilled"); err != nil || tier != TierCold {
+			t.Fatalf("cold get %d → %v, %v", i, tier, err)
+		}
 	}
-	if _, tier, err := tiers.Get("spilled"); err != nil || tier != TierHot {
-		t.Fatalf("promoted get → %v, %v", tier, err)
-	}
-	if _, tier, err := tiers.Get("fill"); err != nil || tier != TierCold {
-		t.Fatalf("demoted get → %v, %v", tier, err)
+	if _, tier, err := tiers.Get("fill"); err != nil || tier != TierHot {
+		t.Fatalf("hot get → %v, %v", tier, err)
 	}
 	if got := EncodeCalls() - before; got != 2 {
-		t.Fatalf("%d encodes across the spill/promote/demote cycle, want exactly the 2 EncodeValue calls", got)
+		t.Fatalf("%d encodes across the spill/load cycle, want exactly the 2 EncodeValue calls", got)
 	}
-	// Two promotions: "spilled" on its first cold hit, then "fill" — demoted
-	// to make room — promoted back by its own cold hit at the end.
-	if c := tiers.Counters(); c.Promotions != 2 || c.Evictions != 2 || c.Spills != 1 {
-		t.Fatalf("counters = %+v, want 1 spill, 2 promotions, 2 evictions", c)
+	if c := tiers.Counters(); c.ColdReads != 2 || c.Spills != 1 {
+		t.Fatalf("counters = %+v, want 1 spill, 2 cold reads", c)
 	}
 }
 
@@ -495,13 +439,13 @@ func TestSpillColdReadPaths(t *testing.T) {
 	})
 }
 
-// TestTieredColdAdmissionRace drives every cold-admission path — spills,
-// demotions made room for by promotions, idempotent re-puts — together with
-// pin traffic from eight goroutines against a cold tier of a few entries.
-// Tiered's movement lock is all that serializes those admissions against
-// each other's evictions, so after quiescence each tier's bookkeeping must
-// agree with its entries and with the bytes on disk, the cold tier must be
-// within budget, and no pin may be left behind. Run it under -race.
+// TestTieredColdAdmissionRace drives every cold-admission path — spills and
+// idempotent re-puts — together with cold reads and pin traffic from eight
+// goroutines against a cold tier of a few entries. Tiered's lock is all
+// that serializes those admissions against each other's evictions, so
+// after quiescence each tier's bookkeeping must agree with its entries and
+// with the bytes on disk, no key may sit in both tiers, the cold tier must
+// be within budget, and no pin may be left behind. Run it under -race.
 func TestTieredColdAdmissionRace(t *testing.T) {
 	const nkeys = 16
 	keys := make([]string, nkeys)
@@ -515,8 +459,10 @@ func TestTieredColdAdmissionRace(t *testing.T) {
 		name string
 		hot  int64
 	}{
-		{"spill-only", 1},     // every admission spills; promotion never fits
-		{"promote", 2 * size}, // promotions demote into the cold tier
+		{"spill-only", 1}, // every admission spills
+		// The name predates the rule that a cold hit stays cold: here the
+		// hot tier admits the first two keys and everything else spills.
+		{"promote", 2 * size},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hot := openTemp(t, tc.hot)
@@ -591,13 +537,96 @@ func TestTieredColdAdmissionRace(t *testing.T) {
 					t.Errorf("key %s still pinned after all releases", k)
 				}
 			}
-			c := tv.Counters()
-			if c.Spills == 0 || c.ColdEvictions == 0 {
-				t.Errorf("counters %+v: want spills and cold evictions", c)
+			for _, k := range keys {
+				if hot.Has(k) && cold.Has(k) {
+					t.Errorf("key %s in both tiers", k)
+				}
 			}
-			if tc.hot > 1 && (c.Promotions == 0 || c.Evictions == 0) {
-				t.Errorf("counters %+v: want promotions and demotions", c)
+			c := tv.Counters()
+			if c.Spills == 0 || c.ColdEvictions == 0 || c.ColdReads == 0 {
+				t.Errorf("counters %+v: want spills, cold evictions and cold reads", c)
 			}
 		})
+	}
+}
+
+// TestTieredPinnedColdGetsUnderSpillEviction: concurrent cold Gets of one
+// pinned key run while spills of other keys evict around it. The pinned
+// key must never be evicted or fail to read, and at quiescence the pins
+// are gone and each tier's usage equals the sum of its entries' sizes.
+// Run it under -race.
+func TestTieredPinnedColdGetsUnderSpillEviction(t *testing.T) {
+	hot := openTemp(t, 1)
+	want := bytes.Repeat([]byte{'p'}, 200)
+	raw := encBytes(t, want)
+	size := int64(len(raw))
+	cold := openSpillTemp(t, 3*size)
+	tv := NewTiered(hot, cold)
+	if tier, err := tv.PutBytes("pinned", raw); err != nil || tier != TierCold {
+		t.Fatalf("pinned → %v, %v; want cold", tier, err)
+	}
+	other := encBytes(t, bytes.Repeat([]byte{'o'}, 200))
+	// The test holds one pin of its own until the spills are done, so the
+	// key must survive them even after every reader has unpinned.
+	tv.Pin("pinned")
+	const readers = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	for g := 0; g < readers; g++ {
+		tv.Pin("pinned")
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer tv.Unpin("pinned")
+			for i := 0; i < 100; i++ {
+				v, tier, err := tv.Get("pinned")
+				if err != nil || tier != TierCold {
+					errs <- fmt.Errorf("Get %d → %v, %v; want cold", i, tier, err)
+					return
+				}
+				if got, ok := v.([]byte); !ok || !bytes.Equal(got, want) {
+					errs <- fmt.Errorf("Get %d decoded the wrong value", i)
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				k := fmt.Sprintf("other-%d-%d", g, i)
+				if _, err := tv.PutBytes(k, other); err != nil {
+					errs <- fmt.Errorf("spill %s: %v", k, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if !cold.Has("pinned") || hot.Has("pinned") {
+		t.Errorf("pinned key: cold %v, hot %v; want cold only", cold.Has("pinned"), hot.Has("pinned"))
+	}
+	tv.Unpin("pinned")
+	if cold.Pinned("pinned") {
+		t.Error("pins left behind after every pinner unpinned")
+	}
+	for _, tier := range []*Store{hot, cold} {
+		var sum int64
+		for _, e := range tier.Entries() {
+			sum += e.Size
+		}
+		if used := tier.Used(); used != sum {
+			t.Errorf("tier used %d, entries sum %d", used, sum)
+		}
+	}
+	c := tv.Counters()
+	if c.ColdEvictions == 0 || c.ColdReads != readers*100 {
+		t.Errorf("counters %+v: want cold evictions and %d cold reads", c, readers*100)
 	}
 }

@@ -58,8 +58,7 @@ type Entry struct {
 	// (per-tenant budget accounting in a shared multi-session store). The
 	// first writer owns the entry for its lifetime — content addressing
 	// makes later re-puts byte-identical, so ownership never needs to
-	// transfer; it travels with the entry across tier demotions and
-	// promotions. Empty for single-user stores and entries adopted from
+	// transfer. Empty for single-user stores and entries adopted from
 	// disk.
 	Owner string
 }
@@ -154,7 +153,7 @@ func Open(dir string, budget int64) (*Store, error) {
 // silently wrong bytes: both surface as ErrCorrupt, which the engine treats
 // as a cache miss. Load costs are seeded at ColdThroughput. The store
 // itself never evicts; Tiered deletes the tier's cheapest-to-lose entries
-// to admit spills and demotions.
+// to admit spills.
 func OpenSpill(dir string, budget int64) (*Store, error) {
 	return open(dir, budget, true, ColdThroughput)
 }
@@ -504,9 +503,7 @@ func (s *Store) Get(key string) (any, error) {
 
 // GetBytes loads the raw serialized bytes for key, recording the measured
 // load cost and access recency on the entry. External callers use it to
-// read stored bytes without decoding; the tiered store's own cross-tier
-// movement goes through the unexported read/recordRead pair instead, so
-// migrations never perturb the throughput EWMA with decode-free reads.
+// read stored bytes without decoding.
 func (s *Store) GetBytes(key string) ([]byte, error) {
 	raw, start, err := s.read(key)
 	if err != nil {
@@ -607,7 +604,7 @@ func (s *Store) takeReadFault(key string) bool {
 // caller stops the clock (after decoding, when it decodes) and calls
 // recordRead, so LoadCost always measures the full path a consumer paid.
 // On a framed store the frame is verified and stripped here, so every
-// consumer of raw bytes — Get, GetBytes, tiered promotion — sees either
+// consumer of raw bytes — Get, GetBytes, Tiered.Get — sees either
 // intact payload bytes or ErrCorrupt.
 func (s *Store) read(key string) ([]byte, time.Time, error) {
 	s.mu.RLock()
@@ -649,8 +646,8 @@ func (s *Store) recordRead(key string, size int64, elapsed time.Duration) {
 
 // Pin marks key as planned-for-load: EvictColdest will not delete it until
 // a matching Unpin. Pins are refcounted (two pinners must both unpin) and
-// key need not be stored yet — a pin placed before a demotion lands still
-// protects the demoted bytes.
+// key need not be stored yet — a pin placed before a spill lands still
+// protects the spilled bytes.
 func (s *Store) Pin(key string) {
 	s.mu.Lock()
 	s.pins[key]++
@@ -673,17 +670,6 @@ func (s *Store) Pinned(key string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.pins[key] > 0
-}
-
-// Touch refreshes key's access recency without reading it, so a value a
-// caller just consumed from elsewhere (e.g. a hot-tier hit served from the
-// entry's freshly promoted bytes) does not look eviction-cold.
-func (s *Store) Touch(key string) {
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		e.LastAccess = time.Now()
-	}
-	s.mu.Unlock()
 }
 
 // saving is the entry's eviction reward: the nanoseconds a future consumer
@@ -733,30 +719,6 @@ func (s *Store) victimOrder() []*Entry {
 		}
 		return victims[i].Key < victims[j].Key // deterministic tie-break
 	})
-	return victims
-}
-
-// VictimCandidates returns the best eviction victims (see victimOrder)
-// whose removal would bring the free budget up to need bytes — a snapshot,
-// with nothing removed. The tiered store demotes candidates
-// copy-then-delete (write the bytes to the cold tier, then Delete here), so
-// a mid-demotion key is never absent from both tiers. Empty on an
-// unbudgeted store or when need already fits.
-func (s *Store) VictimCandidates(need int64) []Entry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.budget <= 0 || s.budget-s.used >= need {
-		return nil
-	}
-	free := s.budget - s.used
-	var victims []Entry
-	for _, e := range s.victimOrder() {
-		if free >= need {
-			break
-		}
-		free += e.Size
-		victims = append(victims, *e)
-	}
 	return victims
 }
 

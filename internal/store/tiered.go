@@ -31,21 +31,14 @@ func (t Tier) String() string {
 	}
 }
 
-// TierCounters is a snapshot of a Tiered store's cross-tier traffic.
+// TierCounters is a snapshot of a Tiered store's tier traffic.
 type TierCounters struct {
 	// Spills counts values the hot tier rejected on admission that landed
 	// in the spill tier instead.
 	Spills int64
-	// Promotions counts cold-tier hits whose value was moved into the hot
-	// tier.
-	Promotions int64
-	// Evictions counts hot-tier entries demoted to the spill tier to make
-	// room for a promotion.
-	Evictions int64
 	// ColdEvictions counts spill-tier entries deleted outright to make room
-	// for new admissions — spills, demotions and re-admissions alike (those
-	// values are gone; the next iteration's cost model sees them as not
-	// loadable and recomputes).
+	// for new spills (those values are gone; the next iteration's cost
+	// model sees them as not loadable and recomputes).
 	ColdEvictions int64
 	// CorruptFrames counts loads whose stored bytes were unusable: cold-tier
 	// reads that failed frame verification (ErrCorrupt), and payloads in
@@ -63,35 +56,29 @@ type TierCounters struct {
 // Tiered composes the budgeted hot store with an optional cold spill tier
 // (§2.3's storage budget, extended with the hot/cold hierarchy production
 // caching systems use). Admission tries the hot tier first and spills on
-// budget rejection; a Get that misses hot is served from cold and promoted
-// back, demoting the hot tier's cheapest-to-lose entries to cold to make
-// room. All byte movement between tiers is raw — a value is encoded
-// exactly once, on first materialization, no matter how many times it
-// migrates.
+// budget rejection. A value stays in the tier that admitted it: a Get that
+// misses hot is decoded and served from the cold tier, and nothing ever
+// moves between tiers. The hot tier therefore fills in admission order and
+// is never rebalanced; a cold hit costs the cold tier's own measured load
+// cost, which the optimizer prices like any other load.
 //
 // With a nil cold tier every method degrades to the plain hot store, so the
 // execution engine runs one code path whether spilling is configured or not.
 //
 // The cold tier is a framed Store (OpenSpill) that never evicts on its own:
-// every admission into it — a spill, a demotion, a failed promotion's
-// re-admission — goes through admitCold, which deletes the tier's
+// every spill goes through admitCold, which deletes the tier's
 // cheapest-to-lose unpinned entries to make room.
 //
-// Concurrency: cross-tier movement (promotion, demotion, cold admission,
-// the locked re-check of a racing Get) serializes on mu, and every move is
-// copy-then-delete — the bytes land in the destination tier before the
-// source entry is removed — so a key mid-migration is always observable
-// in at least one tier, including to the engine's lock-free Has/Lookup
-// dedupe checks. The lock-free fast paths (hot hit, hot admission) never
-// take mu.
+// Concurrency: cold admissions and cold reads serialize on mu. The lock-free
+// fast paths (hot hit, hot admission) never take it.
 type Tiered struct {
 	hot  *Store
 	cold *Store
 
-	// mu serializes cross-tier movement so no key is ever absent from both
-	// tiers while a locked reader looks for it, and serializes cold
-	// admissions so one admission's eviction pass cannot consume the room
-	// another admission just checked for.
+	// mu serializes cold admissions, so one admission's eviction pass cannot
+	// consume the room another admission just checked for, and cold reads,
+	// so a read never races an admission's unlink of the key it is reading
+	// (that would count as an I/O failure against the breaker).
 	mu sync.Mutex
 
 	// brk is the cold tier's circuit breaker: repeated cold I/O failures
@@ -102,8 +89,6 @@ type Tiered struct {
 	brk *breaker
 
 	spills        atomic.Int64
-	promotions    atomic.Int64
-	evictions     atomic.Int64
 	coldEvictions atomic.Int64
 	corrupt       atomic.Int64
 	coldReads     atomic.Int64
@@ -112,7 +97,7 @@ type Tiered struct {
 	// (BeginCompute/FinishCompute): one leader per key currently being
 	// computed, any number of waiters parked on its resolution. Lazily
 	// allocated; independent of mu so single-flight bookkeeping never
-	// contends with cross-tier movement.
+	// contends with cold-tier I/O.
 	flightMu sync.Mutex
 	flights  map[string]*inflight
 	// glow is the afterglow cache of recently resolved flights' values
@@ -150,10 +135,9 @@ func (t *Tiered) TierDisabled() bool {
 }
 
 // Pin marks key as planned-for-load in the cold tier, exempting it from the
-// spill tier's eviction until Unpin. The hot tier never deletes values
-// destructively (demotion is copy-then-delete into cold, where the pin
-// applies), so pinning the cold tier alone guarantees a planned-load key
-// survives the whole run. Pins are refcounted; no-op without a cold tier.
+// spill tier's eviction until Unpin. The hot tier never evicts, so pinning
+// the cold tier alone guarantees a planned-load key survives the whole run.
+// Pins are refcounted; no-op without a cold tier.
 func (t *Tiered) Pin(key string) {
 	if t.cold != nil {
 		t.cold.Pin(key)
@@ -185,12 +169,10 @@ func (t *Tiered) Hot() *Store { return t.hot }
 // directly on it never evict; only Tiered's own admissions do.
 func (t *Tiered) Cold() *Store { return t.cold }
 
-// Counters snapshots the cumulative cross-tier traffic.
+// Counters snapshots the cumulative tier traffic.
 func (t *Tiered) Counters() TierCounters {
 	c := TierCounters{
 		Spills:        t.spills.Load(),
-		Promotions:    t.promotions.Load(),
-		Evictions:     t.evictions.Load(),
 		ColdEvictions: t.coldEvictions.Load(),
 		CorruptFrames: t.corrupt.Load(),
 		ColdReads:     t.coldReads.Load(),
@@ -242,10 +224,7 @@ func (t *Tiered) Remaining() int64 {
 }
 
 // OwnerUsage reports per-owner byte usage across both tiers (unowned
-// entries under the empty key). An entry mid-demotion — copy-then-delete
-// means its bytes exist in both tiers for a moment — can be counted twice;
-// the serve layer's budget admission treats the figure as a conservative
-// upper bound.
+// entries under the empty key).
 func (t *Tiered) OwnerUsage() map[string]int64 {
 	out := t.hot.OwnerUsage()
 	if t.cold != nil {
@@ -274,31 +253,19 @@ func (t *Tiered) PutBytes(key string, raw []byte) (Tier, error) {
 }
 
 // PutBytesHint is PutBytes with a recompute-saving hint (see RewardHint)
-// that travels with the value into whichever tier admits it — and onward
-// through later demotions and promotions — feeding the cold tier's
-// reward-aware eviction.
+// that travels with the value into whichever tier admits it, feeding the
+// cold tier's reward-aware eviction.
 func (t *Tiered) PutBytesHint(key string, raw []byte, hint RewardHint) (Tier, error) {
-	// Snapshot presence before the put: the stale-cold cleanup below must
-	// only run for a genuinely new hot admission. For a key that was
-	// already hot, an idempotent re-put must not touch the cold tier — a
-	// concurrent demotion of that key may be mid-copy there, and deleting
-	// its fresh cold copy would strand the key in no tier.
-	existedHot := t.cold != nil && t.hot.Has(key)
+	// A key the cold tier already holds (spilled earlier in this run or a
+	// previous one) stays there: re-admitting it hot, even with room now,
+	// would keep the key in two tiers. Refresh its hint, like Store.PutBytes
+	// does for an idempotent re-admission.
+	if t.cold != nil && t.cold.Has(key) {
+		t.cold.SetHint(key, hint)
+		return TierCold, nil
+	}
 	err := t.hot.PutBytesHint(key, raw, hint)
 	if err == nil {
-		if t.cold != nil && !existedHot && t.cold.Has(key) {
-			// Keep the one-tier invariant: a stale cold copy (the key was
-			// spilled in an earlier run and the hot tier has room now)
-			// would double-count the key in union views and waste cold
-			// budget. Re-check hot under the movement lock: a demotion
-			// may have moved the fresh hot entry into cold meanwhile, and
-			// then the cold copy is the only one.
-			t.mu.Lock()
-			if t.hot.Has(key) {
-				_ = t.cold.Delete(key)
-			}
-			t.mu.Unlock()
-		}
 		return TierHot, nil
 	}
 	if t.cold == nil || !errors.Is(err, ErrBudgetExceeded) {
@@ -307,8 +274,9 @@ func (t *Tiered) PutBytesHint(key string, raw []byte, hint RewardHint) (Tier, er
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.cold.Has(key) {
+		// A concurrent put of the same key spilled it first.
 		t.cold.SetHint(key, hint)
-		return TierCold, nil // idempotent re-admission, like Store.PutBytes
+		return TierCold, nil
 	}
 	if !t.brk.allow() {
 		// Breaker open: the cold tier is disabled, so the hot rejection
@@ -326,18 +294,13 @@ func (t *Tiered) PutBytesHint(key string, raw []byte, hint RewardHint) (Tier, er
 
 // admitCold admits raw into the cold tier, deleting the tier's
 // cheapest-to-lose unpinned entries (see Store.EvictColdest) as needed to
-// make room. Re-admitting a present key only refreshes its hint and evicts
-// nothing. A value that cannot fit even after evicting every unpinned entry
+// make room. A value that cannot fit even after evicting every unpinned entry
 // — larger than the whole budget, or crowded out by pinned planned-load
 // keys — is rejected up front with ErrBudgetExceeded and evicts nothing: a
 // doomed admission must not destroy values to make room it can never have.
 // Callers hold t.mu, which serializes every cold admission, so no other
 // admission can take the room this one checks for and frees.
 func (t *Tiered) admitCold(key string, raw []byte, hint RewardHint) error {
-	if t.cold.Has(key) {
-		t.cold.SetHint(key, hint)
-		return nil
-	}
 	size := int64(len(raw))
 	if b := t.cold.Budget(); b > 0 {
 		if reachable := t.cold.freeable(); size > reachable {
@@ -360,9 +323,8 @@ func (t *Tiered) PutEncodedHint(key string, enc *Encoded, hint RewardHint) (Tier
 	return t.PutBytesHint(key, enc.Bytes(), hint)
 }
 
-// SetHint refreshes the recompute-saving hint on whichever tier currently
-// holds key (both, for a key mid-migration). A no-op for a zero hint or an
-// unknown key.
+// SetHint refreshes the recompute-saving hint on whichever tier holds key.
+// A no-op for a zero hint or an unknown key.
 func (t *Tiered) SetHint(key string, hint RewardHint) {
 	t.hot.SetHint(key, hint)
 	if t.cold != nil {
@@ -370,33 +332,20 @@ func (t *Tiered) SetHint(key string, hint RewardHint) {
 	}
 }
 
-// Get loads and decodes the value for key: a hot hit is served lock-free;
-// a cold hit is promoted into the hot tier (demoting the hot tier's
-// cheapest-to-lose entries to cold as needed) and decoded. Returns the
-// tier that served the value. Only the file reads and the cross-tier
-// movement hold the movement lock — the decode, usually the expensive part
-// of a load, runs outside it, so concurrent cold loads of different keys
+// Get loads and decodes the value for key from the tier that holds it and
+// returns that tier. A hot hit is served lock-free; a cold hit is read under
+// mu and decoded outside it, so concurrent cold loads of different keys
 // overlap their decodes. Bytes that fail to decode are deleted from every
 // tier (see decodeAndRecord).
 func (t *Tiered) Get(key string) (any, Tier, error) {
-	// Lock-free fast path. Any read failure — not just a map miss — falls
-	// through to the locked path: a concurrent promotion can remove a hot
-	// file between the metadata read and the file read.
-	raw, start, err := t.hot.read(key)
-	if err == nil {
+	raw, start, hotErr := t.hot.read(key)
+	if hotErr == nil {
 		return t.decodeAndRecord(t.hot, key, raw, time.Since(start), TierHot)
 	}
 	if t.cold == nil {
-		return nil, TierNone, err
+		return nil, TierNone, hotErr
 	}
 	t.mu.Lock()
-	// Re-check hot under the movement lock: the key may have been promoted
-	// (or demoted into existence here) while we waited.
-	raw, start, hotErr := t.hot.read(key)
-	if hotErr == nil {
-		t.mu.Unlock()
-		return t.decodeAndRecord(t.hot, key, raw, time.Since(start), TierHot)
-	}
 	if !t.brk.allow() {
 		t.mu.Unlock()
 		// Breaker open: behave as if no cold tier were attached. The hot
@@ -430,19 +379,18 @@ func (t *Tiered) Get(key string) (any, Tier, error) {
 	t.brk.success()
 	t.coldReads.Add(1)
 	readDur := time.Since(start)
-	t.promoteLocked(key, payload)
 	t.mu.Unlock()
 	return t.decodeAndRecord(t.cold, key, payload, readDur, TierCold)
 }
 
-// decodeAndRecord finishes a load outside the movement lock: decode the raw
+// decodeAndRecord finishes a load outside the Tiered lock: decode the raw
 // bytes and land the measured load cost — read plus decode, the full price
-// a consumer pays, excluding any promotion work — on the serving tier's
-// entry. Bytes that do not decode (a torn unframed hot file, a payload in
-// a format this version does not read) never will: the key is deleted from
-// every tier holding it and counted in CorruptFrames. Left in place, it
-// would keep the cost model planning a load that always falls back to
-// recompute, and block re-materializing the recomputed value.
+// a consumer pays — on the serving tier's entry. Bytes that do not decode
+// (a torn unframed hot file, a payload in a format this version does not
+// read) never will: the key is deleted from every tier holding it and
+// counted in CorruptFrames. Left in place, it would keep the cost model
+// planning a load that always falls back to recompute, and block
+// re-materializing the recomputed value.
 func (t *Tiered) decodeAndRecord(tier *Store, key string, raw []byte, readDur time.Duration, served Tier) (any, Tier, error) {
 	decStart := time.Now()
 	v, err := Decode(raw)
@@ -459,63 +407,4 @@ func (t *Tiered) decodeAndRecord(tier *Store, key string, raw []byte, readDur ti
 	}
 	tier.recordRead(key, int64(len(raw)), readDur+time.Since(decStart))
 	return v, served, nil
-}
-
-// promoteLocked moves key's raw bytes from cold to hot, demoting the hot
-// tier's coldest entries into the spill tier to make room. Callers hold
-// t.mu. Demotion is copy-then-delete — a victim's bytes land in the cold
-// tier before its hot entry is removed — so a mid-demotion key is never
-// absent from both tiers, even to the engine's lock-free Has/Lookup
-// dedupe checks. A value larger than the whole hot budget stays cold; a
-// victim the cold tier cannot hold stays hot (possibly leaving too little
-// room, in which case the promotion is abandoned); losing the freed-room
-// race to a concurrent lock-free hot admission leaves the value cold too —
-// promotion is an optimization, never a correctness requirement.
-func (t *Tiered) promoteLocked(key string, raw []byte) {
-	size := int64(len(raw))
-	if b := t.hot.Budget(); b > 0 && size > b {
-		return
-	}
-	// Freshen the promoted key's cold recency first: the demotions below
-	// can trigger cold-tier evictions, and without this the key — read via
-	// the recency-neutral read() — could be the cold tier's own eviction
-	// victim. Capture its recompute hint too, so promotion carries it into
-	// the hot tier (and a failed promotion re-admits it unchanged).
-	t.cold.Touch(key)
-	var hint RewardHint
-	if ce, ok := t.cold.Lookup(key); ok {
-		hint.RecomputeNanos = ce.Recompute
-		hint.Owner = ce.Owner
-	}
-	for _, v := range t.hot.VictimCandidates(size) {
-		vraw, _, err := t.hot.read(v.Key)
-		if err != nil {
-			continue // unreadable victim; leave its entry alone
-		}
-		// The demoted entry keeps its recompute hint and owner: the cold
-		// tier's reward-aware eviction ranks it by the same saving it had
-		// hot, and per-tenant accounting follows the bytes across tiers.
-		if err := t.admitCold(v.Key, vraw, RewardHint{RecomputeNanos: v.Recompute, Owner: v.Owner}); err != nil {
-			t.coldPutResult(err)
-			continue // cold cannot hold it (whole-budget overflow); stays hot
-		}
-		t.coldPutResult(nil)
-		if err := t.hot.Delete(v.Key); err == nil {
-			t.evictions.Add(1)
-		}
-	}
-	if err := t.hot.PutBytesHint(key, raw, hint); err != nil {
-		// Still no room (undemotable victims, or a concurrent lock-free
-		// admission claimed what the demotions freed): the value stays
-		// cold. Re-admit the bytes in hand — the demotion churn above may
-		// have evicted the key's cold entry, and returning with the key in
-		// no tier would break the always-in-some-tier invariant.
-		if !t.cold.Has(key) {
-			t.coldPutResult(t.admitCold(key, raw, hint))
-		}
-		return
-	}
-	t.hot.Touch(key)
-	t.promotions.Add(1)
-	t.cold.Delete(key)
 }
