@@ -351,10 +351,10 @@ func TestFatalFaultCancelsRun(t *testing.T) {
 // single-flight plane: two engines race the same random DAG over one shared
 // store with dedup on, and the first engine's copy of a mid-DAG node is
 // doomed — it parks until another run's waiter arrives on its key, then
-// dies, the seeded version of a leader crashing mid-node. The surviving run
-// must inherit leadership through the registry, recompute the node, and
-// finish byte-identical to a clean solo run; the doomed run must fail; the
-// registry must drain completely.
+// dies, the seeded version of a leader crashing mid-node. The failed flight
+// must release the surviving run's waiter to recompute the node locally,
+// and that run must finish byte-identical to a clean solo run; the doomed
+// run must fail; the registry must drain completely.
 func TestChaosSingleFlightLeaderFailure(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		seed := int64(950 + i)
@@ -420,7 +420,7 @@ func TestChaosSingleFlightLeaderFailure(t *testing.T) {
 			}
 			for id, v := range truth.Values {
 				if !bytes.Equal(encodeValue(t, res.Values[id]), encodeValue(t, v)) {
-					t.Errorf("node %d differs from the clean run after leader handoff", id)
+					t.Errorf("node %d differs from the clean run after the leader failed", id)
 				}
 			}
 			if left := tv.InflightComputes(); left != 0 {

@@ -393,16 +393,6 @@ type Labeled struct {
 	Y float64
 }
 
-// VectorizeSet converts a whole example set; examples without labels get
-// Y=0 and are typically used only for prediction.
-func (d *Dictionary) VectorizeSet(set *ExampleSet) []Labeled {
-	out := make([]Labeled, len(set.Examples))
-	for i, ex := range set.Examples {
-		out[i] = Labeled{X: d.Vectorize(ex.Features), Y: ex.Label}
-	}
-	return out
-}
-
 // ParseFloat converts a field to float64 with a column-aware error.
 func ParseFloat(field, col string) (float64, error) {
 	f, err := strconv.ParseFloat(strings.TrimSpace(field), 64)

@@ -111,7 +111,7 @@ type Counters struct {
 	InflightDedupHits int64 `json:"inflight_dedup_hits"`
 	// InflightWaits counts compute-planned nodes that parked as
 	// single-flight waiters on another run's in-flight computation,
-	// whatever the wait's outcome (served, leadership handoff, timeout).
+	// whatever the wait's outcome (served, failed flight, timeout).
 	InflightWaits int64 `json:"inflight_waits"`
 }
 

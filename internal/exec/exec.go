@@ -88,8 +88,9 @@ type NodeRun struct {
 	MatDuration time.Duration
 	// InflightHit reports that this compute-planned node never ran its
 	// operator: a concurrent in-flight computation of the same signature
-	// (Engine.SingleFlight) served the value instead — through the store's
-	// published bytes or the registry's value handoff.
+	// (Engine.SingleFlight) served the value instead — the leader's value
+	// taken through the registry, or the store's published bytes or the
+	// afterglow for a flight that had just resolved.
 	InflightHit bool
 }
 

@@ -42,8 +42,8 @@ type matJob struct {
 	computeDur time.Duration
 	// finish marks the submitter as the key's single-flight leader: the
 	// writer resolves the flight (FinishCompute) right after the publish
-	// decision lands, so parked waiters wake to a store that already holds
-	// the bytes when the policy said yes.
+	// decision lands, so a run that arrives after the waiters are served
+	// finds the bytes in the store when the policy said yes.
 	finish bool
 }
 
@@ -125,9 +125,9 @@ func (w *matWriter) flush() {
 func (w *matWriter) process(j matJob) {
 	matDur, size, materialized, reward := w.e.decideAndPersist(j.name, j.key, j.value, j.computeDur.Nanoseconds(), w.ancestorCost(w.closures[j.id]))
 	if j.finish {
-		// Resolve the single-flight after the publish decision: when the
-		// policy materialized, waiters load the bytes; when it declined,
-		// they fall back to the value handed through the registry.
+		// Resolve the single-flight after the publish decision: waiters
+		// take the value, and a later arrival finds the bytes in the store
+		// when the policy materialized (the afterglow when it declined).
 		w.e.tiers().FinishCompute(j.key, j.value, nil)
 	}
 	w.record(j, matDur, size, materialized, reward)

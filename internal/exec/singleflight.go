@@ -3,8 +3,6 @@ package exec
 import (
 	"context"
 	"time"
-
-	"repro/internal/store"
 )
 
 // defaultInflightWait bounds how long a single-flight waiter parks on
@@ -27,23 +25,23 @@ type flightRole int
 const (
 	// flightCompute: run the operator locally; the caller holds no
 	// leadership and must not FinishCompute. The role when single-flight is
-	// disabled, and the waiter fallback after a timeout or a store miss.
+	// disabled, and the waiter fallback after a failed flight, a timeout or
+	// a cancellation.
 	flightCompute flightRole = iota
 	// flightLead: the caller is the key's elected leader — compute and
 	// publish as usual, then FinishCompute exactly once, however the
 	// computation ends.
 	flightLead
-	// flightServed: the value was obtained from a concurrent flight (or,
-	// for a just-resolved one, from the store) without computing.
+	// flightServed: the value came from a concurrent flight, or from the
+	// store or afterglow for a just-resolved one, without computing.
 	flightServed
 )
 
 // joinFlight consults the shared store's in-flight computation registry
 // before a compute-planned node runs. Leaders proceed to compute; waiters
-// park until the concurrent flight publishes, then load the bytes through
-// the tiered store's usual read path (pinned across the publish→load window
-// so eviction cannot lose them), falling back to the value the leader
-// handed through the registry when its policy declined materialization. A
+// park until the concurrent flight resolves and take the leader's value —
+// published values are immutable, the convention that lets one run's
+// consumers share them — or, when the flight failed, compute locally. A
 // leader that finds the key already stored — the flight it raced resolved
 // before it registered — is served the stored bytes instead of recomputing,
 // which is what makes N concurrent identical runs compute each unique
@@ -58,8 +56,8 @@ const (
 // without it). Leadership is therefore never held *while* waiting on a
 // different key's flight on the same worker, so no cycle of waits can form.
 // The bounded wait (Engine.InflightWait) is a backstop, not the proof:
-// progress always beats dedup, because every wait outcome — published,
-// handoff, timeout, cancellation — ends in a value or a local compute.
+// progress always beats dedup, because every wait ends in the leader's
+// value or a local compute.
 func (e *Engine) joinFlight(ctx context.Context, key string, stats *faultStats) (flightRole, any, error) {
 	if !e.SingleFlight || e.Store == nil || key == "" {
 		return flightCompute, nil, nil
@@ -88,36 +86,11 @@ func (e *Engine) joinFlight(ctx context.Context, key string, stats *faultStats) 
 		return flightLead, nil, nil
 	}
 	stats.inflightWaits.Add(1)
-	// Pin across the publish→load window: the leader's bytes may land in
-	// the evictable cold tier, and a waiter must not lose them to another
-	// tenant's admission pressure before its load. Refcounted, no-op
-	// without a cold tier — the same guarantee the planned-load pinSet
-	// gives Load-state nodes.
-	tv.Pin(key)
-	defer tv.Unpin(key)
-	outcome, handed := wait(ctx, e.inflightWait())
-	switch outcome {
-	case store.WaitPublished:
-		if v, _, err := tv.Get(key); err == nil {
-			stats.inflightHits.Add(1)
-			return flightServed, v, nil
-		}
-		if handed != nil {
-			// The leader's policy declined to materialize (or the entry was
-			// already evicted); the registry handed the in-memory value
-			// through instead. Values are immutable once published — the
-			// same convention that lets one run's consumers share them.
-			stats.inflightHits.Add(1)
-			return flightServed, handed, nil
-		}
-		return flightCompute, nil, nil
-	case store.WaitLeader:
-		return flightLead, nil, nil
-	case store.WaitCanceled:
-		return flightCompute, nil, ctx.Err()
-	default: // store.WaitTimeout
-		return flightCompute, nil, nil
+	if v, ok := wait(ctx, e.inflightWait()); ok {
+		stats.inflightHits.Add(1)
+		return flightServed, v, nil
 	}
+	return flightCompute, nil, ctx.Err()
 }
 
 // finishFlight resolves key's flight if this caller holds its leadership.

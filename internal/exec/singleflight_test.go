@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -168,11 +169,87 @@ func TestSingleFlightWaiterTimeoutFallsBack(t *testing.T) {
 	<-leaderDone
 }
 
-// TestSingleFlightLeaderFailureHandsOff kills the computing leader once a
-// waiter is parked and asserts the waiter is handed leadership, recomputes,
-// and succeeds — the failed run errors, the surviving run's output is the
-// value a solo run would produce.
-func TestSingleFlightLeaderFailureHandsOff(t *testing.T) {
+// TestSingleFlightWaiterTakesLeaderValue parks a waiter behind a leader
+// over a cold-only tier (every materialized value spills) and asserts the
+// waiter is served the leader's value as the flight resolves: one dedup
+// hit, no operator run, and no cold read of the bytes the leader just
+// published.
+func TestSingleFlightWaiterTakesLeaderValue(t *testing.T) {
+	hot, err := store.Open(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := store.OpenSpill(t.TempDir(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tv := store.NewTiered(hot, cold)
+
+	release := make(chan struct{})
+	g := dag.New()
+	id := g.MustAddNode("shared", "scan")
+	g.Node(id).Output = true
+	leaderVal := strings.Repeat("leader", 64)
+	held := []Task{{Key: "sf-shared", Run: func(context.Context, []any) (any, error) {
+		<-release
+		return leaderVal, nil
+	}}}
+	var waiterRuns atomic.Int64
+	own := []Task{{Key: "sf-shared", Run: func(context.Context, []any) (any, error) {
+		waiterRuns.Add(1)
+		return "waiter", nil
+	}}}
+	plan := allCompute(1)
+
+	leaderRes := make(chan *Result, 1)
+	go func() {
+		res, err := sfEngine(t, tv).Execute(g, held, plan)
+		if err != nil {
+			t.Errorf("leader run: %v", err)
+		}
+		leaderRes <- res
+	}()
+	waitInflight(t, tv, 1)
+
+	waiterRes := make(chan *Result, 1)
+	go func() {
+		res, err := sfEngine(t, tv).Execute(g, own, plan)
+		if err != nil {
+			t.Errorf("waiter run: %v", err)
+		}
+		waiterRes <- res
+	}()
+	for deadline := time.Now().Add(5 * time.Second); tv.InflightWaiters("sf-shared") == 0; {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("waiter never parked on the leader's flight")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(release)
+
+	lres, wres := <-leaderRes, <-waiterRes
+	if lres == nil || wres == nil {
+		t.FailNow()
+	}
+	if wres.InflightDedupHits != 1 || waiterRuns.Load() != 0 {
+		t.Fatalf("waiter dedup hits = %d, operator runs = %d; want 1 and 0", wres.InflightDedupHits, waiterRuns.Load())
+	}
+	if wres.BufferedColdReads != 0 {
+		t.Fatalf("waiter made %d cold reads, want 0: the leader's value is taken, not read back", wres.BufferedColdReads)
+	}
+	lv, _ := lres.Value(g, "shared")
+	wv, _ := wres.Value(g, "shared")
+	if lv.(string) != leaderVal || wv.(string) != leaderVal {
+		t.Fatalf("leader value %.12q…, waiter value %.12q…; want both the leader's", lv, wv)
+	}
+}
+
+// TestSingleFlightLeaderFailureReleasesWaiter kills the computing leader
+// once a waiter is parked and asserts the failed flight releases the
+// waiter, which computes locally and succeeds — the failed run errors, the
+// surviving run's output is the value a solo run would produce.
+func TestSingleFlightLeaderFailureReleasesWaiter(t *testing.T) {
 	t.Run("dataflow", func(t *testing.T) {
 		hot, err := store.Open(t.TempDir(), 0)
 		if err != nil {
@@ -217,7 +294,7 @@ func TestSingleFlightLeaderFailureHandsOff(t *testing.T) {
 			t.Fatalf("survivor value = %v, want recovered", v)
 		}
 		if res.InflightWaits != 1 {
-			t.Fatalf("survivor waits = %d, want 1 (parked then handed leadership)", res.InflightWaits)
+			t.Fatalf("survivor waits = %d, want 1 (parked then released)", res.InflightWaits)
 		}
 		if err := <-leaderErr; err == nil {
 			t.Fatal("doomed leader run succeeded, want error")

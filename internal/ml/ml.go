@@ -195,7 +195,7 @@ func TrainSVM(train []data.Labeled, cfg SVMConfig) (*LinearModel, error) {
 }
 
 // TrainPerceptron fits an averaged perceptron — the cheap baseline learner
-// offered by the DSL's Learner operator for quick iterations.
+// provided by the DSL's Learner operator for quick iterations.
 func TrainPerceptron(train []data.Labeled, epochs int, dim int, seed int64) (*LinearModel, error) {
 	cfg := LogisticConfig{Epochs: epochs, LearningRate: 1, RegParam: 0, Seed: seed, Dim: dim}
 	if err := cfg.validate(len(train)); err != nil {

@@ -286,10 +286,10 @@ func (s *Service) finishRun(failed bool) {
 // tenant's work: planned loads whose bytes a different tenant materialized,
 // plus (since schema 3) compute-planned nodes served by a single-flight
 // dedup hit whose published entry a different tenant owns. Both joins go
-// through the shared store's owner stamps; an entry evicted — or a dedup
-// hit served from the registry's value handoff without an entry — before
-// this sweep just stops counting, so the metric is a floor, never an
-// overcount.
+// through the shared store's owner stamps; an entry evicted — or never
+// written, when the leader's policy declined to materialize the value its
+// waiters took — before this sweep just stops counting, so the metric is a
+// floor, never an overcount.
 func (s *Service) crossSessionHits(rep *core.Report, tenant string) int64 {
 	var hits int64
 	foreign := func(key string) bool {

@@ -43,14 +43,15 @@ func TestConcurrentIdenticalSubmissionsSingleFlight(t *testing.T) {
 	// Barrier: hold the flight of the workflow's root node until all n
 	// runs have planned and parked on it. Without it a fast run can
 	// finish before the others plan, and they load its values instead of
-	// racing it. Releasing the hold as a failed leader hands leadership to
-	// one parked run, which computes the root itself; the other n-1 stay
-	// parked on that run's flight.
+	// racing it. The test holds the root's leadership itself and releases
+	// it successfully with the root task's own value, which every parked
+	// run takes — so the fleet never executes the root.
 	compiled, err := core.Compile(svc.workflow(&SubmitRequest{App: "census", Variant: variant}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := compiled.Tasks[compiled.Graph.Lookup("data")].Key
+	rootTask := compiled.Tasks[compiled.Graph.Lookup("data")]
+	root := rootTask.Key
 	if leader, _ := svc.Tiers().BeginCompute(root); !leader {
 		t.Fatal("root node already in flight before any submission")
 	}
@@ -75,8 +76,12 @@ func TestConcurrentIdenticalSubmissionsSingleFlight(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	svc.Tiers().FinishCompute(root, nil, errors.New("barrier released"))
+	rootVal, err := rootTask.Run(context.Background(), nil)
+	svc.Tiers().FinishCompute(root, rootVal, err)
 	wg.Wait()
+	if err != nil {
+		t.Fatalf("root task: %v", err)
+	}
 
 	var computed, hits, recomputes int64
 	for i := 0; i < n; i++ {
@@ -98,13 +103,13 @@ func TestConcurrentIdenticalSubmissionsSingleFlight(t *testing.T) {
 		t.Errorf("recomputes = %d, want 0", recomputes)
 	}
 	// Exactly-once: actual operator executions across the fleet equal one
-	// run's unique signature count. (Computed counts plan states; a state
-	// served by the registry contributes a dedup hit instead of an
-	// execution, and a planned load was produced by another run's single
-	// execution.)
-	if got := computed - hits; got != int64(unique) {
-		t.Errorf("Σ(computed) %d - Σ(hits) %d = %d executions, want exactly %d unique signatures",
-			computed, hits, got, unique)
+	// run's unique signature count, less the root the test ran itself.
+	// (Computed counts plan states; a state served by the registry
+	// contributes a dedup hit instead of an execution, and a planned load
+	// was produced by another run's single execution.)
+	if got := computed - hits; got != int64(unique-1) {
+		t.Errorf("Σ(computed) %d - Σ(hits) %d = %d executions, want exactly %d unique signatures less the root",
+			computed, hits, got, unique-1)
 	}
 	shutdown(t, svc)
 }
