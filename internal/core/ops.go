@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"math"
 	"slices"
 	"strconv"
@@ -47,7 +48,10 @@ type LiteralSource struct {
 // NewLiteralSource builds a source over in-memory text.
 func NewLiteralSource(train, test string) *LiteralSource {
 	h := sha256.New()
-	fmt.Fprintf(h, "%d:%s%d:%s", len(train), train, len(test), test)
+	for _, s := range [...]string{train, test} {
+		io.WriteString(h, strconv.Itoa(len(s))+":")
+		io.WriteString(h, s)
+	}
 	return &LiteralSource{
 		baseOp: baseOp{
 			typ:    "source",
@@ -58,6 +62,9 @@ func NewLiteralSource(train, test string) *LiteralSource {
 		test:  test,
 	}
 }
+
+// Supplies reports whether s supplies exactly this train and test text.
+func (s *LiteralSource) Supplies(train, test string) bool { return s.train == train && s.test == test }
 
 // Apply implements Operator.
 func (s *LiteralSource) Apply(inputs []any) (any, error) {

@@ -38,6 +38,8 @@ var (
 type CensusData struct {
 	TrainCSV, TestCSV   string
 	TrainRows, TestRows int
+	// src is GenerateCensus's source over the text, hashed once.
+	src *core.LiteralSource
 }
 
 // GenerateCensus produces a deterministic synthetic census dataset. The
@@ -118,9 +120,11 @@ func GenerateCensus(trainRows, testRows int, seed int64) CensusData {
 		}
 		return b.String()
 	}
+	train, test := gen(trainRows), gen(testRows)
 	return CensusData{
-		TrainCSV: gen(trainRows), TestCSV: gen(testRows),
+		TrainCSV: train, TestCSV: test,
 		TrainRows: trainRows, TestRows: testRows,
+		src: core.NewLiteralSource(train, test),
 	}
 }
 
@@ -168,7 +172,13 @@ func DefaultCensusParams(data CensusData) CensusParams {
 // Build constructs the Figure-1a workflow for the current parameters.
 func (p CensusParams) Build() *core.Workflow {
 	wf := core.NewWorkflow("census")
-	wf.Source("data", core.NewLiteralSource(p.Data.TrainCSV, p.Data.TestCSV))
+	// Reuse the source hashed at generation while it still supplies this
+	// text; a reassigned or hand-built dataset is hashed afresh.
+	src := p.Data.src
+	if src == nil || !src.Supplies(p.Data.TrainCSV, p.Data.TestCSV) {
+		src = core.NewLiteralSource(p.Data.TrainCSV, p.Data.TestCSV)
+	}
+	wf.Source("data", src)
 	wf.Apply("rows", core.NewCSVScanner(censusColumns...), "data")
 	wf.Apply("clean", core.NewClean(), "rows")
 

@@ -121,14 +121,27 @@ func DefaultIEParams(data NewsData) IEParams {
 	}
 }
 
-// hashDocs fingerprints the corpus for the source signature.
+// hashDocs fingerprints the corpus for the source signature, one
+// "<T|E><len>:<text>|<persons,>\n" record per train (T) or test (E) doc.
 func hashDocs(d NewsData) string {
 	h := sha256.New()
-	for _, doc := range d.Train {
-		fmt.Fprintf(h, "T%d:%s|%s\n", len(doc.Text), doc.Text, strings.Join(doc.Persons, ","))
-	}
-	for _, doc := range d.Test {
-		fmt.Fprintf(h, "E%d:%s|%s\n", len(doc.Text), doc.Text, strings.Join(doc.Persons, ","))
+	var buf []byte
+	for _, half := range [...]struct {
+		tag  byte
+		docs []Document
+	}{{'T', d.Train}, {'E', d.Test}} {
+		for _, doc := range half.docs {
+			buf = strconv.AppendInt(append(buf[:0], half.tag), int64(len(doc.Text)), 10)
+			buf = append(append(append(buf, ':'), doc.Text...), '|')
+			for i, p := range doc.Persons {
+				if i > 0 {
+					buf = append(buf, ',')
+				}
+				buf = append(buf, p...)
+			}
+			buf = append(buf, '\n')
+			h.Write(buf)
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
