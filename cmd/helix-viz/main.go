@@ -67,7 +67,7 @@ func main() {
 			fatal(err)
 		}
 		reports = append(reports, rep)
-		sources = append(sources, rep.SourceText)
+		sources = append(sources, sc.Steps[i].Workflow.SourceText())
 	}
 	last := reports[len(reports)-1]
 

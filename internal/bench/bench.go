@@ -132,7 +132,7 @@ func RunScenarioCtx(ctx context.Context, kind systems.Kind, sc *workload.Scenari
 		res.Versions.Commit(version.Version{
 			Message: step.Description,
 			Kind:    string(step.Kind),
-			Source:  rep.SourceText,
+			Source:  step.Workflow.SourceText(),
 			Graph:   rep.Graph,
 			Wall:    rep.Wall,
 			Metrics: ir.Metrics,

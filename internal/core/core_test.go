@@ -466,7 +466,8 @@ func TestReportRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.Run(censusWorkflow(0.1, "accuracy", true))
+	wf := censusWorkflow(0.1, "accuracy", true)
+	rep, err := s.Run(wf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +481,7 @@ func TestReportRendering(t *testing.T) {
 	if !strings.Contains(dot, "digraph") || !strings.Contains(dot, "peripheries=2") {
 		t.Errorf("DOT missing materialization marks:\n%s", dot)
 	}
-	src := rep.SourceText
+	src := wf.SourceText()
 	if !strings.Contains(src, "results_from learner") || !strings.Contains(src, "regParam=0.1") {
 		t.Errorf("SourceText missing learner decl:\n%s", src)
 	}

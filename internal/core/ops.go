@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"strconv"
@@ -48,9 +47,16 @@ type LiteralSource struct {
 // NewLiteralSource builds a source over in-memory text.
 func NewLiteralSource(train, test string) *LiteralSource {
 	h := sha256.New()
+	// The digest takes bytes only, so the text goes through one fixed
+	// buffer instead of being copied whole.
+	buf := make([]byte, 32<<10)
 	for _, s := range [...]string{train, test} {
-		io.WriteString(h, strconv.Itoa(len(s))+":")
-		io.WriteString(h, s)
+		h.Write(append(strconv.AppendInt(buf[:0], int64(len(s)), 10), ':'))
+		for len(s) > 0 {
+			n := copy(buf, s)
+			h.Write(buf[:n])
+			s = s[n:]
+		}
 	}
 	return &LiteralSource{
 		baseOp: baseOp{
@@ -140,7 +146,7 @@ func (e *extractorOp) Apply(inputs []any) (any, error) {
 	if err := ex.Fit(cp.Train); err != nil {
 		return nil, err
 	}
-	b := columnBuilder{ids: make(map[string]int32), fm: make(data.FeatureMap, 2)}
+	b := columnBuilder{ids: make(map[string]int32)}
 	train, err := b.extract(e.typ, ex, cp.Train)
 	if err != nil {
 		return nil, err
@@ -152,51 +158,36 @@ func (e *extractorOp) Apply(inputs []any) (any, error) {
 	return FeatureColumn{Names: b.names, Train: train, Test: test}, nil
 }
 
-// columnBuilder lays an extractor's rows out as a FeatureColumn: one scratch
-// map receives each row, and names are interned into ids on first sight, so
-// a row allocates nothing once its names are known.
+// columnBuilder lays an extractor's rows out as a FeatureColumn. Every row
+// holds exactly one feature, whose name is interned into an id on first
+// sight, so a row allocates nothing once its name is known.
 type columnBuilder struct {
-	names    []string
-	ids      map[string]int32
-	fm       data.FeatureMap
-	rowNames []string
+	names []string
+	ids   map[string]int32
 }
 
 // extract runs ex over every row of c.
 func (b *columnBuilder) extract(op string, ex data.Extractor, c *data.Collection) (FeatureRows, error) {
 	n := c.Len()
-	rows := FeatureRows{Start: make([]int32, 1, n+1), ID: make([]int32, 0, n), Val: make([]float64, 0, n)}
+	if n > math.MaxInt32 {
+		return FeatureRows{}, fmt.Errorf("core: %s: more than %d features in one column", op, math.MaxInt32)
+	}
+	rows := FeatureRows{Start: make([]int32, n+1), ID: make([]int32, n), Val: make([]float64, n)}
 	for i := 0; i < n; i++ {
-		clear(b.fm)
-		if err := ex.Extract(c, i, b.fm); err != nil {
+		name, v, err := ex.Feature(c, i)
+		if err != nil {
 			return FeatureRows{}, fmt.Errorf("core: %s row %d: %w", op, i, err)
 		}
-		b.appendRow(&rows, b.fm)
-		if len(rows.ID) > math.MaxInt32 {
-			return FeatureRows{}, fmt.Errorf("core: %s: more than %d features in one column", op, math.MaxInt32)
-		}
-	}
-	return rows, nil
-}
-
-// appendRow adds fm as the next row, its names in sorted order.
-func (b *columnBuilder) appendRow(rows *FeatureRows, fm data.FeatureMap) {
-	b.rowNames = b.rowNames[:0]
-	for name := range fm {
-		b.rowNames = append(b.rowNames, name)
-	}
-	slices.Sort(b.rowNames)
-	for _, name := range b.rowNames {
 		id, ok := b.ids[name]
 		if !ok {
 			id = int32(len(b.names))
 			b.ids[name] = id
 			b.names = append(b.names, name)
 		}
-		rows.ID = append(rows.ID, id)
-		rows.Val = append(rows.Val, fm[name])
+		rows.ID[i], rows.Val[i] = id, v
+		rows.Start[i+1] = int32(i + 1)
 	}
-	rows.Start = append(rows.Start, int32(len(rows.ID)))
+	return rows, nil
 }
 
 // Field declares a FieldExtractor node (paper: `age refers_to
@@ -252,46 +243,56 @@ func (cl *Clean) Apply(inputs []any) (any, error) {
 	if !ok {
 		return nil, typeErr("clean", 0, "CollectionPair", inputs[0])
 	}
-	// Column modes from the training half, for imputation.
+	// Normalize every cell once, noting the columns that hold a missing
+	// marker on either half; only those need a training-set mode.
 	ncols := cp.Train.Schema.Len()
-	counts := make([]map[string]int, ncols)
-	for j := range counts {
-		counts[j] = make(map[string]int)
-	}
-	for _, row := range cp.Train.Rows {
-		for j, f := range row.Fields {
-			if v := normalizeField(f); !isMissing(v) {
-				counts[j][v]++
+	marked := make([]bool, ncols)
+	train, test := normalizeSide(cp.Train, marked), normalizeSide(cp.Test, marked)
+	for j, m := range marked {
+		if !m {
+			continue
+		}
+		counts := make(map[string]int)
+		for _, row := range train.Rows {
+			if v := row.Fields[j]; !isMissing(v) {
+				counts[v]++
 			}
 		}
-	}
-	modes := make([]string, ncols)
-	for j, c := range counts {
-		best, bestN := "", -1
-		for v, n := range c {
-			if n > bestN || (n == bestN && v < best) {
-				best, bestN = v, n
+		mode, modeN := "", -1
+		for v, n := range counts {
+			if n > modeN || (n == modeN && v < mode) {
+				mode, modeN = v, n
 			}
 		}
-		modes[j] = best
-	}
-	cleanSide := func(c *data.Collection) *data.Collection {
-		out := &data.Collection{Schema: c.Schema, Rows: make([]data.Row, len(c.Rows))}
-		slab := make([]string, 0, len(c.Rows)*ncols)
-		for i, row := range c.Rows {
-			start := len(slab)
-			for j, f := range row.Fields {
-				v := normalizeField(f)
-				if isMissing(v) {
-					v = modes[j]
+		for _, c := range [...]*data.Collection{train, test} {
+			for _, row := range c.Rows {
+				if isMissing(row.Fields[j]) {
+					row.Fields[j] = mode
 				}
-				slab = append(slab, v)
 			}
-			out.Rows[i] = data.Row{Fields: slab[start:len(slab):len(slab)]}
 		}
-		return out
 	}
-	return CollectionPair{Train: cleanSide(cp.Train), Test: cleanSide(cp.Test)}, nil
+	return CollectionPair{Train: train, Test: test}, nil
+}
+
+// normalizeSide copies c with every cell normalized into one slab, each row
+// a capped window of it, and sets marked[j] for every column j that holds a
+// missing marker.
+func normalizeSide(c *data.Collection, marked []bool) *data.Collection {
+	out := &data.Collection{Schema: c.Schema, Rows: make([]data.Row, len(c.Rows))}
+	slab := make([]string, 0, len(c.Rows)*len(marked))
+	for i, row := range c.Rows {
+		start := len(slab)
+		for j, f := range row.Fields {
+			v := normalizeField(f)
+			if isMissing(v) {
+				marked[j] = true
+			}
+			slab = append(slab, v)
+		}
+		out.Rows[i] = data.Row{Fields: slab[start:len(slab):len(slab)]}
+	}
+	return out
 }
 
 // normalizeField trims outer whitespace and collapses internal runs. A cell
@@ -303,16 +304,40 @@ func normalizeField(s string) string {
 	return strings.Join(strings.Fields(s), " ")
 }
 
+// Byte classes for isNormalASCII. Class 0 is a byte that may appear
+// anywhere in a normal cell.
+const (
+	cellSpace    = 1 + iota // a space
+	cellAbnormal            // other whitespace, or a non-ASCII byte
+)
+
+var cellClass = func() (t [256]uint8) {
+	for c := utf8.RuneSelf; c < len(t); c++ {
+		t[c] = cellAbnormal
+	}
+	for _, c := range "\t\n\v\f\r" {
+		t[c] = cellAbnormal
+	}
+	t[' '] = cellSpace
+	return t
+}()
+
 // isNormalASCII reports whether strings.Fields/Join would return s
 // unchanged for a reason cheap to see: s is ASCII, holds no whitespace but
 // single spaces, and neither starts nor ends with one.
 func isNormalASCII(s string) bool {
+	if n := len(s); n > 0 && (s[0] == ' ' || s[n-1] == ' ') {
+		return false
+	}
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c >= utf8.RuneSelf, c == '\t', c == '\n', c == '\v', c == '\f', c == '\r':
+		switch cellClass[s[i]] {
+		case cellAbnormal:
 			return false
-		case c == ' ' && (i == 0 || i == len(s)-1 || s[i+1] == ' '):
-			return false
+		case cellSpace:
+			// Not the last byte: s does not end with a space.
+			if s[i+1] == ' ' {
+				return false
+			}
 		}
 	}
 	return true

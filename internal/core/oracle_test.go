@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -269,10 +270,39 @@ func oracleFeaturize(cp CollectionPair, labelCol, positive string, columns []ora
 	return VecPair{Train: train, Test: test, Dim: dict.Len(), Names: names}, nil
 }
 
-// columnFromMaps lays per-row maps out as a FeatureColumn through the same
-// builder extractorOp uses.
+// mapColumnBuilder is the map-per-row column builder: each row arrives as
+// a map, its names are sorted, and every name is interned into an id on
+// first sight. Rows may carry any number of features.
+type mapColumnBuilder struct {
+	names    []string
+	ids      map[string]int32
+	rowNames []string
+}
+
+// appendRow adds fm as the next row, its names in sorted order.
+func (b *mapColumnBuilder) appendRow(rows *FeatureRows, fm data.FeatureMap) {
+	b.rowNames = b.rowNames[:0]
+	for name := range fm {
+		b.rowNames = append(b.rowNames, name)
+	}
+	slices.Sort(b.rowNames)
+	for _, name := range b.rowNames {
+		id, ok := b.ids[name]
+		if !ok {
+			id = int32(len(b.names))
+			b.ids[name] = id
+			b.names = append(b.names, name)
+		}
+		rows.ID = append(rows.ID, id)
+		rows.Val = append(rows.Val, fm[name])
+	}
+	rows.Start = append(rows.Start, int32(len(rows.ID)))
+}
+
+// columnFromMaps lays per-row maps out as a FeatureColumn through the
+// map-per-row builder.
 func columnFromMaps(train, test []data.FeatureMap) FeatureColumn {
-	b := columnBuilder{ids: make(map[string]int32)}
+	b := mapColumnBuilder{ids: make(map[string]int32)}
 	side := func(maps []data.FeatureMap) FeatureRows {
 		rows := FeatureRows{Start: []int32{0}}
 		for _, fm := range maps {

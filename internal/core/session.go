@@ -82,8 +82,7 @@ type Report struct {
 	// result signature), indexed by dag.NodeID like Plan.States and Nodes.
 	// The serve layer joins Plan.States==Load against it to attribute
 	// loads to the tenant that materialized the bytes.
-	Keys       []string
-	SourceText string
+	Keys []string
 }
 
 // Counts tallies node states in the executed plan.
@@ -156,19 +155,18 @@ func (s *Session) RunCtx(ctx context.Context, w *Workflow) (*Report, error) {
 		keys[i] = t.Key
 	}
 	rep := &Report{
-		Iteration:  s.iter,
-		System:     s.cfg.SystemName,
-		Workflow:   w.Name(),
-		Wall:       res.Wall,
-		PlanCost:   plan.Cost,
-		Graph:      compiled.Graph,
-		Plan:       plan,
-		Nodes:      res.Nodes,
-		Changes:    changes,
-		Outputs:    outputs,
-		Counters:   res.Counters,
-		Keys:       keys,
-		SourceText: w.SourceText(),
+		Iteration: s.iter,
+		System:    s.cfg.SystemName,
+		Workflow:  w.Name(),
+		Wall:      res.Wall,
+		PlanCost:  plan.Cost,
+		Graph:     compiled.Graph,
+		Plan:      plan,
+		Nodes:     res.Nodes,
+		Changes:   changes,
+		Outputs:   outputs,
+		Counters:  res.Counters,
+		Keys:      keys,
 	}
 	if s.store != nil {
 		rep.StoreUsed = s.store.Used()

@@ -24,7 +24,7 @@ type CollectionPair struct {
 // FittedExtractor is a feature extractor fitted on the training collection,
 // kept for workflows that want lazy (at-featurize-time) extraction. An
 // extractor caches lookups as it runs, so consumers sharing one must not
-// call Extract concurrently.
+// call Feature concurrently.
 type FittedExtractor struct {
 	Ex data.Extractor
 }

@@ -212,26 +212,29 @@ func TestVectorDot(t *testing.T) {
 	}
 }
 
+// feature runs ex on row i and fails the test on error.
+func feature(t *testing.T, ex Extractor, c *Collection, i int) (string, float64) {
+	t.Helper()
+	name, v, err := ex.Feature(c, i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return name, v
+}
+
 func TestFieldExtractor(t *testing.T) {
 	c := NewCollection(MustSchema("age", "occ"))
 	if err := c.Append("39", "Sales"); err != nil {
 		t.Fatal(err)
 	}
-	fm := make(FeatureMap)
-	if err := (&FieldExtractor{Col: "age"}).Extract(c, 0, fm); err != nil {
-		t.Fatal(err)
+	if name, v := feature(t, &FieldExtractor{Col: "age"}, c, 0); name != "age" || v != 39 {
+		t.Errorf("numeric field: %s=%v", name, v)
 	}
-	if fm["age"] != 39 {
-		t.Errorf("numeric field: %v", fm)
-	}
-	if err := (&FieldExtractor{Col: "occ"}).Extract(c, 0, fm); err != nil {
-		t.Fatal(err)
-	}
-	if fm["occ=Sales"] != 1 {
-		t.Errorf("categorical field: %v", fm)
+	if name, v := feature(t, &FieldExtractor{Col: "occ"}, c, 0); name != "occ=Sales" || v != 1 {
+		t.Errorf("categorical field: %s=%v", name, v)
 	}
 	// Numeric=true on a categorical value errors.
-	if err := (&FieldExtractor{Col: "occ", Numeric: true}).Extract(c, 0, fm); err == nil {
+	if _, _, err := (&FieldExtractor{Col: "occ", Numeric: true}).Feature(c, 0); err == nil {
 		t.Error("forced-numeric on categorical accepted")
 	}
 }
@@ -247,19 +250,11 @@ func TestBucketizer(t *testing.T) {
 	if err := b.Fit(c); err != nil {
 		t.Fatal(err)
 	}
-	fm := make(FeatureMap)
-	if err := b.Extract(c, 0, fm); err != nil {
-		t.Fatal(err)
+	if name, v := feature(t, b, c, 0); name != "age_bucket=0" || v != 1 {
+		t.Errorf("min value bucket: %s=%v", name, v)
 	}
-	if fm["age_bucket=0"] != 1 {
-		t.Errorf("min value bucket: %v", fm)
-	}
-	fm = make(FeatureMap)
-	if err := b.Extract(c, 4, fm); err != nil {
-		t.Fatal(err)
-	}
-	if fm["age_bucket=3"] != 1 { // max clamps into last bin
-		t.Errorf("max value bucket: %v", fm)
+	if name, v := feature(t, b, c, 4); name != "age_bucket=3" || v != 1 { // max clamps into last bin
+		t.Errorf("max value bucket: %s=%v", name, v)
 	}
 }
 
@@ -273,19 +268,15 @@ func TestBucketizerErrors(t *testing.T) {
 		t.Error("bins=0 accepted")
 	}
 	b2 := &Bucketizer{Col: "age", Bins: 2}
-	fm := make(FeatureMap)
-	if err := b2.Extract(c, 0, fm); err == nil {
+	if _, _, err := b2.Feature(c, 0); err == nil {
 		t.Error("extract before fit accepted")
 	}
 	// Constant column: width falls back to 1, everything in bucket 0.
 	if err := b2.Fit(c); err != nil {
 		t.Fatal(err)
 	}
-	if err := b2.Extract(c, 0, fm); err != nil {
-		t.Fatal(err)
-	}
-	if fm["age_bucket=0"] != 1 {
-		t.Errorf("constant column: %v", fm)
+	if name, v := feature(t, b2, c, 0); name != "age_bucket=0" || v != 1 {
+		t.Errorf("constant column: %s=%v", name, v)
 	}
 }
 
@@ -294,16 +285,12 @@ func TestInteractionFeature(t *testing.T) {
 	if err := c.Append("BS", "Sales"); err != nil {
 		t.Fatal(err)
 	}
-	fm := make(FeatureMap)
 	x := &InteractionFeature{Cols: []string{"edu", "occ"}}
-	if err := x.Extract(c, 0, fm); err != nil {
-		t.Fatal(err)
-	}
-	if fm["eduxocc=BS|Sales"] != 1 {
-		t.Errorf("interaction: %v", fm)
+	if name, v := feature(t, x, c, 0); name != "eduxocc=BS|Sales" || v != 1 {
+		t.Errorf("interaction: %s=%v", name, v)
 	}
 	bad := &InteractionFeature{Cols: []string{"edu"}}
-	if err := bad.Extract(c, 0, fm); err == nil {
+	if _, _, err := bad.Feature(c, 0); err == nil {
 		t.Error("single-column interaction accepted")
 	}
 }

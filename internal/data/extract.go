@@ -8,11 +8,11 @@ import (
 	"strings"
 )
 
-// Extractor turns one row into features, mirroring the paper's extractor
-// operators (FieldExtractor, Bucketizer, InteractionFeature). Extractors are
-// deterministic; some (Bucketizer) need a Fit pass over the training
-// collection first. An extractor caches its column positions (per schema)
-// and the feature names it emits, so one instance is not safe for
+// Extractor turns each row into exactly one feature, mirroring the paper's
+// extractor operators (FieldExtractor, Bucketizer, InteractionFeature).
+// Extractors are deterministic; some (Bucketizer) need a Fit pass over the
+// training collection first. An extractor caches its column positions (per
+// schema) and the feature names it emits, so one instance is not safe for
 // concurrent use.
 type Extractor interface {
 	// Name identifies the extractor (used for signatures and provenance).
@@ -20,8 +20,10 @@ type Extractor interface {
 	// Fit observes the training collection to learn any statistics
 	// (bucket boundaries etc.). Stateless extractors return nil immediately.
 	Fit(c *Collection) error
-	// Extract adds this extractor's features for row i into fm.
-	Extract(c *Collection, i int, fm FeatureMap) error
+	// Feature returns row i's feature name and value. The extractor keeps
+	// the name, so a repeated value returns the same string without
+	// allocating.
+	Feature(c *Collection, i int) (name string, v float64, err error)
 }
 
 // colRef resolves a named column once per schema instead of once per row.
@@ -76,36 +78,34 @@ func mayParse(b byte) bool {
 	return false
 }
 
-// Extract implements Extractor.
-func (f *FieldExtractor) Extract(c *Collection, i int, fm FeatureMap) error {
+// Feature implements Extractor.
+func (f *FieldExtractor) Feature(c *Collection, i int) (string, float64, error) {
 	v, err := f.ref.get(c, i, f.Col)
 	if err != nil {
-		return err
+		return "", 0, err
 	}
 	if f.Numeric {
 		x, err := ParseFloat(v, f.Col)
 		if err != nil {
-			return err
+			return "", 0, err
 		}
-		fm[f.Col] = x
-		return nil
+		return f.Col, x, nil
 	}
 	name, known := f.oneHot[v]
-	if s := strings.TrimSpace(v); !known && s != "" && mayParse(s[0]) {
+	if known {
+		return name, 1, nil
+	}
+	if s := strings.TrimSpace(v); s != "" && mayParse(s[0]) {
 		if x, err := strconv.ParseFloat(s, 64); err == nil {
-			fm[f.Col] = x
-			return nil
+			return f.Col, x, nil
 		}
 	}
-	if !known {
-		if f.oneHot == nil {
-			f.oneHot = make(map[string]string)
-		}
-		name = f.Col + "=" + v
-		f.oneHot[v] = name
+	if f.oneHot == nil {
+		f.oneHot = make(map[string]string)
 	}
-	fm[name] = 1
-	return nil
+	name = f.Col + "=" + v
+	f.oneHot[v] = name
+	return name, 1, nil
 }
 
 // Bucketizer discretizes a numeric column into equi-width bins learned from
@@ -158,19 +158,19 @@ func (b *Bucketizer) Fit(c *Collection) error {
 	return nil
 }
 
-// Extract implements Extractor. Values outside the fitted range clamp to the
-// first/last bucket so test data never errors.
-func (b *Bucketizer) Extract(c *Collection, i int, fm FeatureMap) error {
+// Feature implements Extractor. Values outside the fitted range clamp to
+// the first/last bucket so test data never errors.
+func (b *Bucketizer) Feature(c *Collection, i int) (string, float64, error) {
 	if !b.Fitted {
-		return fmt.Errorf("data: bucketizer %s used before Fit", b.Col)
+		return "", 0, fmt.Errorf("data: bucketizer %s used before Fit", b.Col)
 	}
 	v, err := b.ref.get(c, i, b.Col)
 	if err != nil {
-		return err
+		return "", 0, err
 	}
 	x, err := ParseFloat(v, b.Col)
 	if err != nil {
-		return err
+		return "", 0, err
 	}
 	k := int((x - b.Lo) / b.Width)
 	if k < 0 {
@@ -185,8 +185,7 @@ func (b *Bucketizer) Extract(c *Collection, i int, fm FeatureMap) error {
 			b.names[j] = b.Col + "_bucket=" + strconv.Itoa(j)
 		}
 	}
-	fm[b.names[k]] = 1
-	return nil
+	return b.names[k], 1, nil
 }
 
 // InteractionFeature crosses the categorical values of several columns into
@@ -208,10 +207,10 @@ func (x *InteractionFeature) Name() string { return "cross(" + strings.Join(x.Co
 // Fit implements Extractor (stateless).
 func (x *InteractionFeature) Fit(*Collection) error { return nil }
 
-// Extract implements Extractor.
-func (x *InteractionFeature) Extract(c *Collection, i int, fm FeatureMap) error {
+// Feature implements Extractor.
+func (x *InteractionFeature) Feature(c *Collection, i int) (string, float64, error) {
 	if len(x.Cols) < 2 {
-		return fmt.Errorf("data: interaction needs >=2 columns, got %d", len(x.Cols))
+		return "", 0, fmt.Errorf("data: interaction needs >=2 columns, got %d", len(x.Cols))
 	}
 	if len(x.refs) != len(x.Cols) {
 		x.refs = make([]colRef, len(x.Cols))
@@ -220,7 +219,7 @@ func (x *InteractionFeature) Extract(c *Collection, i int, fm FeatureMap) error 
 	for k, col := range x.Cols {
 		v, err := x.refs[k].get(c, i, col)
 		if err != nil {
-			return err
+			return "", 0, err
 		}
 		if k > 0 {
 			x.key = append(x.key, '|')
@@ -235,8 +234,7 @@ func (x *InteractionFeature) Extract(c *Collection, i int, fm FeatureMap) error 
 		name = strings.Join(x.Cols, "x") + "=" + string(x.key)
 		x.names[name[len(name)-len(x.key):]] = name
 	}
-	fm[name] = 1
-	return nil
+	return name, 1, nil
 }
 
 // BinaryLabel reads a column and maps one designated value to label 1,
@@ -279,11 +277,13 @@ func BuildExamples(c *Collection, extractors []Extractor, label *BinaryLabel) (*
 func ExtractExamples(c *Collection, extractors []Extractor, label *BinaryLabel) (*ExampleSet, error) {
 	set := &ExampleSet{Examples: make([]Example, c.Len())}
 	for i := 0; i < c.Len(); i++ {
-		fm := make(FeatureMap)
+		fm := make(FeatureMap, len(extractors))
 		for _, ex := range extractors {
-			if err := ex.Extract(c, i, fm); err != nil {
+			name, v, err := ex.Feature(c, i)
+			if err != nil {
 				return nil, fmt.Errorf("data: extract %s row %d: %w", ex.Name(), i, err)
 			}
+			fm[name] = v
 		}
 		set.Examples[i] = Example{Features: fm}
 		if label != nil {

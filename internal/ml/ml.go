@@ -120,23 +120,27 @@ func TrainLogistic(train []data.Labeled, cfg LogisticConfig) (*LinearModel, erro
 	for i := range order {
 		order[i] = i
 	}
+	w, b := m.Weights, 0.0
+	reg, n := cfg.RegParam, float64(len(train))
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		lr := cfg.LearningRate / math.Sqrt(float64(epoch))
 		for _, idx := range order {
-			ex := train[idx]
-			p := Sigmoid(ex.X.Dot(m.Weights) + m.Bias)
+			ex := &train[idx]
+			vals := ex.X.Values[:len(ex.X.Indices)]
+			p := Sigmoid(ex.X.Dot(w) + b)
 			g := p - ex.Y // dLoss/dScore
 			for k, i := range ex.X.Indices {
-				if i < len(m.Weights) {
+				if i < len(w) {
 					// L2 applied per-update, scaled by 1/n to keep the
 					// effective penalty epoch-count independent.
-					m.Weights[i] -= lr * (g*ex.X.Values[k] + cfg.RegParam*m.Weights[i]/float64(len(train)))
+					w[i] -= lr * (g*vals[k] + reg*w[i]/n)
 				}
 			}
-			m.Bias -= lr * g
+			b -= lr * g
 		}
 	}
+	m.Bias = b
 	return m, nil
 }
 
@@ -167,30 +171,33 @@ func TrainSVM(train []data.Labeled, cfg SVMConfig) (*LinearModel, error) {
 	for i := range order {
 		order[i] = i
 	}
+	w, b, reg := m.Weights, 0.0, cfg.RegParam
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		lr := cfg.LearningRate / math.Sqrt(float64(epoch))
+		decay := lr * reg
 		for _, idx := range order {
-			ex := train[idx]
+			ex := &train[idx]
+			vals := ex.X.Values[:len(ex.X.Indices)]
 			y := 2*ex.Y - 1 // ±1
-			margin := y * (ex.X.Dot(m.Weights) + m.Bias)
+			margin := y * (ex.X.Dot(w) + b)
 			if margin < 1 {
 				for k, i := range ex.X.Indices {
-					if i < len(m.Weights) {
-						m.Weights[i] += lr * (y*ex.X.Values[k] - cfg.RegParam*m.Weights[i])
+					if i < len(w) {
+						w[i] += lr * (y*vals[k] - reg*w[i])
 					}
 				}
-				m.Bias += lr * y
-			} else if cfg.RegParam > 0 {
-				for k, i := range ex.X.Indices {
-					_ = k
-					if i < len(m.Weights) {
-						m.Weights[i] -= lr * cfg.RegParam * m.Weights[i]
+				b += lr * y
+			} else if reg > 0 {
+				for _, i := range ex.X.Indices {
+					if i < len(w) {
+						w[i] -= decay * w[i]
 					}
 				}
 			}
 		}
 	}
+	m.Bias = b
 	return m, nil
 }
 
@@ -213,17 +220,19 @@ func TrainPerceptron(train []data.Labeled, epochs int, dim int, seed int64) (*Li
 	for epoch := 0; epoch < epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, idx := range order {
-			ex := train[idx]
+			ex := &train[idx]
+			vals := ex.X.Values[:len(ex.X.Indices)]
 			y := 2*ex.Y - 1
 			if y*(ex.X.Dot(w)+b) <= 0 {
+				uy := updates * y
 				for k, i := range ex.X.Indices {
 					if i < dim {
-						w[i] += y * ex.X.Values[k]
-						wSum[i] += updates * y * ex.X.Values[k]
+						w[i] += y * vals[k]
+						wSum[i] += uy * vals[k]
 					}
 				}
 				b += y
-				bSum += updates * y
+				bSum += uy
 			}
 			updates++
 		}

@@ -1,6 +1,9 @@
 package ml
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -355,5 +358,64 @@ func TestQuickPerceptronFinite(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// trainerDigest is a SHA-256 of the bits of a model's weights and bias.
+func trainerDigest(m *LinearModel) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, w := range append(append([]float64(nil), m.Weights...), m.Bias) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(w))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestTrainersBitIdentical pins every SGD trainer's weights and bias, bit
+// for bit, on a seeded sparse set in which some rows carry an index at or
+// beyond Dim (skipped by training). The regularization is strong enough
+// that the L2 term is on the scale of the gradient term, so reordering
+// either one's floating-point operations moves a digest. The digests were
+// captured from the loops that read every field through the config and the
+// model.
+func TestTrainersBitIdentical(t *testing.T) {
+	const dim = 12
+	rng := rand.New(rand.NewSource(11))
+	train := make([]data.Labeled, 300)
+	for i := range train {
+		var x data.Vector
+		for j := 0; j < dim+3; j++ {
+			if rng.Float64() < 0.35 {
+				x.Indices = append(x.Indices, j)
+				x.Values = append(x.Values, rng.NormFloat64())
+			}
+		}
+		train[i] = data.Labeled{X: x, Y: float64(rng.Intn(2))}
+	}
+	logreg, err := TrainLogistic(train, LogisticConfig{Epochs: 4, LearningRate: 0.1, RegParam: 60, Seed: 5, Dim: dim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svm, err := TrainSVM(train, SVMConfig{Epochs: 4, LearningRate: 0.1, RegParam: 0.5, Seed: 5, Dim: dim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perc, err := TrainPerceptron(train, 4, dim, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		m    *LinearModel
+		want string
+	}{
+		{"logreg", logreg, "cc6d077489f1d14cede107769a3645b57bca67a756ecd02f2851bb2f82e13da3"},
+		{"svm", svm, "b894ba78bb72d1e562074f33c668f4e1644f267387e557a5d341fbc802cb1376"},
+		{"perceptron", perc, "7ad383ea67c4c3faaee74696101223456e745bb1fd3a7ab83c71f2bc10d45875"},
+	} {
+		if got := trainerDigest(c.m); got != c.want {
+			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+		}
 	}
 }

@@ -81,3 +81,21 @@ func TestCensusSourceNotStale(t *testing.T) {
 		t.Error("reassigned dataset kept the original data signature")
 	}
 }
+
+// TestLiteralSourceHashAllocs bounds what hashing a 4 000 + 1 000 row
+// dataset allocates to under 64 KiB: the text is hashed through a fixed
+// buffer, never copied whole.
+func TestLiteralSourceHashAllocs(t *testing.T) {
+	d := GenerateCensus(4000, 1000, 7)
+	core.NewLiteralSource(d.TrainCSV, d.TestCSV)
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		core.NewLiteralSource(d.TrainCSV, d.TestCSV)
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 64<<10 {
+		t.Errorf("NewLiteralSource allocates %d B per call, want < %d B", perCall, 64<<10)
+	}
+}
