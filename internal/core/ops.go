@@ -378,35 +378,38 @@ func (f *Featurize) Apply(inputs []any) (any, error) {
 	if !ok {
 		return nil, typeErr("featurize", 0, "CollectionPair", inputs[0])
 	}
-	columns := make([]FeatureColumn, 0, len(inputs)-1)
+	// Each column's names, and each half's rows, taken out of the inputs
+	// once so the row loop indexes them in place.
+	ncol := len(inputs) - 1
+	colNames := make([][]string, ncol)
+	trainRows, testRows := make([]FeatureRows, ncol), make([]FeatureRows, ncol)
 	for i, in := range inputs[1:] {
 		fc, ok := in.(FeatureColumn)
 		if !ok {
 			return nil, typeErr("featurize", i+1, "FeatureColumn", in)
 		}
-		columns = append(columns, fc)
+		colNames[i], trainRows[i], testRows[i] = fc.Names, fc.Train, fc.Test
 	}
 	label := &data.BinaryLabel{Col: f.labelCol, Positive: f.positive}
 	dict := data.NewDictionary()
 	// dictIdx[ci][id] is column ci's name id in dict: unresolved until the
 	// name is first seen, -1 once the frozen test dictionary dropped it.
 	const unresolved = -2
-	dictIdx := make([][]int, len(columns))
-	for ci, col := range columns {
-		dictIdx[ci] = make([]int, len(col.Names))
+	dictIdx := make([][]int, ncol)
+	for ci := range dictIdx {
+		dictIdx[ci] = make([]int, len(colNames[ci]))
 		for id := range dictIdx[ci] {
 			dictIdx[ci][id] = unresolved
 		}
 	}
-	vectorize := func(c *data.Collection, side func(FeatureColumn) FeatureRows) ([]data.Labeled, error) {
+	vectorize := func(c *data.Collection, half []FeatureRows) ([]data.Labeled, error) {
 		n := c.Len()
 		bound := 0
-		for ci, col := range columns {
-			rows := side(col)
-			if rows.Len() != n {
-				return nil, fmt.Errorf("core: featurize: column %d has %d rows, collection has %d", ci, rows.Len(), n)
+		for ci := range half {
+			if half[ci].Len() != n {
+				return nil, fmt.Errorf("core: featurize: column %d has %d rows, collection has %d", ci, half[ci].Len(), n)
 			}
-			bound += len(rows.ID)
+			bound += len(half[ci].ID)
 		}
 		// One slab per half; each row is a capped window of it, sorted by
 		// dictionary index, and a name two columns emit keeps the later
@@ -416,13 +419,13 @@ func (f *Featurize) Apply(inputs []any) (any, error) {
 		out := make([]data.Labeled, n)
 		for i := 0; i < n; i++ {
 			start := len(idx)
-			for ci, col := range columns {
-				rows, tbl := side(col), dictIdx[ci]
+			for ci := range half {
+				rows, tbl := &half[ci], dictIdx[ci]
 				for k := rows.Start[i]; k < rows.Start[i+1]; k++ {
 					id := rows.ID[k]
 					d := tbl[id]
 					if d == unresolved {
-						d = dict.Add(col.Names[id])
+						d = dict.Add(colNames[ci][id])
 						tbl[id] = d
 					}
 					if d >= 0 {
@@ -439,12 +442,12 @@ func (f *Featurize) Apply(inputs []any) (any, error) {
 		}
 		return out, nil
 	}
-	train, err := vectorize(cp.Train, func(fc FeatureColumn) FeatureRows { return fc.Train })
+	train, err := vectorize(cp.Train, trainRows)
 	if err != nil {
 		return nil, fmt.Errorf("core: featurize train: %w", err)
 	}
 	dict.Freeze()
-	test, err := vectorize(cp.Test, func(fc FeatureColumn) FeatureRows { return fc.Test })
+	test, err := vectorize(cp.Test, testRows)
 	if err != nil {
 		return nil, fmt.Errorf("core: featurize test: %w", err)
 	}

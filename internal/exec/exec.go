@@ -89,8 +89,8 @@ type NodeRun struct {
 	// InflightHit reports that this compute-planned node never ran its
 	// operator: a concurrent in-flight computation of the same signature
 	// (Engine.SingleFlight) served the value instead — the leader's value
-	// taken through the registry, or the store's published bytes or the
-	// afterglow for a flight that had just resolved.
+	// taken through the registry, or the store's published bytes for a
+	// flight that had just resolved.
 	InflightHit bool
 }
 
@@ -336,10 +336,6 @@ type Engine struct {
 	// private single-session stores keep the historical behaviour; the
 	// serve layer's shared reuse-enabled sessions turn it on.
 	SingleFlight bool
-	// InflightWait bounds how long a single-flight waiter parks on another
-	// run's in-flight computation before falling back to computing locally
-	// (progress always beats dedup); <=0 selects the default (10s).
-	InflightWait time.Duration
 	// LiveBytes, when non-nil, tracks the serialized-size estimate of the
 	// values held in Result.Values while an Execute runs: sizes are
 	// added as values are published (exact entry sizes for loads, history

@@ -11,8 +11,9 @@ import (
 
 // keyDedupe is the writer's in-run first-claim set: it keeps nodes sharing
 // a result signature (identical subcomputations under content addressing)
-// from racing to materialize the same key. Without it, both nodes can pass the Store.Has check before either write lands, double-
-// encoding the value and double-reserving its budget.
+// from racing to materialize the same key. Without it, both nodes can pass
+// the Store.Has check before either write lands, double-encoding the value
+// and double-reserving its budget.
 type keyDedupe struct {
 	mu   sync.Mutex
 	keys map[string]bool
@@ -127,7 +128,8 @@ func (w *matWriter) process(j matJob) {
 	if j.finish {
 		// Resolve the single-flight after the publish decision: waiters
 		// take the value, and a later arrival finds the bytes in the store
-		// when the policy materialized (the afterglow when it declined).
+		// when the policy materialized, or computes the value itself when
+		// the policy declined.
 		w.e.tiers().FinishCompute(j.key, j.value, nil)
 	}
 	w.record(j, matDur, size, materialized, reward)

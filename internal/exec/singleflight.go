@@ -5,19 +5,13 @@ import (
 	"time"
 )
 
-// defaultInflightWait bounds how long a single-flight waiter parks on
-// another run's in-flight computation before giving up and computing
-// locally. The bound is belt-and-suspenders, not the liveness argument —
-// see the deadlock reasoning on joinFlight — sized so a genuinely wedged
-// foreign leader costs a stall, never a deadlock.
-const defaultInflightWait = 10 * time.Second
-
-func (e *Engine) inflightWait() time.Duration {
-	if e.InflightWait > 0 {
-		return e.InflightWait
-	}
-	return defaultInflightWait
-}
+// inflightWait bounds how long a single-flight waiter parks on another
+// run's in-flight computation before giving up and computing locally. The
+// bound is belt-and-suspenders, not the liveness argument — see the
+// deadlock reasoning on joinFlight — sized so a genuinely wedged foreign
+// leader costs a stall, never a deadlock. A variable only so the timeout
+// test can shorten it.
+var inflightWait = 10 * time.Second
 
 // flightRole is joinFlight's verdict on one compute-planned node.
 type flightRole int
@@ -33,7 +27,7 @@ const (
 	// computation ends.
 	flightLead
 	// flightServed: the value came from a concurrent flight, or from the
-	// store or afterglow for a just-resolved one, without computing.
+	// store once that flight had closed, without computing.
 	flightServed
 )
 
@@ -55,9 +49,9 @@ const (
 // the writer, the inline fallback, or the error path; there is no return
 // without it). Leadership is therefore never held *while* waiting on a
 // different key's flight on the same worker, so no cycle of waits can form.
-// The bounded wait (Engine.InflightWait) is a backstop, not the proof:
-// progress always beats dedup, because every wait ends in the leader's
-// value or a local compute.
+// The bounded wait (inflightWait) is a backstop, not the proof: progress
+// always beats dedup, because every wait ends in the leader's value or a
+// local compute.
 func (e *Engine) joinFlight(ctx context.Context, key string, stats *faultStats) (flightRole, any, error) {
 	if !e.SingleFlight || e.Store == nil || key == "" {
 		return flightCompute, nil, nil
@@ -66,7 +60,8 @@ func (e *Engine) joinFlight(ctx context.Context, key string, stats *faultStats) 
 	leader, wait := tv.BeginCompute(key)
 	if leader {
 		// A flight this run raced may have resolved between plan time and
-		// now: serve the published bytes instead of recomputing them.
+		// now: serve the published bytes instead of recomputing them. When
+		// that flight's policy declined to store the value, compute it.
 		if tv.Has(key) {
 			if v, _, err := tv.Get(key); err == nil {
 				tv.FinishCompute(key, v, nil)
@@ -74,19 +69,10 @@ func (e *Engine) joinFlight(ctx context.Context, key string, stats *faultStats) 
 				return flightServed, v, nil
 			}
 		}
-		// The raced flight may have resolved with its policy *declining*
-		// materialization — nothing in the store, but the registry's
-		// afterglow still holds the value. Keys are content addresses, so
-		// the cached value equals what a recompute would produce.
-		if v, ok := tv.RecentResolved(key); ok {
-			tv.FinishCompute(key, v, nil)
-			stats.inflightHits.Add(1)
-			return flightServed, v, nil
-		}
 		return flightLead, nil, nil
 	}
 	stats.inflightWaits.Add(1)
-	if v, ok := wait(ctx, e.inflightWait()); ok {
+	if v, ok := wait(ctx, inflightWait); ok {
 		stats.inflightHits.Add(1)
 		return flightServed, v, nil
 	}

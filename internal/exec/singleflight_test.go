@@ -124,6 +124,8 @@ func TestConcurrentEnginesSingleFlight(t *testing.T) {
 // that never finishes inside the bound and asserts the waiter computes
 // locally — progress beats dedup.
 func TestSingleFlightWaiterTimeoutFallsBack(t *testing.T) {
+	defer func(d time.Duration) { inflightWait = d }(inflightWait)
+	inflightWait = 5 * time.Millisecond
 	hot, err := store.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +156,6 @@ func TestSingleFlightWaiterTimeoutFallsBack(t *testing.T) {
 	waitInflight(t, tv, 1)
 
 	w := sfEngine(t, tv)
-	w.InflightWait = 5 * time.Millisecond
 	res, err := w.Execute(g, fast, plan)
 	if err != nil {
 		t.Fatalf("waiter run: %v", err)
@@ -167,6 +168,78 @@ func TestSingleFlightWaiterTimeoutFallsBack(t *testing.T) {
 	}
 	close(release)
 	<-leaderDone
+}
+
+// declineAll is a materialization policy that stores nothing.
+type declineAll struct{}
+
+func (declineAll) Decide(opt.MatContext) opt.MatDecision { return opt.MatDecision{} }
+
+// TestSingleFlightLateRun runs a node to completion, then runs it again,
+// still planned as a compute, over the same store after its flight has
+// closed. The late run takes the earlier run's value only from the store:
+// served with one dedup hit and no operator run when the policy
+// materialized it, computed locally with no hit when the policy declined
+// to store it.
+func TestSingleFlightLateRun(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		policy opt.MatPolicy
+		hits   int64 // the late run's InflightDedupHits
+		runs   int64 // the late run's operator runs
+	}{
+		{"stored", opt.MaterializeAll{}, 1, 0},
+		{"declined", declineAll{}, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hot, err := store.Open(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tv := store.NewTiered(hot, nil)
+			g := dag.New()
+			id := g.MustAddNode("late", "scan")
+			g.Node(id).Output = true
+			var runs atomic.Int64
+			tasks := []Task{{Key: "sf-late", Run: func(context.Context, []any) (any, error) {
+				runs.Add(1)
+				return "value", nil
+			}}}
+			plan := allCompute(1)
+			run := func() *Result {
+				t.Helper()
+				e := sfEngine(t, tv)
+				e.Policy = tc.policy
+				res, err := e.Execute(g, tasks, plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+
+			first := run()
+			if n := tv.InflightComputes(); n != 0 {
+				t.Fatalf("%d flights still open after the first run", n)
+			}
+			if stored := tv.Has("sf-late"); stored != (tc.hits == 1) {
+				t.Fatalf("store holds the key = %v after the first run", stored)
+			}
+			runs.Store(0)
+			late := run()
+			if late.InflightDedupHits != tc.hits || runs.Load() != tc.runs {
+				t.Fatalf("late run: dedup hits = %d, operator runs = %d; want %d and %d",
+					late.InflightDedupHits, runs.Load(), tc.hits, tc.runs)
+			}
+			if late.Nodes[id].InflightHit != (tc.hits == 1) {
+				t.Fatalf("late run InflightHit = %v, want %v", late.Nodes[id].InflightHit, tc.hits == 1)
+			}
+			fv, _ := first.Value(g, "late")
+			lv, _ := late.Value(g, "late")
+			if fv != "value" || lv != fv {
+				t.Fatalf("first run value %v, late run value %v; want both value", fv, lv)
+			}
+		})
+	}
 }
 
 // TestSingleFlightWaiterTakesLeaderValue parks a waiter behind a leader

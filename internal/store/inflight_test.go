@@ -3,7 +3,6 @@ package store
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 )
@@ -148,49 +147,5 @@ func TestInflightWaiterCancel(t *testing.T) {
 	tv.FinishCompute("k", 1, nil)
 	if n := tv.InflightComputes(); n != 0 {
 		t.Fatalf("InflightComputes = %d, want 0", n)
-	}
-}
-
-// TestInflightAfterglow: a successfully resolved flight's value survives in
-// the bounded afterglow cache for late same-signature arrivals; failed
-// flights and nil results leave nothing behind, and the cap evicts oldest
-// first.
-func TestInflightAfterglow(t *testing.T) {
-	tv := inflightTiered(t)
-	if v, ok := tv.RecentResolved("k"); ok {
-		t.Fatalf("RecentResolved on a cold registry = %v, want miss", v)
-	}
-	if leader, _ := tv.BeginCompute("k"); !leader {
-		t.Fatal("want leadership")
-	}
-	tv.FinishCompute("k", 42, nil)
-	if v, ok := tv.RecentResolved("k"); !ok || v != 42 {
-		t.Fatalf("RecentResolved = %v, %v; want the resolved 42", v, ok)
-	}
-
-	// Failure resolutions are not cached.
-	if leader, _ := tv.BeginCompute("dead"); !leader {
-		t.Fatal("want leadership")
-	}
-	tv.FinishCompute("dead", nil, errors.New("boom"))
-	if _, ok := tv.RecentResolved("dead"); ok {
-		t.Fatal("failed flight entered the afterglow cache")
-	}
-
-	// The cap evicts oldest-first: flood past afterglowMax and the first
-	// key must be gone while the newest survives.
-	for i := 0; i < afterglowMax+1; i++ {
-		key := fmt.Sprintf("flood-%03d", i)
-		if leader, _ := tv.BeginCompute(key); !leader {
-			t.Fatalf("flood %d: want leadership", i)
-		}
-		tv.FinishCompute(key, i, nil)
-	}
-	if _, ok := tv.RecentResolved("k"); ok {
-		t.Fatal("oldest afterglow entry survived a full flood past the cap")
-	}
-	last := fmt.Sprintf("flood-%03d", afterglowMax)
-	if v, ok := tv.RecentResolved(last); !ok || v != afterglowMax {
-		t.Fatalf("newest afterglow entry = %v, %v; want %d", v, ok, afterglowMax)
 	}
 }

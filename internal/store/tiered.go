@@ -100,11 +100,6 @@ type Tiered struct {
 	// contends with cold-tier I/O.
 	flightMu sync.Mutex
 	flights  map[string]*inflight
-	// glow is the afterglow cache of recently resolved flights' values
-	// (RecentResolved), bounded by afterglowMax/afterglowTTL; glowOrder is
-	// its oldest-first eviction order. Guarded by flightMu.
-	glow      map[string]glowEntry
-	glowOrder []string
 }
 
 // NewTiered combines a hot store with an optional (nil-able) spill tier
