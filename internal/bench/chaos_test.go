@@ -246,11 +246,12 @@ func TestSeededCorruptionRecompute(t *testing.T) {
 	}
 }
 
-// TestEIOBreakerDegradesToHotOnly drives repeated cold-tier read I/O
-// errors through a run: every planned load hits a persistent injected
-// EIO, the circuit breaker trips after the default threshold, and the run
-// must still complete correctly by recomputing — reporting TierDisabled.
-func TestEIOBreakerDegradesToHotOnly(t *testing.T) {
+// TestPersistentColdEIORecomputes drives a cold tier whose every read fails
+// with a persistent injected EIO through a run that plans to load every
+// node. A failed cold read is a miss: each planned load must fall back to a
+// recompute from lineage, and the run must still produce the clean run's
+// output bytes.
+func TestPersistentColdEIORecomputes(t *testing.T) {
 	sd := RandomDAG(1717)
 	prime := &exec.Engine{Workers: 4}
 	truth, err := prime.Execute(sd.G, sd.Tasks, sd.Plan())
@@ -290,27 +291,21 @@ func TestEIOBreakerDegradesToHotOnly(t *testing.T) {
 			eioKeys++
 		}
 	}
-	if eioKeys < store.DefaultBreakerThreshold {
-		t.Fatalf("only %d cold planned-load keys, need >= %d to trip the breaker",
-			eioKeys, store.DefaultBreakerThreshold)
+	if eioKeys == 0 {
+		t.Fatal("no cold planned-load key to fail; shrink the hot tier")
 	}
-	// Workers: 1 and no materialization policy keep the breaker's failure
-	// count strictly consecutive — no interleaved healthy cold write or
-	// read resets it mid-run.
-	e := &exec.Engine{Workers: 1, Store: hot, Spill: cold}
+	e := &exec.Engine{Workers: 4, Store: hot, Spill: cold}
 	res, err := e.Execute(sd.G, sd.Tasks, plan)
 	if err != nil {
 		t.Fatalf("run with EIO cold tier failed: %v", err)
 	}
-	if !res.TierDisabled {
-		t.Error("TierDisabled = false after repeated cold-tier I/O errors")
-	}
-	if res.Recomputes == 0 {
-		t.Error("Recomputes = 0: failed loads were not recovered by recompute")
+	// Every failed planned load recomputes at least its own node.
+	if res.Recomputes < int64(eioKeys) {
+		t.Errorf("Recomputes = %d, want >= %d (one per EIO'd planned load)", res.Recomputes, eioKeys)
 	}
 	for _, id := range sd.G.Outputs() {
 		if !bytes.Equal(encodeValue(t, res.Values[id]), encodeValue(t, truth.Values[id])) {
-			t.Errorf("output node %d differs from truth after EIO degradation", id)
+			t.Errorf("output node %d differs from the clean run under cold EIO", id)
 		}
 	}
 }

@@ -239,7 +239,24 @@ func TestSessionMLIterationReusesPrep(t *testing.T) {
 	}
 }
 
+// TestSessionSpillTierKeepsReuseUnderPressure runs a first run, an edit, a
+// revert and a redo under a hot tier sized to hold everything the first run
+// stores but the featurized dataset (income), so income and every ML output
+// of a later iteration spill. The placement is fixed whatever the writers'
+// timing: with the engine's two materialization writers, all but one of the
+// values before income are stored when it is admitted, and those leave no
+// room for it; the rest fit in any order. The plan assertions name only nodes
+// whose compute dwarfs their load, so no timing sample can flip them: the
+// scan (data, rows) is never recomputed after the first run, and neither
+// the revert nor the redo retrains model — the redo's model only the spill
+// tier holds. Every output is byte-equal to an unbudgeted session's.
 func TestSessionSpillTierKeepsReuseUnderPressure(t *testing.T) {
+	versions := []*Workflow{
+		censusWorkflow(0.1, "accuracy", true),
+		censusWorkflow(0.5, "accuracy", true),
+		censusWorkflow(0.1, "accuracy", true),
+		censusWorkflow(0.5, "accuracy", true),
+	}
 	// Measure the workflow's full materialization footprint unbudgeted.
 	probe, err := Open(Options{
 		SystemName: "helix", StoreDir: t.TempDir(),
@@ -248,80 +265,87 @@ func TestSessionSpillTierKeepsReuseUnderPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repProbe, err := probe.Run(censusWorkflow(0.1, "accuracy", true))
-	if err != nil {
-		t.Fatal(err)
+	var probeReps []*Report
+	for _, wf := range versions {
+		rep, err := probe.Run(wf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probeReps = append(probeReps, rep)
 	}
+	repProbe := probeReps[0]
 	if repProbe.Spills != 0 || repProbe.SpillUsed != 0 {
 		t.Fatalf("untiered session reported spill traffic: spills=%d spillUsed=%d", repProbe.Spills, repProbe.SpillUsed)
 	}
-	total := repProbe.StoreUsed
-	if total == 0 {
-		t.Fatal("probe materialized nothing")
+	income := repProbe.Keys[repProbe.Graph.Lookup("income")]
+	incomeEntry, ok := probe.Store().Lookup(income)
+	if !ok {
+		t.Fatal("probe did not materialize income")
 	}
+	budget := repProbe.StoreUsed - incomeEntry.Size
 
-	// A hot tier at half that footprint must spill, stay inside its
-	// budget, and still let the next iteration reuse data prep.
 	s, err := Open(Options{
 		SystemName: "helix", StoreDir: t.TempDir(),
-		BudgetBytes: total / 2, SpillDir: t.TempDir(),
+		BudgetBytes: budget, SpillDir: t.TempDir(),
 		Policy: opt.MaterializeAll{}, Reuse: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep1, err := s.Run(censusWorkflow(0.1, "accuracy", true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep1.Spills == 0 {
-		t.Fatalf("no spills with hot budget %d of %d footprint", total/2, total)
-	}
-	if rep1.StoreUsed > total/2 {
-		t.Fatalf("hot tier used %d over its %d budget", rep1.StoreUsed, total/2)
-	}
-	if rep1.SpillUsed == 0 {
-		t.Fatal("spill tier empty despite spills")
-	}
-	// The tiered first iteration must produce the same outputs as the
-	// unbudgeted probe ran on the identical workflow version.
-	if got, want := rep1.Outputs["checked"].(ml.Metrics), repProbe.Outputs["checked"].(ml.Metrics); got.Accuracy != want.Accuracy {
-		t.Errorf("outputs diverged under tiering: %+v vs %+v", got, want)
-	}
-	rep2, err := s.Run(censusWorkflow(0.5, "accuracy", true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The ML iteration reuses data prep: nothing upstream of income is
-	// recomputed. income itself is loaded or re-featurized from the hot
-	// columns, whichever the optimizer prices lower; with featurize at
-	// ~70 µs against a 12 KB cold load both choices occur, and
-	// re-featurizing is the faster one (a cold load pays a framed read).
-	g := rep2.Graph
-	for _, name := range []string{"data", "rows", "age", "edu", "ageBucket", "occ"} {
-		if st := rep2.Plan.States[g.Lookup(name)]; st == opt.Compute {
-			t.Errorf("%s recomputed on ML iteration despite tiered store", name)
+	var reps []*Report
+	for i, wf := range versions {
+		rep, err := s.Run(wf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, rep)
+		for name, want := range probeReps[i].Outputs {
+			if !bytes.Equal(mustEncode(t, rep.Outputs[name]), mustEncode(t, want)) {
+				t.Errorf("iteration %d: output %s differs from the unbudgeted session's", i+1, name)
+			}
+		}
+		if rep.StoreUsed > budget {
+			t.Fatalf("iteration %d: hot tier used %d over its %d budget", i+1, rep.StoreUsed, budget)
 		}
 	}
-	// Either way the tiers still hold the vectorized dataset, byte for
-	// byte what the unbudgeted probe stored.
-	income := rep2.Keys[g.Lookup("income")]
-	held, err := s.Store().GetBytes(income)
-	if err != nil {
-		held, err = s.Spill().GetBytes(income)
+	if !s.Spill().Has(income) || s.Store().Has(income) {
+		t.Fatal("income did not spill")
 	}
+	// Scanning and cleaning cost tens of microseconds or more; the hot tier
+	// serves rows in a few.
+	for i, rep := range reps[1:] {
+		for _, name := range []string{"data", "rows"} {
+			if st := rep.Plan.States[rep.Graph.Lookup(name)]; st == opt.Compute {
+				t.Errorf("iteration %d recomputed %s despite the tiered store", i+2, name)
+			}
+		}
+	}
+	// A stored model loads in microseconds against a retrain of a hundred
+	// or more, so the revert and the redo retrain only if the plan cannot
+	// see the stored model.
+	for i, rep := range reps[2:] {
+		if st := rep.Plan.States[rep.Graph.Lookup("model")]; st == opt.Compute {
+			t.Errorf("iteration %d retrained model despite the tiered store", i+3)
+		}
+	}
+	// The spill tier holds the vectorized dataset byte for byte as the
+	// unbudgeted probe stored it.
+	held, err := s.Spill().GetBytes(income)
 	if err != nil {
 		t.Fatalf("income dropped by the tiered store: %v", err)
 	}
 	if want, err := probe.Store().GetBytes(income); err != nil || !bytes.Equal(held, want) {
 		t.Errorf("tiered income differs from the probe's (%d vs %d bytes, err=%v)", len(held), len(want), err)
 	}
-	c := s.TierCounters()
-	if c.Spills == 0 || c.Spills != rep1.Spills+rep2.Spills {
-		t.Errorf("session tier counters %+v disagree with reports (%d + %d spills)", c, rep1.Spills, rep2.Spills)
+	var spills int64
+	for _, rep := range reps {
+		spills += rep.Spills
 	}
-	if s.Spill() == nil || s.Spill().Used() != rep2.SpillUsed {
-		t.Errorf("Session.Spill() usage %v disagrees with report %d", s.Spill(), rep2.SpillUsed)
+	if c := s.TierCounters(); c.Spills == 0 || c.Spills != spills {
+		t.Errorf("session tier counters %+v disagree with the reports' %d spills", c, spills)
+	}
+	if last := reps[len(reps)-1]; s.Spill().Used() != last.SpillUsed {
+		t.Errorf("Session.Spill() usage %d disagrees with report %d", s.Spill().Used(), last.SpillUsed)
 	}
 }
 

@@ -90,7 +90,7 @@ type Options struct {
 	Tenant string
 	// SharedTiers plugs a pre-opened tiered store shared with other
 	// sessions into this one, instead of opening a private store from
-	// StoreDir/SpillDir. Cross-tier movement in store.Tiered is serialized
+	// StoreDir/SpillDir. Cold admissions in store.Tiered are serialized
 	// per instance, so concurrent sessions MUST share one instance — the
 	// serve layer constructs sessions this way. Mutually exclusive with
 	// StoreDir/SpillDir.

@@ -7,9 +7,11 @@ package exec
 // single-flight counters (inflight_dedup_hits, inflight_waits) and the
 // service's queued/failed status fields; version 4 adds cold_evictions, and
 // buffered_cold_reads counts every cold read; version 5 adds
-// unregistered_values. Readers should accept every version up to this one
-// and treat an absent field as its zero.
-const ReportSchemaVersion = 5
+// unregistered_values; version 6 drops the tier-disabled flag (a failed
+// cold read is now always a miss, so the cold tier is never switched off).
+// Readers should accept every version up to this one and treat an absent
+// field as its zero.
+const ReportSchemaVersion = 6
 
 // Counters is the consolidated execution-counter block shared by every
 // surface that reports engine activity: exec.Result embeds it (per-run
@@ -71,10 +73,6 @@ type Counters struct {
 	// that failed to decode; each was deleted on detection and its value
 	// recovered by recompute.
 	CorruptFrames int64 `json:"corrupt_frames"`
-	// TierDisabled reports whether repeated cold-tier I/O failures tripped
-	// the circuit breaker during (or before) the window, degrading the store
-	// to hot-only.
-	TierDisabled bool `json:"tier_disabled"`
 	// GobEncodes is always 0: the store has no gob codec any more. The
 	// field stays only so readers of the counter block keep compiling.
 	//
@@ -115,16 +113,14 @@ type Counters struct {
 	InflightWaits int64 `json:"inflight_waits"`
 }
 
-// Add accumulates o into c field by field. TierDisabled latches (true once
-// any window saw the breaker open). The service's lifetime totals are built
-// with it.
+// Add accumulates o into c field by field. The service's lifetime totals
+// are built with it.
 func (c *Counters) Add(o Counters) {
 	c.Spills += o.Spills
 	c.ColdEvictions += o.ColdEvictions
 	c.Retries += o.Retries
 	c.Recomputes += o.Recomputes
 	c.CorruptFrames += o.CorruptFrames
-	c.TierDisabled = c.TierDisabled || o.TierDisabled
 	c.BinaryEncodes += o.BinaryEncodes
 	c.UnregisteredValues += o.UnregisteredValues
 	c.BufferedColdReads += o.BufferedColdReads

@@ -511,7 +511,6 @@ func (e *Engine) ExecuteCtx(ctx context.Context, g *dag.Graph, tasks []Task, pla
 		res.ColdEvictions = after.ColdEvictions - before.ColdEvictions
 		res.CorruptFrames = after.CorruptFrames - before.CorruptFrames
 		res.BufferedColdReads = after.ColdReads - before.ColdReads
-		res.TierDisabled = after.BreakerTrips > before.BreakerTrips || e.tiers().TierDisabled()
 	}
 	return res, err
 }

@@ -214,115 +214,6 @@ func TestTieredCorruptColdFrameCountedAndDeleted(t *testing.T) {
 	}
 }
 
-func TestBreakerTripHalfOpenRecover(t *testing.T) {
-	b := newBreaker()
-	b.threshold = 2
-	b.cooldown = 20 * time.Millisecond
-	if !b.allow() {
-		t.Fatal("closed breaker rejected an operation")
-	}
-	b.failure()
-	b.failure() // second consecutive failure: trips
-	if trips, open := b.snapshot(); trips != 1 || !open {
-		t.Fatalf("after threshold failures: trips=%d open=%v, want 1 open", trips, open)
-	}
-	if b.allow() {
-		t.Fatal("open breaker admitted an operation before cooldown")
-	}
-	time.Sleep(25 * time.Millisecond)
-	if !b.allow() {
-		t.Fatal("breaker did not admit a half-open probe after cooldown")
-	}
-	if b.allow() {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-	// A failed probe re-opens (and re-counts) the breaker...
-	b.failure()
-	if trips, open := b.snapshot(); trips != 2 || !open {
-		t.Fatalf("after failed probe: trips=%d open=%v, want 2 open", trips, open)
-	}
-	time.Sleep(25 * time.Millisecond)
-	if !b.allow() {
-		t.Fatal("no probe after second cooldown")
-	}
-	// ...and a successful probe closes it fully.
-	b.success()
-	if _, open := b.snapshot(); open {
-		t.Fatal("breaker still open after successful probe")
-	}
-	if !b.allow() || !b.allow() {
-		t.Fatal("closed breaker rejected operations")
-	}
-}
-
-func TestBreakerDisabledByZeroThreshold(t *testing.T) {
-	b := newBreaker()
-	b.threshold = 0
-	for i := 0; i < 10; i++ {
-		b.failure()
-	}
-	if trips, open := b.snapshot(); trips != 0 || open {
-		t.Fatalf("disabled breaker tripped: trips=%d open=%v", trips, open)
-	}
-}
-
-func TestTieredBreakerDisablesColdTier(t *testing.T) {
-	hot := openTemp(t, 1)
-	cold := openSpillTemp(t, 0)
-	tiers := NewTiered(hot, cold)
-	tiers.ConfigureBreaker(2, time.Hour)
-	for _, k := range []string{"a", "b", "c"} {
-		if _, err := tiers.PutBytes(k, []byte("cold value "+k)); err != nil {
-			t.Fatal(err)
-		}
-		if err := cold.InjectFault(k, FaultEIO); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := tiers.Get("a"); err == nil {
-		t.Fatal("EIO read succeeded")
-	}
-	if tiers.TierDisabled() {
-		t.Fatal("breaker open after a single failure (threshold 2)")
-	}
-	if _, _, err := tiers.Get("b"); err == nil {
-		t.Fatal("EIO read succeeded")
-	}
-	if !tiers.TierDisabled() {
-		t.Fatal("breaker not open after two consecutive cold I/O failures")
-	}
-	if c := tiers.Counters(); c.BreakerTrips != 1 {
-		t.Fatalf("BreakerTrips = %d, want 1", c.BreakerTrips)
-	}
-	// With the breaker open the cold tier is out of the read path entirely:
-	// key "c" is cold and intact-on-metadata, but the Get must answer with
-	// the hot tier's miss, never touching the injected fault.
-	if _, _, err := tiers.Get("c"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get with open breaker = %v, want the hot tier's ErrNotFound", err)
-	}
-	// Spill admissions are likewise rejected: the hot-budget rejection
-	// stands and the value is simply not materialized.
-	if tier, err := tiers.PutBytes("d", []byte("new value")); tier != TierNone || !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("PutBytes with open breaker = %v, %v; want TierNone + ErrBudgetExceeded", tier, err)
-	}
-}
-
-func TestBreakerBudgetRejectionIsHealthy(t *testing.T) {
-	hot := openTemp(t, 1)
-	cold := openSpillTemp(t, 8) // tiny cold budget: big values rejected honestly
-	tiers := NewTiered(hot, cold)
-	tiers.ConfigureBreaker(2, time.Hour)
-	big := bytes.Repeat([]byte("x"), 64)
-	for i := 0; i < 5; i++ {
-		if _, err := tiers.PutBytes("big", big); err == nil {
-			t.Fatal("oversized spill admitted")
-		}
-	}
-	if tiers.TierDisabled() {
-		t.Fatal("budget rejections tripped the breaker; only I/O failures should")
-	}
-}
-
 func TestPinExemptsFromColdEviction(t *testing.T) {
 	// Budget fits two 8-byte entries; admitting a third must evict the LRU.
 	sp := openSpillTemp(t, 16)

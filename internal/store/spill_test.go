@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
+	"math/rand"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -628,5 +631,123 @@ func TestTieredPinnedColdGetsUnderSpillEviction(t *testing.T) {
 	c := tv.Counters()
 	if c.ColdEvictions == 0 || c.ColdReads != readers*100 {
 		t.Errorf("counters %+v: want cold evictions and %d cold reads", c, readers*100)
+	}
+}
+
+// TestTieredColdGetRacesEviction: cold Gets run without the Tiered lock,
+// racing spills that evict and re-admit the same keys: three keys share a
+// cold budget of two values, so an evicted key is re-admitted by the next
+// spill. Every file is published by temp-then-rename, so each Get must
+// return the value put under its key or an error (a miss), never other
+// bytes and never a torn frame: CorruptFrames stays 0. At quiescence no key
+// sits in both tiers and each tier is within its budget.
+//
+// A read checks its entry, then opens the file; only a read delayed between
+// the two can meet an eviction. A gate goroutine widens that window: it
+// holds the read-fault hook's lock, which every read takes in between, for
+// bursts long enough to span admissions. The test also requires that some
+// Get found its file unlinked after its entry check, so the race it guards
+// was run. Key choices and bursts are seeded; run it under -race.
+func TestTieredColdGetRacesEviction(t *testing.T) {
+	const (
+		hotKeys  = 1
+		coldKeys = 3
+		readers  = 8
+		writers  = 2
+		gets     = 1000
+		puts     = 800
+	)
+	keys := make([]string, hotKeys+coldKeys)
+	vals := make(map[string][]byte, len(keys))
+	raws := make(map[string][]byte, len(keys))
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+		vals[keys[i]] = bytes.Repeat([]byte{byte('a' + i)}, 64<<10)
+		raws[keys[i]] = encBytes(t, vals[keys[i]])
+	}
+	size := int64(len(raws[keys[0]]))
+	hot := openTemp(t, hotKeys*size)
+	cold := openSpillTemp(t, 2*size)
+	tv := NewTiered(hot, cold)
+	// Fill the hot tier first, so every later admission of a cold key
+	// spills and evicts.
+	for _, k := range keys[:hotKeys] {
+		if tier, err := tv.PutBytes(k, raws[k]); err != nil || tier != TierHot {
+			t.Fatalf("PutBytes(%s) = %v, %v; want hot", k, tier, err)
+		}
+	}
+	var writing, reading sync.WaitGroup
+	var vanished atomic.Int64
+	errs := make(chan error, readers)
+	for g := 0; g < writers; g++ {
+		writing.Add(1)
+		go func(rng *rand.Rand) {
+			defer writing.Done()
+			for i := 0; i < puts; i++ {
+				k := keys[rng.Intn(len(keys))]
+				_, _ = tv.PutBytesHint(k, raws[k], RewardHint{RecomputeNanos: rng.Int63n(int64(time.Millisecond))})
+			}
+		}(rand.New(rand.NewSource(int64(g))))
+	}
+	for g := 0; g < readers; g++ {
+		reading.Add(1)
+		go func(rng *rand.Rand) {
+			defer reading.Done()
+			for i := 0; i < gets; i++ {
+				k := keys[rng.Intn(len(keys))]
+				v, _, err := tv.Get(k)
+				if errors.Is(err, fs.ErrNotExist) {
+					vanished.Add(1)
+				}
+				if err != nil {
+					continue // a miss: the engine would recompute
+				}
+				if got, ok := v.([]byte); !ok || !bytes.Equal(got, vals[k]) {
+					errs <- fmt.Errorf("Get(%s) returned bytes other than the value put under it", k)
+					return
+				}
+			}
+		}(rand.New(rand.NewSource(int64(100 + g))))
+	}
+	stop, gateDone := make(chan struct{}), make(chan struct{})
+	go func(rng *rand.Rand) {
+		defer close(gateDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cold.faultMu.Lock()
+			time.Sleep(time.Duration(200+rng.Intn(800)) * time.Microsecond)
+			cold.faultMu.Unlock()
+			time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
+		}
+	}(rand.New(rand.NewSource(7)))
+	writing.Wait()
+	close(stop)
+	<-gateDone
+	reading.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	c := tv.Counters()
+	t.Logf("counters %+v, %d Gets found their file unlinked", c, vanished.Load())
+	if c.CorruptFrames != 0 {
+		t.Errorf("CorruptFrames = %d, want 0: a Get read a torn frame", c.CorruptFrames)
+	}
+	if c.ColdEvictions == 0 || c.ColdReads == 0 || vanished.Load() == 0 {
+		t.Errorf("counters %+v, %d unlinked reads: want cold evictions, cold reads and reads that raced an eviction", c, vanished.Load())
+	}
+	for _, k := range keys {
+		if hot.Has(k) && cold.Has(k) {
+			t.Errorf("key %s in both tiers", k)
+		}
+	}
+	for name, s := range map[string]*Store{"hot": hot, "cold": cold} {
+		if used, budget := s.Used(), s.Budget(); used > budget {
+			t.Errorf("%s tier used %d over its %d budget", name, used, budget)
+		}
 	}
 }

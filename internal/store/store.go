@@ -120,9 +120,9 @@ type Store struct {
 	faultMu   sync.Mutex
 	failReads map[string]int
 
-	// Throughput estimates (bytes/sec), exponentially smoothed.
-	readBps  float64
-	writeBps float64
+	// readBps is the read-throughput estimate (bytes/sec), exponentially
+	// smoothed.
+	readBps float64
 }
 
 // DefaultThroughput seeds the load-cost estimate before any I/O has been
@@ -163,13 +163,12 @@ func open(dir string, budget int64, framed bool, seedBps float64) (*Store, error
 		return nil, fmt.Errorf("store: create dir: %w", err)
 	}
 	s := &Store{
-		dir:      dir,
-		budget:   budget,
-		entries:  make(map[string]*Entry),
-		pins:     make(map[string]int),
-		framed:   framed,
-		readBps:  seedBps,
-		writeBps: seedBps,
+		dir:     dir,
+		budget:  budget,
+		entries: make(map[string]*Entry),
+		pins:    make(map[string]int),
+		framed:  framed,
+		readBps: seedBps,
 	}
 	files, err := os.ReadDir(dir)
 	if err != nil {
@@ -396,13 +395,11 @@ func (s *Store) PutBytesHint(key string, raw []byte, hint RewardHint) error {
 	s.writing[key] = pending
 	s.mu.Unlock()
 
-	start := time.Now()
 	tmp := fmt.Sprintf("%s.%d.tmp", s.path(key), tmpSeq.Add(1))
 	err := s.writeFile(tmp, raw)
 	if err == nil {
 		err = os.Rename(tmp, s.path(key))
 	}
-	elapsed := time.Since(start)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -412,7 +409,6 @@ func (s *Store) PutBytesHint(key string, raw []byte, hint RewardHint) error {
 		os.Remove(tmp)
 		return fmt.Errorf("store: write %s: %w", key, err)
 	}
-	s.observeWrite(size, elapsed)
 	now := time.Now()
 	// pending carries any hints merged in by concurrent duplicate admissions
 	// that returned while this write was in flight.
@@ -873,11 +869,6 @@ func (s *Store) Entries() []Entry {
 // observeRead updates the smoothed read throughput; mu held.
 func (s *Store) observeRead(size int64, d time.Duration) {
 	s.readBps = smooth(s.readBps, size, d)
-}
-
-// observeWrite updates the smoothed write throughput; mu held.
-func (s *Store) observeWrite(size int64, d time.Duration) {
-	s.writeBps = smooth(s.writeBps, size, d)
 }
 
 func smooth(prev float64, size int64, d time.Duration) float64 {

@@ -45,10 +45,6 @@ type TierCounters struct {
 	// either tier that failed to decode. The bad bytes are deleted on
 	// detection, so the damage degrades to a one-time cache miss.
 	CorruptFrames int64
-	// BreakerTrips counts how many times repeated cold-tier I/O failures
-	// tripped the circuit breaker open (disabling the cold tier until its
-	// cooldown elapses).
-	BreakerTrips int64
 	// ColdReads counts cold-tier reads that returned verified bytes.
 	ColdReads int64
 }
@@ -69,24 +65,20 @@ type TierCounters struct {
 // every spill goes through admitCold, which deletes the tier's
 // cheapest-to-lose unpinned entries to make room.
 //
-// Concurrency: cold admissions and cold reads serialize on mu. The lock-free
-// fast paths (hot hit, hot admission) never take it.
+// Storage faults have one rule: a cold read that fails is a miss, and the
+// engine recomputes the value from its lineage. Corrupt frames are counted
+// and deleted so the damage costs one miss, not one per read.
+//
+// Concurrency: cold admissions serialize on mu. Reads never take it: every
+// file is published by temp-then-rename, so a read that races an eviction
+// either reads the whole frame or fails, and a failure is a miss.
 type Tiered struct {
 	hot  *Store
 	cold *Store
 
 	// mu serializes cold admissions, so one admission's eviction pass cannot
-	// consume the room another admission just checked for, and cold reads,
-	// so a read never races an admission's unlink of the key it is reading
-	// (that would count as an I/O failure against the breaker).
+	// consume the room another admission just checked for.
 	mu sync.Mutex
-
-	// brk is the cold tier's circuit breaker: repeated cold I/O failures
-	// trip it open, and while open the store behaves as if no cold tier
-	// were attached (hot-only graceful degradation). Only the I/O paths —
-	// cold reads and spill writes — consult it; metadata views (Has,
-	// Lookup, Entries) stay truthful about what is on disk.
-	brk *breaker
 
 	spills        atomic.Int64
 	coldEvictions atomic.Int64
@@ -105,28 +97,7 @@ type Tiered struct {
 // NewTiered combines a hot store with an optional (nil-able) spill tier
 // opened with OpenSpill.
 func NewTiered(hot, cold *Store) *Tiered {
-	return &Tiered{hot: hot, cold: cold, brk: newBreaker()}
-}
-
-// ConfigureBreaker retunes the cold tier's circuit breaker: threshold is
-// the consecutive-failure count that trips it (<=0 disables it), cooldown
-// how long it stays open before admitting a half-open probe. Call before
-// the store is shared across goroutines.
-func (t *Tiered) ConfigureBreaker(threshold int, cooldown time.Duration) {
-	t.brk.mu.Lock()
-	t.brk.threshold = threshold
-	t.brk.cooldown = cooldown
-	t.brk.mu.Unlock()
-}
-
-// TierDisabled reports whether the breaker currently has the cold tier
-// disabled (open or probing half-open).
-func (t *Tiered) TierDisabled() bool {
-	if t.cold == nil {
-		return false
-	}
-	_, open := t.brk.snapshot()
-	return open
+	return &Tiered{hot: hot, cold: cold}
 }
 
 // Pin marks key as planned-for-load in the cold tier, exempting it from the
@@ -146,17 +117,6 @@ func (t *Tiered) Unpin(key string) {
 	}
 }
 
-// coldPutResult lands a cold-tier write outcome on the breaker: a budget
-// rejection is an honest, healthy answer (the mechanism works; the value
-// just does not fit), only real I/O failures count toward tripping.
-func (t *Tiered) coldPutResult(err error) {
-	if err == nil || errors.Is(err, ErrBudgetExceeded) {
-		t.brk.success()
-	} else {
-		t.brk.failure()
-	}
-}
-
 // Hot exposes the hot tier.
 func (t *Tiered) Hot() *Store { return t.hot }
 
@@ -166,14 +126,12 @@ func (t *Tiered) Cold() *Store { return t.cold }
 
 // Counters snapshots the cumulative tier traffic.
 func (t *Tiered) Counters() TierCounters {
-	c := TierCounters{
+	return TierCounters{
 		Spills:        t.spills.Load(),
 		ColdEvictions: t.coldEvictions.Load(),
 		CorruptFrames: t.corrupt.Load(),
 		ColdReads:     t.coldReads.Load(),
 	}
-	c.BreakerTrips, _ = t.brk.snapshot()
-	return c
 }
 
 // Has reports whether key is stored in either tier.
@@ -273,16 +231,9 @@ func (t *Tiered) PutBytesHint(key string, raw []byte, hint RewardHint) (Tier, er
 		t.cold.SetHint(key, hint)
 		return TierCold, nil
 	}
-	if !t.brk.allow() {
-		// Breaker open: the cold tier is disabled, so the hot rejection
-		// stands — the value is simply not materialized this run.
-		return TierNone, err
-	}
 	if cerr := t.admitCold(key, raw, hint); cerr != nil {
-		t.coldPutResult(cerr)
 		return TierNone, fmt.Errorf("store: spill %s: %w", key, cerr)
 	}
-	t.coldPutResult(nil)
 	t.spills.Add(1)
 	return TierCold, nil
 }
@@ -328,24 +279,15 @@ func (t *Tiered) SetHint(key string, hint RewardHint) {
 }
 
 // Get loads and decodes the value for key from the tier that holds it and
-// returns that tier. A hot hit is served lock-free; a cold hit is read under
-// mu and decoded outside it, so concurrent cold loads of different keys
-// overlap their decodes. Bytes that fail to decode are deleted from every
-// tier (see decodeAndRecord).
+// returns that tier. Neither tier's read takes mu (see Tiered). Any read
+// error is the caller's miss. A cold frame that fails verification is also
+// deleted here, and bytes that fail to decode in decodeAndRecord.
 func (t *Tiered) Get(key string) (any, Tier, error) {
 	raw, start, hotErr := t.hot.read(key)
 	if hotErr == nil {
 		return t.decodeAndRecord(t.hot, key, raw, time.Since(start), TierHot)
 	}
 	if t.cold == nil {
-		return nil, TierNone, hotErr
-	}
-	t.mu.Lock()
-	if !t.brk.allow() {
-		t.mu.Unlock()
-		// Breaker open: behave as if no cold tier were attached. The hot
-		// miss (or failure) is the answer; the engine degrades the load to
-		// a recompute.
 		return nil, TierNone, hotErr
 	}
 	payload, start, err := t.cold.read(key)
@@ -357,12 +299,6 @@ func (t *Tiered) Get(key string) (any, Tier, error) {
 			t.corrupt.Add(1)
 			_ = t.cold.Delete(key)
 		}
-		if !errors.Is(err, ErrNotFound) {
-			t.brk.failure() // corrupt frame or read I/O error
-		} else {
-			t.brk.success() // an honest miss is a healthy cold tier
-		}
-		t.mu.Unlock()
 		// A cold miss must not mask a real hot-tier failure: if the hot
 		// tier holds the key but its read failed (I/O error), that error
 		// is the diagnosable one.
@@ -371,16 +307,13 @@ func (t *Tiered) Get(key string) (any, Tier, error) {
 		}
 		return nil, TierNone, err
 	}
-	t.brk.success()
 	t.coldReads.Add(1)
-	readDur := time.Since(start)
-	t.mu.Unlock()
-	return t.decodeAndRecord(t.cold, key, payload, readDur, TierCold)
+	return t.decodeAndRecord(t.cold, key, payload, time.Since(start), TierCold)
 }
 
-// decodeAndRecord finishes a load outside the Tiered lock: decode the raw
-// bytes and land the measured load cost — read plus decode, the full price
-// a consumer pays — on the serving tier's entry. Bytes that do not decode
+// decodeAndRecord finishes a load: decode the raw bytes and land the
+// measured load cost — read plus decode, the full price a consumer pays —
+// on the serving tier's entry. Bytes that do not decode
 // (a torn unframed hot file, a payload in a format this version does not
 // read) never will: the key is deleted from every tier holding it and
 // counted in CorruptFrames. Left in place, it would keep the cost model
@@ -392,12 +325,10 @@ func (t *Tiered) decodeAndRecord(tier *Store, key string, raw []byte, readDur ti
 	if err != nil {
 		t.corrupt.Add(1)
 		// ErrNotFound from the tier not holding the key is expected.
-		t.mu.Lock()
 		_ = t.hot.Delete(key)
 		if t.cold != nil {
 			_ = t.cold.Delete(key)
 		}
-		t.mu.Unlock()
 		return nil, served, err
 	}
 	tier.recordRead(key, int64(len(raw)), readDur+time.Since(decStart))
