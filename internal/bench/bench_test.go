@@ -141,23 +141,30 @@ func TestHelixBeatsKeystoneOnCumulativeRuntime(t *testing.T) {
 	// The paper's core claim, at unit-test scale: across a 10-iteration
 	// session, HELIX's cumulative runtime is lower than the never-reuse
 	// baseline's. Uses a moderately sized dataset so compute dominates
-	// orchestration overhead.
-	sc := workload.CensusScenario(workload.GenerateCensus(3000, 800, 7))
-	cmp, err := RunComparison(sc, []systems.Kind{systems.Helix, systems.KeystoneML}, t.TempDir(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var helix, keystone float64
-	for _, s := range cmp.Series {
-		switch s.System {
-		case systems.Helix:
-			helix = float64(s.Cumulative())
-		case systems.KeystoneML:
-			keystone = float64(s.Cumulative())
+	// orchestration overhead: at 3000 rows the census operators are cheap
+	// enough that HELIX's per-value materialization writes nearly cancel
+	// its reuse savings when other test binaries share the cores. The
+	// comparison runs twice, each system first once, and the totals are
+	// compared, so a burst of load cannot decide it by landing on one
+	// series.
+	sc := workload.CensusScenario(workload.GenerateCensus(6000, 1600, 7))
+	var helix, keystone time.Duration
+	for _, kinds := range [][]systems.Kind{{systems.Helix, systems.KeystoneML}, {systems.KeystoneML, systems.Helix}} {
+		cmp, err := RunComparison(sc, kinds, t.TempDir(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range cmp.Series {
+			switch s.System {
+			case systems.Helix:
+				helix += s.Cumulative()
+			case systems.KeystoneML:
+				keystone += s.Cumulative()
+			}
 		}
 	}
 	if helix >= keystone {
-		t.Errorf("helix (%.1fms) not faster than keystoneml (%.1fms)", helix/1e6, keystone/1e6)
+		t.Errorf("helix (%.1fms) not faster than keystoneml (%.1fms) over two comparisons", float64(helix.Microseconds())/1000, float64(keystone.Microseconds())/1000)
 	}
 }
 

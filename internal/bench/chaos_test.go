@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -15,146 +14,11 @@ import (
 	"repro/internal/store"
 )
 
-// chaosConfigs are the engine configurations the chaos harness drives:
-// release off and on, so retries and recomputes race the value plane's
-// slot clearing too.
-func chaosConfigs() []schedConfig {
-	return []schedConfig{
-		{name: "engine"},
-		{name: "engine-release", release: true},
-	}
-}
-
-// TestChaosEquivalence is the fault extension of the randomized
-// equivalence harness: ≥32 seeded random DAGs, each executed under every
-// chaos configuration against a spill-pressured tiered store (64-byte hot
-// tier) with a seeded schedule of transient operator faults, must complete
-// with zero run failures and agree byte-identically with a clean
-// sequential reference on every surviving value. Aggregate retries,
-// spills and cold reads must all be nonzero — proof the harness actually
-// exercised the retry loop and both tiers rather than passing vacuously.
+// TestChaosEquivalence runs the spill-equivalence harness over 32 more
+// seeded random DAGs (seeds 700-731), a range TestRandomizedSpillEquivalence
+// does not cover.
 func TestChaosEquivalence(t *testing.T) {
-	const graphs = 32
-	const tinyHot = 64
-	var totalRetries, totalSpills, totalColdReads int64
-	for i := 0; i < graphs; i++ {
-		seed := int64(700 + i)
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			sd := RandomDAG(seed)
-			n := sd.G.Len()
-			prime := &exec.Engine{Workers: 4}
-			truth, err := prime.Execute(sd.G, sd.Tasks, sd.Plan())
-			if err != nil {
-				t.Fatalf("prime run: %v", err)
-			}
-			// The same seeded mixed plan as the spill-equivalence harness:
-			// about half the nodes loadable, Optimal picks the states.
-			rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-			keep := make([]bool, n)
-			cm := opt.NewCostModel(n)
-			for j := 0; j < n; j++ {
-				keep[j] = rng.Float64() < 0.5
-				cm.Compute[j] = int64(rng.Intn(1000) + 1)
-				if keep[j] {
-					cm.Loadable[j] = true
-					cm.Load[j] = int64(rng.Intn(1000) + 1)
-				}
-			}
-			plan, err := opt.Optimal(sd.G, cm)
-			if err != nil {
-				t.Fatalf("plan: %v", err)
-			}
-			prepopulate := func(tiers *store.Tiered) {
-				for j := 0; j < n; j++ {
-					if !keep[j] {
-						continue
-					}
-					raw, err := store.Encode(truth.Values[dag.NodeID(j)])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := tiers.PutBytes(sd.Tasks[j].Key, raw); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-
-			// Clean sequential reference on an unbudgeted single tier.
-			refStore, err := store.Open(t.TempDir(), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prepopulate(store.NewTiered(refStore, nil))
-			ref := sequentialRun(sd.G, sd.Tasks, plan, refStore)
-
-			for ci, c := range chaosConfigs() {
-				fp := DefaultFaultPlan(seed*131 + int64(ci))
-				faulted, injected := WithFaults(sd, fp)
-				hot, err := store.Open(t.TempDir(), tinyHot)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cold, err := store.OpenSpill(t.TempDir(), 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				prepopulate(store.NewTiered(hot, cold))
-				e := &exec.Engine{
-					Workers:              4,
-					ReleaseIntermediates: c.release,
-					Store:                hot,
-					Spill:                cold,
-					Policy:               opt.MaterializeAll{},
-					Faults:               fp.Policy(),
-				}
-				res, err := e.Execute(faulted.G, faulted.Tasks, plan)
-				if err != nil {
-					t.Fatalf("%s: faulted run failed: %v", c.name, err)
-				}
-				// Every injected failure on a computed node costs exactly one
-				// retry; faults on loaded/pruned nodes never fire, so the
-				// bound is an inequality per run and asserted > 0 in
-				// aggregate.
-				if res.Retries > int64(injected) {
-					t.Errorf("%s: %d retries for %d injected faults", c.name, res.Retries, injected)
-				}
-				totalRetries += res.Retries
-				totalSpills += res.Spills
-				totalColdReads += res.BufferedColdReads
-				for j := 0; j < n; j++ {
-					id := dag.NodeID(j)
-					refV, refOK := ref.Values[id]
-					gotV, gotOK := res.Values[id]
-					if c.release {
-						if sd.G.Node(id).Output && !gotOK {
-							t.Errorf("%s: output node %d released", c.name, j)
-							continue
-						}
-						if gotOK && refOK && !bytes.Equal(encodeValue(t, gotV), encodeValue(t, refV)) {
-							t.Errorf("%s: node %d value differs from reference", c.name, j)
-						}
-						continue
-					}
-					if gotOK != refOK {
-						t.Errorf("%s: node %d present=%v, reference %v", c.name, j, gotOK, refOK)
-						continue
-					}
-					if gotOK && !bytes.Equal(encodeValue(t, gotV), encodeValue(t, refV)) {
-						t.Errorf("%s: node %d value differs from reference", c.name, j)
-					}
-				}
-			}
-		})
-	}
-	if totalRetries == 0 {
-		t.Error("no run in the whole chaos harness retried despite injected faults")
-	}
-	if totalSpills == 0 {
-		t.Error("no run in the whole chaos harness spilled despite the tiny hot tier")
-	}
-	if totalColdReads == 0 {
-		t.Error("no run in the whole chaos harness read a value from the cold tier")
-	}
+	spillEquivalence(t, 700, 32)
 }
 
 // loadEverythingPlan prepopulates the given tiered store with the truth
@@ -310,32 +174,32 @@ func TestPersistentColdEIORecomputes(t *testing.T) {
 	}
 }
 
-// TestFatalFaultCancelsRun checks the fatal half of classification: a
-// permanently failing node must abort the run via first-error
-// cancellation — interrupting in-flight ctx-honoring operators — and the
-// joined error must surface the injected fault, not the collateral
-// context cancellations.
+// TestFatalFaultCancelsRun checks first-error cancellation: a failing
+// node must abort the run — interrupting in-flight ctx-honoring operators
+// — and the joined error must surface the operator's error, not the
+// collateral context cancellations.
 func TestFatalFaultCancelsRun(t *testing.T) {
 	t.Run("worksteal", func(t *testing.T) {
-		// A root fanning out to slow sleepers plus one fatal node: the
-		// sleepers are mid-sleep when the fatal error lands.
+		// A root fanning out to slow sleepers plus one failing node: the
+		// sleepers are mid-sleep when the error lands.
 		sd := WideDAG(8, 50*time.Millisecond)
 		tasks := append([]exec.Task(nil), sd.Tasks...)
-		tasks[2] = FaultyOp(tasks[2], FaultSchedule{Fatal: true})
-		e := &exec.Engine{
-			Workers: 4,
-			Faults:  exec.FaultPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond},
-		}
+		boom := errors.New("operator failed")
+		tasks[2].Run = func(context.Context, []any) (any, error) { return nil, boom }
+		e := &exec.Engine{Workers: 4}
 		start := time.Now()
 		_, err := e.Execute(sd.G, tasks, sd.Plan())
 		if err == nil {
-			t.Fatal("run with a fatal fault succeeded")
+			t.Fatal("run with a failing operator succeeded")
 		}
-		if !errors.Is(err, ErrInjectedFatal) {
-			t.Fatalf("error %v does not wrap the injected fatal fault", err)
+		if !errors.Is(err, boom) {
+			t.Fatalf("error %v does not wrap the operator error", err)
 		}
-		// Fatal means no retry: the run must die on the first attempt,
-		// well before the 50ms sleepers would have finished naturally.
+		if errors.Is(err, context.Canceled) {
+			t.Errorf("error %v carries the collateral cancellations", err)
+		}
+		// The run must die on the first error, well before the 50ms
+		// sleepers would have finished naturally.
 		if wall := time.Since(start); wall > 40*time.Millisecond {
 			t.Errorf("cancellation took %v; in-flight sleepers were not interrupted", wall)
 		}

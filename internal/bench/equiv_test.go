@@ -128,13 +128,18 @@ func TestSharedSignatureEncodedOnceAcrossExecutors(t *testing.T) {
 // values and state counts, and the union of its two tiers must hold
 // exactly the reference store's contents.
 func TestRandomizedSpillEquivalence(t *testing.T) {
-	const graphs = 16
+	spillEquivalence(t, 100, 16)
+}
+
+// spillEquivalence runs the spill-equivalence harness over the seeded
+// graphs firstSeed .. firstSeed+graphs-1, one subtest each.
+func spillEquivalence(t *testing.T, firstSeed int64, graphs int) {
 	const tinyHot = 64 // bytes: a couple of encoded ints, then everything spills
 	// Per-seed plans vary in how much they materialize or load, so spill
 	// and cold-read traffic is asserted in aggregate across the whole
 	// harness (subtests run sequentially).
 	var totalSpills, totalColdReads int64
-	for seed := int64(100); seed < 100+graphs; seed++ {
+	for seed := firstSeed; seed < firstSeed+int64(graphs); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			sd := RandomDAG(seed)
@@ -383,10 +388,10 @@ func TestRandomizedCodecEquivalence(t *testing.T) {
 }
 
 // TestRandomizedEvictionEquivalence puts the cold tier's eviction under the
-// harness: across seeded random graphs with mixed plans, a clean run and a
-// run with injected transient faults each execute against a cold tier
-// sized to just hold the prepopulated loadable keys — so every fresh
-// materialization during the run must evict — and must still agree with
+// harness: across seeded random graphs with mixed plans, each run executes
+// against a cold tier sized to just hold the prepopulated loadable keys —
+// so every fresh materialization during the run must evict — and must
+// still agree with
 // the sequential reference over an unbudgeted single tier on state
 // counts and byte-identical values. Eviction is pure cache policy: it may
 // change what survives the run (not asserted here), never what the run
@@ -395,7 +400,7 @@ func TestRandomizedEvictionEquivalence(t *testing.T) {
 	const graphs = 6
 	const tinyHot = 64 // bytes: force nearly everything through cold admission
 	const coldSlack = 64
-	var totalEvictions, totalRetries int64
+	var totalEvictions int64
 	for seed := int64(200); seed < 200+graphs; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -459,63 +464,50 @@ func TestRandomizedEvictionEquivalence(t *testing.T) {
 			ref := sequentialRun(sd.G, sd.Tasks, plan, refStore)
 			refC, refL, refP := stateCounts(ref)
 
-			for _, faults := range []bool{false, true} {
-				name := fmt.Sprintf("f%v", faults)
-				hot, err := store.Open(t.TempDir(), tinyHot)
-				if err != nil {
-					t.Fatal(err)
+			hot, err := store.Open(t.TempDir(), tinyHot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := store.OpenSpill(t.TempDir(), coldBudget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prepopulate(store.NewTiered(hot, cold))
+			e := &exec.Engine{
+				Workers: 4,
+				Store:   hot,
+				Spill:   cold,
+				Policy:  opt.MaterializeAll{},
+			}
+			res, err := e.Execute(sd.G, sd.Tasks, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			totalEvictions += res.ColdEvictions
+			gotC, gotL, gotP := stateCounts(res)
+			if gotC != refC || gotL != refL || gotP != refP {
+				t.Errorf("counts computed/loaded/pruned = %d/%d/%d, reference %d/%d/%d",
+					gotC, gotL, gotP, refC, refL, refP)
+			}
+			if cold.Used() > coldBudget {
+				t.Errorf("cold tier used %d over its %d budget", cold.Used(), coldBudget)
+			}
+			for i := 0; i < n; i++ {
+				id := dag.NodeID(i)
+				refV, refOK := ref.Values[id]
+				gotV, gotOK := res.Values[id]
+				if gotOK != refOK {
+					t.Errorf("node %d present=%v, reference %v", i, gotOK, refOK)
+					continue
 				}
-				cold, err := store.OpenSpill(t.TempDir(), coldBudget)
-				if err != nil {
-					t.Fatal(err)
-				}
-				prepopulate(store.NewTiered(hot, cold))
-				run := sd
-				e := &exec.Engine{
-					Workers: 4,
-					Store:   hot,
-					Spill:   cold,
-					Policy:  opt.MaterializeAll{},
-				}
-				if faults {
-					fp := DefaultFaultPlan(seed)
-					run, _ = WithFaults(sd, fp)
-					e.Faults = fp.Policy()
-				}
-				res, err := e.Execute(run.G, run.Tasks, plan)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				totalEvictions += res.ColdEvictions
-				totalRetries += res.Retries
-				gotC, gotL, gotP := stateCounts(res)
-				if gotC != refC || gotL != refL || gotP != refP {
-					t.Errorf("%s: counts computed/loaded/pruned = %d/%d/%d, reference %d/%d/%d",
-						name, gotC, gotL, gotP, refC, refL, refP)
-				}
-				if cold.Used() > coldBudget {
-					t.Errorf("%s: cold tier used %d over its %d budget", name, cold.Used(), coldBudget)
-				}
-				for i := 0; i < n; i++ {
-					id := dag.NodeID(i)
-					refV, refOK := ref.Values[id]
-					gotV, gotOK := res.Values[id]
-					if gotOK != refOK {
-						t.Errorf("%s: node %d present=%v, reference %v", name, i, gotOK, refOK)
-						continue
-					}
-					if gotOK && !bytes.Equal(encodeValue(t, gotV), encodeValue(t, refV)) {
-						t.Errorf("%s: node %d value differs from reference", name, i)
-					}
+				if gotOK && !bytes.Equal(encodeValue(t, gotV), encodeValue(t, refV)) {
+					t.Errorf("node %d value differs from reference", i)
 				}
 			}
 		})
 	}
 	if totalEvictions == 0 {
 		t.Error("no run in the whole harness evicted despite the tight cold budget")
-	}
-	if totalRetries == 0 {
-		t.Error("no faulted run retried despite injected transient faults")
 	}
 }
 

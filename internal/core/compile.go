@@ -80,8 +80,7 @@ func Compile(w *Workflow) (*Compiled, error) {
 
 // CtxOperator is an optional Operator extension for long-running operators:
 // ApplyCtx receives the engine's run context, carrying first-error
-// cancellation and the fault policy's per-node deadline, so the operator
-// can be interrupted instead of waited out.
+// cancellation, so the operator can be interrupted instead of waited out.
 type CtxOperator interface {
 	Operator
 	ApplyCtx(ctx context.Context, inputs []any) (any, error)

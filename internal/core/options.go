@@ -75,10 +75,9 @@ type Options struct {
 	// lost). Set it for debugging sessions that want to inspect
 	// intermediates post-hoc, or to A/B the peak-memory win.
 	KeepIntermediates bool
-	// Faults is the execution-time fault policy: per-node retry budget with
-	// backoff for transient failures, per-node deadlines, and error
-	// classification. The zero value disables retries and deadlines (one
-	// attempt, fail-fast — the historical behaviour).
+	// Faults is ignored: the first operator error fails the iteration.
+	//
+	// Deprecated: see exec.FaultPolicy.
 	Faults exec.FaultPolicy
 	// Codec is ignored: the store has one value format.
 	//
@@ -157,7 +156,6 @@ func Open(o Options) (*Session, error) {
 		History:              s.history,
 		ReleaseIntermediates: !o.KeepIntermediates,
 		LiveBytes:            &s.live,
-		Faults:               o.Faults,
 		Tenant:               o.Tenant,
 	}
 	if o.SharedTiers != nil {

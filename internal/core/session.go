@@ -75,7 +75,7 @@ type Report struct {
 	// without a spill tier).
 	SpillUsed int64
 	// Counters consolidates this iteration's execution counters (spills,
-	// cold reads, retries, encodes, ...) under one embedded block;
+	// cold reads, recomputes, encodes, ...) under one embedded block;
 	// field promotion keeps the old rep.Spills-style selectors working.
 	exec.Counters
 	// Keys holds each node's content-address store key (the hex Merkle

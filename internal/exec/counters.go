@@ -9,6 +9,8 @@ package exec
 // buffered_cold_reads counts every cold read; version 5 adds
 // unregistered_values; version 6 drops the tier-disabled flag (a failed
 // cold read is now always a miss, so the cold tier is never switched off).
+// retries is always 0: the engine no longer retries operators, and the
+// field stays on the wire, so the version did not change with it.
 // Readers should accept every version up to this one and treat an absent
 // field as its zero.
 const ReportSchemaVersion = 6
@@ -61,8 +63,11 @@ type Counters struct {
 	// for new cold admissions. Those values are gone: a later iteration that
 	// needs one recomputes it.
 	ColdEvictions int64 `json:"cold_evictions"`
-	// Retries counts operator attempts repeated after a transient fault
-	// (Engine.Faults); the node retried in place on its worker.
+	// Retries is always 0: the engine never retries an operator, whose
+	// first error fails the run. The field stays only so readers of the
+	// counter block keep compiling.
+	//
+	// Deprecated: a failed run is simply run again.
 	Retries int64 `json:"retries"`
 	// Recomputes counts nodes recomputed from lineage after a planned load
 	// failed (corrupt frame, read I/O error, evicted entry) — the failing
@@ -118,7 +123,6 @@ type Counters struct {
 func (c *Counters) Add(o Counters) {
 	c.Spills += o.Spills
 	c.ColdEvictions += o.ColdEvictions
-	c.Retries += o.Retries
 	c.Recomputes += o.Recomputes
 	c.CorruptFrames += o.CorruptFrames
 	c.BinaryEncodes += o.BinaryEncodes

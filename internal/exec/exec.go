@@ -22,7 +22,7 @@
 // NodeRun.MatDuration records the real write cost, and Execute flushes the
 // pipeline — also on error — before returning. Each materialized value is
 // encoded exactly once: the size probe for the policy decision is the
-// same (pooled) encoding that Store.PutEncoded persists. With a spill tier
+// same (pooled) encoding that the store persists. With a spill tier
 // configured (Engine.Spill, a framed store from store.OpenSpill, composed
 // with Store by store.Tiered), a hot-budget rejection admits that encoding
 // to the cold tier instead of dropping it, and loads fall back to cold,
@@ -58,11 +58,10 @@ type Task struct {
 	Key string
 	// Run computes the node's value from its parents' values (ordered as
 	// g.Parents). Must be safe to call from any goroutine. ctx carries the
-	// run's cancellation and the fault policy's per-node deadline:
-	// long-running operators should honor it (check ctx.Err() in loops,
-	// select on ctx.Done() around sleeps) so first-error cancellation and
-	// deadlines interrupt them instead of waiting them out. Errors wrapping
-	// ErrTransient are retried per Engine.Faults.
+	// run's cancellation: long-running operators should honor it (check
+	// ctx.Err() in loops, select on ctx.Done() around sleeps) so
+	// first-error cancellation interrupts them instead of waiting them out.
+	// Any error fails the run; a re-run loads what this one stored.
 	Run func(ctx context.Context, inputs []any) (any, error)
 }
 
@@ -105,7 +104,7 @@ type Result struct {
 	// Wall is the end-to-end latency of the iteration, including the flush
 	// of the background materialization pipeline.
 	Wall time.Duration
-	// Counters is this run's execution-counter block (spills, retries,
+	// Counters is this run's execution-counter block (spills, recomputes,
 	// encodes, ...); every count is a delta over this one Execute call. See
 	// Counters for per-field semantics.
 	Counters
@@ -263,6 +262,13 @@ type Ordering struct{}
 // Deprecated: kept only so existing field assignments compile.
 type DispatchMode struct{}
 
+// FaultPolicy is an inert placeholder: an operator is never retried. Its
+// first error cancels the run, and a re-run loads every value the failed
+// run stored.
+//
+// Deprecated: kept only so existing field assignments compile.
+type FaultPolicy struct{}
+
 // Reweight is an inert placeholder: ready nodes are ordered by the
 // critical-path weights computed once at the top of each run, which never
 // change while it executes.
@@ -303,11 +309,9 @@ type Engine struct {
 	//
 	// Deprecated: see DispatchMode.
 	Dispatch DispatchMode
-	// Faults is the engine's fault-tolerance policy: per-node attempt
-	// budget with exponential backoff for transient operator failures, and
-	// an optional per-attempt deadline. The zero value disables both (one
-	// attempt, no deadline). Applies to every node run and to lineage
-	// recomputes after failed loads.
+	// Faults is ignored: the first operator error fails the run.
+	//
+	// Deprecated: see FaultPolicy.
 	Faults FaultPolicy
 	// Reweight is ignored: the dispatch weights are computed once per run.
 	//
@@ -464,8 +468,7 @@ func (e *Engine) Execute(g *dag.Graph, tasks []Task, plan *opt.Plan) (*Result, e
 }
 
 // ExecuteCtx is Execute under a caller-supplied context: cancelling ctx
-// cancels the run the same way a fatal node error does. The fault policy's
-// per-node deadlines nest under it.
+// cancels the run the same way a node error does.
 func (e *Engine) ExecuteCtx(ctx context.Context, g *dag.Graph, tasks []Task, plan *opt.Plan) (*Result, error) {
 	if len(tasks) != g.Len() {
 		return nil, fmt.Errorf("exec: %d tasks for %d nodes", len(tasks), g.Len())
@@ -498,7 +501,6 @@ func (e *Engine) ExecuteCtx(ctx context.Context, g *dag.Graph, tasks []Task, pla
 	}
 	res, err := e.executeDataflow(ctx, g, tasks, plan, res, stats, pins)
 	if res != nil {
-		res.Retries = stats.retries.Load()
 		res.Recomputes = stats.recomputes.Load()
 		res.InflightDedupHits = stats.inflightHits.Load()
 		res.InflightWaits = stats.inflightWaits.Load()
@@ -528,7 +530,7 @@ func (e *Engine) historySize(name string) (int64, bool) {
 // consult the policy, and persist on a yes — degrading to "not
 // materialized" on unencodable values, budget races and I/O failures.
 // The value is encoded at most once: a probe encoding is kept and
-// handed straight to Store.PutEncoded on a yes, and the pooled buffer is
+// handed straight to Tiered.PutBytesHint on a yes, and the pooled buffer is
 // released before returning either way. computeNanos is c_i and ancNanos
 // Σ_{a∈A(i)} c_a; their sum doubles as the persisted entry's
 // recompute-saving eviction hint.
@@ -582,7 +584,7 @@ func (e *Engine) decideAndPersist(name, key string, v any, computeNanos, ancNano
 		size = enc.Size()
 	}
 	hint := store.RewardHint{RecomputeNanos: computeNanos + ancNanos, Owner: e.Tenant}
-	if _, err := tv.PutEncodedHint(key, enc, hint); err != nil {
+	if _, err := tv.PutBytesHint(key, enc.Bytes(), hint); err != nil {
 		// Budget races (the value fits no tier) and I/O failures degrade to
 		// "not materialized"; with a spill tier attached a plain hot-budget
 		// rejection lands in the cold tier instead of here.

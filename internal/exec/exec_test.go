@@ -141,6 +141,32 @@ func TestExecutePropagatesOperatorError(t *testing.T) {
 	}
 }
 
+func TestFatalErrorNeverRetried(t *testing.T) {
+	// An operator error fails the run on its first attempt. The ignored
+	// Faults field does not turn retry back on.
+	g, tasks := buildChain(t)
+	boom := errors.New("operator bug")
+	var calls atomic.Int32
+	tasks[1].Run = func(context.Context, []any) (any, error) {
+		calls.Add(1)
+		return nil, boom
+	}
+	e := &Engine{Workers: 2, Faults: FaultPolicy{}}
+	res, err := e.Execute(g, tasks, allCompute(3))
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the operator error", err)
+	}
+	if strings.Contains(err.Error(), "attempts") {
+		t.Fatalf("err = %v; an operator error must not be wrapped in retry accounting", err)
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("failing operator ran %d times, want 1", calls.Load())
+	}
+	if res != nil && res.Retries != 0 {
+		t.Fatalf("Retries = %d, want 0", res.Retries)
+	}
+}
+
 func TestExecuteValidation(t *testing.T) {
 	g, tasks := buildChain(t)
 	e := &Engine{}

@@ -7,262 +7,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/dag"
 	"repro/internal/opt"
 	"repro/internal/store"
 )
-
-func TestClassifyDefault(t *testing.T) {
-	cases := []struct {
-		err  error
-		want ErrorClass
-	}{
-		{ErrTransient, ClassTransient},
-		{fmt.Errorf("flaky source: %w", ErrTransient), ClassTransient},
-		{context.DeadlineExceeded, ClassTransient},
-		{fmt.Errorf("attempt timed out: %w", context.DeadlineExceeded), ClassTransient},
-		{errors.New("segfault in operator"), ClassFatal},
-		{context.Canceled, ClassFatal},
-	}
-	for _, tc := range cases {
-		if got := ClassifyDefault(tc.err); got != tc.want {
-			t.Errorf("ClassifyDefault(%v) = %v, want %v", tc.err, got, tc.want)
-		}
-	}
-}
-
-func TestBackoffDeterministicAndBounded(t *testing.T) {
-	p := FaultPolicy{BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond, JitterSeed: 42}
-	for _, id := range []dag.NodeID{0, 3, 17} {
-		for attempt := 1; attempt <= 6; attempt++ {
-			raw := p.BaseBackoff << (attempt - 1)
-			if raw > p.MaxBackoff {
-				raw = p.MaxBackoff
-			}
-			d := p.backoff(id, attempt)
-			if d < raw/2 || d > raw {
-				t.Errorf("backoff(node %d, attempt %d) = %v, want within [%v, %v]", id, attempt, d, raw/2, raw)
-			}
-			if again := p.backoff(id, attempt); again != d {
-				t.Errorf("backoff(node %d, attempt %d) not deterministic: %v then %v", id, attempt, d, again)
-			}
-		}
-	}
-	// Different seeds decorrelate the jitter stream (deterministically, so
-	// this assertion is stable).
-	q := p
-	q.JitterSeed = 43
-	same := 0
-	for attempt := 1; attempt <= 6; attempt++ {
-		if p.backoff(0, attempt) == q.backoff(0, attempt) {
-			same++
-		}
-	}
-	if same == 6 {
-		t.Error("jitter identical across seeds 42 and 43 for every attempt")
-	}
-}
-
-func TestBackoffZeroPolicyUsesDefaults(t *testing.T) {
-	var p FaultPolicy
-	for attempt := 1; attempt <= 12; attempt++ {
-		d := p.backoff(1, attempt)
-		if d <= 0 || d > defaultMaxBackoff {
-			t.Fatalf("attempt %d: backoff %v outside (0, %v]", attempt, d, defaultMaxBackoff)
-		}
-	}
-}
-
-func TestRetryTransientThenSucceed(t *testing.T) {
-	// "worksteal" is this subtest's historical name; it runs the shared-heap dispatcher.
-	t.Run("worksteal", func(t *testing.T) {
-		g, tasks := buildChain(t)
-		var calls atomic.Int32
-		inner := tasks[1].Run
-		tasks[1].Run = func(ctx context.Context, in []any) (any, error) {
-			if calls.Add(1) <= 2 {
-				return nil, fmt.Errorf("blip %d: %w", calls.Load(), ErrTransient)
-			}
-			return inner(ctx, in)
-		}
-		e := &Engine{Workers: 2, Faults: FaultPolicy{MaxAttempts: 4, BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond}}
-		res, err := e.Execute(g, tasks, allCompute(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v, ok := res.Value(g, "c"); !ok || v.(string) != "abc" {
-			t.Fatalf("c = %v, %v", v, ok)
-		}
-		if res.Retries != 2 {
-			t.Fatalf("Retries = %d, want 2", res.Retries)
-		}
-	})
-}
-
-func TestRetryBudgetExhausted(t *testing.T) {
-	g, tasks := buildChain(t)
-	var calls atomic.Int32
-	tasks[1].Run = func(context.Context, []any) (any, error) {
-		calls.Add(1)
-		return nil, fmt.Errorf("never recovers: %w", ErrTransient)
-	}
-	e := &Engine{Workers: 2, Faults: FaultPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond}}
-	_, err := e.Execute(g, tasks, allCompute(3))
-	if err == nil {
-		t.Fatal("run succeeded with a permanently failing node")
-	}
-	if !errors.Is(err, ErrTransient) {
-		t.Fatalf("err = %v, want the operator error preserved", err)
-	}
-	if !strings.Contains(err.Error(), "after 3 attempts") {
-		t.Fatalf("err = %v, want the attempt count surfaced", err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("operator ran %d times, want exactly the 3-attempt budget", got)
-	}
-}
-
-func TestFatalErrorNeverRetried(t *testing.T) {
-	g, tasks := buildChain(t)
-	boom := errors.New("operator bug")
-	var calls atomic.Int32
-	tasks[1].Run = func(context.Context, []any) (any, error) {
-		calls.Add(1)
-		return nil, boom
-	}
-	e := &Engine{Workers: 2, Faults: FaultPolicy{MaxAttempts: 5, BaseBackoff: time.Microsecond}}
-	res, err := e.Execute(g, tasks, allCompute(3))
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the fatal error", err)
-	}
-	if strings.Contains(err.Error(), "attempts") {
-		t.Fatalf("err = %v; a first-attempt fatal must not be wrapped in retry accounting", err)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("fatal operator ran %d times, want 1", calls.Load())
-	}
-	if res != nil && res.Retries != 0 {
-		t.Fatalf("Retries = %d, want 0", res.Retries)
-	}
-}
-
-func TestCustomClassifier(t *testing.T) {
-	g, tasks := buildChain(t)
-	flaky := errors.New("my own flaky error")
-	var calls atomic.Int32
-	inner := tasks[1].Run
-	tasks[1].Run = func(ctx context.Context, in []any) (any, error) {
-		if calls.Add(1) == 1 {
-			return nil, flaky
-		}
-		return inner(ctx, in)
-	}
-	e := &Engine{Workers: 2, Faults: FaultPolicy{
-		MaxAttempts: 3,
-		BaseBackoff: time.Microsecond,
-		Classify: func(err error) ErrorClass {
-			if errors.Is(err, flaky) {
-				return ClassTransient
-			}
-			return ClassFatal
-		},
-	}}
-	res, err := e.Execute(g, tasks, allCompute(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Retries != 1 {
-		t.Fatalf("Retries = %d, want 1", res.Retries)
-	}
-}
-
-func TestNodeTimeoutInterruptsSlowAttempt(t *testing.T) {
-	g, tasks := buildChain(t)
-	var calls atomic.Int32
-	inner := tasks[1].Run
-	tasks[1].Run = func(ctx context.Context, in []any) (any, error) {
-		if calls.Add(1) == 1 {
-			// A ctx-honoring stall far past the node deadline: only the
-			// per-attempt timeout can end it promptly.
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(10 * time.Second):
-				return nil, errors.New("deadline never fired")
-			}
-		}
-		return inner(ctx, in)
-	}
-	e := &Engine{Workers: 2, Faults: FaultPolicy{
-		MaxAttempts: 3,
-		BaseBackoff: time.Microsecond,
-		NodeTimeout: 5 * time.Millisecond,
-	}}
-	start := time.Now()
-	res, err := e.Execute(g, tasks, allCompute(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wall := time.Since(start); wall > 2*time.Second {
-		t.Fatalf("run took %v; the deadline did not interrupt the stalled attempt", wall)
-	}
-	if v, ok := res.Value(g, "c"); !ok || v.(string) != "abc" {
-		t.Fatalf("c = %v, %v", v, ok)
-	}
-	if res.Retries < 1 {
-		t.Fatalf("Retries = %d, want the deadline expiry retried", res.Retries)
-	}
-}
-
-func TestRetriesDuringRecompute(t *testing.T) {
-	// A failed load's recovery runs operators under the same fault policy:
-	// a transient fault inside the recompute retries there too.
-	g, tasks := buildChain(t)
-	dir := t.TempDir()
-	st, err := store.Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bCalls atomic.Int32
-	innerB := tasks[1].Run
-	tasks[1].Run = func(ctx context.Context, in []any) (any, error) {
-		if bCalls.Add(1) == 1 {
-			return nil, fmt.Errorf("recompute blip: %w", ErrTransient)
-		}
-		return innerB(ctx, in)
-	}
-	e := &Engine{Workers: 2, Store: st, Policy: opt.MaterializeAll{},
-		Faults: FaultPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond}}
-	if _, err := e.Execute(g, tasks, allCompute(3)); err != nil {
-		t.Fatal(err)
-	}
-	// Damage the persisted value of b, then plan to load it.
-	if err := os.Remove(filepath.Join(dir, "kb")); err != nil {
-		t.Fatal(err)
-	}
-	bCalls.Store(0)
-	plan := allCompute(3)
-	plan.States[0] = opt.Prune
-	plan.States[1] = opt.Load
-	res, err := e.Execute(g, tasks, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := res.Value(g, "c"); !ok || v.(string) != "abc" {
-		t.Fatalf("c = %v, %v", v, ok)
-	}
-	if res.Recomputes < 1 {
-		t.Fatalf("Recomputes = %d, want >= 1", res.Recomputes)
-	}
-	if res.Retries < 1 {
-		t.Fatalf("Retries = %d, want the recompute's transient fault retried", res.Retries)
-	}
-}
 
 func TestRecomputeAfterVanishedFile(t *testing.T) {
 	// A planned load whose backing file vanished out from under the store
@@ -297,6 +48,58 @@ func TestRecomputeAfterVanishedFile(t *testing.T) {
 			t.Fatalf("Recomputes = %d, want >= 1", res.Recomputes)
 		}
 	})
+}
+
+// TestVanishedFileDroppedAndRematerialized: an entry whose file vanished is
+// deleted on its failed load, in either tier, so the recomputed value is
+// re-materialized and the next iteration's load succeeds instead of
+// recomputing the node on every iteration.
+func TestVanishedFileDroppedAndRematerialized(t *testing.T) {
+	for _, spill := range []bool{false, true} {
+		t.Run(fmt.Sprintf("spill=%v", spill), func(t *testing.T) {
+			g, tasks := buildChain(t)
+			hotDir, coldDir := t.TempDir(), t.TempDir()
+			dir, hotBudget := hotDir, int64(0)
+			var cold *store.Store
+			if spill {
+				// A one-byte hot tier spills every value to the cold tier.
+				dir, hotBudget = coldDir, 1
+				var err error
+				if cold, err = store.OpenSpill(coldDir, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hot, err := store.Open(hotDir, hotBudget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := &Engine{Workers: 2, Store: hot, Spill: cold, Policy: opt.MaterializeAll{}}
+			if _, err := e.Execute(g, tasks, allCompute(3)); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Remove(filepath.Join(dir, "kb")); err != nil {
+				t.Fatal(err)
+			}
+			plan := allCompute(3)
+			plan.States[0] = opt.Prune
+			plan.States[1] = opt.Load
+			for iter, wantRecomputes := range []int64{1, 0} {
+				res, err := e.Execute(g, tasks, plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v, ok := res.Value(g, "c"); !ok || v.(string) != "abc" {
+					t.Fatalf("iteration %d: c = %v, %v", iter+2, v, ok)
+				}
+				if res.Recomputes != wantRecomputes {
+					t.Errorf("iteration %d: Recomputes = %d, want %d", iter+2, res.Recomputes, wantRecomputes)
+				}
+				if wantRecomputes > 0 && !res.Nodes[1].Materialized {
+					t.Errorf("iteration %d: recomputed b not re-materialized", iter+2)
+				}
+			}
+		})
+	}
 }
 
 // TestRecoveryLoadsStoredPrunedAncestor: when a planned load fails, its

@@ -41,7 +41,7 @@ type recomputer struct {
 
 // recoverLoad recomputes the value node id's load should have produced.
 // loadErr, the failure that triggered recovery, is folded into the error on
-// an unrecoverable lineage (an ancestor with no Run function, or a fatal
+// an unrecoverable lineage (an ancestor with no Run function, or an
 // operator fault during the recompute).
 func (r *recomputer) recoverLoad(ctx context.Context, id dag.NodeID, loadErr error) (any, error) {
 	memo := make(map[dag.NodeID]any)
@@ -55,8 +55,7 @@ func (r *recomputer) recoverLoad(ctx context.Context, id dag.NodeID, loadErr err
 // recompute returns node id's value, memoized per recovery: an ancestor
 // with a key is served from the store when it is stored and decodable
 // (root already failed its load and always recomputes), everything else
-// runs its operator — under the engine's fault policy, so transient faults
-// retry here too — over recursively recovered parent values.
+// runs its operator over recursively recovered parent values.
 func (r *recomputer) recompute(ctx context.Context, id dag.NodeID, memo map[dag.NodeID]any, root bool) (any, error) {
 	if v, ok := memo[id]; ok {
 		return v, nil
@@ -83,7 +82,7 @@ func (r *recomputer) recompute(ctx context.Context, id dag.NodeID, memo map[dag.
 	}
 	name := r.g.Node(id).Name
 	start := time.Now()
-	v, err := r.e.runTask(ctx, id, r.tasks[id].Run, inputs, r.stats)
+	v, err := r.tasks[id].Run(ctx, inputs)
 	if err != nil {
 		return nil, fmt.Errorf("exec: recompute %s: %w", name, err)
 	}

@@ -33,15 +33,14 @@ type runCtx struct {
 	res   *Result
 
 	// ctx is the run's cancellation scope: derived from the caller's
-	// context, cancelled by the first fatal node error so in-flight
-	// operators that honor their ctx are interrupted instead of waited out.
-	// The fault policy's per-attempt deadlines nest under it.
+	// context, cancelled by the first node error so in-flight operators
+	// that honor their ctx are interrupted instead of waited out.
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// stats is the run's fault accounting (retries, lineage recomputes),
-	// shared with the recovery path; pins holds the planned-load pins
-	// released as loads complete (nil without a spill tier).
+	// stats is the run's fault accounting (lineage recomputes), shared
+	// with the recovery path; pins holds the planned-load pins released as
+	// loads complete (nil without a spill tier).
 	stats *faultStats
 	pins  *pinSet
 
@@ -258,7 +257,7 @@ func (rc *runCtx) runNode(id dag.NodeID) error {
 			e.finishFlight(lead, key, nil, fmt.Errorf("exec: node %s has no Run function", name))
 			return fmt.Errorf("exec: node %s has no Run function", name)
 		}
-		v, err := e.runTask(rc.ctx, id, rc.tasks[id].Run, inputs, rc.stats)
+		v, err := rc.tasks[id].Run(rc.ctx, inputs)
 		if err != nil {
 			e.finishFlight(lead, key, nil, err)
 			return fmt.Errorf("exec: compute %s: %w", name, err)

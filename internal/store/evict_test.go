@@ -166,8 +166,8 @@ func TestSpillFullyPinnedFastFails(t *testing.T) {
 	}
 }
 
-// TestSpillEncodedRoundTrip: the encoded-admission wrappers attach hints
-// like the raw-byte path, and Get decodes what PutEncodedHint admitted.
+// TestSpillEncodedRoundTrip: an encoded value admitted through PutBytesHint
+// carries its hint, and Get decodes what was admitted.
 func TestSpillEncodedRoundTrip(t *testing.T) {
 	sp := openSpillTemp(t, 0)
 	enc, err := EncodeValue("round-trip")
@@ -176,7 +176,7 @@ func TestSpillEncodedRoundTrip(t *testing.T) {
 	}
 	defer enc.Release()
 	hint := RewardHint{RecomputeNanos: (2 * time.Millisecond).Nanoseconds()}
-	if err := sp.PutEncodedHint("kenc", enc, hint); err != nil {
+	if err := sp.PutBytesHint("kenc", enc.Bytes(), hint); err != nil {
 		t.Fatal(err)
 	}
 	if e, ok := sp.Lookup("kenc"); !ok || e.Recompute != hint.RecomputeNanos {
@@ -197,7 +197,7 @@ func TestSpillEncodedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer enc2.Release()
-	if err := sp.PutEncoded("kplain", enc2); err != nil {
+	if err := sp.PutBytes("kplain", enc2.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if e, _ := sp.Lookup("kplain"); e.Recompute != 0 {

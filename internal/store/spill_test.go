@@ -370,7 +370,7 @@ func TestTieredEncodeOncePerTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tier, err := tiers.PutEncoded("fill", enc); err != nil || tier != TierHot {
+	if tier, err := tiers.PutBytes("fill", enc.Bytes()); err != nil || tier != TierHot {
 		t.Fatalf("fill → %v, %v", tier, err)
 	}
 	enc.Release()
@@ -380,7 +380,7 @@ func TestTieredEncodeOncePerTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tier, err := tiers.PutEncoded("spilled", enc2); err != nil || tier != TierCold {
+	if tier, err := tiers.PutBytes("spilled", enc2.Bytes()); err != nil || tier != TierCold {
 		t.Fatalf("spilled → %v, %v; want cold", tier, err)
 	}
 	enc2.Release()

@@ -289,7 +289,7 @@ func (e *Encoded) Release() {
 // type) has no codec.RegisterValue entry fails with codec.ErrUnregistered.
 // It is the encode-once entry point of the execution engine: the same
 // Encoded probes the size for the materialization decision and then
-// persists through PutEncoded, so each value is serialized exactly once.
+// persists through PutBytes(enc.Bytes()), so each value is serialized exactly once.
 func EncodeValue(value any) (*Encoded, error) {
 	w := binWriterPool.Get().(*codec.Writer)
 	defer binWriterPool.Put(w)
@@ -458,19 +458,6 @@ func (s *Store) writeFile(path string, payload []byte) error {
 	return err
 }
 
-// PutEncoded stores an already-encoded value under key, enforcing the
-// budget. The caller keeps ownership of enc (and should Release it after);
-// the bytes are fully written before PutEncoded returns.
-func (s *Store) PutEncoded(key string, enc *Encoded) error {
-	return s.PutBytes(key, enc.Bytes())
-}
-
-// PutEncodedHint is PutEncoded with a recompute-saving hint (see
-// PutBytesHint).
-func (s *Store) PutEncodedHint(key string, enc *Encoded, hint RewardHint) error {
-	return s.PutBytesHint(key, enc.Bytes(), hint)
-}
-
 // Put encodes and stores a value.
 func (s *Store) Put(key string, value any) error {
 	enc, err := EncodeValue(value)
@@ -478,7 +465,7 @@ func (s *Store) Put(key string, value any) error {
 		return err
 	}
 	defer enc.Release()
-	return s.PutEncoded(key, enc)
+	return s.PutBytes(key, enc.Bytes())
 }
 
 // Get loads and decodes the value for key, recording the measured load cost
@@ -801,22 +788,6 @@ func (s *Store) Delete(key string) error {
 	s.injectReadFault(key, 0) // a deleted entry's armed faults die with it
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("store: delete %s: %w", key, err)
-	}
-	return nil
-}
-
-// Clear removes every entry.
-func (s *Store) Clear() error {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-	for _, k := range keys {
-		if err := s.Delete(k); err != nil {
-			return err
-		}
 	}
 	return nil
 }

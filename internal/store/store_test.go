@@ -108,21 +108,6 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	s := openTemp(t, 0)
-	for _, k := range []string{"a", "b", "c"} {
-		if err := s.PutBytes(k, []byte("data")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Clear(); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Entries()) != 0 || s.Used() != 0 {
-		t.Error("clear incomplete")
-	}
-}
-
 func TestReopenAdoptsFiles(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(dir, 0)
@@ -384,7 +369,7 @@ func TestEncodeValuePutEncodedRoundTrip(t *testing.T) {
 	if enc.Size() != int64(len(enc.Bytes())) || enc.Size() == 0 {
 		t.Errorf("Size %d inconsistent with %d bytes", enc.Size(), len(enc.Bytes()))
 	}
-	if err := s.PutEncoded("k", enc); err != nil {
+	if err := s.PutBytes("k", enc.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	enc.Release()

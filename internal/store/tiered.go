@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -257,18 +258,6 @@ func (t *Tiered) admitCold(key string, raw []byte, hint RewardHint) error {
 	return t.cold.PutBytesHint(key, raw, hint)
 }
 
-// PutEncoded admits an already-encoded value (the caller keeps ownership of
-// enc), spilling on hot-tier rejection. No tier re-encodes the value.
-func (t *Tiered) PutEncoded(key string, enc *Encoded) (Tier, error) {
-	return t.PutBytes(key, enc.Bytes())
-}
-
-// PutEncodedHint is PutEncoded with a recompute-saving hint (see
-// PutBytesHint).
-func (t *Tiered) PutEncodedHint(key string, enc *Encoded, hint RewardHint) (Tier, error) {
-	return t.PutBytesHint(key, enc.Bytes(), hint)
-}
-
 // SetHint refreshes the recompute-saving hint on whichever tier holds key.
 // A no-op for a zero hint or an unknown key.
 func (t *Tiered) SetHint(key string, hint RewardHint) {
@@ -280,18 +269,21 @@ func (t *Tiered) SetHint(key string, hint RewardHint) {
 
 // Get loads and decodes the value for key from the tier that holds it and
 // returns that tier. Neither tier's read takes mu (see Tiered). Any read
-// error is the caller's miss. A cold frame that fails verification is also
-// deleted here, and bytes that fail to decode in decodeAndRecord.
+// error is the caller's miss. An entry whose file has vanished is deleted
+// here, and so is a cold frame that fails verification; bytes that fail to
+// decode are deleted in decodeAndRecord.
 func (t *Tiered) Get(key string) (any, Tier, error) {
 	raw, start, hotErr := t.hot.read(key)
 	if hotErr == nil {
 		return t.decodeAndRecord(t.hot, key, raw, time.Since(start), TierHot)
 	}
+	dropVanished(t.hot, key, hotErr)
 	if t.cold == nil {
 		return nil, TierNone, hotErr
 	}
 	payload, start, err := t.cold.read(key)
 	if err != nil {
+		dropVanished(t.cold, key, err)
 		if errors.Is(err, ErrCorrupt) {
 			// Damaged bytes are unrecoverable: count and delete the frame
 			// so the corruption degrades to a one-time cache miss instead
@@ -309,6 +301,20 @@ func (t *Tiered) Get(key string) (any, Tier, error) {
 	}
 	t.coldReads.Add(1)
 	return t.decodeAndRecord(t.cold, key, payload, time.Since(start), TierCold)
+}
+
+// dropVanished deletes tier's entry for key when its read failed because
+// the file is gone. Left in place, the entry would keep the cost model
+// planning a load that always falls back to recompute, and would block
+// re-materializing the recomputed value. In the cold tier a racing
+// eviction has usually deleted the entry already (Delete then returns
+// ErrNotFound); a same-key re-admission that lands between the unlink and
+// this Delete is dropped too, which costs one later miss, never wrong
+// bytes.
+func dropVanished(tier *Store, key string, readErr error) {
+	if errors.Is(readErr, fs.ErrNotExist) {
+		_ = tier.Delete(key)
+	}
 }
 
 // decodeAndRecord finishes a load: decode the raw bytes and land the
